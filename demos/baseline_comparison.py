@@ -2,8 +2,12 @@
 
 Three estimators on the same measurements: the raw measurement (no prior,
 NMSE = -SNR), the genie-aided Wiener filter (true antenna covariance, an
-upper baseline), and the fitted decoder. Writes the comparison table to
-baseline_comparison.csv alongside the per-curve series used for plotting.
+upper baseline), and the fitted decoder. Prints the comparison table and
+writes the per-curve series used for plotting to baseline_curves.json.
+
+The study driver writes the same table in its frozen CSV form:
+``unn-csi --profile desk --mode sweep --out results/`` gives results.csv
+(schema in docs/artifacts.md) and curves.json.
 
 Run:  python demos/baseline_comparison.py
 """
@@ -15,7 +19,6 @@ from unn_csi.baselines import (
     make_unn_estimator,
     mmse_genie,
     mmse_raw,
-    records_to_csv,
     records_to_curves,
     sweep,
 )
@@ -40,10 +43,9 @@ def main():
     for r in records:
         print(f"{r.estimator:>11} {r.snr_db:5.0f} {r.nmse_db:6.2f} dB {r.gain_db:4.1f} dB")
 
-    records_to_csv(records, "baseline_comparison.csv")
     with open("baseline_curves.json", "w", encoding="utf-8") as fh:
         json.dump(records_to_curves(records), fh, indent=2)
-    print("\nwrote baseline_comparison.csv and baseline_curves.json")
+    print("\nwrote baseline_curves.json; unn-csi --mode sweep writes this table as results.csv")
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ from importlib import resources
 import numpy as np
 
 from unn_csi.baselines import nmse
-from unn_csi.channel import add_noise, load_scene, postprocess, preprocess, synthesize
-from unn_csi.codec import decode, encode, payload_bytes, weight_delta_stats
-from unn_csi.decoder import forward, load_spec, param_count
+from unn_csi.channel import add_noise, load_scene, preprocess, synthesize
+from unn_csi.codec import decode, encode, payload_bytes, recreate, weight_delta_stats
+from unn_csi.decoder import load_spec, param_count
 from unn_csi.fitting import FitConfig, fit
 
 
@@ -31,20 +31,17 @@ def main():
 
     # user side
     report = fit(spec, None, target, config)
-    tx_out = forward(spec, report.params)
-    tx_est = postprocess(tx_out, target.snapshot_norms, target.scale)
+    (tx_est,) = recreate(spec, report.params, target.snapshot_norms, target.scale)
     blob = encode(spec, report.params, target.snapshot_norms, target.scale)
 
     # base-station side: nothing but the bytes
-    spec_rx, params_rx, norms_rx, scale_rx = decode(blob)
-    rx_out = forward(spec_rx, params_rx)
-    rx_est = postprocess(rx_out, norms_rx, scale_rx)
+    (rx_est,) = recreate(*decode(blob))
 
     raw_bytes = 8 * truth.data.size  # complex64 coefficients
     print(f"payload: {payload_bytes(spec)} bytes ({param_count(spec)} float32 weights)")
     print(f"full report: {len(blob)} bytes, raw CSI: {raw_bytes} bytes "
           f"-> payload/raw = {payload_bytes(spec) / raw_bytes:.4f}")
-    print(f"receiver output bit-identical: {np.array_equal(rx_out, tx_out)}")
+    print(f"receiver estimate bit-identical: {np.array_equal(rx_est.data, tx_est.data)}")
     print(f"NMSE at user: {nmse(tx_est, truth):.2f} dB, at base station: {nmse(rx_est, truth):.2f} dB")
 
     # a warm-started neighbor report differs less, which a differential

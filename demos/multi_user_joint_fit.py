@@ -12,8 +12,9 @@ Run:  python demos/multi_user_joint_fit.py
 from importlib import resources
 
 from unn_csi.baselines import nmse
-from unn_csi.channel import add_noise, load_scene, postprocess, preprocess, synthesize
-from unn_csi.decoder import forward, load_spec, param_count
+from unn_csi.channel import add_noise, load_scene, preprocess, synthesize
+from unn_csi.codec import recreate
+from unn_csi.decoder import load_spec, param_count
 from unn_csi.fitting import FitConfig, fit
 from unn_csi.multiuser import build_group, fit_group
 
@@ -37,7 +38,7 @@ def main():
     singles = {}
     for u in ues:
         report = fit(single, None, targets[u], config)
-        est = postprocess(forward(single, report.params), targets[u].snapshot_norms, targets[u].scale)
+        (est,) = recreate(single, report.params, targets[u].snapshot_norms, targets[u].scale)
         singles[u] = nmse(est, truths[u])
 
     group = build_group([targets[u] for u in ues], ues)

@@ -13,8 +13,9 @@ Run:  python demos/single_ue_recreation.py
 from importlib import resources
 
 from unn_csi.baselines import nmse
-from unn_csi.channel import add_noise, load_scene, postprocess, preprocess, synthesize
-from unn_csi.decoder import compression_ratio, forward, load_spec, param_count
+from unn_csi.channel import add_noise, load_scene, preprocess, synthesize
+from unn_csi.codec import recreate
+from unn_csi.decoder import compression_ratio, load_spec, param_count
 from unn_csi.fitting import FitConfig, fit
 
 
@@ -33,7 +34,7 @@ def main():
         meas = add_noise(truth, snr_db, seed=0)
         target = preprocess(meas)
         report = fit(spec, None, target, config)
-        est = postprocess(forward(spec, report.params), target.snapshot_norms, target.scale)
+        (est,) = recreate(spec, report.params, target.snapshot_norms, target.scale)
         m, e = nmse(meas, truth), nmse(est, truth)
         print(f"{snr_db:5.0f} {m:9.2f} dB {e:8.2f} dB {m - e:4.1f} dB")
 

@@ -8,7 +8,6 @@ a (UE, SNR, seed) grid and averages NMSE ratios in the linear domain.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +18,10 @@ from .channel import (
     MEASURED,
     add_noise,
     noise_variance,
-    postprocess,
     preprocess,
     synthesize,
 )
+from .codec import recreate
 from .fitting import FitConfig, fit
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "mmse_genie",
     "make_unn_estimator",
     "sweep",
-    "records_to_csv",
     "records_to_curves",
 ]
 
@@ -99,10 +97,8 @@ def make_unn_estimator(spec, config: FitConfig):
     def estimate(meas: ChannelTensor, truth: ChannelTensor, snr_db: float) -> ChannelTensor:
         target = preprocess(meas)
         report = fit(spec, None, target, config)
-        from .decoder import forward  # local import keeps module load light
-
-        out = forward(spec, report.params)
-        return postprocess(out, target.snapshot_norms, target.scale)
+        (est,) = recreate(spec, report.params, target.snapshot_norms, target.scale)
+        return est
 
     return estimate
 
@@ -143,16 +139,6 @@ def sweep(scene, estimators: dict, ue_ids, snrs_db, seeds) -> list:
                     )
                 )
     return records
-
-
-def records_to_csv(records, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "ue", "snr_db", "seed_count", "nmse_db", "gain_db"])
-        for r in records:
-            writer.writerow(
-                [r.estimator, r.ue_id, repr(r.snr_db), r.seed_count, repr(r.nmse_db), repr(r.gain_db)]
-            )
 
 
 def records_to_curves(records) -> dict:

@@ -29,13 +29,7 @@ import numpy as np
 
 from . import baselines, codec, transfer as transfer_mod
 from .channel import Scene, add_noise, load_scene, preprocess, synthesize
-from .decoder import (
-    DecoderSpec,
-    compression_ratio,
-    forward,
-    load_spec,
-    param_count,
-)
+from .decoder import DecoderSpec, compression_ratio, load_spec, param_count, params_to_vector
 from .fitting import FitConfig, FitDivergedError, fit
 from .multiuser import build_group, fit_group
 from .baselines import make_unn_estimator, mmse_genie, mmse_raw, nmse, records_to_curves
@@ -265,29 +259,27 @@ def validate(config: ExperimentConfig) -> list:
 # artifact helpers
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _atomic_write_bytes(path: Path, blob: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(blob)
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+def _atomic_write_text(path: Path, text: str) -> None:
+    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(float(x))
+        return repr(float(x))  # also strips numpy scalar reprs such as np.float64(...)
     return str(x)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """The one writer of every CSV schema in docs/artifacts.md: header row,
+    every cell through :func:`_fmt`, LF line endings, written atomically."""
+    lines = [",".join(_fmt(c) for c in row) for row in [header, *rows]]
+    _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +300,7 @@ def _run_single_cell(args):
             "nmse_db": float("nan"), "meas_nmse_db": meas_nmse, "gain_db": float("nan"),
             "final_mse": float("nan"), "error": str(exc), "trace": None, "report_blob": None,
         }
-    from .channel import postprocess
-
-    est = postprocess(forward(spec, report.params), target.snapshot_norms, target.scale)
+    (est,) = codec.recreate(spec, report.params, target.snapshot_norms, target.scale)
     est_nmse = nmse(est, truth)
     blob = codec.encode(spec, report.params, target.snapshot_norms, target.scale)
     return {
@@ -341,15 +331,15 @@ def _mode_single(config: ExperimentConfig, scene, spec, out: Path, workers: int)
         tag = f"ue{r['ue']}_snr{r['snr_db']}_seed{r['seed']}"
         if r["trace"] is not None:
             trace_path = out / "fit_traces" / f"{tag}.csv"
-            _write_csv(trace_path, ["iteration", "mse"], [(it, repr(m)) for it, m in r["trace"]])
+            _write_csv(trace_path, ["iteration", "mse"], r["trace"])
         if r["report_blob"] is not None:
             _atomic_write_bytes(out / "reports" / f"{tag}.csir", r["report_blob"])
         if r["status"] == "diverged":
             diverged += 1
         rows.append(
             [
-                r["ue"], _fmt(float(r["snr_db"])), r["seed"], r["status"],
-                _fmt(r["nmse_db"]), _fmt(r["meas_nmse_db"]), _fmt(r["gain_db"]), _fmt(r["final_mse"]),
+                r["ue"], float(r["snr_db"]), r["seed"], r["status"],
+                r["nmse_db"], r["meas_nmse_db"], r["gain_db"], r["final_mse"],
                 config.fit_config().iterations,
             ]
         )
@@ -387,11 +377,11 @@ def _mode_transfer(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     for ue_id, res in results.items():
         rows.append(
             [ue_id, res.init_from if res.init_from is not None else "", "transfer" if res.init_from is not None else "random",
-             _fmt(snr_db), seed, _fmt(res.nmse_db), _fmt(res.report.final_mse), res.report.iterations]
+             snr_db, seed, res.nmse_db, res.report.final_mse, res.report.iterations]
         )
     for ue_id, res in controls.items():
         rows.append(
-            [ue_id, "", "random", _fmt(snr_db), seed, _fmt(res.nmse_db), _fmt(res.report.final_mse), res.report.iterations]
+            [ue_id, "", "random", snr_db, seed, res.nmse_db, res.report.final_mse, res.report.iterations]
         )
     _write_csv(
         out / "results.csv",
@@ -408,10 +398,7 @@ def _mode_transfer(config: ExperimentConfig, scene, spec, out: Path) -> dict:
             dist_rows.append((layer, d, f"transfer:{step.init_from}->{step.target}"))
         for layer, d in enumerate(rnd.per_layer, start=1):
             dist_rows.append((layer, d, f"random:{step.init_from}->{step.target}"))
-    lines = [",".join(["layer", "distance", "init_kind"])]
-    for layer, d, kind in dist_rows:
-        lines.append(f"{layer},{repr(float(d))},{kind}")
-    _atomic_write_text(out / "weight_distances.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "weight_distances.csv", ["layer", "distance", "init_kind"], dist_rows)
     return {"ues": len(results), "chain": len(plan.chain)}
 
 
@@ -441,17 +428,18 @@ def _mode_group(config: ExperimentConfig, scene, out: Path) -> dict:
         _atomic_write_bytes(out / "reports" / f"group{gi}.csir", blob)
         for ue_id in ues:
             rows.append(
-                (gi, ue_id, _fmt(snr_db), _fmt(errors[ue_id]), fit_cfg.iterations,
-                 param_count(gspec), _fmt(compression_ratio(gspec)))
+                (gi, ue_id, snr_db, errors[ue_id], fit_cfg.iterations,
+                 param_count(gspec), compression_ratio(gspec))
             )
         summaries.append(
             {"group": gi, "ues": ues, "param_count": param_count(gspec),
              "compression_ratio": compression_ratio(gspec), "final_mse": report.final_mse}
         )
-    lines = [",".join(["group", "ue", "snr_db", "nmse_db", "iterations", "param_count", "compression_ratio"])]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    _atomic_write_text(out / "results.csv", "\n".join(lines) + "\n")
+    _write_csv(
+        out / "results.csv",
+        ["group", "ue", "snr_db", "nmse_db", "iterations", "param_count", "compression_ratio"],
+        rows,
+    )
     return {"groups": summaries}
 
 
@@ -461,18 +449,15 @@ def _mode_codec(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     meas = add_noise(truth, snr_db, seed)
     target = preprocess(meas)
     report = fit(spec, None, target, config.fit_config())
-    est = forward(spec, report.params)
     blob = codec.encode(spec, report.params, target.snapshot_norms, target.scale)
     (out / "reports").mkdir(exist_ok=True)
     _atomic_write_bytes(out / "reports" / f"ue{ue_id}_snr{snr_db}_seed{seed}.csir", blob)
 
     spec_rx, params_rx, norms_rx, scale_rx = codec.decode(blob)
-    est_rx = forward(spec_rx, params_rx)
-    from .channel import postprocess
-
-    tx = postprocess(est, target.snapshot_norms, target.scale)
-    rx = postprocess(est_rx, norms_rx, scale_rx)
-    bit_exact = bool(np.array_equal(est, est_rx)) and bool(np.array_equal(tx.data, rx.data))
+    (tx,) = codec.recreate(spec, report.params, target.snapshot_norms, target.scale)
+    (rx,) = codec.recreate(spec_rx, params_rx, norms_rx, scale_rx)
+    same_weights = params_to_vector(report.params).tobytes() == params_to_vector(params_rx).tobytes()
+    bit_exact = same_weights and bool(np.array_equal(tx.data, rx.data))
     raw_bytes = 8 * truth.data.size
     return {
         "bit_exact": bit_exact,
@@ -492,12 +477,11 @@ def _mode_sweep(config: ExperimentConfig, scene, spec, out: Path) -> dict:
         "unn": make_unn_estimator(spec, config.fit_config()),
     }
     records = baselines.sweep(scene, estimators, config.ues, config.snr_db, config.seeds)
-    lines = [",".join(["estimator", "ue", "snr_db", "seed_count", "nmse_db", "gain_db"])]
-    for r in records:
-        lines.append(
-            f"{r.estimator},{r.ue_id},{repr(r.snr_db)},{r.seed_count},{repr(r.nmse_db)},{repr(r.gain_db)}"
-        )
-    _atomic_write_text(out / "results.csv", "\n".join(lines) + "\n")
+    _write_csv(
+        out / "results.csv",
+        ["estimator", "ue", "snr_db", "seed_count", "nmse_db", "gain_db"],
+        [(r.estimator, r.ue_id, r.snr_db, r.seed_count, r.nmse_db, r.gain_db) for r in records],
+    )
     _atomic_write_text(
         out / "curves.json", json.dumps(records_to_curves(records), sort_keys=True, indent=2) + "\n"
     )

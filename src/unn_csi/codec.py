@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import postprocess
 from .decoder import (
     DecoderSpec,
     ParamSet,
     check_params,
+    forward,
     param_count,
     params_from_vector,
     params_to_vector,
@@ -33,6 +35,7 @@ __all__ = [
     "CodecError",
     "encode",
     "decode",
+    "recreate",
     "save_report",
     "load_report",
     "payload_bytes",
@@ -109,6 +112,26 @@ def decode(blob: bytes):
     scale = header["scale"]
     scale = np.asarray(scale, dtype=float) if isinstance(scale, list) else float(scale)
     return spec, params, norms, scale
+
+
+def recreate(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale, z0=None) -> list:
+    """Regenerate the estimated channels a report describes: one decoder
+    forward pass, then the inverse preprocessing per user.
+
+    Takes exactly what :func:`decode` returns, so the receiving side is
+    ``recreate(*decode(blob))``. A single-user spec (2 spatial modes) gives
+    one ChannelTensor; a 4-way group spec gives one per user, in the order of
+    the rows of `snapshot_norms` and entries of `scale`. `z0` must be the seed
+    tensor the parameters were fitted with (None regenerates it from
+    spec.seed_rule).
+    """
+    out = forward(spec, params, z0)
+    if spec.n_spatial == 2:
+        return [postprocess(out, snapshot_norms, scale)]
+    return [
+        postprocess(out[:, :, m, :].transpose(1, 0, 2), snapshot_norms[m], float(scale[m]))
+        for m in range(out.shape[2])
+    ]
 
 
 def save_report(path, blob: bytes) -> None:

@@ -10,8 +10,6 @@ keeps the loop dependency-free and bit-reproducible.
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -36,8 +34,6 @@ __all__ = [
     "loss",
     "gradient",
     "fit",
-    "trace_to_csv",
-    "report_summary",
 ]
 
 DIVERGENCE_FACTOR = 1e6
@@ -200,26 +196,3 @@ def fit(
         raise FitDivergedError(f"final loss {final} after {config.iterations} iterations")
     trace.append((config.iterations, final))
     return FitReport(trace=trace, params=params, final_mse=final, elapsed_s=time.perf_counter() - start)
-
-
-def trace_to_csv(report: FitReport, path) -> None:
-    """Write the loss trace as (iteration, mse) rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "mse"])
-        for it, mse in report.trace:
-            writer.writerow([it, repr(mse)])
-
-
-def report_summary(report: FitReport) -> dict:
-    """JSON-ready summary of a fit."""
-    return {
-        "iterations": report.iterations,
-        "final_mse": report.final_mse,
-        "elapsed_s": report.elapsed_s,
-        "trace_points": len(report.trace),
-    }
-
-
-def summary_to_json(report: FitReport) -> str:
-    return json.dumps(report_summary(report), sort_keys=True)

@@ -9,17 +9,17 @@ flag and stays off unless the group size supports doubling.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import nmse
-from .channel import postprocess, PreprocessedTarget
-from .decoder import DecoderSpec, forward
+from .channel import PreprocessedTarget
+from .codec import recreate
+from .decoder import DecoderSpec
 from .fitting import FitConfig, fit
 
-__all__ = ["GroupTarget", "build_group", "split_group", "fit_group", "group_records_to_csv"]
+__all__ = ["GroupTarget", "build_group", "split_group", "fit_group"]
 
 
 @dataclass
@@ -64,18 +64,6 @@ def split_group(group: GroupTarget) -> list:
     return out
 
 
-def group_estimates(spec4: DecoderSpec, params, group: GroupTarget, z0=None) -> dict:
-    """Recreated complex channel per UE from fitted 4-way decoder parameters.
-    `z0` must be the seed tensor the parameters were fitted with (None means
-    the one regenerated from spec4.seed_rule)."""
-    out = forward(spec4, params, z0)
-    estimates = {}
-    for m, ue_id in enumerate(group.ue_ids):
-        slice_sub_sp = out[:, :, m, :].transpose(1, 0, 2)
-        estimates[ue_id] = postprocess(slice_sub_sp, group.snapshot_norms[m], float(group.scales[m]))
-    return estimates
-
-
 def fit_group(
     spec4: DecoderSpec,
     group: GroupTarget,
@@ -97,19 +85,8 @@ def fit_group(
     report = fit(spec4, z0, group.data, config)
     errors = {}
     if truths:
-        for ue_id, est in group_estimates(spec4, report.params, group, z0=z0).items():
+        estimates = recreate(spec4, report.params, group.snapshot_norms, group.scales, z0)
+        for ue_id, est in zip(group.ue_ids, estimates):
             if ue_id in truths:
                 errors[ue_id] = nmse(est, truths[ue_id])
     return report, errors
-
-
-def group_records_to_csv(rows, path) -> None:
-    """Rows: (group id, ue id, snr_db, nmse_db, iterations, param_count,
-    compression_ratio)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["group", "ue", "snr_db", "nmse_db", "iterations", "param_count", "compression_ratio"]
-        )
-        for row in rows:
-            writer.writerow(list(row))

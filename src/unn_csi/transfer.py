@@ -9,15 +9,14 @@ start constrained the search.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import nmse
-from .channel import postprocess
-from .decoder import DecoderSpec, ParamSet, forward
+from .codec import recreate
+from .decoder import DecoderSpec, ParamSet
 from .fitting import FitConfig, FitReport, fit
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "plan_from_json",
     "plan_to_json",
     "load_plan",
-    "distances_to_csv",
 ]
 
 
@@ -92,10 +90,9 @@ def run_transfer(
     results: dict = {}
 
     def run_one(ue_id, init_params):
-        report = fit(spec, None, targets[ue_id], config, init=init_params)
-        est = postprocess(
-            forward(spec, report.params), targets[ue_id].snapshot_norms, targets[ue_id].scale
-        )
+        target = targets[ue_id]
+        report = fit(spec, None, target, config, init=init_params)
+        (est,) = recreate(spec, report.params, target.snapshot_norms, target.scale)
         err = nmse(est, truths[ue_id]) if ue_id in truths else float("nan")
         return report, err
 
@@ -148,13 +145,3 @@ def plan_to_json(plan: TransferPlan) -> str:
 def load_plan(path) -> TransferPlan:
     with open(path, "r", encoding="utf-8") as fh:
         return plan_from_json(fh.read())
-
-
-def distances_to_csv(rows, path) -> None:
-    """Rows of (layer index, distance, init kind) - the per-layer table behind
-    the weight-distance comparison."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "distance", "init_kind"])
-        for layer, dist, kind in rows:
-            writer.writerow([layer, repr(float(dist)), kind])

@@ -32,6 +32,16 @@ def tiny_setup(tmp_path, micro_scene):
     return tmp_path, config
 
 
+def csv_lines(path) -> list:
+    """A CSV artifact's lines, read without newline translation. Every CSV
+    has LF line endings and plain float reprs (docs/artifacts.md)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    assert "\r" not in text
+    assert "np.float" not in text
+    return text.strip().split("\n")
+
+
 class TestValidate:
     def test_clean_config_has_no_errors(self, tiny_setup):
         _, config = tiny_setup
@@ -87,13 +97,13 @@ class TestRunSingle:
         code = cli.run(cli.config_from_dict(config))
         assert code == 0
         out = config["out"]
-        rows = open(os.path.join(out, "results.csv")).read().strip().splitlines()
+        rows = csv_lines(os.path.join(out, "results.csv"))
         assert rows[0] == "ue,snr_db,seed,status,nmse_db,meas_nmse_db,gain_db,final_mse,iterations"
         assert len(rows) == 2 and rows[1].split(",")[3] == "ok"
         report = load_report(os.path.join(out, "reports", "ue1_snr10.0_seed0.csir"))
         spec, params, norms, scale = decode(report)
         assert len(norms) == 8
-        trace = open(os.path.join(out, "fit_traces", "ue1_snr10.0_seed0.csv")).read().splitlines()
+        trace = csv_lines(os.path.join(out, "fit_traces", "ue1_snr10.0_seed0.csv"))
         assert trace[0] == "iteration,mse"
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["mode"] == "single"
@@ -123,15 +133,13 @@ class TestRunTransferMode:
         plan_path.write_text(json.dumps({"base": 1, "chain": [{"target": 2, "init_from": 1}]}))
         config = dict(config, mode="transfer", transfer_plan=str(plan_path), out=str(tmp_path / "tl"))
         assert cli.run(cli.config_from_dict(config)) == 0
-        dist = open(os.path.join(config["out"], "weight_distances.csv")).read().strip().splitlines()
+        dist = csv_lines(os.path.join(config["out"], "weight_distances.csv"))
         assert dist[0] == "layer,distance,init_kind"
         # four kernel layers, transfer and random rows each
         assert len(dist) == 1 + 4 * 2
         layers = sorted({int(line.split(",")[0]) for line in dist[1:]})
         assert layers == [1, 2, 3, 4]
-        text = open(os.path.join(config["out"], "results.csv")).read()
-        assert "np.float" not in text  # plain decimal floats only
-        rows = text.strip().splitlines()
+        rows = csv_lines(os.path.join(config["out"], "results.csv"))
         kinds = [r.split(",")[2] for r in rows[1:]]
         assert kinds.count("transfer") == 1 and kinds.count("random") == 2
 
@@ -151,7 +159,7 @@ class TestRunGroupMode:
             out=str(tmp_path / "grp"),
         )
         assert cli.run(cli.config_from_dict(config)) == 0
-        rows = open(os.path.join(config["out"], "results.csv")).read().strip().splitlines()
+        rows = csv_lines(os.path.join(config["out"], "results.csv"))
         assert rows[0] == "group,ue,snr_db,nmse_db,iterations,param_count,compression_ratio"
         assert len(rows) == 3
         blob = load_report(os.path.join(config["out"], "reports", "group0.csir"))
@@ -186,7 +194,7 @@ class TestRunSweepMode:
         _, config = tiny_setup
         config = dict(config, mode="sweep", snr_db=[0.0, 10.0], out=str(tmp_path / "sweep"))
         assert cli.run(cli.config_from_dict(config)) == 0
-        rows = open(os.path.join(config["out"], "results.csv")).read().strip().splitlines()
+        rows = csv_lines(os.path.join(config["out"], "results.csv"))
         assert rows[0] == "estimator,ue,snr_db,seed_count,nmse_db,gain_db"
         assert len(rows) == 1 + 3 * 2  # three estimators, two SNRs
         curves = json.load(open(os.path.join(config["out"], "curves.json")))

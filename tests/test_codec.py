@@ -8,12 +8,14 @@ from unn_csi.codec import (
     encode,
     load_report,
     payload_bytes,
+    recreate,
     save_report,
     weight_delta_stats,
 )
 from unn_csi.decoder import forward, init_params, spec_to_json
 from unn_csi.fitting import FitConfig, fit
 from unn_csi.baselines import nmse
+from unn_csi.multiuser import GroupTarget, build_group, split_group
 
 from conftest import make_spec
 
@@ -120,6 +122,46 @@ class TestEndToEnd:
         assert np.array_equal(rx_out, tx_out)
         assert np.array_equal(rx_est.data, tx_est.data)
         assert nmse(rx_est, truth) == nmse(tx_est, truth)
+
+
+class TestRecreate:
+    def test_single_report_receiver_matches_encoder_side(self, micro_scene, small_spec):
+        target = preprocess(add_noise(synthesize(micro_scene, 1), 20.0, 7))
+        params = init_params(small_spec, 4)
+        tx = recreate(small_spec, params, target.snapshot_norms, target.scale)
+        rx = recreate(*decode(encode(small_spec, params, target.snapshot_norms, target.scale)))
+        assert len(tx) == len(rx) == 1
+        assert tx[0].data.shape == (8, 8, 2)
+        assert rx[0].data.tobytes() == tx[0].data.tobytes()
+
+    def test_group_report_receiver_matches_encoder_side(self, micro_scene):
+        gspec = make_spec(
+            (2, 2, 2), (8, 8, 8, 8, 4), 2, 1, ((True, True, False),) * 2, seed=11, a=0.15
+        )
+        targets = [preprocess(add_noise(synthesize(micro_scene, u), 20.0, u)) for u in (1, 2)]
+        group = build_group(targets, [1, 2])
+        params = init_params(gspec, 5)
+        tx = recreate(gspec, params, group.snapshot_norms, group.scales)
+        rx = recreate(*decode(encode(gspec, params, group.snapshot_norms, group.scales)))
+        assert len(tx) == len(rx) == 2
+        for a, b in zip(tx, rx):
+            assert b.data.tobytes() == a.data.tobytes()
+
+    def test_group_report_yields_one_tensor_per_user_in_order(self):
+        # n_sp = 8, n_sub = 4, M = 3: unequal extents expose a wrong transpose
+        gspec = make_spec(
+            (2, 4, 3), (8, 8, 8, 8, 4), 2, 1, ((True, False, False),) * 2, seed=11, a=0.15
+        )
+        params = init_params(gspec, 5)
+        norms = np.arange(1.0, 25.0).reshape(3, 8)
+        scales = np.array([1.5, 2.0, 0.75])
+        estimates = recreate(gspec, params, norms, scales)
+        assert [e.data.shape for e in estimates] == [(4, 8, 2)] * 3
+        # user m is the m-th member of the layout build_group stacks
+        stacked = GroupTarget([4, 9, 7], forward(gspec, params), norms, scales)
+        for est, member in zip(estimates, split_group(stacked)):
+            expected = postprocess(member.data, member.snapshot_norms, member.scale)
+            assert np.array_equal(est.data, expected.data)
 
 
 class TestDeltaStats:

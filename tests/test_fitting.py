@@ -8,8 +8,6 @@ from unn_csi.fitting import (
     fit,
     gradient,
     loss,
-    report_summary,
-    trace_to_csv,
 )
 
 from conftest import gradcheck_point, make_spec
@@ -183,18 +181,6 @@ class TestFit:
         fit(tiny_spec, None, target, FitConfig(iterations=5, trace_every=1), init=init)
         for a, s in zip(init.arrays(), snapshot):
             assert np.array_equal(np.asarray(a), s)
-
-    def test_trace_csv_export(self, tiny_spec, tmp_path):
-        rng = np.random.default_rng(10)
-        target = rng.uniform(-0.5, 0.5, tiny_spec.output_dims).astype(np.float32)
-        report = fit(tiny_spec, None, target, FitConfig(iterations=10, trace_every=5))
-        path = tmp_path / "trace.csv"
-        trace_to_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,mse"
-        assert len(lines) == len(report.trace) + 1
-        summary = report_summary(report)
-        assert summary["iterations"] == 10
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from unn_csi.channel import add_noise, preprocess, synthesize
 from unn_csi.decoder import generate_seed, param_count
 from unn_csi.fitting import FitConfig, fit
-from unn_csi.multiuser import build_group, fit_group, group_records_to_csv, split_group
+from unn_csi.multiuser import build_group, fit_group, split_group
 
 from conftest import make_spec
 
@@ -139,14 +139,6 @@ class TestFitGroup:
         assert set(errors) == {1, 2}
         assert all(np.isfinite(v) for v in errors.values())
         assert report.final_mse < report.trace[0][1]
-
-
-def test_group_records_csv(tmp_path):
-    path = tmp_path / "g.csv"
-    group_records_to_csv([(0, 2, 20.0, -18.5, 3000, 1280, 0.41)], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("group,ue,snr_db")
-    assert len(lines) == 2
 
 
 @pytest.mark.slow

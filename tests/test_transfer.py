@@ -7,7 +7,6 @@ from unn_csi.fitting import FitConfig, fit
 from unn_csi.transfer import (
     TransferPlan,
     TransferStep,
-    distances_to_csv,
     load_plan,
     plan_from_json,
     plan_to_json,
@@ -152,11 +151,3 @@ class TestWeightDistance:
         other = make_spec((2, 2), (4, 4, 4, 4, 4), 2, 1, ((True, True), (True, True)))
         with pytest.raises(ValueError):
             weight_distance(init_params(small_spec, 1), init_params(other, 1))
-
-
-def test_distances_csv(tmp_path):
-    path = tmp_path / "d.csv"
-    distances_to_csv([(1, 0.5, "transfer"), (2, 1.25, "random")], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "layer,distance,init_kind"
-    assert len(lines) == 3
