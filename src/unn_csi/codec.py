@@ -82,7 +82,8 @@ def decode(blob: bytes):
     """Exact inverse of :func:`encode`.
 
     Returns (spec, params, snapshot_norms, scale). Raises CodecError on a bad
-    magic, unknown version, or checksum mismatch.
+    magic, unknown version, checksum mismatch, or any malformed length field,
+    header or spec.
     """
     if len(blob) < 11 or blob[:4] != REPORT_MAGIC:
         raise CodecError("not a CSI report (bad magic)")
@@ -91,27 +92,40 @@ def decode(blob: bytes):
         raise CodecError(f"unknown report version {version}")
     if dtype_tag != _DTYPE_F32:
         raise CodecError(f"unknown payload dtype tag {dtype_tag}")
-    (header_len,) = struct.unpack_from("<I", blob, 7)
-    header_end = 11 + header_len
-    header = json.loads(blob[11:header_end].decode("utf-8"))
-    crc, payload_len = struct.unpack_from("<II", blob, header_end)
+    try:
+        (header_len,) = struct.unpack_from("<I", blob, 7)
+        header_end = 11 + header_len
+        header = json.loads(blob[11:header_end].decode("utf-8"))
+        crc, payload_len = struct.unpack_from("<II", blob, header_end)
+    except (struct.error, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise CodecError(f"malformed header or length field: {exc}") from exc
     payload = blob[header_end + 8 : header_end + 8 + payload_len]
     if len(payload) != payload_len:
         raise CodecError("truncated payload")
     if zlib.crc32(payload) != crc:
         raise CodecError("payload checksum mismatch")
 
-    spec = spec_from_json(json.dumps(header["spec"]))
+    if not isinstance(header, dict):
+        raise CodecError("malformed header: not a JSON object")
+    spec = _header_field(header, "spec", lambda doc: spec_from_json(json.dumps(doc)))
+    norms = _header_field(header, "norms", lambda v: np.asarray(v, dtype=float))
+    scale = _header_field(
+        header, "scale", lambda v: np.asarray(v, dtype=float) if isinstance(v, list) else float(v)
+    )
     if payload_len != payload_bytes(spec):
         raise CodecError(
             f"payload holds {payload_len} bytes, spec needs {payload_bytes(spec)}"
         )
     vec = np.frombuffer(payload, dtype="<f4")
     params = params_from_vector(spec, vec, dtype=np.float32)
-    norms = np.asarray(header["norms"], dtype=float)
-    scale = header["scale"]
-    scale = np.asarray(scale, dtype=float) if isinstance(scale, list) else float(scale)
     return spec, params, norms, scale
+
+
+def _header_field(header: dict, name: str, convert):
+    try:
+        return convert(header[name])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CodecError(f"malformed header field {name!r}: {exc!r}") from exc
 
 
 def recreate(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale, z0=None) -> list:

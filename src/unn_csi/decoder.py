@@ -9,6 +9,23 @@ channel-mode product followed by TanH, so every output entry lies in (-1, 1).
 The same code serves 3-way tensors (subcarrier x snapshot x channel) and 4-way
 tensors (snapshot x subcarrier x user x channel); the spec just carries one
 more spatial mode.
+
+The forward pass never builds a batch-normalized tensor. Batch norm is a
+per-filter affine map, so it folds into the next layer's kernel W. With
+ReLU output r, its centred form d = r - mu, a = gamma / sqrt(var + eps):
+
+    BN(r) @ W = d @ (diag(a) W) + beta @ W
+
+and the bias beta @ W commutes with upsampling, because every upsampler row
+sums to one; it is added before upsampling, on the smaller tensor. Each
+layer therefore computes only mu and var of its ReLU output and hands d to
+the next kernel. The variance is two-pass (mean of d**2, never
+E[r**2] - mu**2): ReLU outputs can sit far from zero with a small spread,
+and the one-pass form then cancels to noise or a negative value in float32.
+The first-pass mean of a float32 column is itself only accurate to the
+rounding of its running sum, so d is centred once more by its own mean
+(the corrected two-pass algorithm). :func:`batch_norm` uses the same
+statistics.
 """
 
 from __future__ import annotations
@@ -175,13 +192,6 @@ class ParamSet:
             [b.copy() for b in self.betas],
         )
 
-    def astype(self, dtype) -> "ParamSet":
-        return ParamSet(
-            [np.asarray(w, dtype=dtype) for w in self.kernels],
-            [np.asarray(g, dtype=dtype) for g in self.gammas],
-            [np.asarray(b, dtype=dtype) for b in self.betas],
-        )
-
 
 def check_params(spec: DecoderSpec, params: ParamSet) -> None:
     """Raise ValueError unless `params` matches the layer widths of `spec`."""
@@ -248,28 +258,30 @@ def batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
     """Per-filter normalization over all spatial positions of the single sample.
 
     Filters live on the last mode; mean and population variance are taken over
-    everything else.
+    everything else, with the same statistics as :func:`forward`.
     """
     x = np.asarray(x)
     if x.shape[-1] != len(gamma) or x.shape[-1] != len(beta):
         raise ValueError("gamma/beta length must equal the filter count (last extent)")
-    y, _, _ = _bn_forward(x, np.asarray(gamma), np.asarray(beta), eps)
-    return y
+    d, inv = _centre(x.reshape(-1, x.shape[-1]).copy(), eps)
+    return (d * (np.asarray(gamma) * inv) + np.asarray(beta)).reshape(x.shape)
 
 
-def _bn_forward(x, gamma, beta, eps=BN_EPS):
-    flat = x.reshape(-1, x.shape[-1])
-    mu = flat.mean(axis=0)
-    var = flat.var(axis=0)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=flat.dtype))
-    xhat = (flat - mu) * inv
-    y = (xhat * gamma + beta).reshape(x.shape)
-    return y, xhat, inv
+def _centre(r, eps=BN_EPS):
+    """Centre the columns of `r` (positions x filters) in place and return
+    (r, 1 / sqrt(var + eps)).
 
-
-def _apply_kernel(z, w):
-    flat = z.reshape(-1, z.shape[-1])
-    return (flat @ w).reshape(z.shape[:-1] + (w.shape[1],))
+    The second mean removes the rounding error of the first one, which in
+    float32 grows with the column length and the offset of the data; the
+    variance is then the plain mean of squares of the centred values. Means
+    are matrix-vector products with 1/N weights, which BLAS runs several
+    times faster than numpy's reduction over the leading axis.
+    """
+    weights = np.full(r.shape[0], 1.0 / r.shape[0], dtype=r.dtype)
+    r -= weights @ r
+    r -= weights @ r
+    var = np.einsum("ij,ij->j", r, r) / r.shape[0]
+    return r, 1.0 / np.sqrt(var + np.asarray(eps, dtype=r.dtype))
 
 
 _UPSAMPLER_CACHE: dict = {}
@@ -303,41 +315,51 @@ def forward(spec: DecoderSpec, params: ParamSet, z0=None, dtype=np.float32, retu
 
     z0 defaults to the tensor regenerated from spec.seed_rule. All arithmetic
     happens in `dtype` (float32 by default; float64 for verification). With
-    return_cache=True also returns the per-layer intermediates needed by the
-    reverse-mode pass in :mod:`unn_csi.fitting`.
+    return_cache=True also returns, per layer, the intermediates the reverse
+    pass in :mod:`unn_csi.fitting` needs, in tensor layout:
+
+    z_in  the input the layer's kernel is applied to: the seed tensor for
+          layer 0, else the centred ReLU output d of the previous layer
+    w     the kernel actually applied (the folded diag(a) W after layer 0)
+    u     kernel output after bias and upsampling, the ReLU input ("bn")
+    inv   per filter 1 / sqrt(var + eps) of the ReLU output ("bn")
+    y     the TanH output (the last layer, kind "out")
     """
     check_params(spec, params)
     if z0 is None:
         z0 = generate_seed(spec.seed_rule, spec.seed_dims)
-    z = np.ascontiguousarray(z0, dtype=dtype)
-    if z.shape != spec.seed_dims:
-        raise ValueError(f"seed tensor has shape {z.shape}, spec wants {spec.seed_dims}")
+    x = np.ascontiguousarray(z0, dtype=dtype)
+    if x.shape != spec.seed_dims:
+        raise ValueError(f"seed tensor has shape {x.shape}, spec wants {spec.seed_dims}")
 
     schedule = upsample_schedule(spec)
     L = spec.n_layers
     cache = [] if return_cache else None
     for l in range(L):
         w = np.asarray(params.kernels[l], dtype=dtype)
-        z_in = z
-        u = _apply_kernel(z, w)
+        if l > 0:  # fold the previous layer's batch norm into this kernel
+            gamma = np.asarray(params.gammas[l - 1], dtype=dtype)
+            bias = np.asarray(params.betas[l - 1], dtype=dtype) @ w
+            w = (gamma * inv)[:, None] * w
+        v = x.reshape(-1, x.shape[-1]) @ w
+        if l > 0:
+            v += bias
+        u = v.reshape(x.shape[:-1] + (w.shape[1],))
         if l < spec.inner_count:
             for ax, n in schedule[l]:
                 u = mode_product(u, _upsampler(n, dtype), ax)
         if l == L - 1:
-            z = np.tanh(u)
+            y = np.tanh(u)
             if cache is not None:
-                cache.append({"kind": "out", "z_in": z_in, "y": z})
+                cache.append({"kind": "out", "z_in": x, "w": w, "y": y})
         else:
-            gamma = np.asarray(params.gammas[l], dtype=dtype)
-            beta = np.asarray(params.betas[l], dtype=dtype)
-            r = np.maximum(u, 0)
-            y, xhat, inv = _bn_forward(r, gamma, beta)
+            d, inv = _centre(np.maximum(u, 0).reshape(-1, u.shape[-1]))
             if cache is not None:
-                cache.append({"kind": "bn", "z_in": z_in, "u": u, "xhat": xhat, "inv": inv})
-            z = y
+                cache.append({"kind": "bn", "z_in": x, "w": w, "u": u, "inv": inv})
+            x = d.reshape(u.shape)
     if return_cache:
-        return z, cache
-    return z
+        return y, cache
+    return y
 
 
 def spec_to_json(spec: DecoderSpec) -> str:
@@ -353,15 +375,52 @@ def spec_to_json(spec: DecoderSpec) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _typed(*kinds):
+    """Identity on JSON values of the given Python types; TypeError otherwise."""
+
+    def check(value):
+        # JSON true/false arrive as bool, which Python also counts as an int
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            names = " or ".join(k.__name__ for k in kinds)
+            raise TypeError(f"expected {names}, got {type(value).__name__}")
+        return value
+
+    return check
+
+
+_int, _number, _object = _typed(int), _typed(int, float), _typed(dict)
+
+
+def _list_of(item):
+    return lambda value: tuple(item(v) for v in _typed(list)(value))
+
+
+def _spec_field(doc: dict, name: str, convert, prefix: str = ""):
+    if name not in doc:
+        raise ValueError(f"decoder spec: missing field {prefix + name!r}")
+    try:
+        return convert(doc[name])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"decoder spec: bad field {prefix + name!r}: {exc}") from None
+
+
 def spec_from_json(text: str) -> DecoderSpec:
+    """Parse the canonical JSON form. A missing or mistyped field raises
+    ValueError naming the field."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("decoder spec must be a JSON object")
+    rule = _spec_field(doc, "seed_rule", _object)
     return DecoderSpec(
-        input_dims=tuple(doc["input_dims"]),
-        widths=tuple(doc["widths"]),
-        inner_count=int(doc["inner_count"]),
-        preoutput_count=int(doc["preoutput_count"]),
-        upsample_flags=tuple(tuple(row) for row in doc["upsample_flags"]),
-        seed_rule=SeedRule(int(doc["seed_rule"]["seed"]), float(doc["seed_rule"]["half_range"])),
+        input_dims=_spec_field(doc, "input_dims", _list_of(_int)),
+        widths=_spec_field(doc, "widths", _list_of(_int)),
+        inner_count=_spec_field(doc, "inner_count", _int),
+        preoutput_count=_spec_field(doc, "preoutput_count", _int),
+        upsample_flags=_spec_field(doc, "upsample_flags", _list_of(_list_of(_typed(bool)))),
+        seed_rule=SeedRule(
+            _spec_field(rule, "seed", _int, "seed_rule."),
+            float(_spec_field(rule, "half_range", _number, "seed_rule.")),
+        ),
     )
 
 
@@ -382,19 +441,25 @@ def params_to_vector(params: ParamSet) -> np.ndarray:
     return np.concatenate([np.asarray(a).ravel() for a in params.arrays()])
 
 
-def params_from_vector(spec: DecoderSpec, vec: np.ndarray, dtype=np.float32) -> ParamSet:
-    vec = np.asarray(vec)
+def param_views(spec: DecoderSpec, vec: np.ndarray) -> ParamSet:
+    """ParamSet whose arrays are views into the flat vector `vec`, laid out in
+    the canonical order of :func:`params_to_vector`; writing an array writes
+    `vec`."""
     if vec.size != param_count(spec):
         raise ValueError(f"vector has {vec.size} entries, spec needs {param_count(spec)}")
     params = ParamSet()
     pos = 0
     for l in range(spec.n_layers):
         k_in, k_out = spec.widths[l], spec.widths[l + 1]
-        params.kernels.append(vec[pos : pos + k_in * k_out].reshape(k_in, k_out).astype(dtype))
+        params.kernels.append(vec[pos : pos + k_in * k_out].reshape(k_in, k_out))
         pos += k_in * k_out
         if l < spec.n_layers - 1:
-            params.gammas.append(vec[pos : pos + k_out].astype(dtype))
-            pos += k_out
-            params.betas.append(vec[pos : pos + k_out].astype(dtype))
-            pos += k_out
+            params.gammas.append(vec[pos : pos + k_out])
+            params.betas.append(vec[pos + k_out : pos + 2 * k_out])
+            pos += 2 * k_out
     return params
+
+
+def params_from_vector(spec: DecoderSpec, vec: np.ndarray, dtype=np.float32) -> ParamSet:
+    """Parameters copied out of a canonical flat vector (see :func:`param_views`)."""
+    return param_views(spec, np.array(vec, dtype=dtype))

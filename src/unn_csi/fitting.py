@@ -6,6 +6,28 @@ measurement is the whole objective, and the optimizer runs a fixed number of
 iterations. Gradients are derived by hand for the operator chain
 (channel-mode product, fixed upsampling, ReLU, batch norm, TanH, MSE), which
 keeps the loop dependency-free and bit-reproducible.
+
+The reverse pass works on the folded form of :func:`unn_csi.decoder.forward`.
+For a layer after a batch norm, with d the centred ReLU output (N positions),
+inv = 1 / sqrt(var + eps), a = gamma * inv, the folded kernel
+W_f = diag(a) W, and g the loss gradient at the layer's kernel output
+(after reversing its upsampling), one matmul M = d^T g and the column sums
+s of g give
+
+    g_W     = diag(a) M + beta s^T
+    g_beta  = W s
+    g_gamma = inv * rowsum(W * M)
+
+and the gradient at the ReLU output is
+
+    g_r = g W_f^T - (d * (a * inv * g_gamma / N) + a * g_beta / N),
+
+masked by the support of the ReLU output (u > 0). No normalized tensor and
+no gradient with respect to it are ever built.
+
+``fit`` keeps every parameter, gradient and Adam moment in one contiguous
+vector; the per-layer arrays are views into it, so an Adam step is a handful
+of vector operations.
 """
 
 from __future__ import annotations
@@ -23,6 +45,9 @@ from .decoder import (
     forward,
     generate_seed,
     init_params,
+    param_count,
+    param_views,
+    params_to_vector,
     upsample_schedule,
 )
 from .tensors import mode_product
@@ -91,42 +116,54 @@ def loss(spec: DecoderSpec, params: ParamSet, z0, target, dtype=np.float32) -> f
     return float(np.mean(d * d, dtype=np.float64))
 
 
-def _loss_and_grad(spec, params, z0, t, dtype, schedule):
-    y, cache = forward(spec, params, z0, dtype=dtype, return_cache=True)
-    diff = y - t
-    mse = float(np.mean(diff * diff, dtype=np.float64))
-    g = diff * np.asarray(2.0 / diff.size, dtype=dtype)
+def _loss_and_grad(spec, params, z0, t, dtype, schedule, grads):
+    """MSE at `params`; writes its gradient into the arrays of `grads`.
 
-    L = spec.n_layers
-    g_kernels = [None] * L
-    g_gammas = [None] * (L - 1)
-    g_betas = [None] * (L - 1)
-    for l in reversed(range(L)):
+    The forward cache is private to this call, so each cached array is
+    overwritten once the reverse pass is done with it instead of
+    allocating a fresh one.
+    """
+    y, cache = forward(spec, params, z0, dtype=dtype, return_cache=True)
+    g = y - t
+    mse = float(np.vdot(g, g)) / g.size
+    y *= y
+    np.subtract(1.0, y, out=y)
+    g *= y
+    g *= 2.0 / g.size
+
+    for l in reversed(range(spec.n_layers)):
         c = cache[l]
-        if c["kind"] == "out":
-            y_l = c["y"]
-            du = g * (1.0 - y_l * y_l)
-        else:
-            k_out = spec.widths[l + 1]
-            gf = g.reshape(-1, k_out)
-            xhat, inv = c["xhat"], c["inv"]
-            gx = gf * xhat
-            g_betas[l] = gf.sum(axis=0)
-            g_gammas[l] = gx.sum(axis=0)
-            gamma = np.asarray(params.gammas[l], dtype=dtype)
-            dflat = (gamma * inv) * (gf - gf.mean(axis=0) - xhat * gx.mean(axis=0))
-            du = dflat.reshape(c["u"].shape) * (c["u"] > 0)
-            if l < spec.inner_count:
-                for ax, n in reversed(schedule[l]):
-                    du = mode_product(du, _upsampler(n, dtype).T, ax)
-        z_in = c["z_in"]
-        zf = z_in.reshape(-1, z_in.shape[-1])
-        df = du.reshape(-1, du.shape[-1])
-        g_kernels[l] = zf.T @ df
-        if l > 0:
-            w = np.asarray(params.kernels[l], dtype=dtype)
-            g = (df @ w.T).reshape(z_in.shape)
-    return mse, ParamSet(g_kernels, g_gammas, g_betas)
+        if l < spec.inner_count:
+            for ax, n in reversed(schedule[l]):
+                g = mode_product(g, _upsampler(n, dtype).T, ax)
+        x = c["z_in"].reshape(-1, c["z_in"].shape[-1])
+        g = g.reshape(-1, g.shape[-1])
+        if l == 0:
+            np.matmul(x.T, g, out=grads.kernels[0])
+            break
+        # x is the centred ReLU output d of layer l-1, whose batch norm is
+        # folded into this layer's kernel
+        w = np.asarray(params.kernels[l], dtype=dtype)
+        gamma = np.asarray(params.gammas[l - 1], dtype=dtype)
+        beta = np.asarray(params.betas[l - 1], dtype=dtype)
+        inv = cache[l - 1]["inv"]
+        a = gamma * inv
+        m = x.T @ g
+        s = g.sum(axis=0)
+        grads.kernels[l][...] = a[:, None] * m + beta[:, None] * s
+        g_beta = w @ s
+        g_gamma = inv * np.einsum("ij,ij->i", w, m)
+        grads.betas[l - 1][...] = g_beta
+        grads.gammas[l - 1][...] = g_gamma
+        n = x.shape[0]
+        g = g @ c["w"].T
+        x *= a * inv * g_gamma / n
+        x += a * g_beta / n
+        g -= x
+        u = cache[l - 1]["u"]  # overwritten with the 0/1 ReLU mask
+        g *= np.greater(u, 0, out=u).reshape(g.shape)
+        g = g.reshape(u.shape)
+    return mse
 
 
 def gradient(spec: DecoderSpec, params: ParamSet, z0, target, dtype=np.float64) -> ParamSet:
@@ -135,7 +172,8 @@ def gradient(spec: DecoderSpec, params: ParamSet, z0, target, dtype=np.float64) 
     can be checked against finite differences."""
     check_params(spec, params)
     t = np.asarray(_target_data(target), dtype=dtype)
-    _, grads = _loss_and_grad(spec, params, z0, t, dtype, upsample_schedule(spec))
+    grads = param_views(spec, np.empty(param_count(spec), dtype=dtype))
+    _loss_and_grad(spec, params, z0, t, dtype, upsample_schedule(spec), grads)
     return grads
 
 
@@ -161,20 +199,24 @@ def fit(
         z0 = generate_seed(spec.seed_rule, spec.seed_dims)
     z0 = np.ascontiguousarray(z0, dtype=dtype)
 
-    params = init.copy().astype(dtype) if init is not None else init_params(spec, config.init_seed, dtype)
-    check_params(spec, params)
+    if init is None:
+        init = init_params(spec, config.init_seed, dtype)
+    check_params(spec, init)
     schedule = upsample_schedule(spec)
 
-    arrays = params.arrays()
-    m = [np.zeros_like(a) for a in arrays]
-    v = [np.zeros_like(a) for a in arrays]
+    theta = params_to_vector(init).astype(dtype)
+    params = param_views(spec, theta)
+    grad = np.empty_like(theta)
+    grads = param_views(spec, grad)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     b1, b2 = config.betas
     lr, eps = config.learning_rate, config.adam_eps
 
     trace = []
     initial = None
     for it in range(config.iterations):
-        mse, grads = _loss_and_grad(spec, params, z0, t, dtype, schedule)
+        mse = _loss_and_grad(spec, params, z0, t, dtype, schedule, grads)
         if initial is None:
             initial = mse
         if not np.isfinite(mse) or mse > DIVERGENCE_FACTOR * max(initial, np.finfo(np.float32).tiny):
@@ -184,12 +226,11 @@ def fit(
         step = it + 1
         bc1 = 1.0 - b1**step
         bc2 = 1.0 - b2**step
-        for a, g, mi, vi in zip(arrays, grads.arrays(), m, v):
-            mi *= b1
-            mi += (1.0 - b1) * g
-            vi *= b2
-            vi += (1.0 - b2) * (g * g)
-            a -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * (grad * grad)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
     final = loss(spec, params, z0, t, dtype=dtype)
     if not np.isfinite(final):

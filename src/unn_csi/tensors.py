@@ -53,6 +53,7 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
 
     `matrix` has shape ``(J, M_mode)``; the result replaces extent ``M_mode``
     by ``J``. Equivalent to ``fold(matrix @ unfold(tensor, mode), mode, ...)``.
+    The result is C-contiguous.
     """
     a = np.asarray(tensor)
     u = np.asarray(matrix)
@@ -64,7 +65,11 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
             f"matrix columns ({u.shape[1]}) must match tensor extent "
             f"{a.shape[mode]} at mode {mode}"
         )
-    return np.moveaxis(np.tensordot(u, a, axes=(1, mode)), 0, mode)
+    # on a (pre, n, post) view one batched matmul puts the new extent where
+    # the old one was, so the result is C-contiguous without an axis move
+    pre = int(np.prod(a.shape[:mode]))
+    out = np.matmul(u, a.reshape(pre, a.shape[mode], -1))
+    return out.reshape(a.shape[:mode] + (u.shape[0],) + a.shape[mode + 1 :])
 
 
 def make_upsampler(n: int) -> np.ndarray:

@@ -64,8 +64,8 @@ def gradcheck_point(spec, seed, gap=0.5):
     layer output stays at least `gap` above zero. Upsampling rows are convex
     combinations, so positivity survives interpolation.
     """
-    from unn_csi.decoder import _apply_kernel, _bn_forward, _upsampler, generate_seed, upsample_schedule
-    from unn_csi.tensors import mode_product
+    from unn_csi.decoder import generate_seed, upsample_schedule
+    from unn_csi.tensors import make_upsampler, mode_product
 
     rng = np.random.default_rng(seed)
     n_layers = spec.n_layers
@@ -82,18 +82,19 @@ def gradcheck_point(spec, seed, gap=0.5):
             params.betas.append(np.zeros(k_out))
     z0 = np.abs(generate_seed(spec.seed_rule, spec.seed_dims)) + 0.2
 
+    # dry float64 forward pass with the textbook (unfolded) batch norm
     schedule = upsample_schedule(spec)
     z = z0.copy()
     for l in range(n_layers - 1):
-        u = _apply_kernel(z, params.kernels[l])
+        u = (z.reshape(-1, z.shape[-1]) @ params.kernels[l]).reshape(z.shape[:-1] + (spec.widths[l + 1],))
         if l < spec.inner_count:
             for ax, n in schedule[l]:
-                u = mode_product(u, _upsampler(n, np.float64), ax)
+                u = mode_product(u, make_upsampler(n), ax)
         r = np.maximum(u, 0)
         flat = r.reshape(-1, r.shape[-1])
-        xhat_max = np.abs(
-            (flat - flat.mean(0)) / np.sqrt(flat.var(0) + 1e-5)
-        ).max(axis=0)
+        centred = flat - flat.mean(0)
+        xhat_max = np.abs(centred / np.sqrt(flat.var(0) + 1e-5)).max(axis=0)
         params.betas[l] = params.gammas[l] * xhat_max + gap + rng.uniform(0.0, 0.3, r.shape[-1])
-        z, _, _ = _bn_forward(r, params.gammas[l], params.betas[l])
+        xhat = centred * (1.0 / np.sqrt(flat.var(0) + 1e-5))
+        z = (xhat * params.gammas[l] + params.betas[l]).reshape(r.shape)
     return params, z0

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -96,6 +99,48 @@ class TestDecode:
         blob = encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0)
         with pytest.raises(CodecError):
             decode(blob[:-3])
+
+    def test_non_utf8_header_byte(self, small_spec):
+        blob = bytearray(encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0))
+        blob[11] = 0xFF
+        with pytest.raises(CodecError, match="header"):
+            decode(bytes(blob))
+
+    def test_bumped_header_length(self, small_spec):
+        blob = bytearray(encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0))
+        (header_len,) = struct.unpack_from("<I", blob, 7)
+        for bump in (1, 5, 1 << 20):
+            struct.pack_into("<I", blob, 7, header_len + bump)
+            with pytest.raises(CodecError):
+                decode(bytes(blob))
+
+    def test_truncated_inside_checksum_and_length_field(self, small_spec):
+        blob = encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0)
+        header_end = 11 + struct.unpack_from("<I", blob, 7)[0]
+        for cut in range(header_end, header_end + 8):
+            with pytest.raises(CodecError):
+                decode(blob[:cut])
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda h: h.pop("spec"), "spec"),
+            (lambda h: h["spec"].pop("widths"), "widths"),
+            (lambda h: h["spec"].update(upsample_flags="TT"), "upsample_flags"),
+            (lambda h: h["spec"]["seed_rule"].pop("seed"), "seed_rule.seed"),
+            (lambda h: h.pop("norms"), "norms"),
+            (lambda h: h.update(scale=None), "scale"),
+        ],
+    )
+    def test_malformed_header_fields(self, small_spec, edit, field):
+        blob = encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0)
+        header_end = 11 + struct.unpack_from("<I", blob, 7)[0]
+        header = json.loads(blob[11:header_end])
+        edit(header)
+        text = json.dumps(header).encode()
+        bad = blob[:7] + struct.pack("<I", len(text)) + text + blob[header_end:]
+        with pytest.raises(CodecError, match=field):
+            decode(bad)
 
     def test_file_round_trip(self, small_spec, tmp_path):
         blob = encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0)

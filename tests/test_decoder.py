@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unn_csi.decoder import (
+    ParamSet,
     SeedRule,
     batch_norm,
     compression_ratio,
@@ -25,6 +26,15 @@ from oracles import loop_forward, splitmix64_reference
 FULL_SINGLE = make_spec((4, 4), (64,) * 6 + (72,), 4, 1, ((True, True),) * 4, seed=1, a=0.15)
 FULL_GROUP_A = make_spec((4, 4, 3), (64,) * 6 + (72,), 4, 1, ((True, True, False),) * 4, seed=1, a=0.15)
 FULL_GROUP_B = make_spec((4, 4, 3), (64,) * 7 + (72,), 4, 2, ((True, True, False),) * 4, seed=1, a=0.15)
+
+# float32 batch-norm tolerance on O(1) outputs: a few hundred float32 ulps
+F32_BN_TOL = 1e-5
+
+
+def offset_filters(rng, shape):
+    """Float32 filters with a large common offset and a small spread, where
+    E[x**2] - mu**2 loses every significant digit of the variance."""
+    return (1e3 + rng.uniform(0.0, 1e-2, shape)).astype(np.float32)
 
 
 class TestSplitMix:
@@ -91,6 +101,23 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             batch_norm(np.zeros((2, 3)), np.ones(2), np.zeros(2))
 
+    def test_float32_large_offset_small_spread(self):
+        rng = np.random.default_rng(5)
+        x = offset_filters(rng, (64, 64, 8))
+        gamma = rng.uniform(0.5, 1.5, 8)
+        beta = rng.uniform(-0.5, 0.5, 8)
+        want = batch_norm(x.astype(np.float64), gamma, beta)
+        got = batch_norm(x, gamma.astype(np.float32), beta.astype(np.float32))
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() < F32_BN_TOL
+        # the data is hard enough: the one-pass variance misses by far
+        flat = x.reshape(-1, 8)
+        mu = flat.mean(axis=0)
+        with np.errstate(invalid="ignore"):
+            one_pass = (flat - mu) / np.sqrt((flat * flat).mean(axis=0) - mu * mu + np.float32(1e-5))
+        err = np.abs(one_pass * gamma + beta - want.reshape(-1, 8))
+        assert not np.all(err < F32_BN_TOL)
+
 
 class TestForward:
     def test_zero_kernels_give_zero_output(self, tiny_spec):
@@ -125,6 +152,21 @@ class TestForward:
         assert np.allclose(got32, want, atol=1e-5)
         got64 = forward(spec, params, z0, dtype=np.float64)
         assert np.allclose(got64, want, rtol=1e-10, atol=1e-12)
+
+    def test_float32_folded_batch_norm_large_offset_small_spread(self):
+        # identity first kernel: the batch norm sees the offset filters as
+        # they are and is folded into the output kernel
+        rng = np.random.default_rng(6)
+        spec = make_spec((64, 64), (8, 8, 4), 1, 0, ((False, False),))
+        z0 = offset_filters(rng, spec.seed_dims)
+        params = ParamSet(
+            [np.eye(8), rng.uniform(-0.5, 0.5, (8, 4))],
+            [rng.uniform(0.5, 1.5, 8)],
+            [rng.uniform(-0.5, 0.5, 8)],
+        )
+        want = forward(spec, params, z0.astype(np.float64), dtype=np.float64)
+        got = forward(spec, params, z0, dtype=np.float32)
+        assert np.abs(got - want).max() < F32_BN_TOL
 
     def test_output_in_open_tanh_range(self, tiny_spec):
         y = forward(tiny_spec, init_params(tiny_spec, 2))
@@ -204,6 +246,34 @@ class TestSpecValidation:
         # canonical form: stable under re-serialization
         assert spec_to_json(again) == spec_to_json(tiny_spec)
         json.loads(spec_to_json(tiny_spec))
+
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d.pop("widths"), "'widths'"),
+            (lambda d: d.update(widths=16), "'widths'"),
+            (lambda d: d.update(input_dims=["a", 2]), "'input_dims'"),
+            (lambda d: d.update(inner_count=None), "'inner_count'"),
+            (lambda d: d.update(inner_count=2.5), "'inner_count'"),
+            (lambda d: d.pop("preoutput_count"), "'preoutput_count'"),
+            (lambda d: d.update(upsample_flags="TT"), "'upsample_flags'"),
+            (lambda d: d.update(upsample_flags=[True, True]), "'upsample_flags'"),
+            (lambda d: d.update(upsample_flags=[[1, 1], [1, 1]]), "'upsample_flags'"),
+            (lambda d: d.update(seed_rule=7), "'seed_rule'"),
+            (lambda d: d["seed_rule"].pop("seed"), "'seed_rule.seed'"),
+            (lambda d: d["seed_rule"].update(half_range="wide"), "'seed_rule.half_range'"),
+        ],
+    )
+    def test_json_missing_or_mistyped_field_is_named(self, tiny_spec, edit, field):
+        doc = json.loads(spec_to_json(tiny_spec))
+        edit(doc)
+        with pytest.raises(ValueError, match=field):
+            spec_from_json(json.dumps(doc))
+
+    def test_json_must_be_an_object(self):
+        with pytest.raises(ValueError, match="object"):
+            spec_from_json("[1, 2]")
 
 
 class TestParamVector:

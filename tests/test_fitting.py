@@ -1,7 +1,9 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from unn_csi.decoder import forward, generate_seed, init_params
+from unn_csi.decoder import forward, generate_seed, init_params, load_spec
 from unn_csi.fitting import (
     FitConfig,
     FitDivergedError,
@@ -112,6 +114,20 @@ class TestGradient:
 
         worst = central_difference_check(spec, params, z0, target, h=1e-6, loss_fn=oracle_loss)
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("name", ["single_ue_desk", "group_desk"])
+    def test_float32_matches_float64_at_shipped_desk_shapes(self, name):
+        # real extents exercise the batched upsampling matmuls and the 4-way
+        # layout; tolerance is float32 rounding grown over the layer stack
+        spec = load_spec(str(resources.files("unn_csi").joinpath(f"specs/{name}.json")))
+        params = init_params(spec, 1)
+        z0 = generate_seed(spec.seed_rule, spec.seed_dims)
+        target = np.random.default_rng(4).uniform(-0.9, 0.9, spec.output_dims)
+        g32 = gradient(spec, params, z0, target, dtype=np.float32)
+        g64 = gradient(spec, params, z0, target, dtype=np.float64)
+        for a32, a64 in zip(g32.arrays(), g64.arrays()):
+            assert a32.dtype == np.float32
+            assert np.abs(a32 - a64).max() <= 1e-4 * np.abs(a64).max()
 
     def test_dead_kernel_column_gets_zero_gradient(self):
         spec = make_spec((2, 3), (3, 4, 4, 2), 1, 1, ((True, True),), seed=6)

@@ -73,6 +73,7 @@ class TestModeProduct:
             got = mode_product(t, u, mode)
             want = loop_mode_product(t, u, mode)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+            assert got.flags.c_contiguous
 
     def test_equals_fold_of_matrix_product(self):
         rng = np.random.default_rng(2)
