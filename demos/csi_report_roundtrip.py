@@ -9,15 +9,17 @@ The report is a fraction of the raw CSI size; the demo prints the accounting.
 Run:  python demos/csi_report_roundtrip.py
 """
 
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 
 from unn_csi.baselines import nmse
 from unn_csi.channel import add_noise, load_scene, preprocess, synthesize
-from unn_csi.codec import decode, encode, payload_bytes, recreate, weight_delta_stats
+from unn_csi.codec import decode, encode, payload_bytes, recreate
 from unn_csi.decoder import load_spec, param_count
 from unn_csi.fitting import FitConfig, fit
+from unn_csi.transfer import weight_distance
 
 
 def main():
@@ -44,16 +46,17 @@ def main():
     print(f"receiver estimate bit-identical: {np.array_equal(rx_est.data, tx_est.data)}")
     print(f"NMSE at user: {nmse(tx_est, truth):.2f} dB, at base station: {nmse(rx_est, truth):.2f} dB")
 
-    # a warm-started neighbor report differs less, which a differential
-    # compression stage could exploit
-    truth4 = synthesize(scene, 4)
-    target4 = preprocess(add_noise(truth4, 20.0, seed=1))
-    tl_report = fit(spec, None, target4, config, init=report.params)
-    blob_tl = encode(spec, tl_report.params, target4.snapshot_norms, target4.scale)
-    stats = weight_delta_stats(blob, blob_tl)
-    print(f"\nneighbor report fitted from these weights:")
-    print(f"  mean |weight delta| {stats.mean_abs_delta:.4f}, "
-          f"delta payload entropy {stats.entropy_bits_per_byte:.2f} bits/byte")
+    # a neighbor fitted from these weights stays closer to them than one
+    # fitted from a random start, which a differential compression stage
+    # could exploit
+    target4 = preprocess(add_noise(synthesize(scene, 4), 20.0, seed=1))
+    warm = fit(spec, None, target4, config, init=report.params)
+    cold = fit(spec, None, target4, replace(config, init_seed=2))
+    print("\nkernel distance from these weights to a fit of neighbor UE 4:")
+    for label, neighbor in (("warm start", warm), ("random start", cold)):
+        dist = weight_distance(report.params, neighbor.params)
+        layers = " ".join(f"{d:.3f}" for d in dist.per_layer)
+        print(f"  {label:>12}: total {dist.total:.3f}, per layer {layers}")
 
 
 if __name__ == "__main__":

@@ -33,6 +33,6 @@ from .fitting import FitConfig, FitDivergedError, FitReport, fit, gradient, loss
 from .transfer import TransferPlan, TransferStep, run_transfer, weight_distance
 from .multiuser import GroupTarget, build_group, fit_group, split_group
 from .baselines import mmse_genie, mmse_raw, nmse, sweep
-from .codec import decode, encode, recreate, weight_delta_stats
+from .codec import decode, encode, recreate
 
 __version__ = "0.1.0"

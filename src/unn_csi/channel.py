@@ -18,10 +18,12 @@ function of the scene, so identical scenes give identical tensors.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+
+from ._fields import BOOL, INT, NUMBER, OBJECT, list_of, read_field
 
 __all__ = [
     "Scatterer",
@@ -36,13 +38,9 @@ __all__ = [
     "noise_variance",
     "load_scene",
     "save_scene",
-    "save_tensor",
-    "load_tensor",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
-TENSOR_MAGIC = b"CSIT"
-TENSOR_VERSION = 1
 
 GROUND_TRUTH = "ground-truth"
 MEASURED = "measured"
@@ -291,31 +289,42 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+_scene_field = partial(read_field, "scene")
+_point = list_of(NUMBER, 3)
+
+
+def _scatterer(doc, where: str) -> Scatterer:
+    gain = complex(_scene_field(doc, "gain_re", NUMBER, where), _scene_field(doc, "gain_im", NUMBER, where))
+    return Scatterer(_scene_field(doc, "position_m", _point, where), gain)
+
+
+def _user_track(doc, where: str) -> UserTrack:
+    return UserTrack(
+        ue_id=_scene_field(doc, "id", INT, where),
+        start=_scene_field(doc, "start_m", _point, where),
+        velocity=_scene_field(doc, "velocity_mps", _point, where),
+        los=_scene_field(doc, "los", BOOL, where, default=True),
+    )
+
+
 def scene_from_dict(doc: dict) -> Scene:
-    bs = doc["bs"]
+    """Inverse of :func:`scene_to_dict`. A missing or mistyped field raises
+    ValueError naming the field."""
+    bs = _scene_field(doc, "bs", OBJECT)
+    scatterers = _scene_field(doc, "scatterers", list_of(OBJECT))
+    ues = _scene_field(doc, "ues", list_of(OBJECT))
     return Scene(
-        bs_position=tuple(bs["position_m"]),
-        ura_rows=int(bs["ura_rows"]),
-        ura_cols=int(bs["ura_cols"]),
-        element_spacing_wl=float(bs["element_spacing_wl"]),
-        scatterers=tuple(
-            Scatterer(tuple(s["position_m"]), complex(s["gain_re"], s["gain_im"]))
-            for s in doc["scatterers"]
-        ),
-        ues=tuple(
-            UserTrack(
-                ue_id=int(u["id"]),
-                start=tuple(u["start_m"]),
-                velocity=tuple(u["velocity_mps"]),
-                los=bool(u.get("los", True)),
-            )
-            for u in doc["ues"]
-        ),
-        carrier_hz=float(doc["carrier_hz"]),
-        bandwidth_hz=float(doc["bandwidth_hz"]),
-        n_sub=int(doc["n_sub"]),
-        n_sp=int(doc["n_sp"]),
-        snapshot_dt_s=float(doc["snapshot_dt_s"]),
+        bs_position=_scene_field(bs, "position_m", _point, "bs."),
+        ura_rows=_scene_field(bs, "ura_rows", INT, "bs."),
+        ura_cols=_scene_field(bs, "ura_cols", INT, "bs."),
+        element_spacing_wl=float(_scene_field(bs, "element_spacing_wl", NUMBER, "bs.")),
+        scatterers=tuple(_scatterer(s, f"scatterers[{i}].") for i, s in enumerate(scatterers)),
+        ues=tuple(_user_track(u, f"ues[{i}].") for i, u in enumerate(ues)),
+        carrier_hz=float(_scene_field(doc, "carrier_hz", NUMBER)),
+        bandwidth_hz=float(_scene_field(doc, "bandwidth_hz", NUMBER)),
+        n_sub=_scene_field(doc, "n_sub", INT),
+        n_sp=_scene_field(doc, "n_sp", INT),
+        snapshot_dt_s=float(_scene_field(doc, "snapshot_dt_s", NUMBER)),
     )
 
 
@@ -328,42 +337,3 @@ def save_scene(scene: Scene, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scene_to_dict(scene), fh, indent=2)
         fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# binary tensor files: magic "CSIT", version, dims, scalar kind, then
-# little-endian float32 payload (re/im interleaved for complex), row-major
-
-
-def save_tensor(path, array) -> None:
-    arr = np.asarray(getattr(array, "data", array))
-    is_complex = np.iscomplexobj(arr)
-    header = struct.pack(
-        "<4sHBB", TENSOR_MAGIC, TENSOR_VERSION, 1 if is_complex else 0, arr.ndim
-    ) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    if is_complex:
-        flat = np.empty(arr.size * 2, dtype="<f4")
-        flat[0::2] = arr.real.ravel()
-        flat[1::2] = arr.imag.ravel()
-    else:
-        flat = np.ascontiguousarray(arr, dtype="<f4").ravel()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(flat.tobytes())
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    magic, version, kind, ndim = struct.unpack_from("<4sHBB", blob, 0)
-    if magic != TENSOR_MAGIC:
-        raise ValueError("not a channel tensor file (bad magic)")
-    if version != TENSOR_VERSION:
-        raise ValueError(f"unsupported tensor file version {version}")
-    dims = struct.unpack_from(f"<{ndim}I", blob, 8)
-    payload = np.frombuffer(blob, dtype="<f4", offset=8 + 4 * ndim)
-    if kind == 1:
-        arr = (payload[0::2] + 1j * payload[1::2]).astype(np.complex64)
-    else:
-        arr = payload.astype(np.float32)
-    return arr.reshape(dims)

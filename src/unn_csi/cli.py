@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from importlib import resources
 from math import prod
 from pathlib import Path
@@ -35,9 +35,6 @@ from .multiuser import build_group, fit_group
 from .baselines import make_unn_estimator, mmse_genie, mmse_raw, nmse, records_to_curves
 
 __all__ = ["ExperimentConfig", "Diagnostic", "validate", "run", "main"]
-
-MODES = ("single", "transfer", "group", "codec", "sweep")
-WORKER_ENV = "UNN_CSI_THREADS"
 
 _BUILTIN_SCENES = {
     "desk": "scenes/street_canyon_desk.json",
@@ -128,35 +125,19 @@ def _data_path(mapping: dict, name: str) -> str:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = set(doc) - known
+    fields = ExperimentConfig.__dataclass_fields__
+    unknown = set(doc) - set(fields)
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    required = [n for n, f in fields.items() if f.default is MISSING and f.default_factory is MISSING]
+    missing = [n for n in required if n not in doc]
+    if missing:
+        raise ValueError(f"missing config fields: {missing}")
     return ExperimentConfig(**doc)
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
-
-
-def resolve_workers(config: ExperimentConfig, flag: int | None = None) -> int:
-    env = os.environ.get(WORKER_ENV)
-    if env is not None:
-        return max(1, int(env))
-    if flag is not None:
-        return max(1, flag)
-    return max(1, config.workers)
 
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-def _load_inputs(config: ExperimentConfig):
-    scene = load_scene(_data_path(_BUILTIN_SCENES, config.scene))
-    spec = load_spec(_data_path(_BUILTIN_SPECS, config.decoder_spec))
-    return scene, spec
 
 
 def _check_spec_against(scene: Scene, spec: DecoderSpec, diags: list, group_size: int | None = None):
@@ -199,27 +180,43 @@ def _check_spec_against(scene: Scene, spec: DecoderSpec, diags: list, group_size
         )
 
 
+def _load(loader, mapping: dict, name: str, what: str, diags: list):
+    """`loader` on a builtin data name or path; None plus an error diagnostic
+    if the file is missing or malformed."""
+    try:
+        return loader(_data_path(mapping, name))
+    except (OSError, ValueError) as exc:
+        diags.append(Diagnostic("error", f"cannot load {what} {name!r}: {exc}"))
+        return None
+
+
+def _check_fit(config: ExperimentConfig, iterations, where: str, diags: list) -> None:
+    try:
+        config.fit_config(iterations)
+    except (TypeError, ValueError) as exc:
+        diags.append(Diagnostic("error", f"bad fit settings in {where}: {exc}"))
+
+
 def validate(config: ExperimentConfig) -> list:
     """Static checks; returns diagnostics and never mutates or runs anything."""
     diags: list = []
     if config.mode not in MODES:
         diags.append(Diagnostic("error", f"unknown mode {config.mode!r}"))
         return diags
-    try:
-        scene = load_scene(_data_path(_BUILTIN_SCENES, config.scene))
-    except (OSError, ValueError, KeyError) as exc:
-        diags.append(Diagnostic("error", f"cannot load scene {config.scene!r}: {exc}"))
+    scene = _load(load_scene, _BUILTIN_SCENES, config.scene, "scene", diags)
+    if scene is None:
         return diags
-    try:
-        spec = load_spec(_data_path(_BUILTIN_SPECS, config.decoder_spec))
-    except (OSError, ValueError, KeyError) as exc:
-        diags.append(Diagnostic("error", f"cannot load decoder spec {config.decoder_spec!r}: {exc}"))
+    spec = _load(load_spec, _BUILTIN_SPECS, config.decoder_spec, "decoder spec", diags)
+    if spec is None:
         return diags
 
     if not config.snr_db:
         diags.append(Diagnostic("error", "snr_db list is empty"))
     if not config.seeds:
         diags.append(Diagnostic("error", "seed list is empty"))
+    if not isinstance(config.workers, int) or isinstance(config.workers, bool) or config.workers < 1:
+        diags.append(Diagnostic("error", f"workers must be an integer >= 1, got {config.workers!r}"))
+    _check_fit(config, None, "fit", diags)
     if spec.seed_rule.half_range <= 0:
         diags.append(Diagnostic("error", "seed rule has zero half-range; the decoder input is all zeros"))
     missing = [u for u in config.ues if u not in scene.ue_ids]
@@ -232,26 +229,26 @@ def validate(config: ExperimentConfig) -> list:
         if not config.transfer_plan:
             diags.append(Diagnostic("error", "transfer mode needs a transfer_plan"))
         else:
-            try:
-                plan = transfer_mod.load_plan(_data_path(_BUILTIN_PLANS, config.transfer_plan))
-            except (OSError, ValueError, KeyError) as exc:
-                diags.append(Diagnostic("error", f"cannot load transfer plan: {exc}"))
-            else:
-                absent = [u for u in plan.ue_ids if u not in scene.ue_ids]
-                if absent:
-                    diags.append(Diagnostic("error", f"transfer plan references unknown UEs {absent}"))
+            plan = _load(transfer_mod.load_plan, _BUILTIN_PLANS, config.transfer_plan, "transfer plan", diags)
+            absent = [u for u in plan.ue_ids if u not in scene.ue_ids] if plan else []
+            if absent:
+                diags.append(Diagnostic("error", f"transfer plan references unknown UEs {absent}"))
     if config.mode == "group":
         if not config.groups:
             diags.append(Diagnostic("error", "group mode needs a non-empty groups list"))
-        for entry in config.groups:
-            ues = entry["ues"] if isinstance(entry, dict) else list(entry)
-            spec_name = entry.get("spec", config.decoder_spec) if isinstance(entry, dict) else config.decoder_spec
-            try:
-                gspec = load_spec(_data_path(_BUILTIN_SPECS, spec_name))
-            except (OSError, ValueError, KeyError) as exc:
-                diags.append(Diagnostic("error", f"cannot load group spec {spec_name!r}: {exc}"))
+        for gi, entry in enumerate(config.groups):
+            ues = entry.get("ues") if isinstance(entry, dict) else None
+            if not isinstance(ues, list) or not ues:
+                diags.append(Diagnostic("error", f'groups[{gi}] needs a non-empty "ues" list'))
                 continue
-            _check_spec_against(scene, gspec, diags, group_size=len(ues))
+            absent = [u for u in ues if u not in scene.ue_ids]
+            if absent:
+                diags.append(Diagnostic("error", f"groups[{gi}] references unknown UEs {absent}"))
+            _check_fit(config, entry.get("iterations"), f"groups[{gi}]", diags)
+            spec_name = entry.get("spec", config.decoder_spec)
+            gspec = _load(load_spec, _BUILTIN_SPECS, spec_name, "group spec", diags)
+            if gspec is not None:
+                _check_spec_against(scene, gspec, diags, group_size=len(ues))
     return diags
 
 
@@ -310,15 +307,15 @@ def _run_single_cell(args):
     }
 
 
-def _mode_single(config: ExperimentConfig, scene, spec, out: Path, workers: int) -> dict:
+def _mode_single(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     cells = [
         (scene, spec, config.fit_config(), ue, snr, seed)
         for ue in config.ues
         for snr in config.snr_db
         for seed in config.seeds
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if config.workers > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_run_single_cell, cells))
     else:
         results = [_run_single_cell(c) for c in cells]
@@ -402,20 +399,15 @@ def _mode_transfer(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     return {"ues": len(results), "chain": len(plan.chain)}
 
 
-def _mode_group(config: ExperimentConfig, scene, out: Path) -> dict:
+def _mode_group(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     snr_db = float(config.snr_db[0])
     seed = config.seeds[0]
     rows = []
     summaries = []
     for gi, entry in enumerate(config.groups):
-        if isinstance(entry, dict):
-            ues = list(entry["ues"])
-            spec_name = entry.get("spec", config.decoder_spec)
-            iters = entry.get("iterations")
-        else:
-            ues, spec_name, iters = list(entry), config.decoder_spec, None
-        gspec = load_spec(_data_path(_BUILTIN_SPECS, spec_name))
-        fit_cfg = config.fit_config(iterations=iters)
+        ues = list(entry["ues"])
+        gspec = load_spec(_data_path(_BUILTIN_SPECS, entry["spec"])) if "spec" in entry else spec
+        fit_cfg = config.fit_config(iterations=entry.get("iterations"))
         truths, targets = {}, []
         for ue_id in ues:
             truth = synthesize(scene, ue_id)
@@ -488,7 +480,17 @@ def _mode_sweep(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     return {"records": len(records)}
 
 
-def run(config: ExperimentConfig, workers: int | None = None) -> int:
+_MODE_DRIVERS = {
+    "single": _mode_single,
+    "transfer": _mode_transfer,
+    "group": _mode_group,
+    "codec": _mode_codec,
+    "sweep": _mode_sweep,
+}
+MODES = tuple(_MODE_DRIVERS)
+
+
+def run(config: ExperimentConfig) -> int:
     """Execute the configured mode; returns a process exit code."""
     diags = validate(config)
     for d in diags:
@@ -496,23 +498,11 @@ def run(config: ExperimentConfig, workers: int | None = None) -> int:
     if any(d.level == "error" for d in diags):
         return 2
 
-    scene, spec = _load_inputs(config)
+    scene = load_scene(_data_path(_BUILTIN_SCENES, config.scene))
+    spec = load_spec(_data_path(_BUILTIN_SPECS, config.decoder_spec))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    n_workers = resolve_workers(config, workers)
-
-    if config.mode == "single":
-        extra = _mode_single(config, scene, spec, out, n_workers)
-    elif config.mode == "transfer":
-        extra = _mode_transfer(config, scene, spec, out)
-    elif config.mode == "group":
-        extra = _mode_group(config, scene, out)
-    elif config.mode == "codec":
-        extra = _mode_codec(config, scene, spec, out)
-    elif config.mode == "sweep":
-        extra = _mode_sweep(config, scene, spec, out)
-    else:  # pragma: no cover - guarded by validate
-        return 2
+    extra = _MODE_DRIVERS[config.mode](config, scene, spec, out)
 
     coeffs = scene.n_sub * scene.n_sp * scene.n_ant
     summary = {
@@ -525,7 +515,7 @@ def run(config: ExperimentConfig, workers: int | None = None) -> int:
         "snr_db": list(config.snr_db),
         "ues": list(config.ues),
         "seeds": list(config.seeds),
-        "workers": n_workers,
+        "workers": config.workers,
     }
     summary.update(extra)
     _atomic_write_text(out / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
@@ -568,7 +558,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="experiment config JSON")
     parser.add_argument("--mode", choices=MODES, help="experiment mode")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--workers", type=int, help=f"worker pool size (env {WORKER_ENV} overrides)")
+    parser.add_argument("--workers", type=int, help="worker processes for single mode (overrides the config)")
     parser.add_argument("--profile", choices=sorted(_PROFILES), help="built-in default configuration")
     parser.add_argument("--seed-list", help="comma-separated noise seeds")
     args = parser.parse_args(argv)
@@ -577,7 +567,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config, workers=args.workers)
+    return run(config)
 
 
 if __name__ == "__main__":

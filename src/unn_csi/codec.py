@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,17 +30,7 @@ from .decoder import (
     spec_to_json,
 )
 
-__all__ = [
-    "CodecError",
-    "encode",
-    "decode",
-    "recreate",
-    "save_report",
-    "load_report",
-    "payload_bytes",
-    "weight_delta_stats",
-    "DeltaStats",
-]
+__all__ = ["CodecError", "encode", "decode", "recreate", "payload_bytes"]
 
 REPORT_MAGIC = b"CSIR"
 REPORT_VERSION = 1
@@ -146,47 +135,3 @@ def recreate(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale, z0=None
         postprocess(out[:, :, m, :].transpose(1, 0, 2), snapshot_norms[m], float(scale[m]))
         for m in range(out.shape[2])
     ]
-
-
-def save_report(path, blob: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(blob)
-
-
-def load_report(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-@dataclass
-class DeltaStats:
-    per_layer: list  # Frobenius distance per kernel
-    mean_abs_delta: float  # over all scalars
-    nonzero: int  # scalars that differ
-    entropy_bits_per_byte: float  # byte-level entropy of the delta payload
-
-
-def weight_delta_stats(a: bytes, b: bytes) -> DeltaStats:
-    """How far apart two reports of the same spec are - the raw material for a
-    differential compression stage (not implemented here)."""
-    spec_a, params_a, _, _ = decode(a)
-    spec_b, params_b, _, _ = decode(b)
-    if spec_to_json(spec_a) != spec_to_json(spec_b):
-        raise CodecError("reports describe different decoder specs")
-    per_layer = [
-        float(np.linalg.norm(wa.astype(np.float64) - wb.astype(np.float64)))
-        for wa, wb in zip(params_a.kernels, params_b.kernels)
-    ]
-    delta = params_to_vector(params_a).astype(np.float64) - params_to_vector(params_b).astype(
-        np.float64
-    )
-    delta_payload = (params_to_vector(params_a) - params_to_vector(params_b)).astype("<f4").tobytes()
-    counts = np.bincount(np.frombuffer(delta_payload, dtype=np.uint8), minlength=256)
-    probs = counts[counts > 0] / counts.sum()
-    entropy = float(-np.sum(probs * np.log2(probs)))
-    return DeltaStats(
-        per_layer=per_layer,
-        mean_abs_delta=float(np.mean(np.abs(delta))),
-        nonzero=int(np.count_nonzero(delta)),
-        entropy_bits_per_byte=entropy,
-    )

@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from math import prod, sqrt
 
 import numpy as np
 
+from ._fields import BOOL, INT, NUMBER, OBJECT, list_of, read_field
 from .tensors import make_upsampler, mode_product
 
 __all__ = [
@@ -184,13 +186,6 @@ class ParamSet:
                 out.append(self.gammas[l])
                 out.append(self.betas[l])
         return out
-
-    def copy(self) -> "ParamSet":
-        return ParamSet(
-            [w.copy() for w in self.kernels],
-            [g.copy() for g in self.gammas],
-            [b.copy() for b in self.betas],
-        )
 
 
 def check_params(spec: DecoderSpec, params: ParamSet) -> None:
@@ -375,51 +370,23 @@ def spec_to_json(spec: DecoderSpec) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _typed(*kinds):
-    """Identity on JSON values of the given Python types; TypeError otherwise."""
-
-    def check(value):
-        # JSON true/false arrive as bool, which Python also counts as an int
-        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-            names = " or ".join(k.__name__ for k in kinds)
-            raise TypeError(f"expected {names}, got {type(value).__name__}")
-        return value
-
-    return check
-
-
-_int, _number, _object = _typed(int), _typed(int, float), _typed(dict)
-
-
-def _list_of(item):
-    return lambda value: tuple(item(v) for v in _typed(list)(value))
-
-
-def _spec_field(doc: dict, name: str, convert, prefix: str = ""):
-    if name not in doc:
-        raise ValueError(f"decoder spec: missing field {prefix + name!r}")
-    try:
-        return convert(doc[name])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"decoder spec: bad field {prefix + name!r}: {exc}") from None
+_spec_field = partial(read_field, "decoder spec")
 
 
 def spec_from_json(text: str) -> DecoderSpec:
     """Parse the canonical JSON form. A missing or mistyped field raises
     ValueError naming the field."""
     doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("decoder spec must be a JSON object")
-    rule = _spec_field(doc, "seed_rule", _object)
+    rule = _spec_field(doc, "seed_rule", OBJECT)
     return DecoderSpec(
-        input_dims=_spec_field(doc, "input_dims", _list_of(_int)),
-        widths=_spec_field(doc, "widths", _list_of(_int)),
-        inner_count=_spec_field(doc, "inner_count", _int),
-        preoutput_count=_spec_field(doc, "preoutput_count", _int),
-        upsample_flags=_spec_field(doc, "upsample_flags", _list_of(_list_of(_typed(bool)))),
+        input_dims=_spec_field(doc, "input_dims", list_of(INT)),
+        widths=_spec_field(doc, "widths", list_of(INT)),
+        inner_count=_spec_field(doc, "inner_count", INT),
+        preoutput_count=_spec_field(doc, "preoutput_count", INT),
+        upsample_flags=_spec_field(doc, "upsample_flags", list_of(list_of(BOOL))),
         seed_rule=SeedRule(
-            _spec_field(rule, "seed", _int, "seed_rule."),
-            float(_spec_field(rule, "half_range", _number, "seed_rule.")),
+            _spec_field(rule, "seed", INT, "seed_rule."),
+            float(_spec_field(rule, "half_range", NUMBER, "seed_rule.")),
         ),
     )
 

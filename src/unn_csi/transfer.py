@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from ._fields import INT, OBJECT, list_of, read_field, typed
 from .baselines import nmse
 from .codec import recreate
 from .decoder import DecoderSpec, ParamSet
@@ -27,7 +29,6 @@ __all__ = [
     "run_transfer",
     "weight_distance",
     "plan_from_json",
-    "plan_to_json",
     "load_plan",
 ]
 
@@ -125,21 +126,21 @@ def weight_distance(a: ParamSet, b: ParamSet) -> WeightDistance:
     return WeightDistance(per_layer=per_layer, total=float(np.sqrt(sum(d * d for d in per_layer))))
 
 
+_plan_field = partial(read_field, "transfer plan")
+_optional_int = typed(int, type(None))
+
+
 def plan_from_json(text: str) -> TransferPlan:
+    """Parse a plan file (docs/artifacts.md). A missing or mistyped field
+    raises ValueError naming the field; `init_from` may be omitted or null."""
     doc = json.loads(text)
-    chain = tuple(
-        TransferStep(int(s["target"]), None if s.get("init_from") is None else int(s["init_from"]))
-        for s in doc["chain"]
-    )
-    return TransferPlan(base=int(doc["base"]), chain=chain)
-
-
-def plan_to_json(plan: TransferPlan) -> str:
-    doc = {
-        "base": plan.base,
-        "chain": [{"target": s.target, "init_from": s.init_from} for s in plan.chain],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    chain = []
+    for i, step in enumerate(_plan_field(doc, "chain", list_of(OBJECT))):
+        where = f"chain[{i}]."
+        target = _plan_field(step, "target", INT, where)
+        init_from = _plan_field(step, "init_from", _optional_int, where, default=None)
+        chain.append(TransferStep(target, init_from))
+    return TransferPlan(base=_plan_field(doc, "base", INT), chain=tuple(chain))
 
 
 def load_plan(path) -> TransferPlan:

@@ -8,11 +8,9 @@ from unn_csi.channel import (
     UserTrack,
     add_noise,
     load_scene,
-    load_tensor,
     postprocess,
     preprocess,
     save_scene,
-    save_tensor,
     scene_from_dict,
     scene_to_dict,
     synthesize,
@@ -243,6 +241,34 @@ class TestSceneFiles:
     def test_dict_round_trip(self, micro_scene):
         assert scene_from_dict(scene_to_dict(micro_scene)) == micro_scene
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d.pop("bs"), "'bs'"),
+            (lambda d: d.pop("n_sub"), "'n_sub'"),
+            (lambda d: d.update(n_sp="8"), "'n_sp'"),
+            (lambda d: d.update(n_sp=8.0), "'n_sp'"),
+            (lambda d: d.update(carrier_hz=None), "'carrier_hz'"),
+            (lambda d: d["bs"].pop("ura_rows"), "'bs.ura_rows'"),
+            (lambda d: d["bs"].update(position_m=[0.0, 10.0]), "'bs.position_m'"),
+            (lambda d: d.update(scatterers={}), "'scatterers'"),
+            (lambda d: d["scatterers"][1].pop("gain_im"), r"'scatterers\[1\].gain_im'"),
+            (lambda d: d["ues"][1].update(id="2"), r"'ues\[1\].id'"),
+            (lambda d: d["ues"][0].update(start_m="abc"), r"'ues\[0\].start_m'"),
+            (lambda d: d["ues"][0].update(los=1), r"'ues\[0\].los'"),
+            (lambda d: d.update(ues=[7]), "'ues'"),
+        ],
+    )
+    def test_missing_or_mistyped_field_is_named(self, micro_scene, edit, field):
+        doc = scene_to_dict(micro_scene)
+        edit(doc)
+        with pytest.raises(ValueError, match=field):
+            scene_from_dict(doc)
+
+    def test_must_be_an_object(self):
+        with pytest.raises(ValueError, match="object"):
+            scene_from_dict([1, 2])
+
     def test_packaged_scenes_load(self):
         from importlib import resources
 
@@ -264,25 +290,3 @@ class TestSceneFiles:
         assert scene.carrier_hz == 2.6e9
         assert scene.n_sub == 64 and scene.n_sp == 64
         assert scene.n_ant == 36
-
-
-class TestTensorFiles:
-    def test_complex_round_trip(self, micro_scene, tmp_path):
-        truth = synthesize(micro_scene, 1)
-        path = tmp_path / "h.bin"
-        save_tensor(path, truth.data)
-        back = load_tensor(path)
-        assert back.dtype == np.complex64
-        assert np.array_equal(back, truth.data.astype(np.complex64))
-
-    def test_real_round_trip(self, tmp_path):
-        arr = np.arange(12, dtype=np.float32).reshape(3, 4)
-        path = tmp_path / "r.bin"
-        save_tensor(path, arr)
-        assert np.array_equal(load_tensor(path), arr)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "x.bin"
-        path.write_bytes(b"JUNKxxxxxxxxxxxxxxx")
-        with pytest.raises(ValueError):
-            load_tensor(path)

@@ -1,11 +1,12 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from unn_csi import cli
 from unn_csi.channel import save_scene
-from unn_csi.codec import decode, load_report
+from unn_csi.codec import decode
 from unn_csi.decoder import save_spec
 
 from conftest import make_spec
@@ -84,6 +85,19 @@ class TestValidate:
         with pytest.raises(ValueError):
             cli.config_from_dict(dict(config, bogus=1))
 
+    @pytest.mark.parametrize("groups", [[{"spec": "desk-group"}], [5], [{"ues": []}]])
+    def test_malformed_group_entry_diagnosed(self, tiny_setup, groups):
+        _, config = tiny_setup
+        diags = cli.validate(cli.config_from_dict(dict(config, mode="group", groups=groups)))
+        assert any("groups[0]" in d.message and d.level == "error" for d in diags)
+
+    def test_group_ue_missing_from_scene_diagnosed(self):
+        config = cli.config_from_dict(
+            dict(cli._PROFILES["desk"], mode="group", groups=[{"ues": [2, 3, 99], "spec": "desk-group"}])
+        )
+        diags = cli.validate(config)
+        assert [d.message for d in diags if d.level == "error"] == ["groups[0] references unknown UEs [99]"]
+
     def test_builtin_profiles_validate(self):
         for profile in ("desk", "full"):
             config = cli.config_from_dict(json.loads(json.dumps(cli._PROFILES[profile])))
@@ -100,7 +114,7 @@ class TestRunSingle:
         rows = csv_lines(os.path.join(out, "results.csv"))
         assert rows[0] == "ue,snr_db,seed,status,nmse_db,meas_nmse_db,gain_db,final_mse,iterations"
         assert len(rows) == 2 and rows[1].split(",")[3] == "ok"
-        report = load_report(os.path.join(out, "reports", "ue1_snr10.0_seed0.csir"))
+        report = Path(out, "reports", "ue1_snr10.0_seed0.csir").read_bytes()
         spec, params, norms, scale = decode(report)
         assert len(norms) == 8
         trace = csv_lines(os.path.join(out, "fit_traces", "ue1_snr10.0_seed0.csv"))
@@ -162,7 +176,7 @@ class TestRunGroupMode:
         rows = csv_lines(os.path.join(config["out"], "results.csv"))
         assert rows[0] == "group,ue,snr_db,nmse_db,iterations,param_count,compression_ratio"
         assert len(rows) == 3
-        blob = load_report(os.path.join(config["out"], "reports", "group0.csir"))
+        blob = Path(config["out"], "reports", "group0.csir").read_bytes()
         _, _, norms, scales = decode(blob)
         assert norms.shape == (2, 8) and len(scales) == 2
 
@@ -215,13 +229,13 @@ class TestMain:
         assert code == 0
         assert (out / "results.csv").exists()
 
-    def test_worker_env_override(self, tiny_setup, monkeypatch):
+    def test_workers_flag_overrides_config(self, tiny_setup, tmp_path):
         _, config = tiny_setup
-        monkeypatch.setenv(cli.WORKER_ENV, "3")
-        assert cli.resolve_workers(cli.config_from_dict(config), flag=7) == 3
-        monkeypatch.delenv(cli.WORKER_ENV)
-        assert cli.resolve_workers(cli.config_from_dict(config), flag=7) == 7
-        assert cli.resolve_workers(cli.config_from_dict(config)) == 1
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(config, workers=2)))
+        out = tmp_path / "flag_out"
+        assert cli.main(["--config", str(cfg_path), "--out", str(out), "--workers", "1"]) == 0
+        assert json.loads((out / "summary.json").read_text())["workers"] == 1
 
     def test_workers_flag_parallel_run_matches_serial(self, tiny_setup, tmp_path):
         _, config = tiny_setup
@@ -232,6 +246,32 @@ class TestMain:
         a = open(os.path.join(serial["out"], "results.csv")).read()
         b = open(os.path.join(parallel["out"], "results.csv")).read()
         assert a == b
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c.update(fit={"iterations": 10, "bogus": 1}), "'bogus'"),
+            (lambda c: c.update(fit={"iterations": 0}), "iterations must be >= 1"),
+            (lambda c: c.update(fit={"iterations": 10, "betas": 0.9}), "bad fit settings in fit"),
+            (lambda c: c.update(mode="group", groups=[{"ues": [1, 2], "iterations": "x"}]), "in groups[0]"),
+            (lambda c: c.update(mode="group", groups=[{"ues": [1, 2, 99]}]), "groups[0] references"),
+            (lambda c: c.update(mode="group", groups=[{"spec": "desk-group"}]), "groups[0] needs"),
+            (lambda c: c.update(mode="group", groups=[5]), "groups[0] needs"),
+            (lambda c: c.update(workers=0), "workers must be"),
+            (lambda c: c.update(workers="2"), "workers must be"),
+            (lambda c: c.pop("fit"), "missing config fields: ['fit']"),
+            (lambda c: [c.pop(k) for k in ("scene", "ues")], "missing config fields: ['scene', 'ues']"),
+        ],
+    )
+    def test_malformed_config_exits_2_with_error_line(self, tiny_setup, tmp_path, capsys, edit, message):
+        _, config = tiny_setup
+        edit(config)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["--config", str(cfg_path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert any(message in line for line in errors)
+        assert not os.path.exists(config["out"])
 
 
 def _args():
@@ -296,7 +336,7 @@ def test_full_scale_single_row_and_payload(tmp_path):
     assert cli.run(config) == 0
     rows = open(tmp_path / "full_single" / "results.csv").read().strip().splitlines()
     assert len(rows) == 2
-    blob = load_report(tmp_path / "full_single" / "reports" / "ue1_snr20.0_seed0.csir")
+    blob = (tmp_path / "full_single" / "reports" / "ue1_snr20.0_seed0.csir").read_bytes()
     spec, params, norms, scale = decode(blob)
     assert blob[-4 * 25728 :] == blob[len(blob) - 102912 :]
     from unn_csi.codec import payload_bytes

@@ -5,16 +5,7 @@ import numpy as np
 import pytest
 
 from unn_csi.channel import add_noise, postprocess, preprocess, synthesize
-from unn_csi.codec import (
-    CodecError,
-    decode,
-    encode,
-    load_report,
-    payload_bytes,
-    recreate,
-    save_report,
-    weight_delta_stats,
-)
+from unn_csi.codec import CodecError, decode, encode, payload_bytes, recreate
 from unn_csi.decoder import forward, init_params, spec_to_json
 from unn_csi.fitting import FitConfig, fit
 from unn_csi.baselines import nmse
@@ -142,12 +133,6 @@ class TestDecode:
         with pytest.raises(CodecError, match=field):
             decode(bad)
 
-    def test_file_round_trip(self, small_spec, tmp_path):
-        blob = encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0)
-        path = tmp_path / "report.csir"
-        save_report(path, blob)
-        assert load_report(path) == blob
-
 
 class TestEndToEnd:
     def test_receiver_reproduces_transmitter_estimate(self, micro_scene, small_spec):
@@ -207,51 +192,6 @@ class TestRecreate:
         for est, member in zip(estimates, split_group(stacked)):
             expected = postprocess(member.data, member.snapshot_norms, member.scale)
             assert np.array_equal(est.data, expected.data)
-
-
-class TestDeltaStats:
-    def test_identical_reports_zero_delta(self, small_spec):
-        params = init_params(small_spec, 2)
-        blob = encode(small_spec, params, np.ones(4), 1.0)
-        stats = weight_delta_stats(blob, blob)
-        assert stats.mean_abs_delta == 0.0
-        assert stats.nonzero == 0
-        assert all(d == 0.0 for d in stats.per_layer)
-
-    def test_single_perturbed_weight_is_sparse(self, small_spec):
-        a = init_params(small_spec, 2)
-        b = a.copy()
-        b.kernels[0][0, 0] += 0.5
-        blob_a = encode(small_spec, a, np.ones(4), 1.0)
-        blob_b = encode(small_spec, b, np.ones(4), 1.0)
-        stats = weight_delta_stats(blob_a, blob_b)
-        assert stats.nonzero == 1
-        assert stats.per_layer[0] == pytest.approx(0.5, rel=1e-6)
-
-    def test_transfer_pair_has_smaller_delta_than_random_pair(self, micro_scene, small_spec):
-        truths = {u: synthesize(micro_scene, u) for u in (1, 2)}
-        targets = {u: preprocess(add_noise(truths[u], 20.0, 80 + u)) for u in (1, 2)}
-        cfg = FitConfig(iterations=300, learning_rate=2e-3, trace_every=100, init_seed=4)
-        base = fit(small_spec, None, targets[1], cfg)
-        tl = fit(small_spec, None, targets[2], cfg, init=base.params)
-        from dataclasses import replace
-
-        rnd = fit(small_spec, None, targets[2], replace(cfg, init_seed=901))
-        norms = targets[1].snapshot_norms
-        blob_base = encode(small_spec, base.params, norms, targets[1].scale)
-        blob_tl = encode(small_spec, tl.params, norms, targets[2].scale)
-        blob_rnd = encode(small_spec, rnd.params, norms, targets[2].scale)
-        assert (
-            weight_delta_stats(blob_base, blob_tl).mean_abs_delta
-            < weight_delta_stats(blob_base, blob_rnd).mean_abs_delta
-        )
-
-    def test_spec_mismatch_rejected(self, small_spec):
-        other = make_spec((2, 2), (8, 8, 8, 8, 4), 2, 1, ((True, True), (True, False)), seed=11, a=0.15)
-        blob_a = encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0)
-        blob_b = encode(other, init_params(other, 1), np.ones(4), 1.0)
-        with pytest.raises(CodecError):
-            weight_delta_stats(blob_a, blob_b)
 
 
 class TestGroupReports:

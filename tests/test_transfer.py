@@ -1,3 +1,6 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from unn_csi.transfer import (
     TransferStep,
     load_plan,
     plan_from_json,
-    plan_to_json,
     run_transfer,
     weight_distance,
 )
@@ -53,7 +55,28 @@ class TestPlanValidation:
 
     def test_json_round_trip(self):
         plan = TransferPlan(base=3, chain=(TransferStep(2, 3), TransferStep(4, None)))
-        assert plan_from_json(plan_to_json(plan)) == plan
+        doc = {"base": 3, "chain": [{"target": 2, "init_from": 3}, {"target": 4, "init_from": None}]}
+        assert plan_from_json(json.dumps(doc)) == plan
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"chain": []}, "'base'"),
+            ({"base": "3", "chain": []}, "'base'"),
+            ({"base": 3}, "'chain'"),
+            ({"base": 3, "chain": {"target": 2}}, "'chain'"),
+            ({"base": 3, "chain": [{"init_from": 3}]}, r"'chain\[0\].target'"),
+            ({"base": 3, "chain": [{"target": 2, "init_from": "3"}]}, r"'chain\[0\].init_from'"),
+            ([3], "object"),
+        ],
+    )
+    def test_missing_or_mistyped_field_is_named(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            plan_from_json(json.dumps(doc))
+
+    def test_omitted_init_from_is_random(self):
+        plan = plan_from_json('{"base": 3, "chain": [{"target": 2}]}')
+        assert plan.chain == (TransferStep(2, None),)
 
     def test_packaged_plans_load(self):
         from importlib import resources
@@ -128,7 +151,7 @@ class TestWeightDistance:
 
     def test_single_entry_perturbation(self, small_spec):
         a = init_params(small_spec, 3)
-        b = a.copy()
+        b = copy.deepcopy(a)
         b.kernels[1][0, 0] += 0.25
         d = weight_distance(a, b)
         assert d.total == pytest.approx(0.25, rel=1e-6)
@@ -143,7 +166,7 @@ class TestWeightDistance:
 
     def test_bn_parameters_excluded(self, small_spec):
         a = init_params(small_spec, 3)
-        b = a.copy()
+        b = copy.deepcopy(a)
         b.gammas[0][:] = 99.0
         assert weight_distance(a, b).total == 0.0
 
