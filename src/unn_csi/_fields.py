@@ -1,6 +1,8 @@
 """Typed field access for the JSON files the package reads: decoder specs,
 scenes and transfer plans. A missing or mistyped field raises ValueError
 naming the file kind and the field, never a bare KeyError or TypeError.
+The type checks also guard the fit settings and the lists of an experiment
+config.
 """
 
 

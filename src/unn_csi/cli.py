@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, codec, transfer as transfer_mod
+from ._fields import INT, NUMBER, list_of
 from .channel import Scene, add_noise, load_scene, preprocess, synthesize
 from .decoder import DecoderSpec, compression_ratio, load_spec, param_count, params_to_vector
 from .fitting import FitConfig, FitDivergedError, fit
@@ -111,9 +112,6 @@ class ExperimentConfig:
         kw = dict(self.fit)
         if iterations is not None:
             kw["iterations"] = iterations
-        kw.setdefault("iterations", 1)
-        if "betas" in kw:
-            kw["betas"] = tuple(kw["betas"])
         return FitConfig(**kw)
 
 
@@ -140,34 +138,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 # validation
 
 
-def _check_spec_against(scene: Scene, spec: DecoderSpec, diags: list, group_size: int | None = None):
-    want_spatial = (
-        (scene.n_sub, scene.n_sp) if group_size is None else (scene.n_sp, scene.n_sub, group_size)
-    )
-    names = ("N_sub", "N_sp") if group_size is None else ("N_sp", "N_sub", "M")
-    for ax, (target, name) in enumerate(zip(want_spatial, names)):
-        ups = sum(1 for row in spec.upsample_flags if ax < len(row) and row[ax])
-        factor = 2**ups
-        if target % factor != 0:
-            diags.append(Diagnostic("error", f"{name}={target} is not divisible by {factor}"))
-        elif ax < spec.n_spatial and spec.input_dims[ax] * factor != target:
-            diags.append(
-                Diagnostic(
-                    "error",
-                    f"seed extent {spec.input_dims[ax]} with {ups} upsamplings gives "
-                    f"{spec.input_dims[ax] * factor}, scene wants {name}={target}",
-                )
-            )
-    if spec.n_spatial != len(want_spatial):
+def _check_spec_against(scene: Scene, spec: DecoderSpec, name: str, diags: list, group_size=None):
+    """Error unless the decoder outputs the target the mode fits: (n_sub, n_sp,
+    2*n_ant) for one UE, (n_sp, n_sub, M, 2*n_ant) for a group of M UEs (the
+    layout of multiuser.build_group)."""
+    want = (scene.n_sub, scene.n_sp) if group_size is None else (scene.n_sp, scene.n_sub, group_size)
+    want += (2 * scene.n_ant,)
+    if spec.output_dims != want:
         diags.append(
-            Diagnostic(
-                "error",
-                f"decoder has {spec.n_spatial} spatial modes, experiment needs {len(want_spatial)}",
-            )
-        )
-    if spec.output_width != 2 * scene.n_ant:
-        diags.append(
-            Diagnostic("error", f"output width must be {2 * scene.n_ant}, spec has {spec.output_width}")
+            Diagnostic("error", f"decoder spec {name!r} outputs {spec.output_dims}, the target is {want}")
         )
     extent = prod(spec.output_dims)
     if param_count(spec) >= extent:
@@ -210,21 +189,23 @@ def validate(config: ExperimentConfig) -> list:
     if spec is None:
         return diags
 
-    if not config.snr_db:
-        diags.append(Diagnostic("error", "snr_db list is empty"))
-    if not config.seeds:
-        diags.append(Diagnostic("error", "seed list is empty"))
+    for name, item in (("snr_db", NUMBER), ("ues", INT), ("seeds", INT)):
+        try:
+            if not list_of(item)(getattr(config, name)):
+                raise ValueError("the list is empty")
+        except (TypeError, ValueError) as exc:
+            diags.append(Diagnostic("error", f"{name} must be a non-empty list: {exc}"))
     if not isinstance(config.workers, int) or isinstance(config.workers, bool) or config.workers < 1:
         diags.append(Diagnostic("error", f"workers must be an integer >= 1, got {config.workers!r}"))
     _check_fit(config, None, "fit", diags)
     if spec.seed_rule.half_range <= 0:
         diags.append(Diagnostic("error", "seed rule has zero half-range; the decoder input is all zeros"))
-    missing = [u for u in config.ues if u not in scene.ue_ids]
+    missing = [u for u in config.ues if u not in scene.ue_ids] if isinstance(config.ues, list) else []
     if missing:
         diags.append(Diagnostic("error", f"scene has no UEs {missing}"))
 
     if config.mode in ("single", "sweep", "codec", "transfer"):
-        _check_spec_against(scene, spec, diags)
+        _check_spec_against(scene, spec, config.decoder_spec, diags)
     if config.mode == "transfer":
         if not config.transfer_plan:
             diags.append(Diagnostic("error", "transfer mode needs a transfer_plan"))
@@ -248,7 +229,7 @@ def validate(config: ExperimentConfig) -> list:
             spec_name = entry.get("spec", config.decoder_spec)
             gspec = _load(load_spec, _BUILTIN_SPECS, spec_name, "group spec", diags)
             if gspec is not None:
-                _check_spec_against(scene, gspec, diags, group_size=len(ues))
+                _check_spec_against(scene, gspec, spec_name, diags, group_size=len(ues))
     return diags
 
 
@@ -396,7 +377,7 @@ def _mode_transfer(config: ExperimentConfig, scene, spec, out: Path) -> dict:
         for layer, d in enumerate(rnd.per_layer, start=1):
             dist_rows.append((layer, d, f"random:{step.init_from}->{step.target}"))
     _write_csv(out / "weight_distances.csv", ["layer", "distance", "init_kind"], dist_rows)
-    return {"ues": len(results), "chain": len(plan.chain)}
+    return {"chain": len(plan.chain)}
 
 
 def _mode_group(config: ExperimentConfig, scene, spec, out: Path) -> dict:
@@ -536,7 +517,10 @@ def build_config(args) -> ExperimentConfig:
         doc.update(json.loads(json.dumps(_PROFILES[args.profile])))
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            doc.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} holds a {type(loaded).__name__}, not a JSON object")
+        doc.update(loaded)
     if not doc:
         raise SystemExit("pass --profile desk|full and/or --config <path>")
     if args.mode:

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fields import INT, NUMBER
 from .decoder import (
     DecoderSpec,
     ParamSet,
@@ -62,6 +63,8 @@ __all__ = [
 ]
 
 DIVERGENCE_FACTOR = 1e6
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class FitDivergedError(RuntimeError):
@@ -72,17 +75,19 @@ class FitDivergedError(RuntimeError):
 class FitConfig:
     iterations: int
     learning_rate: float = 5e-3
-    betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
     trace_every: int = 100
     init_seed: int = 1
 
     def __post_init__(self):
+        for name, check in (
+            ("iterations", INT), ("learning_rate", NUMBER), ("trace_every", INT), ("init_seed", INT)
+        ):
+            try:
+                check(getattr(self, name))
+            except TypeError as exc:
+                raise TypeError(f"{name}: {exc}") from None
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        b1, b2 = self.betas
-        if not (0 <= b1 < 1 and 0 <= b2 < 1):
-            raise ValueError("Adam betas must lie in [0, 1)")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.trace_every < 1:
@@ -101,18 +106,20 @@ class FitReport:
         return self.trace[-1][0] if self.trace else 0
 
 
-def _target_data(target):
-    return getattr(target, "data", target)
+def _target(spec: DecoderSpec, target, dtype) -> np.ndarray:
+    """`target` (an array, or an object with a `.data` array) as a `dtype`
+    array; ValueError unless its shape is spec.output_dims."""
+    t = np.asarray(getattr(target, "data", target), dtype=dtype)
+    if t.shape != spec.output_dims:
+        raise ValueError(f"target {t.shape} does not match decoder output {spec.output_dims}")
+    return t
 
 
 def loss(spec: DecoderSpec, params: ParamSet, z0, target, dtype=np.float32) -> float:
     """Mean over all entries of the squared difference between the decoder
     output and the target tensor."""
-    t = np.asarray(_target_data(target), dtype=dtype)
-    y = forward(spec, params, z0, dtype=dtype)
-    if y.shape != t.shape:
-        raise ValueError(f"decoder output {y.shape} does not match target {t.shape}")
-    d = y - t
+    t = _target(spec, target, dtype)
+    d = forward(spec, params, z0, dtype=dtype) - t
     return float(np.mean(d * d, dtype=np.float64))
 
 
@@ -170,8 +177,8 @@ def gradient(spec: DecoderSpec, params: ParamSet, z0, target, dtype=np.float64) 
     """Exact reverse-mode derivative of :func:`loss` with respect to every
     kernel entry and every batch-norm gamma/beta. Defaults to float64 so it
     can be checked against finite differences."""
+    t = _target(spec, target, dtype)
     check_params(spec, params)
-    t = np.asarray(_target_data(target), dtype=dtype)
     grads = param_views(spec, np.empty(param_count(spec), dtype=dtype))
     _loss_and_grad(spec, params, z0, t, dtype, upsample_schedule(spec), grads)
     return grads
@@ -183,18 +190,19 @@ def fit(
     target,
     config: FitConfig,
     init: ParamSet | None = None,
-    dtype=np.float32,
 ) -> FitReport:
-    """Run exactly `config.iterations` Adam steps and return the fitted
-    parameters plus the loss trace.
+    """Run exactly `config.iterations` float32 Adam steps and return the
+    fitted parameters plus the loss trace.
 
     `z0=None` regenerates the seed tensor from spec.seed_rule; `init=None`
     draws the starting parameters from config.init_seed. Deterministic given
-    both seeds. Raises FitDivergedError if the loss turns non-finite or
-    exceeds 1e6 times its initial value.
+    both seeds. Raises ValueError before the first step unless the target's
+    shape is spec.output_dims, and FitDivergedError if the loss turns
+    non-finite or exceeds 1e6 times its initial value.
     """
     start = time.perf_counter()
-    t = np.asarray(_target_data(target), dtype=dtype)
+    dtype = np.float32
+    t = _target(spec, target, dtype)
     if z0 is None:
         z0 = generate_seed(spec.seed_rule, spec.seed_dims)
     z0 = np.ascontiguousarray(z0, dtype=dtype)
@@ -210,8 +218,8 @@ def fit(
     grads = param_views(spec, grad)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    b1, b2 = config.betas
-    lr, eps = config.learning_rate, config.adam_eps
+    b1, b2 = ADAM_BETAS
+    lr = config.learning_rate
 
     trace = []
     initial = None
@@ -230,7 +238,7 @@ def fit(
         m += (1.0 - b1) * grad
         v *= b2
         v += (1.0 - b2) * (grad * grad)
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     final = loss(spec, params, z0, t, dtype=dtype)
     if not np.isfinite(final):

@@ -74,14 +74,9 @@ def fit_group(
     """Joint Adam fit of all group members through shared parameters.
 
     Returns (FitReport, {ue_id: nmse_db}); NMSE entries appear only for UEs
-    with a ground-truth tensor in `truths`.
+    with a ground-truth tensor in `truths`. Raises ValueError, through
+    :func:`fit`, unless spec4.output_dims is the group tensor's shape.
     """
-    if spec4.n_spatial != 3:
-        raise ValueError("group fitting needs a 4-way decoder spec (3 spatial modes)")
-    if spec4.output_dims[:-1] != group.data.shape[:-1] or spec4.output_width != group.data.shape[-1]:
-        raise ValueError(
-            f"spec output {spec4.output_dims} does not match group tensor {group.data.shape}"
-        )
     report = fit(spec4, z0, group.data, config)
     errors = {}
     if truths:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,13 @@ def micro_scene():
         n_sp=8,
         snapshot_dt_s=0.05,
     )
+
+
+@pytest.fixture
+def rect_scene(micro_scene):
+    """micro_scene with 8 subcarriers but 4 snapshots: the one-UE layout
+    (n_sub, n_sp) and the group layout (n_sp, n_sub, M) differ only here."""
+    return dataclasses.replace(micro_scene, n_sp=4)
 
 
 def gradcheck_point(spec, seed, gap=0.5):

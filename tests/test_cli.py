@@ -33,6 +33,12 @@ def tiny_setup(tmp_path, micro_scene):
     return tmp_path, config
 
 
+def shape_errors(diags) -> list:
+    """The "<output dims>, the target is <target dims>" tail of every shape
+    error diagnostic."""
+    return [d.message.split(" outputs ")[1] for d in diags if d.level == "error" and " outputs " in d.message]
+
+
 def csv_lines(path) -> list:
     """A CSV artifact's lines, read without newline translation. Every CSV
     has LF line endings and plain float reprs (docs/artifacts.md)."""
@@ -57,7 +63,7 @@ class TestValidate:
         save_spec(bad, bad_path)
         config = dict(config, decoder_spec=str(bad_path))
         diags = cli.validate(cli.config_from_dict(config))
-        assert any("divisible by 16" in d.message for d in diags)
+        assert shape_errors(diags) == ["(32, 32, 4), the target is (8, 8, 4)"]
 
     def test_output_width_diagnostic(self, tiny_setup, tmp_path):
         _, config = tiny_setup
@@ -66,7 +72,7 @@ class TestValidate:
         save_spec(wrong, path)
         config = dict(config, decoder_spec=str(path))
         diags = cli.validate(cli.config_from_dict(config))
-        assert any("output width must be 4" in d.message for d in diags)
+        assert shape_errors(diags) == ["(8, 8, 6), the target is (8, 8, 4)"]
 
     def test_empty_snr_list(self, tiny_setup):
         _, config = tiny_setup
@@ -103,6 +109,41 @@ class TestValidate:
             config = cli.config_from_dict(json.loads(json.dumps(cli._PROFILES[profile])))
             diags = cli.validate(config)
             assert not [d for d in diags if d.level == "error"], profile
+
+
+@pytest.mark.parametrize(
+    "mode, input_dims, fits",
+    [
+        ("single", (2, 1), True),  # outputs (n_sub, n_sp) = (8, 4)
+        ("single", (1, 2), False),
+        ("group", (1, 2, 2), True),  # outputs (n_sp, n_sub, M) = (4, 8, 2)
+        ("group", (2, 1, 2), False),
+    ],
+)
+def test_non_square_scene_layouts(tmp_path, rect_scene, mode, input_dims, fits):
+    scene_path = tmp_path / "rect.json"
+    save_scene(rect_scene, scene_path)
+    flags = ((True, True, False)[: len(input_dims)],) * 2
+    spec_path = tmp_path / "spec.json"
+    save_spec(make_spec(input_dims, (8, 8, 8, 8, 4), 2, 1, flags, seed=11, a=0.15), spec_path)
+    config = cli.config_from_dict(
+        {
+            "scene": str(scene_path),
+            "decoder_spec": str(spec_path),
+            "fit": {"iterations": 5, "learning_rate": 2e-3, "trace_every": 5, "init_seed": 1},
+            "snr_db": [10.0],
+            "ues": [1],
+            "mode": mode,
+            "groups": [{"ues": [1, 2]}],
+            "out": str(tmp_path / "out"),
+        }
+    )
+    want = (8, 4, 4) if mode == "single" else (4, 8, 2, 4)
+    errors = shape_errors(cli.validate(config))
+    swapped = (want[1], want[0]) + want[2:]
+    assert errors == ([] if fits else [f"{swapped}, the target is {want}"])
+    # an accepted layout is the one the mode fits
+    assert cli.run(config) == (0 if fits else 2)
 
 
 class TestRunSingle:
@@ -156,6 +197,8 @@ class TestRunTransferMode:
         rows = csv_lines(os.path.join(config["out"], "results.csv"))
         kinds = [r.split(",")[2] for r in rows[1:]]
         assert kinds.count("transfer") == 1 and kinds.count("random") == 2
+        summary = json.loads(Path(config["out"], "summary.json").read_text())
+        assert summary["ues"] == config["ues"] and summary["chain"] == 1
 
 
 class TestRunGroupMode:
@@ -253,6 +296,17 @@ class TestMain:
             (lambda c: c.update(fit={"iterations": 10, "bogus": 1}), "'bogus'"),
             (lambda c: c.update(fit={"iterations": 0}), "iterations must be >= 1"),
             (lambda c: c.update(fit={"iterations": 10, "betas": 0.9}), "bad fit settings in fit"),
+            (lambda c: c.update(fit={"learning_rate": 2e-3}), "'iterations'"),
+            (lambda c: c["fit"].update(iterations=2.5), "iterations: expected int, got float"),
+            (lambda c: c["fit"].update(trace_every="40"), "trace_every: expected int, got str"),
+            (lambda c: c["fit"].update(init_seed=True), "init_seed: expected int, got bool"),
+            (lambda c: c["fit"].update(learning_rate="2e-3"), "learning_rate: expected int or float"),
+            (lambda c: c.update(mode="group", groups=[{"ues": [1, 2], "iterations": 2.5}]), "in groups[0]"),
+            (lambda c: c.update(snr_db=5), "snr_db must be a non-empty list: expected list, got int"),
+            (lambda c: c.update(snr_db=[10.0, "20"]), "snr_db must be a non-empty list: expected int or float"),
+            (lambda c: c.update(ues=[1.0]), "ues must be a non-empty list: expected int, got float"),
+            (lambda c: c.update(mode="codec", ues=[]), "ues must be a non-empty list: the list is empty"),
+            (lambda c: c.update(seeds="0"), "seeds must be a non-empty list: expected list, got str"),
             (lambda c: c.update(mode="group", groups=[{"ues": [1, 2], "iterations": "x"}]), "in groups[0]"),
             (lambda c: c.update(mode="group", groups=[{"ues": [1, 2, 99]}]), "groups[0] references"),
             (lambda c: c.update(mode="group", groups=[{"spec": "desk-group"}]), "groups[0] needs"),
@@ -272,6 +326,14 @@ class TestMain:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert any(message in line for line in errors)
         assert not os.path.exists(config["out"])
+
+    def test_non_object_config_file_exits_2_with_error_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[1, 2]")
+        out = tmp_path / "out"
+        assert cli.main(["--profile", "desk", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"error: config file {cfg_path} holds a list, not a JSON object" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _args():
@@ -298,7 +360,7 @@ def test_full_scale_output_width_diagnostic(tmp_path):
         }
     )
     diags = cli.validate(config)
-    assert any("output width must be 72" in d.message for d in diags)
+    assert shape_errors(diags) == ["(64, 64, 71), the target is (64, 64, 72)"]
 
 
 def test_diverged_cell_is_recorded_and_run_continues(tiny_setup, tmp_path):

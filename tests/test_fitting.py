@@ -82,6 +82,12 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss(tiny_spec, init_params(tiny_spec, 1), None, np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("fn", [loss, gradient])
+    def test_shape_checked_before_forward(self, tiny_spec, fn):
+        # no parameters: a forward pass would fail with another error
+        with pytest.raises(ValueError, match=r"target \(2, 2, 2\) does not match decoder output \(8, 12, 2\)"):
+            fn(tiny_spec, None, None, np.zeros((2, 2, 2)))
+
 
 class TestGradient:
     def test_zero_gradient_at_optimum(self, tiny_spec):
@@ -202,9 +208,33 @@ class TestFit:
         with pytest.raises(ValueError):
             FitConfig(iterations=0)
         with pytest.raises(ValueError):
-            FitConfig(iterations=1, betas=(1.0, 0.999))
-        with pytest.raises(ValueError):
             FitConfig(iterations=1, learning_rate=0.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("iterations", 2.5), ("iterations", True), ("trace_every", "10"), ("init_seed", 1.0),
+         ("learning_rate", "2e-3")],
+    )
+    def test_config_field_types(self, name, value):
+        with pytest.raises(TypeError, match=f"^{name}: expected"):
+            FitConfig(**{"iterations": 10, name: value})
+
+    @pytest.mark.parametrize("shape", [(16, 16, 1), (16, 16, 4), (8, 16, 8)])
+    def test_target_shape_checked_before_first_step(self, shape):
+        # with 10**9 iterations the test only returns if no step runs
+        spec = load_spec(str(resources.files("unn_csi").joinpath("specs/single_ue_desk.json")))
+        with pytest.raises(ValueError) as err:
+            fit(spec, None, np.zeros(shape, np.float32), FitConfig(iterations=10**9))
+        assert str(err.value) == f"target {shape} does not match decoder output (16, 16, 8)"
+
+    def test_swapped_target_rejected(self, rect_scene):
+        from unn_csi.channel import preprocess, synthesize
+
+        target = preprocess(synthesize(rect_scene, 1))
+        assert target.data.shape == (8, 4, 4)
+        spec = make_spec((1, 2), (3, 4, 4, 4, 4), 2, 1, ((True, True),) * 2)
+        with pytest.raises(ValueError, match=r"target \(8, 4, 4\) does not match decoder output \(4, 8, 4\)"):
+            fit(spec, None, target, FitConfig(iterations=10**9))
 
 
 @pytest.mark.slow
