@@ -116,7 +116,10 @@ class ExperimentConfig:
 
 
 def _data_path(mapping: dict, name: str) -> str:
-    """Resolve a builtin data name or pass a filesystem path through."""
+    """Resolve a builtin data name or pass a filesystem path through;
+    ValueError unless `name` is a string."""
+    if not isinstance(name, str):
+        raise ValueError(f"a data name must be a string, got {name!r}")
     if name in mapping:
         return str(resources.files("unn_csi").joinpath(mapping[name]))
     return name
@@ -215,9 +218,10 @@ def validate(config: ExperimentConfig) -> list:
             if absent:
                 diags.append(Diagnostic("error", f"transfer plan references unknown UEs {absent}"))
     if config.mode == "group":
-        if not config.groups:
+        groups = config.groups if isinstance(config.groups, list) else []
+        if not groups:
             diags.append(Diagnostic("error", "group mode needs a non-empty groups list"))
-        for gi, entry in enumerate(config.groups):
+        for gi, entry in enumerate(groups):
             ues = entry.get("ues") if isinstance(entry, dict) else None
             if not isinstance(ues, list) or not ues:
                 diags.append(Diagnostic("error", f'groups[{gi}] needs a non-empty "ues" list'))

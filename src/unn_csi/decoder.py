@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from math import prod, sqrt
 
 import numpy as np
@@ -283,7 +284,7 @@ _UPSAMPLER_CACHE: dict = {}
 
 
 def _upsampler(n: int, dtype) -> np.ndarray:
-    key = (n, np.dtype(dtype).name)
+    key = (n, dtype)
     op = _UPSAMPLER_CACHE.get(key)
     if op is None:
         op = make_upsampler(n).astype(dtype)
@@ -305,6 +306,70 @@ def upsample_schedule(spec: DecoderSpec) -> list:
     return schedule
 
 
+def _seed(spec: DecoderSpec, z0, dtype) -> np.ndarray:
+    """`z0` (regenerated from spec.seed_rule when None) as a contiguous
+    `dtype` array; ValueError unless its shape is spec.seed_dims."""
+    if z0 is None:
+        z0 = generate_seed(spec.seed_rule, spec.seed_dims)
+    x = np.ascontiguousarray(z0, dtype=dtype)
+    if x.shape != spec.seed_dims:
+        raise ValueError(f"seed tensor has shape {x.shape}, spec wants {spec.seed_dims}")
+    return x
+
+
+class _Workspace:
+    """The arrays the forward and reverse passes of one fit write into, made
+    once so that no iteration allocates, and at full scale faults in, its
+    working set.
+
+    fwd[l]  what layer l writes, in order: the kernel product and each
+            upsampling, the last of which is the ReLU input u, then the
+            ReLU output r; the output layer's TanH overwrites its product
+    rev     what the reverse pass writes, in order: the output gradient,
+            then per layer, last to first, each transposed upsampling and
+            g W_f^T
+
+    Only u and r, the forward cache, get arrays of their own. Every other
+    step writes into one of two flat scratch vectors the size of the largest
+    activation, taking turns so that no step reads the vector it writes.
+    """
+
+    def __init__(self, spec: DecoderSpec, dtype):
+        self.schedule = schedule = upsample_schedule(spec)
+        steps = []  # per layer, the tensor shape of each result before the ReLU
+        dims = list(spec.input_dims)
+        for l in range(spec.n_layers):
+            k = spec.widths[l + 1]
+            shapes = [tuple(dims) + (k,)]
+            for ax, _ in schedule[l] if l < spec.inner_count else ():
+                dims[ax] *= 2
+                shapes.append(tuple(dims) + (k,))
+            steps.append(shapes)
+        size = max(prod(s) for shapes in steps for s in shapes)
+        scratch = (np.empty(size, dtype), np.empty(size, dtype))
+
+        def alternate(shapes, first):
+            """Views of `shapes`, taking turns between the scratch vectors."""
+            return [scratch[(first + i) % 2][: prod(s)].reshape(s) for i, s in enumerate(shapes)]
+
+        self.fwd = []
+        for l, shapes in enumerate(steps):
+            outs = alternate(shapes, 0)
+            if l == spec.n_layers - 1:
+                outs.append(outs[-1])
+            else:
+                outs[-1:] = [np.empty(shapes[-1], dtype), np.empty(shapes[-1], dtype)]
+            outs[0] = outs[0].reshape(-1, shapes[0][-1])
+            self.fwd.append(outs)
+
+        order = [steps[-1][-1]]  # the output gradient, in the vector the TanH output is not in
+        for l in reversed(range(spec.n_layers)):
+            order += reversed(steps[l][:-1])
+            if l > 0:
+                order.append((prod(steps[l][0][:-1]), spec.widths[l]))
+        self.rev = alternate(order, 1)
+
+
 def forward(spec: DecoderSpec, params: ParamSet, z0=None, dtype=np.float32, return_cache=False):
     """Run the decoder; returns the output tensor of extents spec.output_dims.
 
@@ -321,39 +386,46 @@ def forward(spec: DecoderSpec, params: ParamSet, z0=None, dtype=np.float32, retu
     y     the TanH output (the last layer, kind "out")
     """
     check_params(spec, params)
-    if z0 is None:
-        z0 = generate_seed(spec.seed_rule, spec.seed_dims)
-    x = np.ascontiguousarray(z0, dtype=dtype)
-    if x.shape != spec.seed_dims:
-        raise ValueError(f"seed tensor has shape {x.shape}, spec wants {spec.seed_dims}")
-
-    schedule = upsample_schedule(spec)
-    L = spec.n_layers
+    x = _seed(spec, z0, dtype)
     cache = [] if return_cache else None
+    y = _forward(spec, params, x, cache)
+    if return_cache:
+        return y, cache
+    return y
+
+
+def _forward(spec: DecoderSpec, params: ParamSet, x: np.ndarray, cache=None, ws=None) -> np.ndarray:
+    """The layers of :func:`forward` on a checked seed tensor `x`, in its
+    dtype. Appends each layer's intermediates to `cache` unless it is None.
+    Each large intermediate is written into the arrays of the workspace `ws`,
+    or allocated when there is none."""
+    dtype = x.dtype
+    schedule = upsample_schedule(spec) if ws is None else ws.schedule
+    L = spec.n_layers
     for l in range(L):
+        outs = iter(ws.fwd[l]) if ws is not None else repeat(None)
         w = np.asarray(params.kernels[l], dtype=dtype)
         if l > 0:  # fold the previous layer's batch norm into this kernel
             gamma = np.asarray(params.gammas[l - 1], dtype=dtype)
             bias = np.asarray(params.betas[l - 1], dtype=dtype) @ w
             w = (gamma * inv)[:, None] * w
-        v = x.reshape(-1, x.shape[-1]) @ w
+        v = np.matmul(x.reshape(-1, x.shape[-1]), w, out=next(outs))
         if l > 0:
             v += bias
         u = v.reshape(x.shape[:-1] + (w.shape[1],))
         if l < spec.inner_count:
             for ax, n in schedule[l]:
-                u = mode_product(u, _upsampler(n, dtype), ax)
+                u = mode_product(u, _upsampler(n, dtype), ax, out=next(outs))
         if l == L - 1:
-            y = np.tanh(u)
+            y = np.tanh(u, out=next(outs))
             if cache is not None:
                 cache.append({"kind": "out", "z_in": x, "w": w, "y": y})
         else:
-            d, inv = _centre(np.maximum(u, 0).reshape(-1, u.shape[-1]))
+            r = np.maximum(u, 0, out=next(outs))
+            d, inv = _centre(r.reshape(-1, u.shape[-1]))
             if cache is not None:
                 cache.append({"kind": "bn", "z_in": x, "w": w, "u": u, "inv": inv})
             x = d.reshape(u.shape)
-    if return_cache:
-        return y, cache
     return y
 
 

@@ -28,6 +28,17 @@ no gradient with respect to it are ever built.
 ``fit`` keeps every parameter, gradient and Adam moment in one contiguous
 vector; the per-layer arrays are views into it, so an Adam step is a handful
 of vector operations.
+
+``fit`` also allocates the arrays of its forward and reverse passes once and
+reuses them in every iteration, its final loss included. This workspace
+holds the forward cache (each batch-norm layer's ReLU input and output) and
+two flat scratch vectors, each the size of the largest activation, which
+every other intermediate takes turns writing into. So it costs the forward
+cache plus two activations: 6.9 MB for ``single_ue_full`` and 20.7 MB for
+``group_full_a`` in float32. Once it is built, an iteration allocates
+nothing of activation size, and at full scale no longer faults its working
+set back in every step. ``gradient`` builds a workspace per call; ``loss``
+and :func:`unn_csi.decoder.forward` allocate each intermediate, as before.
 """
 
 from __future__ import annotations
@@ -41,15 +52,16 @@ from ._fields import INT, NUMBER
 from .decoder import (
     DecoderSpec,
     ParamSet,
+    _forward,
+    _seed,
     _upsampler,
+    _Workspace,
     check_params,
     forward,
-    generate_seed,
     init_params,
     param_count,
     param_views,
     params_to_vector,
-    upsample_schedule,
 )
 from .tensors import mode_product
 
@@ -115,34 +127,45 @@ def _target(spec: DecoderSpec, target, dtype) -> np.ndarray:
     return t
 
 
+def _mse(y, t, out=None) -> float:
+    """Mean of the squared difference y - t, accumulated in float64; the
+    difference is written into `out` when given."""
+    d = np.subtract(y, t, out=out)
+    d *= d
+    return float(np.mean(d, dtype=np.float64))
+
+
 def loss(spec: DecoderSpec, params: ParamSet, z0, target, dtype=np.float32) -> float:
     """Mean over all entries of the squared difference between the decoder
     output and the target tensor."""
     t = _target(spec, target, dtype)
-    d = forward(spec, params, z0, dtype=dtype) - t
-    return float(np.mean(d * d, dtype=np.float64))
+    return _mse(forward(spec, params, z0, dtype=dtype), t)
 
 
-def _loss_and_grad(spec, params, z0, t, dtype, schedule, grads):
+def _loss_and_grad(spec, params, z0, t, grads, ws):
     """MSE at `params`; writes its gradient into the arrays of `grads`.
 
-    The forward cache is private to this call, so each cached array is
-    overwritten once the reverse pass is done with it instead of
-    allocating a fresh one.
+    `z0` is a checked seed tensor of t's dtype, and `ws` a workspace of
+    the same dtype. The forward and reverse passes write every large
+    intermediate into the arrays of `ws`, and each cached array is
+    overwritten once the reverse pass is done with it.
     """
-    y, cache = forward(spec, params, z0, dtype=dtype, return_cache=True)
-    g = y - t
+    cache = []
+    y = _forward(spec, params, z0, cache, ws)
+    outs = iter(ws.rev)
+    g = np.subtract(y, t, out=next(outs))
     mse = float(np.vdot(g, g)) / g.size
     y *= y
     np.subtract(1.0, y, out=y)
     g *= y
     g *= 2.0 / g.size
 
+    dtype = t.dtype
     for l in reversed(range(spec.n_layers)):
         c = cache[l]
         if l < spec.inner_count:
-            for ax, n in reversed(schedule[l]):
-                g = mode_product(g, _upsampler(n, dtype).T, ax)
+            for ax, n in reversed(ws.schedule[l]):
+                g = mode_product(g, _upsampler(n, dtype).T, ax, out=next(outs))
         x = c["z_in"].reshape(-1, c["z_in"].shape[-1])
         g = g.reshape(-1, g.shape[-1])
         if l == 0:
@@ -163,7 +186,7 @@ def _loss_and_grad(spec, params, z0, t, dtype, schedule, grads):
         grads.betas[l - 1][...] = g_beta
         grads.gammas[l - 1][...] = g_gamma
         n = x.shape[0]
-        g = g @ c["w"].T
+        g = np.matmul(g, c["w"].T, out=next(outs))
         x *= a * inv * g_gamma / n
         x += a * g_beta / n
         g -= x
@@ -180,7 +203,7 @@ def gradient(spec: DecoderSpec, params: ParamSet, z0, target, dtype=np.float64) 
     t = _target(spec, target, dtype)
     check_params(spec, params)
     grads = param_views(spec, np.empty(param_count(spec), dtype=dtype))
-    _loss_and_grad(spec, params, z0, t, dtype, upsample_schedule(spec), grads)
+    _loss_and_grad(spec, params, _seed(spec, z0, dtype), t, grads, _Workspace(spec, dtype))
     return grads
 
 
@@ -197,20 +220,18 @@ def fit(
     `z0=None` regenerates the seed tensor from spec.seed_rule; `init=None`
     draws the starting parameters from config.init_seed. Deterministic given
     both seeds. Raises ValueError before the first step unless the target's
-    shape is spec.output_dims, and FitDivergedError if the loss turns
-    non-finite or exceeds 1e6 times its initial value.
+    shape is spec.output_dims and the seed tensor's is spec.seed_dims, and
+    FitDivergedError if the loss turns non-finite or exceeds 1e6 times its
+    initial value.
     """
     start = time.perf_counter()
     dtype = np.float32
     t = _target(spec, target, dtype)
-    if z0 is None:
-        z0 = generate_seed(spec.seed_rule, spec.seed_dims)
-    z0 = np.ascontiguousarray(z0, dtype=dtype)
-
+    z0 = _seed(spec, z0, dtype)
     if init is None:
         init = init_params(spec, config.init_seed, dtype)
     check_params(spec, init)
-    schedule = upsample_schedule(spec)
+    ws = _Workspace(spec, dtype)
 
     theta = params_to_vector(init).astype(dtype)
     params = param_views(spec, theta)
@@ -224,7 +245,7 @@ def fit(
     trace = []
     initial = None
     for it in range(config.iterations):
-        mse = _loss_and_grad(spec, params, z0, t, dtype, schedule, grads)
+        mse = _loss_and_grad(spec, params, z0, t, grads, ws)
         if initial is None:
             initial = mse
         if not np.isfinite(mse) or mse > DIVERGENCE_FACTOR * max(initial, np.finfo(np.float32).tiny):
@@ -240,7 +261,7 @@ def fit(
         v += (1.0 - b2) * (grad * grad)
         theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
-    final = loss(spec, params, z0, t, dtype=dtype)
+    final = _mse(_forward(spec, params, z0, ws=ws), t, ws.rev[0])
     if not np.isfinite(final):
         raise FitDivergedError(f"final loss {final} after {config.iterations} iterations")
     trace.append((config.iterations, final))

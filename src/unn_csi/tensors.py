@@ -8,6 +8,8 @@ modes are 0-indexed axes.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 __all__ = ["unfold", "fold", "mode_product", "make_upsampler"]
@@ -48,12 +50,14 @@ def fold(matrix: np.ndarray, mode: int, shape) -> np.ndarray:
     return np.transpose(permuted, np.argsort(order))
 
 
-def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
+def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int, out=None) -> np.ndarray:
     """Mode-`mode` product: multiply `matrix` onto every mode-`mode` fiber.
 
     `matrix` has shape ``(J, M_mode)``; the result replaces extent ``M_mode``
     by ``J``. Equivalent to ``fold(matrix @ unfold(tensor, mode), mode, ...)``.
-    The result is C-contiguous.
+    The result is C-contiguous. `out`, if given, is a C-contiguous array with
+    as many entries as the result; the product is written into it, and the
+    returned array is a view of it in the result's shape.
     """
     a = np.asarray(tensor)
     u = np.asarray(matrix)
@@ -67,8 +71,10 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
         )
     # on a (pre, n, post) view one batched matmul puts the new extent where
     # the old one was, so the result is C-contiguous without an axis move
-    pre = int(np.prod(a.shape[:mode]))
-    out = np.matmul(u, a.reshape(pre, a.shape[mode], -1))
+    pre = prod(a.shape[:mode])
+    if out is not None:
+        out = out.reshape(pre, u.shape[0], -1)
+    out = np.matmul(u, a.reshape(pre, a.shape[mode], -1), out=out)
     return out.reshape(a.shape[:mode] + (u.shape[0],) + a.shape[mode + 1 :])
 
 

@@ -311,6 +311,16 @@ class TestMain:
             (lambda c: c.update(mode="group", groups=[{"ues": [1, 2, 99]}]), "groups[0] references"),
             (lambda c: c.update(mode="group", groups=[{"spec": "desk-group"}]), "groups[0] needs"),
             (lambda c: c.update(mode="group", groups=[5]), "groups[0] needs"),
+            (lambda c: c.update(mode="group", groups=5), "group mode needs a non-empty groups list"),
+            (lambda c: c.update(mode="group", groups={"ues": [1, 2]}), "group mode needs a non-empty groups list"),
+            # an integer name must never reach open(), which takes it for a file descriptor
+            (lambda c: c.update(mode="transfer", transfer_plan=5), "cannot load transfer plan 5: a data name must"),
+            (
+                lambda c: c.update(mode="group", groups=[{"ues": [1, 2], "spec": 5}]),
+                "cannot load group spec 5: a data name must",
+            ),
+            (lambda c: c.update(scene=5), "cannot load scene 5: a data name must"),
+            (lambda c: c.update(decoder_spec=[1]), "cannot load decoder spec [1]: a data name must"),
             (lambda c: c.update(workers=0), "workers must be"),
             (lambda c: c.update(workers="2"), "workers must be"),
             (lambda c: c.pop("fit"), "missing config fields: ['fit']"),

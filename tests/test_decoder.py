@@ -192,6 +192,19 @@ class TestForward:
         b = forward(tiny_spec, params)
         assert np.array_equal(a, b)
 
+    def test_cache_arrays_are_fresh_per_call(self, tiny_spec):
+        # without a workspace every call allocates its own output and activations
+        params = init_params(tiny_spec, 5)
+
+        def activations():
+            y, cache = forward(tiny_spec, params, return_cache=True)
+            return [y] + [c["u"] for c in cache[:-1]] + [c["z_in"] for c in cache[1:]]
+
+        first, second = activations(), activations()
+        for a in first:
+            for b in second:
+                assert not np.shares_memory(a, b)
+
     def test_rejects_mismatched_params(self, tiny_spec):
         other = make_spec((2, 3), (3, 5, 5, 5, 2), 2, 1, ((True, True), (True, True)))
         with pytest.raises(ValueError):

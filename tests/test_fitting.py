@@ -1,12 +1,24 @@
+import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from unn_csi.decoder import forward, generate_seed, init_params, load_spec
+from unn_csi.decoder import (
+    _seed,
+    _Workspace,
+    forward,
+    generate_seed,
+    init_params,
+    load_spec,
+    param_count,
+    param_views,
+    params_to_vector,
+)
 from unn_csi.fitting import (
     FitConfig,
     FitDivergedError,
+    _loss_and_grad,
     fit,
     gradient,
     loss,
@@ -235,6 +247,67 @@ class TestFit:
         spec = make_spec((1, 2), (3, 4, 4, 4, 4), 2, 1, ((True, True),) * 2)
         with pytest.raises(ValueError, match=r"target \(8, 4, 4\) does not match decoder output \(4, 8, 4\)"):
             fit(spec, None, target, FitConfig(iterations=10**9))
+
+
+class TestWorkspace:
+    """A fit writes every large intermediate into one workspace; reusing it
+    must not change a single bit."""
+
+    @pytest.mark.parametrize("name", sorted(GRADCHECK_CONFIGS))
+    def test_reused_workspace_repeats_the_gradient(self, name):
+        # the reverse pass overwrites the cache with the ReLU mask and the
+        # batch-norm correction; the next pass must not see either
+        spec = GRADCHECK_CONFIGS[name]
+        params = init_params(spec, 3, dtype=np.float64)
+        z0 = _seed(spec, None, np.float64)
+        target = np.random.default_rng(78).uniform(-0.8, 0.8, spec.output_dims)
+        want = params_to_vector(gradient(spec, params, z0, target))
+        ws = _Workspace(spec, np.float64)
+        for _ in range(3):
+            grads = param_views(spec, np.full(param_count(spec), np.nan))
+            _loss_and_grad(spec, params, z0, target, grads, ws)
+            assert np.array_equal(params_to_vector(grads), want)
+
+    def test_interleaved_fits_match_fits_alone(self, tiny_spec):
+        other = GRADCHECK_CONFIGS["4way-all-on"]
+        rng = np.random.default_rng(10)
+        t_tiny = rng.uniform(-0.5, 0.5, tiny_spec.output_dims).astype(np.float32)
+        t_other = rng.uniform(-0.5, 0.5, other.output_dims).astype(np.float32)
+        cfg = FitConfig(iterations=40, learning_rate=5e-3, trace_every=10, init_seed=2)
+
+        def fingerprint(report):
+            return params_to_vector(report.params).tobytes(), report.trace
+
+        alone_tiny = fingerprint(fit(tiny_spec, None, t_tiny, cfg))
+        alone_other = fingerprint(fit(other, None, t_other, cfg))
+        first = fingerprint(fit(other, None, t_other, cfg))
+        forward(tiny_spec, init_params(tiny_spec, 4))
+        second = fingerprint(fit(tiny_spec, None, t_tiny, cfg))
+        forward(other, init_params(other, 4))
+        third = fingerprint(fit(other, None, t_other, cfg))
+        assert first == third == alone_other
+        assert second == alone_tiny
+
+    def test_steady_state_pass_allocates_less_than_one_output(self):
+        # at full scale every intermediate is MB-sized; after the first pass
+        # none of them is allocated again
+        spec = load_spec(str(resources.files("unn_csi").joinpath("specs/single_ue_full.json")))
+        f32 = np.float32
+        params = init_params(spec, 1)
+        z0 = _seed(spec, None, f32)
+        target = np.random.default_rng(0).uniform(-0.9, 0.9, spec.output_dims).astype(f32)
+        grads = param_views(spec, np.empty(param_count(spec), f32))
+        ws = _Workspace(spec, f32)
+        _loss_and_grad(spec, params, z0, target, grads, ws)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _loss_and_grad(spec, params, z0, target, grads, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert target.nbytes == 1152 * 1024
+        assert peak - base < target.nbytes
 
 
 @pytest.mark.slow

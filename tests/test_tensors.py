@@ -87,6 +87,18 @@ class TestModeProduct:
         with pytest.raises(ValueError):
             mode_product(np.zeros((3, 4)), np.zeros((2, 5)), 0)
 
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_out_receives_the_same_bits(self, mode):
+        rng = np.random.default_rng(3)
+        t = rng.standard_normal((3, 4, 5)).astype(np.float32)
+        u = rng.standard_normal((2 * t.shape[mode], t.shape[mode])).astype(np.float32)
+        want = mode_product(t, u, mode)
+        buf = np.full(want.size + 7, np.nan, np.float32)  # larger buffer, written at its start
+        got = mode_product(t, u, mode, out=buf[: want.size])
+        assert got.shape == want.shape and np.shares_memory(got, buf)
+        assert np.array_equal(got, want)
+        assert np.isnan(buf[want.size :]).all()
+
 
 class TestUpsampler:
     def test_n1_is_constant_extension(self):
