@@ -33,8 +33,8 @@ def main():
     config = FitConfig(iterations=3000, learning_rate=2e-3, trace_every=1000, init_seed=1)
 
     estimators = {
-        "mmse_raw": lambda meas, truth, snr: mmse_raw(meas),
-        "mmse_genie": mmse_genie,
+        "mmse_raw": lambda cells: [mmse_raw(meas) for meas, _, _ in cells],
+        "mmse_genie": lambda cells: [mmse_genie(*cell) for cell in cells],
         "unn": make_unn_estimator(spec, config),
     }
     records = sweep(scene, estimators, ue_ids=[3], snrs_db=[0.0, 5.0, 10.0, 15.0, 20.0], seeds=[0, 1])

@@ -22,7 +22,7 @@ from .channel import (
     synthesize,
 )
 from .codec import recreate
-from .fitting import FitConfig, fit
+from .fitting import FitConfig, FitDivergedError, batch_size, fit_batch
 
 __all__ = [
     "EvalRecord",
@@ -91,14 +91,18 @@ def mmse_genie(meas: ChannelTensor, truth: ChannelTensor, snr_db: float) -> Chan
 
 
 def make_unn_estimator(spec, config: FitConfig):
-    """Estimator closure that fits the decoder to the measurement and returns
-    the recreated channel, matching the baseline call signature."""
+    """Estimator, in the form :func:`sweep` calls, that fits the decoder to
+    every measurement and yields the recreated channels, fitting a batch of
+    measurements at a time."""
 
-    def estimate(meas: ChannelTensor, truth: ChannelTensor, snr_db: float) -> ChannelTensor:
-        target = preprocess(meas)
-        report = fit(spec, None, target, config)
-        (est,) = recreate(spec, report.params, target.snapshot_norms, target.scale)
-        return est
+    def estimate(cells):
+        size = batch_size(spec)
+        for i in range(0, len(cells), size):
+            targets = [preprocess(meas) for meas, _, _ in cells[i : i + size]]
+            for target, report in zip(targets, fit_batch(spec, None, targets, config)):
+                if isinstance(report, FitDivergedError):
+                    raise report
+                yield recreate(spec, report.params, target.snapshot_norms, target.scale)[0]
 
     return estimate
 
@@ -115,29 +119,43 @@ class EvalRecord:
 
 def sweep(scene, estimators: dict, ue_ids, snrs_db, seeds) -> list:
     """Full factorial run over (estimator, UE, SNR); NMSE ratios are averaged
-    over the noise seeds in the linear domain before conversion to dB."""
-    records = []
+    over the noise seeds in the linear domain before conversion to dB.
+
+    Each estimator is called once, with every cell of the grid as a
+    (measurement, truth, snr_db) tuple in (UE, SNR, seed) order, and returns
+    or yields one estimate per cell in that order.
+    """
     seeds = list(seeds)
-    for ue_id in ue_ids:
-        truth = synthesize(scene, ue_id)
-        for snr_db in snrs_db:
-            measurements = [add_noise(truth, snr_db, seed) for seed in seeds]
-            meas_ratio = float(np.mean([nmse_linear(m, truth) for m in measurements]))
-            meas_db = 10.0 * np.log10(meas_ratio)
-            for name, fn in estimators.items():
-                ratios = [nmse_linear(fn(m, truth, snr_db), truth) for m in measurements]
-                est_ratio = float(np.mean(ratios))
-                est_db = max(10.0 * np.log10(est_ratio), NMSE_FLOOR_DB) if est_ratio > 0 else NMSE_FLOOR_DB
-                records.append(
-                    EvalRecord(
-                        estimator=name,
-                        ue_id=ue_id,
-                        snr_db=float(snr_db),
-                        seed_count=len(seeds),
-                        nmse_db=est_db,
-                        gain_db=meas_db - est_db,
-                    )
+    grid = [(ue_id, snr_db) for ue_id in ue_ids for snr_db in snrs_db]
+    truths = {ue_id: synthesize(scene, ue_id) for ue_id in ue_ids}
+    cells = [
+        (add_noise(truths[ue_id], snr_db, seed), truths[ue_id], snr_db)
+        for ue_id, snr_db in grid
+        for seed in seeds
+    ]
+    ratios = {
+        name: [nmse_linear(est, truth) for est, (_, truth, _) in zip(fn(cells), cells, strict=True)]
+        for name, fn in estimators.items()
+    }
+    meas_ratios = [nmse_linear(meas, truth) for meas, truth, _ in cells]
+
+    records = []
+    for i, (ue_id, snr_db) in enumerate(grid):
+        seeds_of = slice(i * len(seeds), (i + 1) * len(seeds))
+        meas_db = 10.0 * np.log10(float(np.mean(meas_ratios[seeds_of])))
+        for name in estimators:
+            est_ratio = float(np.mean(ratios[name][seeds_of]))
+            est_db = max(10.0 * np.log10(est_ratio), NMSE_FLOOR_DB) if est_ratio > 0 else NMSE_FLOOR_DB
+            records.append(
+                EvalRecord(
+                    estimator=name,
+                    ue_id=ue_id,
+                    snr_db=float(snr_db),
+                    seed_count=len(seeds),
+                    nmse_db=est_db,
+                    gain_db=meas_db - est_db,
                 )
+            )
     return records
 
 

@@ -205,10 +205,13 @@ def noise_variance(signal_norm_sq: float, n_entries: int, snr_db: float) -> floa
 
 def add_noise(h: ChannelTensor, snr_db: float, seed: int) -> ChannelTensor:
     """Measured channel: ground truth plus circularly symmetric complex
-    Gaussian noise calibrated against the whole-tensor Frobenius norm."""
+    Gaussian noise calibrated against the whole-tensor Frobenius norm. An
+    SNR of +inf adds no noise; NaN and -inf raise ValueError."""
     if h.role != GROUND_TRUTH:
         raise ValueError("noise is added to ground-truth tensors only")
-    if np.isinf(snr_db):
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"{snr_db} is not an SNR in dB")
+    if snr_db == np.inf:
         return ChannelTensor(h.data.copy(), role=MEASURED, snr_db=snr_db)
     var = noise_variance(float(np.sum(np.abs(h.data) ** 2)), h.data.size, snr_db)
     rng = np.random.default_rng(seed)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +32,7 @@ from . import baselines, codec, transfer as transfer_mod
 from ._fields import INT, NUMBER, list_of
 from .channel import Scene, add_noise, load_scene, preprocess, synthesize
 from .decoder import DecoderSpec, compression_ratio, load_spec, param_count, params_to_vector
-from .fitting import FitConfig, FitDivergedError, fit
+from .fitting import FitConfig, FitDivergedError, batch_size, fit, fit_batch
 from .multiuser import build_group, fit_group
 from .baselines import make_unn_estimator, mmse_genie, mmse_raw, nmse, records_to_curves
 
@@ -179,6 +180,19 @@ def _check_fit(config: ExperimentConfig, iterations, where: str, diags: list) ->
         diags.append(Diagnostic("error", f"bad fit settings in {where}: {exc}"))
 
 
+def _snr(value):
+    """An SNR in dB: a number, +inf for no noise, never NaN or -inf."""
+    if math.isnan(NUMBER(value)) or value == -math.inf:
+        raise ValueError(f"{value} is not an SNR in dB")
+    return value
+
+
+def _noise_seed(value):
+    if INT(value) < 0:
+        raise ValueError(f"noise seed {value} is negative")
+    return value
+
+
 def validate(config: ExperimentConfig) -> list:
     """Static checks; returns diagnostics and never mutates or runs anything."""
     diags: list = []
@@ -192,7 +206,7 @@ def validate(config: ExperimentConfig) -> list:
     if spec is None:
         return diags
 
-    for name, item in (("snr_db", NUMBER), ("ues", INT), ("seeds", INT)):
+    for name, item in (("snr_db", _snr), ("ues", INT), ("seeds", _noise_seed)):
         try:
             if not list_of(item)(getattr(config, name)):
                 raise ValueError("the list is empty")
@@ -268,42 +282,46 @@ def _write_csv(path: Path, header, rows) -> None:
 # mode drivers
 
 
-def _run_single_cell(args):
-    scene, spec, fit_cfg, ue_id, snr_db, seed = args
-    truth = synthesize(scene, ue_id)
-    meas = add_noise(truth, snr_db, seed)
-    target = preprocess(meas)
-    meas_nmse = nmse(meas, truth)
-    try:
-        report = fit(spec, None, target, fit_cfg)
-    except FitDivergedError as exc:
-        return {
-            "ue": ue_id, "snr_db": snr_db, "seed": seed, "status": "diverged",
-            "nmse_db": float("nan"), "meas_nmse_db": meas_nmse, "gain_db": float("nan"),
-            "final_mse": float("nan"), "error": str(exc), "trace": None, "report_blob": None,
-        }
-    (est,) = codec.recreate(spec, report.params, target.snapshot_norms, target.scale)
-    est_nmse = nmse(est, truth)
-    blob = codec.encode(spec, report.params, target.snapshot_norms, target.scale)
-    return {
-        "ue": ue_id, "snr_db": snr_db, "seed": seed, "status": "ok",
-        "nmse_db": est_nmse, "meas_nmse_db": meas_nmse, "gain_db": meas_nmse - est_nmse,
-        "final_mse": report.final_mse, "error": "", "trace": report.trace, "report_blob": blob,
-    }
+def _run_single_batch(args):
+    """Fit one batch of single-mode cells, each (ue, snr_db, seed, truth);
+    returns one result row per cell."""
+    spec, fit_cfg, cells = args
+    measured = [add_noise(truth, snr_db, seed) for _, snr_db, seed, truth in cells]
+    targets = [preprocess(meas) for meas in measured]
+    results = []
+    for (ue_id, snr_db, seed, truth), meas, target, report in zip(
+        cells, measured, targets, fit_batch(spec, None, targets, fit_cfg)
+    ):
+        meas_nmse = nmse(meas, truth)
+        if isinstance(report, FitDivergedError):
+            results.append({
+                "ue": ue_id, "snr_db": snr_db, "seed": seed, "status": "diverged",
+                "nmse_db": float("nan"), "meas_nmse_db": meas_nmse, "gain_db": float("nan"),
+                "final_mse": float("nan"), "error": str(report), "trace": None, "report_blob": None,
+            })
+            continue
+        (est,) = codec.recreate(spec, report.params, target.snapshot_norms, target.scale)
+        est_nmse = nmse(est, truth)
+        blob = codec.encode(spec, report.params, target.snapshot_norms, target.scale)
+        results.append({
+            "ue": ue_id, "snr_db": snr_db, "seed": seed, "status": "ok",
+            "nmse_db": est_nmse, "meas_nmse_db": meas_nmse, "gain_db": meas_nmse - est_nmse,
+            "final_mse": report.final_mse, "error": "", "trace": report.trace, "report_blob": blob,
+        })
+    return results
 
 
 def _mode_single(config: ExperimentConfig, scene, spec, out: Path) -> dict:
-    cells = [
-        (scene, spec, config.fit_config(), ue, snr, seed)
-        for ue in config.ues
-        for snr in config.snr_db
-        for seed in config.seeds
-    ]
+    truths = {ue: synthesize(scene, ue) for ue in config.ues}
+    cells = [(ue, snr, seed, truths[ue]) for ue in config.ues for snr in config.snr_db for seed in config.seeds]
+    # every worker gets whole batches, and at least one batch if there are enough cells
+    size = min(batch_size(spec), -(-len(cells) // config.workers))
+    batches = [(spec, config.fit_config(), cells[i : i + size]) for i in range(0, len(cells), size)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_single_cell, cells))
+            results = [r for batch in pool.map(_run_single_batch, batches) for r in batch]
     else:
-        results = [_run_single_cell(c) for c in cells]
+        results = [r for batch in map(_run_single_batch, batches) for r in batch]
 
     (out / "fit_traces").mkdir(exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
@@ -345,15 +363,14 @@ def _mode_transfer(config: ExperimentConfig, scene, spec, out: Path) -> dict:
         truths[ue_id] = truth
         targets[ue_id] = preprocess(add_noise(truth, snr_db, seed))
 
-    results = transfer_mod.run_transfer(plan, spec, targets, truths, fit_cfg)
-
-    # control arm: every chain target fitted from random init with the same budget
-    controls = {}
-    for step in plan.chain:
-        control_plan = transfer_mod.TransferPlan(base=step.target, chain=())
-        controls[step.target] = transfer_mod.run_transfer(
-            control_plan, spec, targets, truths, fit_cfg
-        )[step.target]
+    # the base fit and the control arm, every chain target fitted from
+    # random init with the same budget, share the first batch
+    steps = transfer_mod._plan_steps(plan)
+    fitted = transfer_mod._run_steps(
+        spec, targets, truths, fit_cfg, steps + [(step.target, None) for step in plan.chain]
+    )
+    results = {res.ue_id: res for res in fitted[: len(steps)]}
+    controls = {res.ue_id: res for res in fitted[len(steps) :]}
 
     rows = []
     for ue_id, res in results.items():
@@ -449,8 +466,8 @@ def _mode_codec(config: ExperimentConfig, scene, spec, out: Path) -> dict:
 
 def _mode_sweep(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     estimators = {
-        "mmse_raw": lambda m, t, s: mmse_raw(m),
-        "mmse_genie": mmse_genie,
+        "mmse_raw": lambda cells: [mmse_raw(meas) for meas, _, _ in cells],
+        "mmse_genie": lambda cells: [mmse_genie(*cell) for cell in cells],
         "unn": make_unn_estimator(spec, config.fit_config()),
     }
     records = baselines.sweep(scene, estimators, config.ues, config.snr_db, config.seeds)

@@ -264,20 +264,29 @@ def batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
 
 
 def _centre(r, eps=BN_EPS):
-    """Centre the columns of `r` (positions x filters) in place and return
-    (r, 1 / sqrt(var + eps)).
+    """Centre the columns of `r` (positions x filters, or a stack of such
+    matrices) in place and return (r, 1 / sqrt(var + eps)), one row of
+    statistics per matrix.
 
     The second mean removes the rounding error of the first one, which in
     float32 grows with the column length and the offset of the data; the
     variance is then the plain mean of squares of the centred values. Means
-    are matrix-vector products with 1/N weights, which BLAS runs several
-    times faster than numpy's reduction over the leading axis.
+    are matrix-vector products with 1/N weights: BLAS runs them several
+    times faster than numpy's reduction over the leading axis, and on a
+    stack it makes the same call per matrix. The sums of squares run one
+    matrix at a time, because einsum over a stack can split a long column
+    differently from einsum over the matrix alone. So each matrix of a
+    stack gets the bits it gets alone.
     """
-    weights = np.full(r.shape[0], 1.0 / r.shape[0], dtype=r.dtype)
+    n = r.shape[-2]
+    weights = np.full((1, n), 1.0 / n, dtype=r.dtype)
     r -= weights @ r
     r -= weights @ r
-    var = np.einsum("ij,ij->j", r, r) / r.shape[0]
-    return r, 1.0 / np.sqrt(var + np.asarray(eps, dtype=r.dtype))
+    if r.ndim == 2:
+        var = np.einsum("ij,ij->j", r, r)
+    else:
+        var = np.array([np.einsum("ij,ij->j", m, m) for m in r])
+    return r, 1.0 / np.sqrt(var / n + np.asarray(eps, dtype=r.dtype))
 
 
 _UPSAMPLER_CACHE: dict = {}
@@ -318,9 +327,10 @@ def _seed(spec: DecoderSpec, z0, dtype) -> np.ndarray:
 
 
 class _Workspace:
-    """The arrays the forward and reverse passes of one fit write into, made
-    once so that no iteration allocates, and at full scale faults in, its
-    working set.
+    """The arrays the forward and reverse passes of one fit, or of a batch
+    of `batch` fits, write into, made once so that no iteration allocates,
+    and at full scale faults in, its working set. For a batch, every array
+    has a leading batch axis.
 
     fwd[l]  what layer l writes, in order: the kernel product and each
             upsampling, the last of which is the ReLU input u, then the
@@ -328,25 +338,28 @@ class _Workspace:
     rev     what the reverse pass writes, in order: the output gradient,
             then per layer, last to first, each transposed upsampling and
             g W_f^T
+    nbytes  the bytes all of it takes
 
     Only u and r, the forward cache, get arrays of their own. Every other
     step writes into one of two flat scratch vectors the size of the largest
     activation, taking turns so that no step reads the vector it writes.
     """
 
-    def __init__(self, spec: DecoderSpec, dtype):
+    def __init__(self, spec: DecoderSpec, dtype, batch: int | None = None):
         self.schedule = schedule = upsample_schedule(spec)
+        lead = () if batch is None else (batch,)
         steps = []  # per layer, the tensor shape of each result before the ReLU
-        dims = list(spec.input_dims)
+        dims = list(lead + spec.input_dims)
         for l in range(spec.n_layers):
             k = spec.widths[l + 1]
             shapes = [tuple(dims) + (k,)]
             for ax, _ in schedule[l] if l < spec.inner_count else ():
-                dims[ax] *= 2
+                dims[ax + len(lead)] *= 2
                 shapes.append(tuple(dims) + (k,))
             steps.append(shapes)
         size = max(prod(s) for shapes in steps for s in shapes)
         scratch = (np.empty(size, dtype), np.empty(size, dtype))
+        self.nbytes = (2 * size + 2 * sum(prod(shapes[-1]) for shapes in steps[:-1])) * scratch[0].itemsize
 
         def alternate(shapes, first):
             """Views of `shapes`, taking turns between the scratch vectors."""
@@ -359,14 +372,14 @@ class _Workspace:
                 outs.append(outs[-1])
             else:
                 outs[-1:] = [np.empty(shapes[-1], dtype), np.empty(shapes[-1], dtype)]
-            outs[0] = outs[0].reshape(-1, shapes[0][-1])
+            outs[0] = outs[0].reshape(lead + (-1, shapes[0][-1]))
             self.fwd.append(outs)
 
         order = [steps[-1][-1]]  # the output gradient, in the vector the TanH output is not in
         for l in reversed(range(spec.n_layers)):
             order += reversed(steps[l][:-1])
             if l > 0:
-                order.append((prod(steps[l][0][:-1]), spec.widths[l]))
+                order.append(lead + (prod(steps[l][0][len(lead) : -1]), spec.widths[l]))
         self.rev = alternate(order, 1)
 
 
@@ -396,10 +409,20 @@ def forward(spec: DecoderSpec, params: ParamSet, z0=None, dtype=np.float32, retu
 
 def _forward(spec: DecoderSpec, params: ParamSet, x: np.ndarray, cache=None, ws=None) -> np.ndarray:
     """The layers of :func:`forward` on a checked seed tensor `x`, in its
-    dtype. Appends each layer's intermediates to `cache` unless it is None.
-    Each large intermediate is written into the arrays of the workspace `ws`,
-    or allocated when there is none."""
+    dtype, for one decoder or for a batch of them: for a batch of B, every
+    array of `params` carries a leading batch axis, and so does `x`, of
+    extent 1 (one seed for every sample) or B. Appends each layer's
+    intermediates to `cache` unless it is None. Each large intermediate is
+    written into the arrays of the workspace `ws`, or allocated when there
+    is none.
+
+    Every product is a matmul, stacked over a batch, which makes one BLAS
+    call per sample, and every other step works per sample. So a sample's
+    bits do not depend on B, on its place in the batch, or on whether it
+    runs in a batch at all.
+    """
     dtype = x.dtype
+    lead = x.shape[: x.ndim - spec.n_spatial - 1]  # () or (1,) or (B,)
     schedule = upsample_schedule(spec) if ws is None else ws.schedule
     L = spec.n_layers
     for l in range(L):
@@ -407,25 +430,26 @@ def _forward(spec: DecoderSpec, params: ParamSet, x: np.ndarray, cache=None, ws=
         w = np.asarray(params.kernels[l], dtype=dtype)
         if l > 0:  # fold the previous layer's batch norm into this kernel
             gamma = np.asarray(params.gammas[l - 1], dtype=dtype)
-            bias = np.asarray(params.betas[l - 1], dtype=dtype) @ w
-            w = (gamma * inv)[:, None] * w
-        v = np.matmul(x.reshape(-1, x.shape[-1]), w, out=next(outs))
+            bias = np.asarray(params.betas[l - 1], dtype=dtype)[..., None, :] @ w
+            w = (gamma * inv)[..., None] * w
+        v = np.matmul(x.reshape(lead + (-1, x.shape[-1])), w, out=next(outs))
         if l > 0:
             v += bias
-        u = v.reshape(x.shape[:-1] + (w.shape[1],))
+        u = v.reshape(v.shape[:-2] + x.shape[len(lead) : -1] + (w.shape[-1],))
         if l < spec.inner_count:
             for ax, n in schedule[l]:
-                u = mode_product(u, _upsampler(n, dtype), ax, out=next(outs))
+                u = mode_product(u, _upsampler(n, dtype), ax + len(lead), out=next(outs))
         if l == L - 1:
             y = np.tanh(u, out=next(outs))
             if cache is not None:
                 cache.append({"kind": "out", "z_in": x, "w": w, "y": y})
         else:
             r = np.maximum(u, 0, out=next(outs))
-            d, inv = _centre(r.reshape(-1, u.shape[-1]))
+            d, inv = _centre(r.reshape(v.shape[:-2] + (-1, u.shape[-1])))
             if cache is not None:
                 cache.append({"kind": "bn", "z_in": x, "w": w, "u": u, "inv": inv})
             x = d.reshape(u.shape)
+            lead = v.shape[:-2]
     return y
 
 
@@ -483,18 +507,20 @@ def params_to_vector(params: ParamSet) -> np.ndarray:
 def param_views(spec: DecoderSpec, vec: np.ndarray) -> ParamSet:
     """ParamSet whose arrays are views into the flat vector `vec`, laid out in
     the canonical order of :func:`params_to_vector`; writing an array writes
-    `vec`."""
-    if vec.size != param_count(spec):
-        raise ValueError(f"vector has {vec.size} entries, spec needs {param_count(spec)}")
+    `vec`. A (B, P) block of B such vectors gives arrays with a leading batch
+    axis, one sample per row."""
+    if vec.shape[-1] != param_count(spec):
+        raise ValueError(f"vector has {vec.shape[-1]} entries, spec needs {param_count(spec)}")
+    lead = vec.shape[:-1]
     params = ParamSet()
     pos = 0
     for l in range(spec.n_layers):
         k_in, k_out = spec.widths[l], spec.widths[l + 1]
-        params.kernels.append(vec[pos : pos + k_in * k_out].reshape(k_in, k_out))
+        params.kernels.append(vec[..., pos : pos + k_in * k_out].reshape(lead + (k_in, k_out)))
         pos += k_in * k_out
         if l < spec.n_layers - 1:
-            params.gammas.append(vec[pos : pos + k_out])
-            params.betas.append(vec[pos + k_out : pos + 2 * k_out])
+            params.gammas.append(vec[..., pos : pos + k_out])
+            params.betas.append(vec[..., pos + k_out : pos + 2 * k_out])
             pos += 2 * k_out
     return params
 

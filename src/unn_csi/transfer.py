@@ -19,7 +19,7 @@ from ._fields import INT, OBJECT, list_of, read_field, typed
 from .baselines import nmse
 from .codec import recreate
 from .decoder import DecoderSpec, ParamSet
-from .fitting import FitConfig, FitReport, fit
+from .fitting import FitConfig, FitDivergedError, FitReport, fit_batch
 
 __all__ = [
     "TransferStep",
@@ -84,25 +84,46 @@ def run_transfer(
     `targets` maps UE id to PreprocessedTarget, `truths` to the ground-truth
     ChannelTensor used for the NMSE.
     """
-    for ue_id in plan.ue_ids:
+    results = _run_steps(spec, targets, truths, config, _plan_steps(plan))
+    return {res.ue_id: res for res in results}
+
+
+def _plan_steps(plan: TransferPlan) -> list:
+    """The fits of `plan` as :func:`_run_steps` takes them: the base, then
+    the chain in order."""
+    index = {ue_id: i for i, ue_id in enumerate(plan.ue_ids)}
+    return [(plan.base, None)] + [
+        (s.target, None if s.init_from is None else index[s.init_from]) for s in plan.chain
+    ]
+
+
+def _run_steps(spec: DecoderSpec, targets: dict, truths: dict, config: FitConfig, steps) -> list:
+    """Fit each (ue_id, source) step: from random init when `source` is None,
+    else from the fitted weights of the step at index `source`, which comes
+    earlier. Steps the same number of warm starts away from a random init
+    run as one batch. Returns one TransferResult per step, in order; once a
+    batch is done, raises the FitDivergedError of its first diverged fit."""
+    for ue_id, _ in steps:
         if ue_id not in targets:
             raise KeyError(f"plan references UE {ue_id} with no target")
+    depth = []
+    for _, source in steps:
+        depth.append(0 if source is None else depth[source] + 1)
 
-    results: dict = {}
-
-    def run_one(ue_id, init_params):
-        target = targets[ue_id]
-        report = fit(spec, None, target, config, init=init_params)
-        (est,) = recreate(spec, report.params, target.snapshot_norms, target.scale)
-        err = nmse(est, truths[ue_id]) if ue_id in truths else float("nan")
-        return report, err
-
-    report, err = run_one(plan.base, None)
-    results[plan.base] = TransferResult(plan.base, None, report, err)
-    for step in plan.chain:
-        init = results[step.init_from].report.params if step.init_from is not None else None
-        report, err = run_one(step.target, init)
-        results[step.target] = TransferResult(step.target, step.init_from, report, err)
+    results = [None] * len(steps)
+    for level in range(max(depth) + 1):
+        batch = [i for i, d in enumerate(depth) if d == level]
+        inits = [None if steps[i][1] is None else results[steps[i][1]].report.params for i in batch]
+        reports = fit_batch(spec, None, [targets[steps[i][0]] for i in batch], config, inits)
+        for i, report in zip(batch, reports):
+            if isinstance(report, FitDivergedError):
+                raise report
+            ue_id, source = steps[i]
+            target = targets[ue_id]
+            (est,) = recreate(spec, report.params, target.snapshot_norms, target.scale)
+            err = nmse(est, truths[ue_id]) if ue_id in truths else float("nan")
+            init_from = None if source is None else steps[source][0]
+            results[i] = TransferResult(ue_id, init_from, report, err)
     return results
 
 

@@ -114,7 +114,10 @@ class TestMmseGenie:
 
 class TestSweep:
     def estimators(self):
-        return {"mmse_raw": lambda m, t, s: mmse_raw(m), "mmse_genie": mmse_genie}
+        return {
+            "mmse_raw": lambda cells: [mmse_raw(meas) for meas, _, _ in cells],
+            "mmse_genie": lambda cells: [mmse_genie(*cell) for cell in cells],
+        }
 
     def test_single_cell_produces_one_record_per_estimator(self, micro_scene):
         records = sweep(micro_scene, self.estimators(), [1], [10.0], [0])

@@ -121,6 +121,12 @@ class TestAddNoise:
         assert np.array_equal(meas.data, truth.data)
         assert meas.role == "measured"
 
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_nan_and_minus_infinite_snr_rejected(self, micro_scene, snr_db):
+        # -inf dB is infinite noise, not none
+        with pytest.raises(ValueError, match="is not an SNR in dB"):
+            add_noise(synthesize(micro_scene, 1), snr_db, seed=0)
+
     @pytest.mark.parametrize("snr_db", [0.0, 20.0])
     def test_monte_carlo_snr_calibration(self, snr_db):
         scene = Scene(

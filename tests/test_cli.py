@@ -290,6 +290,29 @@ class TestMain:
         b = open(os.path.join(parallel["out"], "results.csv")).read()
         assert a == b
 
+    def test_desk_single_mode_writes_the_same_bytes_with_1_and_2_workers(self, tmp_path):
+        # 12 cells: one batch in one process, or two batches of 6 in two
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({
+            "fit": {"iterations": 30, "learning_rate": 2e-3, "trace_every": 10, "init_seed": 1},
+            "ues": [1, 2], "snr_db": [0, 10], "seeds": [0, 1, 2],
+        }))
+        outs = {}
+        for workers in (1, 2):
+            outs[workers] = tmp_path / f"w{workers}"
+            argv = ["--profile", "desk", "--config", str(cfg_path), "--mode", "single"]
+            assert cli.main(argv + ["--out", str(outs[workers]), "--workers", str(workers)]) == 0
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+        one, two = files(outs[1]), files(outs[2])
+        assert len(one) == 1 + 1 + 2 * 12  # results.csv, summary.json, a trace and a report per cell
+        summaries = [json.loads(f.pop(Path("summary.json"))) for f in (one, two)]
+        assert one == two
+        assert [s.pop("workers") for s in summaries] == [1, 2]
+        assert summaries[0] == summaries[1]
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -307,6 +330,9 @@ class TestMain:
             (lambda c: c.update(ues=[1.0]), "ues must be a non-empty list: expected int, got float"),
             (lambda c: c.update(mode="codec", ues=[]), "ues must be a non-empty list: the list is empty"),
             (lambda c: c.update(seeds="0"), "seeds must be a non-empty list: expected list, got str"),
+            (lambda c: c.update(snr_db=[float("nan")]), "snr_db must be a non-empty list: nan is not an SNR in dB"),
+            (lambda c: c.update(snr_db=[10.0, float("-inf")]), "-inf is not an SNR in dB"),
+            (lambda c: c.update(seeds=[0, -1]), "seeds must be a non-empty list: noise seed -1 is negative"),
             (lambda c: c.update(mode="group", groups=[{"ues": [1, 2], "iterations": "x"}]), "in groups[0]"),
             (lambda c: c.update(mode="group", groups=[{"ues": [1, 2, 99]}]), "groups[0] references"),
             (lambda c: c.update(mode="group", groups=[{"spec": "desk-group"}]), "groups[0] needs"),

@@ -15,11 +15,14 @@ from unn_csi.decoder import (
     param_views,
     params_to_vector,
 )
+from unn_csi.channel import add_noise, load_scene, preprocess, synthesize
+from unn_csi.codec import encode
 from unn_csi.fitting import (
     FitConfig,
     FitDivergedError,
     _loss_and_grad,
     fit,
+    fit_batch,
     gradient,
     loss,
 )
@@ -308,6 +311,112 @@ class TestWorkspace:
             tracemalloc.stop()
         assert target.nbytes == 1152 * 1024
         assert peak - base < target.nbytes
+
+
+def _desk(kind, name):
+    return str(resources.files("unn_csi").joinpath(f"{kind}/{name}.json"))
+
+
+BATCH_CONFIG = FitConfig(iterations=40, learning_rate=2e-3, trace_every=15, init_seed=5)
+
+
+def fingerprint(spec, report, target):
+    """What a single-mode cell writes from its fit: the fitted parameter
+    bytes, the loss trace and the .csir report."""
+    blob = encode(spec, report.params, target.snapshot_norms, target.scale)
+    return params_to_vector(report.params).tobytes(), report.trace, blob
+
+
+@pytest.fixture(scope="module")
+def desk_cells():
+    """Eight desk-scale targets and what each one's fit gives alone."""
+    scene = load_scene(_desk("scenes", "street_canyon_desk"))
+    spec = load_spec(_desk("specs", "single_ue_desk"))
+    cells = [(1, 0, 0), (2, 10, 1), (3, 5, 2), (4, 20, 3), (5, 0, 4), (6, 10, 5), (7, 15, 6), (1, 20, 7)]
+    targets = [preprocess(add_noise(synthesize(scene, ue), snr, seed)) for ue, snr, seed in cells]
+    alone = [fingerprint(spec, fit(spec, None, t, BATCH_CONFIG), t) for t in targets]
+    return spec, targets, alone
+
+
+class TestBatch:
+    """B fits of one spec run as one array program; what a fit gives must not
+    depend on B, on its position in the batch or on its neighbours."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_cell_bytes_do_not_depend_on_batch_or_position(self, desk_cells, batch):
+        spec, targets, alone = desk_cells
+        for start in range(len(targets)):  # every cell at every position
+            order = [(start + j) % len(targets) for j in range(batch)]
+            reports = fit_batch(spec, None, [targets[i] for i in order], BATCH_CONFIG)
+            assert [fingerprint(spec, r, targets[i]) for r, i in zip(reports, order)] == [alone[i] for i in order]
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_diverged_neighbour_leaves_the_others_unchanged(self, desk_cells, position):
+        spec, targets, alone = desk_cells
+        poisoned = np.array(targets[position].data)
+        poisoned[3, 5, 1] = np.nan
+        batch = list(targets[:5])
+        batch[position] = poisoned
+        reports = fit_batch(spec, None, batch, BATCH_CONFIG)
+        assert isinstance(reports[position], FitDivergedError)
+        assert str(reports[position]) == "loss nan at iteration 0 (initial nan)"
+        for i, report in enumerate(reports):
+            if i != position:
+                assert fingerprint(spec, report, targets[i]) == alone[i]
+
+    def test_final_loss_is_the_loss_of_the_single_forward(self, desk_cells):
+        # a fit's last forward pass runs stacked; loss and codec.recreate
+        # run one decoder unstacked, and must see the same output
+        spec, targets, _ = desk_cells
+        for target, report in zip(targets, fit_batch(spec, None, targets[:3], BATCH_CONFIG)):
+            assert report.final_mse == loss(spec, report.params, None, target)
+
+    def test_long_single_filter_columns_keep_their_bits(self):
+        # 12,288 positions of one filter: numpy's einsum over a stack of two
+        # such columns sums the second one differently from the column alone
+        spec = make_spec((64, 64, 3), (1, 1, 2), 1, 0, ((False, False, False),), seed=12)
+        rng = np.random.default_rng(13)
+        targets = list(rng.uniform(-0.5, 0.5, (2,) + spec.output_dims).astype(np.float32))
+        cfg = FitConfig(iterations=3, trace_every=1, init_seed=2)
+        for target, report in zip(targets, fit_batch(spec, None, targets, cfg)):
+            alone = fit(spec, None, target, cfg)
+            assert report.trace == alone.trace
+            assert params_to_vector(report.params).tobytes() == params_to_vector(alone.params).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(GRADCHECK_CONFIGS))
+    def test_float64_gradient_slices_match_single_gradients(self, name):
+        spec = GRADCHECK_CONFIGS[name]
+        rng = np.random.default_rng(79)
+        params = [init_params(spec, seed, dtype=np.float64) for seed in (3, 4)]
+        for p in params:
+            for g, b in zip(p.gammas, p.betas):
+                g[:] = rng.uniform(0.5, 1.5, g.shape)
+                b[:] = rng.uniform(-0.5, 0.5, b.shape)
+        targets = rng.uniform(-0.8, 0.8, (2,) + spec.output_dims)
+        z0 = _seed(spec, None, np.float64)
+        block = np.stack([params_to_vector(p) for p in params])
+        grads = np.full_like(block, np.nan)
+        ws = _Workspace(spec, np.float64, 2)
+        _loss_and_grad(spec, param_views(spec, block), z0[None], targets, param_views(spec, grads), ws)
+        for b in range(2):
+            assert np.array_equal(grads[b], params_to_vector(gradient(spec, params[b], z0, targets[b])))
+
+    def test_inits_are_per_target(self, tiny_spec):
+        rng = np.random.default_rng(11)
+        targets = rng.uniform(-0.5, 0.5, (2,) + tiny_spec.output_dims).astype(np.float32)
+        cfg = FitConfig(iterations=20, trace_every=5)
+        warm = init_params(tiny_spec, 8)
+        reports = fit_batch(tiny_spec, None, list(targets), cfg, [None, warm])
+        want = [fit(tiny_spec, None, targets[0], cfg), fit(tiny_spec, None, targets[1], cfg, init=warm)]
+        for got, ref in zip(reports, want):
+            assert params_to_vector(got.params).tobytes() == params_to_vector(ref.params).tobytes()
+        with pytest.raises(ValueError, match="1 inits for 2 targets"):
+            fit_batch(tiny_spec, None, list(targets), cfg, [warm])
+
+    def test_every_target_checked_before_the_first_step(self, tiny_spec):
+        good = np.zeros(tiny_spec.output_dims, np.float32)
+        with pytest.raises(ValueError, match=r"target \(2, 2, 2\) does not match"):
+            fit_batch(tiny_spec, None, [good, np.zeros((2, 2, 2))], FitConfig(iterations=10**9))
 
 
 @pytest.mark.slow
