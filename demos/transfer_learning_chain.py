@@ -2,7 +2,8 @@
 
 Fits UE 3 from scratch, then fits its neighbors initialized from the
 already-fitted weights (same iteration budget), and compares against fitting
-each neighbor from a fresh random draw. Two effects to look for:
+each neighbor from random init, the control arm `run_transfer` fits beside
+every warm start. Two effects to look for:
 
 * the warm-started solutions stay much closer to their initializer in weight
   space (the per-layer Frobenius distances below), which is what makes
@@ -13,7 +14,6 @@ each neighbor from a fresh random draw. Two effects to look for:
 Run:  python demos/transfer_learning_chain.py
 """
 
-from dataclasses import replace
 from importlib import resources
 
 from unn_csi.channel import add_noise, load_scene, preprocess, synthesize
@@ -34,28 +34,20 @@ def main():
 
     results = run_transfer(plan, spec, targets, truths, config)
 
-    # control arm: same UEs from independent random draws
-    controls = {}
-    for step in plan.chain:
-        single = TransferPlan(base=step.target, chain=())
-        controls[step.target] = run_transfer(
-            single, spec, targets, truths, replace(config, init_seed=500 + step.target)
-        )[step.target]
-
     print(f"{'UE':>3} {'init':>6} {'NMSE (TL)':>10} {'NMSE (random)':>14}")
     print(f"{plan.base:3d} {'rand':>6} {results[plan.base].nmse_db:7.2f} dB {'-':>14}")
     for step in plan.chain:
         print(
             f"{step.target:3d} {('UE' + str(step.init_from)):>6} "
             f"{results[step.target].nmse_db:7.2f} dB "
-            f"{controls[step.target].nmse_db:11.2f} dB"
+            f"{results[step.target].control.nmse_db:11.2f} dB"
         )
 
     print("\nper-layer kernel distances from the initializer (transfer vs random):")
     for step in plan.chain:
         anchor = results[step.init_from].report.params
         d_tl = weight_distance(anchor, results[step.target].report.params)
-        d_rnd = weight_distance(anchor, controls[step.target].report.params)
+        d_rnd = weight_distance(anchor, results[step.target].control.report.params)
         layers_tl = " ".join(f"{d:5.2f}" for d in d_tl.per_layer)
         layers_rnd = " ".join(f"{d:5.2f}" for d in d_rnd.per_layer)
         print(f"  UE{step.init_from} -> UE{step.target}:")

@@ -4,7 +4,7 @@ neighboring users, jointly recreate user groups with a 4-way decoder, and
 serialize the result into a compact CSI report.
 """
 
-from .tensors import fold, make_upsampler, mode_product, unfold
+from .tensors import make_upsampler, mode_product
 from .decoder import (
     DecoderSpec,
     ParamSet,

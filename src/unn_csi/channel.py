@@ -18,6 +18,8 @@ function of the scene, so identical scenes give identical tensors.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -199,18 +201,27 @@ def synthesize(scene: Scene, ue_id: int) -> ChannelTensor:
 
 def noise_variance(signal_norm_sq: float, n_entries: int, snr_db: float) -> float:
     """Per-entry complex noise variance that realizes the requested tensor SNR
-    10 log10(||H||_F^2 / E||N||_F^2)."""
-    return signal_norm_sq / (n_entries * 10.0 ** (snr_db / 10.0))
+    10 log10(||H||_F^2 / E||N||_F^2); 0 at an SNR of +inf. Any other SNR
+    whose ratio 10^(snr_db / 10) is not a normal float (NaN, -inf, or beyond
+    about +-3,080 dB) raises ValueError."""
+    if snr_db == math.inf:
+        return 0.0
+    try:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not sys.float_info.min <= ratio <= sys.float_info.max:
+        raise ValueError(f"{snr_db} is not an SNR in dB")
+    return signal_norm_sq / (n_entries * ratio)
 
 
 def add_noise(h: ChannelTensor, snr_db: float, seed: int) -> ChannelTensor:
     """Measured channel: ground truth plus circularly symmetric complex
     Gaussian noise calibrated against the whole-tensor Frobenius norm. An
-    SNR of +inf adds no noise; NaN and -inf raise ValueError."""
+    SNR of +inf adds no noise; one :func:`noise_variance` rejects raises
+    ValueError."""
     if h.role != GROUND_TRUTH:
         raise ValueError("noise is added to ground-truth tensors only")
-    if np.isnan(snr_db) or snr_db == -np.inf:
-        raise ValueError(f"{snr_db} is not an SNR in dB")
     if snr_db == np.inf:
         return ChannelTensor(h.data.copy(), role=MEASURED, snr_db=snr_db)
     var = noise_variance(float(np.sum(np.abs(h.data) ** 2)), h.data.size, snr_db)

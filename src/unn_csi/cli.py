@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import baselines, codec, transfer as transfer_mod
 from ._fields import INT, NUMBER, list_of
-from .channel import Scene, add_noise, load_scene, preprocess, synthesize
+from .channel import Scene, add_noise, load_scene, noise_variance, preprocess, synthesize
 from .decoder import DecoderSpec, compression_ratio, load_spec, param_count, params_to_vector
 from .fitting import FitConfig, FitDivergedError, batch_size, fit, fit_batch
 from .multiuser import build_group, fit_group
@@ -181,9 +180,8 @@ def _check_fit(config: ExperimentConfig, iterations, where: str, diags: list) ->
 
 
 def _snr(value):
-    """An SNR in dB: a number, +inf for no noise, never NaN or -inf."""
-    if math.isnan(NUMBER(value)) or value == -math.inf:
-        raise ValueError(f"{value} is not an SNR in dB")
+    """An SNR in dB that :func:`noise_variance` takes; +inf means no noise."""
+    noise_variance(1.0, 1, NUMBER(value))
     return value
 
 
@@ -355,7 +353,6 @@ def _mode_transfer(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     plan = transfer_mod.load_plan(_data_path(_BUILTIN_PLANS, config.transfer_plan))
     snr_db = float(config.snr_db[0])
     seed = config.seeds[0]
-    fit_cfg = config.fit_config()
 
     targets, truths = {}, {}
     for ue_id in plan.ue_ids:
@@ -363,25 +360,13 @@ def _mode_transfer(config: ExperimentConfig, scene, spec, out: Path) -> dict:
         truths[ue_id] = truth
         targets[ue_id] = preprocess(add_noise(truth, snr_db, seed))
 
-    # the base fit and the control arm, every chain target fitted from
-    # random init with the same budget, share the first batch
-    steps = transfer_mod._plan_steps(plan)
-    fitted = transfer_mod._run_steps(
-        spec, targets, truths, fit_cfg, steps + [(step.target, None) for step in plan.chain]
-    )
-    results = {res.ue_id: res for res in fitted[: len(steps)]}
-    controls = {res.ue_id: res for res in fitted[len(steps) :]}
-
-    rows = []
-    for ue_id, res in results.items():
-        rows.append(
-            [ue_id, res.init_from if res.init_from is not None else "", "transfer" if res.init_from is not None else "random",
-             snr_db, seed, res.nmse_db, res.report.final_mse, res.report.iterations]
-        )
-    for ue_id, res in controls.items():
-        rows.append(
-            [ue_id, "", "random", snr_db, seed, res.nmse_db, res.report.final_mse, res.report.iterations]
-        )
+    results = transfer_mod.run_transfer(plan, spec, targets, truths, config.fit_config())
+    fits = list(results.values()) + [res.control for res in results.values() if res.control is not None]
+    rows = [
+        [res.ue_id, "" if res.init_from is None else res.init_from, "random" if res.init_from is None else "transfer",
+         snr_db, seed, res.nmse_db, res.report.final_mse, res.report.iterations]
+        for res in fits
+    ]
     _write_csv(
         out / "results.csv",
         ["ue", "init_from", "init_kind", "snr_db", "seed", "nmse_db", "final_mse", "iterations"],
@@ -389,14 +374,14 @@ def _mode_transfer(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     )
 
     dist_rows = []
-    for step in plan.chain:
-        anchor = results[step.init_from].report.params
-        tl = transfer_mod.weight_distance(anchor, results[step.target].report.params)
-        rnd = transfer_mod.weight_distance(anchor, controls[step.target].report.params)
-        for layer, d in enumerate(tl.per_layer, start=1):
-            dist_rows.append((layer, d, f"transfer:{step.init_from}->{step.target}"))
-        for layer, d in enumerate(rnd.per_layer, start=1):
-            dist_rows.append((layer, d, f"random:{step.init_from}->{step.target}"))
+    for res in results.values():
+        if res.control is None:
+            continue
+        anchor = results[res.init_from].report.params
+        edge = f"{res.init_from}->{res.ue_id}"
+        for kind, fitted in (("transfer", res), ("random", res.control)):
+            distance = transfer_mod.weight_distance(anchor, fitted.report.params)
+            dist_rows += [(layer, d, f"{kind}:{edge}") for layer, d in enumerate(distance.per_layer, start=1)]
     _write_csv(out / "weight_distances.csv", ["layer", "distance", "init_kind"], dist_rows)
     return {"chain": len(plan.chain)}
 

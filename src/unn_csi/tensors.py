@@ -1,9 +1,9 @@
 """Dense tensor kernels used throughout the decoder stack.
 
-The decoder is built from exactly three tensor primitives: mode unfoldings,
-mode products, and fixed one-dimensional linear upsampling operators. All of
-them operate on plain numpy arrays (row-major layout, last index fastest);
-modes are 0-indexed axes.
+The decoder is built from exactly two tensor primitives: mode products and
+fixed one-dimensional linear upsampling operators. Both operate on plain
+numpy arrays (row-major layout, last index fastest); modes are 0-indexed
+axes.
 """
 
 from __future__ import annotations
@@ -12,56 +12,22 @@ from math import prod
 
 import numpy as np
 
-__all__ = ["unfold", "fold", "mode_product", "make_upsampler"]
-
-
-def _check_mode(ndim: int, mode: int) -> None:
-    if not 0 <= mode < ndim:
-        raise ValueError(f"mode {mode} is out of range for a {ndim}-way tensor")
-
-
-def _cyclic_order(ndim: int, mode: int) -> list[int]:
-    # the unfolded mode first, remaining axes in cyclic order mode+1, ..., mode-1
-    return [(mode + i) % ndim for i in range(ndim)]
-
-
-def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-`mode` unfolding of a tensor.
-
-    Returns the matrix of shape ``(M_mode, prod(other extents))`` whose columns
-    are the mode-`mode` fibers. Columns enumerate the remaining indices in the
-    cyclic order ``mode+1, ..., D-1, 0, ..., mode-1`` with the last of those
-    indices varying fastest.
-    """
-    a = np.asarray(tensor)
-    _check_mode(a.ndim, mode)
-    return np.transpose(a, _cyclic_order(a.ndim, mode)).reshape(a.shape[mode], -1)
-
-
-def fold(matrix: np.ndarray, mode: int, shape) -> np.ndarray:
-    """Inverse of :func:`unfold`: rebuild the tensor of extents `shape`."""
-    shape = tuple(int(s) for s in shape)
-    _check_mode(len(shape), mode)
-    m = np.asarray(matrix)
-    order = _cyclic_order(len(shape), mode)
-    if m.shape[0] != shape[mode] or m.size != int(np.prod(shape)):
-        raise ValueError(f"matrix of shape {m.shape} does not fold into {shape} at mode {mode}")
-    permuted = m.reshape([shape[ax] for ax in order])
-    return np.transpose(permuted, np.argsort(order))
+__all__ = ["mode_product", "make_upsampler"]
 
 
 def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int, out=None) -> np.ndarray:
     """Mode-`mode` product: multiply `matrix` onto every mode-`mode` fiber.
 
     `matrix` has shape ``(J, M_mode)``; the result replaces extent ``M_mode``
-    by ``J``. Equivalent to ``fold(matrix @ unfold(tensor, mode), mode, ...)``.
+    by ``J``: ``result[..., j, ...] = sum_m matrix[j, m] * tensor[..., m, ...]``.
     The result is C-contiguous. `out`, if given, is a C-contiguous array with
     as many entries as the result; the product is written into it, and the
     returned array is a view of it in the result's shape.
     """
     a = np.asarray(tensor)
     u = np.asarray(matrix)
-    _check_mode(a.ndim, mode)
+    if not 0 <= mode < a.ndim:
+        raise ValueError(f"mode {mode} is out of range for a {a.ndim}-way tensor")
     if u.ndim != 2:
         raise ValueError("mode_product expects a 2-D matrix")
     if u.shape[1] != a.shape[mode]:

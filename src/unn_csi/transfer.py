@@ -2,9 +2,12 @@
 
 A base UE is fitted from random initialization; each chain entry is then
 fitted with the same iteration budget but initialized from an already-fitted
-neighbor's parameters (kernels and batch-norm pairs alike). The per-layer
-Frobenius distances between fitted kernel sets quantify how much the warm
-start constrained the search.
+neighbor's parameters (kernels and batch-norm pairs alike). Every such warm
+start is compared against its control: the same target fitted from random
+initialization with the same budget. A chain entry with no neighbor to start
+from is a plain random fit with no control. The per-layer Frobenius
+distances between fitted kernel sets quantify how much the warm start
+constrained the search.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ __all__ = [
 @dataclass(frozen=True)
 class TransferStep:
     target: int
-    init_from: int | None  # None = random initialization (control arm)
+    init_from: int | None  # None = random initialization
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,7 @@ class TransferResult:
     init_from: int | None
     report: FitReport
     nmse_db: float
+    control: TransferResult | None = None  # the same target fitted from random init
 
 
 def run_transfer(
@@ -78,42 +82,37 @@ def run_transfer(
     config: FitConfig,
 ) -> dict:
     """Fit the base UE from random init, then every chain entry from its
-    predecessor's fitted weights, all with the same seed tensor and the same
-    iteration count. Returns {ue_id: TransferResult}.
+    predecessor's fitted weights (or from random init if its `init_from` is
+    None), all with the same seed tensor and the same iteration count. Each
+    warm-started entry also gets its control: its target fitted from random
+    init. Random inits draw from config.init_seed.
 
-    `targets` maps UE id to PreprocessedTarget, `truths` to the ground-truth
-    ChannelTensor used for the NMSE.
+    Returns {ue_id: TransferResult} in plan order; `control` is set on the
+    warm-started entries only. `targets` maps UE id to PreprocessedTarget,
+    `truths` to the ground-truth ChannelTensor used for the NMSE.
+
+    Fits the same number of warm starts away from a random init run as one
+    batch, so the base and the controls share the first. Once a batch is
+    done, raises the FitDivergedError of its first diverged fit.
     """
-    results = _run_steps(spec, targets, truths, config, _plan_steps(plan))
-    return {res.ue_id: res for res in results}
-
-
-def _plan_steps(plan: TransferPlan) -> list:
-    """The fits of `plan` as :func:`_run_steps` takes them: the base, then
-    the chain in order."""
-    index = {ue_id: i for i, ue_id in enumerate(plan.ue_ids)}
-    return [(plan.base, None)] + [
-        (s.target, None if s.init_from is None else index[s.init_from]) for s in plan.chain
-    ]
-
-
-def _run_steps(spec: DecoderSpec, targets: dict, truths: dict, config: FitConfig, steps) -> list:
-    """Fit each (ue_id, source) step: from random init when `source` is None,
-    else from the fitted weights of the step at index `source`, which comes
-    earlier. Steps the same number of warm starts away from a random init
-    run as one batch. Returns one TransferResult per step, in order; once a
-    batch is done, raises the FitDivergedError of its first diverged fit."""
-    for ue_id, _ in steps:
+    for ue_id in plan.ue_ids:
         if ue_id not in targets:
             raise KeyError(f"plan references UE {ue_id} with no target")
+    # each step: (ue_id, index of the step whose fitted weights it starts from)
+    index = {ue_id: i for i, ue_id in enumerate(plan.ue_ids)}
+    steps = [(plan.base, None)] + [
+        (s.target, None if s.init_from is None else index[s.init_from]) for s in plan.chain
+    ]
+    warm = [ue_id for ue_id, source in steps if source is not None]
+    steps += [(ue_id, None) for ue_id in warm]
     depth = []
     for _, source in steps:
         depth.append(0 if source is None else depth[source] + 1)
 
-    results = [None] * len(steps)
+    fitted = [None] * len(steps)
     for level in range(max(depth) + 1):
         batch = [i for i, d in enumerate(depth) if d == level]
-        inits = [None if steps[i][1] is None else results[steps[i][1]].report.params for i in batch]
+        inits = [None if steps[i][1] is None else fitted[steps[i][1]].report.params for i in batch]
         reports = fit_batch(spec, None, [targets[steps[i][0]] for i in batch], config, inits)
         for i, report in zip(batch, reports):
             if isinstance(report, FitDivergedError):
@@ -123,7 +122,11 @@ def _run_steps(spec: DecoderSpec, targets: dict, truths: dict, config: FitConfig
             (est,) = recreate(spec, report.params, target.snapshot_norms, target.scale)
             err = nmse(est, truths[ue_id]) if ue_id in truths else float("nan")
             init_from = None if source is None else steps[source][0]
-            results[i] = TransferResult(ue_id, init_from, report, err)
+            fitted[i] = TransferResult(ue_id, init_from, report, err)
+
+    results = {res.ue_id: res for res in fitted[: len(plan.ue_ids)]}
+    for ue_id, control in zip(warm, fitted[len(plan.ue_ids) :]):
+        results[ue_id].control = control
     return results
 
 

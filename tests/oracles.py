@@ -8,17 +8,6 @@ wrong.
 import numpy as np
 
 
-def loop_unfold_entry(tensor, mode, index):
-    """Column position of the entry `index` in the mode-`mode` unfolding,
-    derived directly from the documented cyclic rule."""
-    ndim = tensor.ndim
-    rest = [(mode + i) % ndim for i in range(1, ndim)]
-    col = 0
-    for ax in rest:
-        col = col * tensor.shape[ax] + index[ax]
-    return index[mode], col
-
-
 def loop_mode_product(tensor, matrix, mode):
     """Triple-loop d-mode product."""
     shape = list(tensor.shape)

@@ -127,6 +127,12 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="is not an SNR in dB"):
             add_noise(synthesize(micro_scene, 1), snr_db, seed=0)
 
+    @pytest.mark.parametrize("snr_db", [1e308, -1e308, -3100])
+    def test_snr_without_a_normal_linear_ratio_rejected(self, micro_scene, snr_db):
+        # 10^(snr/10) overflows, underflows to 0, or is subnormal
+        with pytest.raises(ValueError, match="is not an SNR in dB"):
+            add_noise(synthesize(micro_scene, 1), snr_db, seed=0)
+
     @pytest.mark.parametrize("snr_db", [0.0, 20.0])
     def test_monte_carlo_snr_calibration(self, snr_db):
         scene = Scene(

@@ -200,6 +200,19 @@ class TestRunTransferMode:
         summary = json.loads(Path(config["out"], "summary.json").read_text())
         assert summary["ues"] == config["ues"] and summary["chain"] == 1
 
+    def test_null_init_step_is_one_random_fit(self, tiny_setup, tmp_path):
+        _, config = tiny_setup
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"base": 1, "chain": [{"target": 2, "init_from": None}]}))
+        out = tmp_path / "tl"
+        config = dict(config, mode="transfer", transfer_plan=str(plan_path), out=str(out))
+        cfg_path = tmp_path / "tl.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["--config", str(cfg_path)]) == 0
+        rows = csv_lines(out / "results.csv")
+        assert [r.split(",")[:3] for r in rows[1:]] == [["1", "", "random"], ["2", "", "random"]]
+        assert csv_lines(out / "weight_distances.csv") == ["layer,distance,init_kind"]
+
 
 class TestRunGroupMode:
     def test_group_results_schema(self, tiny_setup, tmp_path):
@@ -332,6 +345,10 @@ class TestMain:
             (lambda c: c.update(seeds="0"), "seeds must be a non-empty list: expected list, got str"),
             (lambda c: c.update(snr_db=[float("nan")]), "snr_db must be a non-empty list: nan is not an SNR in dB"),
             (lambda c: c.update(snr_db=[10.0, float("-inf")]), "-inf is not an SNR in dB"),
+            # 10^(snr/10) overflows, underflows to 0, or is subnormal
+            (lambda c: c.update(snr_db=[1e308]), "snr_db must be a non-empty list: 1e+308 is not an SNR in dB"),
+            (lambda c: c.update(snr_db=[-1e308]), "-1e+308 is not an SNR in dB"),
+            (lambda c: c.update(snr_db=[10.0, -3100]), "-3100 is not an SNR in dB"),
             (lambda c: c.update(seeds=[0, -1]), "seeds must be a non-empty list: noise seed -1 is negative"),
             (lambda c: c.update(mode="group", groups=[{"ues": [1, 2], "iterations": "x"}]), "in groups[0]"),
             (lambda c: c.update(mode="group", groups=[{"ues": [1, 2, 99]}]), "groups[0] references"),

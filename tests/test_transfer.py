@@ -1,12 +1,13 @@
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from unn_csi.channel import add_noise, preprocess, synthesize
 from unn_csi.decoder import init_params
-from unn_csi.fitting import FitConfig, fit
+from unn_csi.fitting import FitConfig, fit, fit_batch
 from unn_csi.transfer import (
     TransferPlan,
     TransferStep,
@@ -104,6 +105,41 @@ class TestRunTransfer:
         assert results[2].report.trace == direct.trace
         for a, b in zip(results[2].report.params.arrays(), direct.params.arrays()):
             assert np.array_equal(np.asarray(a), np.asarray(b))
+        # a random-init step is its own baseline: no control arm
+        assert results[1].control is None and results[2].control is None
+
+    def test_control_equals_direct_fit_from_init_seed(self, micro_fixture, small_spec):
+        truths, targets, config = micro_fixture
+        plan = TransferPlan(base=1, chain=(TransferStep(2, 1),))
+        results = run_transfer(plan, small_spec, targets, truths, config)
+        assert list(results) == [1, 2] and results[1].control is None
+        control = results[2].control
+        direct = fit(small_spec, None, targets[2], config)
+        assert (control.ue_id, control.init_from, control.control) == (2, None, None)
+        assert control.report.trace == direct.trace
+        for a, b in zip(control.report.params.arrays(), direct.params.arrays()):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("name, sizes", [("chain_base3", [7, 2, 2, 1, 1]), ("chain_base6", [4, 2, 1])])
+    def test_controls_share_the_base_batch(self, micro_fixture, small_spec, monkeypatch, name, sizes):
+        from importlib import resources
+
+        import unn_csi.transfer as transfer_mod
+
+        truths, targets, config = micro_fixture
+        plan = load_plan(str(resources.files("unn_csi").joinpath(f"plans/{name}.json")))
+        calls = []
+
+        def recording_fit_batch(spec, z0, batch_targets, cfg, inits=None):
+            calls.append(len(batch_targets))
+            return fit_batch(spec, z0, batch_targets, cfg, inits)
+
+        monkeypatch.setattr(transfer_mod, "fit_batch", recording_fit_batch)
+        same = {u: targets[1] for u in plan.ue_ids}
+        results = run_transfer(plan, small_spec, same, {}, replace(config, iterations=2, trace_every=1))
+        assert calls == sizes
+        assert list(results) == plan.ue_ids
+        assert [u for u, res in results.items() if res.control is not None] == [s.target for s in plan.chain]
 
     def test_warm_start_on_identical_target_never_behind_base(self, micro_fixture, small_spec):
         truths, targets, config = micro_fixture
@@ -117,8 +153,6 @@ class TestRunTransfer:
             assert tl_trace[it] <= base_loss * (1 + 1e-6)
 
     def test_chain_uses_predecessor_params(self, micro_fixture, small_spec):
-        from dataclasses import replace
-
         truths, targets, config = micro_fixture
         plan = TransferPlan(base=1, chain=(TransferStep(2, 1),))
         results = run_transfer(plan, small_spec, targets, truths, config)
