@@ -12,11 +12,10 @@ Run:  python demos/multi_user_joint_fit.py
 from importlib import resources
 
 from unn_csi.baselines import nmse
-from unn_csi.channel import add_noise, load_scene, preprocess, synthesize
+from unn_csi.channel import add_noise, load_scene, preprocess, stack_users, synthesize
 from unn_csi.codec import recreate
 from unn_csi.decoder import load_spec, param_count
 from unn_csi.fitting import FitConfig, fit
-from unn_csi.multiuser import build_group, fit_group
 
 
 def main():
@@ -41,12 +40,13 @@ def main():
         (est,) = recreate(single, report.params, targets[u].snapshot_norms, targets[u].scale)
         singles[u] = nmse(est, truths[u])
 
-    group = build_group([targets[u] for u in ues], ues)
-    report, joint = fit_group(group_spec, group, config, truths=truths)
+    group = stack_users(targets[u] for u in ues)
+    report = fit(group_spec, None, group, config)
+    estimates = recreate(group_spec, report.params, group.snapshot_norms, group.scale)
 
     print(f"{'UE':>3} {'single fit':>11} {'joint fit':>10}")
-    for u in ues:
-        print(f"{u:3d} {singles[u]:8.2f} dB {joint[u]:7.2f} dB")
+    for u, est in zip(ues, estimates):
+        print(f"{u:3d} {singles[u]:8.2f} dB {nmse(est, truths[u]):7.2f} dB")
     print(f"\njoint training MSE after {config.iterations} iterations: {report.final_mse:.3e}")
     print("reporting cost per user in the group: "
           f"{4 * param_count(group_spec) / len(ues):.0f} bytes vs "

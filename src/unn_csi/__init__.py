@@ -26,12 +26,12 @@ from .channel import (
     load_scene,
     postprocess,
     preprocess,
-    save_scene,
+    split_users,
+    stack_users,
     synthesize,
 )
 from .fitting import FitConfig, FitDivergedError, FitReport, fit, gradient, loss
 from .transfer import TransferPlan, TransferStep, run_transfer, weight_distance
-from .multiuser import GroupTarget, build_group, fit_group, split_group
 from .baselines import mmse_genie, mmse_raw, nmse, sweep
 from .codec import decode, encode, recreate
 

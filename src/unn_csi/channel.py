@@ -1,4 +1,4 @@
-"""Geometric multipath channel synthesis, measurement noise, preprocessing.
+"""Geometric multipath channel synthesis, noise, preprocessing, user stacking.
 
 The ground-truth channel of a moving single-antenna user is the sum of a
 line-of-sight path and single-bounce scatterer paths:
@@ -37,9 +37,10 @@ __all__ = [
     "add_noise",
     "preprocess",
     "postprocess",
+    "stack_users",
+    "split_users",
     "noise_variance",
     "load_scene",
-    "save_scene",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -129,9 +130,9 @@ class ChannelTensor:
 class PreprocessedTarget:
     """Real training target plus the metadata that inverts the preprocessing."""
 
-    data: np.ndarray  # (n_sub, n_sp, 2*n_ant)
-    snapshot_norms: np.ndarray  # (n_sp,)
-    scale: float
+    data: np.ndarray  # (n_sub, n_sp, 2*n_ant); a group (stack_users): (n_sp, n_sub, M, 2*n_ant)
+    snapshot_norms: np.ndarray  # (n_sp,); a group: (M, n_sp)
+    scale: float | np.ndarray  # a group: (M,)
 
 
 def _unit(vec):
@@ -231,13 +232,13 @@ def add_noise(h: ChannelTensor, snr_db: float, seed: int) -> ChannelTensor:
     return ChannelTensor(h.data + noise, role=MEASURED, snr_db=snr_db)
 
 
-def preprocess(h: ChannelTensor, scale: float | None = None) -> PreprocessedTarget:
+def preprocess(h: ChannelTensor) -> PreprocessedTarget:
     """Real training target for the decoder.
 
     Each time-snapshot slice is divided by its Frobenius norm and multiplied
-    by `scale`; real and imaginary parts are then concatenated along the
-    antenna mode. scale=None picks 0.9 / max|entry| of the normalized tensor
-    so every target entry stays inside the open TanH range.
+    by the scale 0.9 / max|entry| of the normalized tensor, so every target
+    entry stays inside the open TanH range; real and imaginary parts are then
+    concatenated along the antenna mode.
     """
     if h.role not in (GROUND_TRUTH, MEASURED):
         raise ValueError("preprocess expects a ground-truth or measured tensor")
@@ -248,9 +249,7 @@ def preprocess(h: ChannelTensor, scale: float | None = None) -> PreprocessedTarg
     if np.any(norms == 0.0):
         raise ValueError("zero-norm snapshot cannot be normalized")
     normalized = data / norms[None, :, None]
-    if scale is None:
-        peak = max(np.abs(normalized.real).max(), np.abs(normalized.imag).max())
-        scale = 0.9 / peak
+    scale = 0.9 / max(np.abs(normalized.real).max(), np.abs(normalized.imag).max())
     normalized = normalized * scale
     target = np.concatenate([normalized.real, normalized.imag], axis=2)
     return PreprocessedTarget(data=target, snapshot_norms=norms, scale=float(scale))
@@ -270,37 +269,32 @@ def postprocess(data, snapshot_norms, scale: float) -> ChannelTensor:
     return ChannelTensor(cplx, role=ESTIMATED)
 
 
+def stack_users(targets) -> PreprocessedTarget:
+    """The group target of M users' targets, in order: each user's data,
+    with subcarrier and snapshot modes swapped, is slice m of a new user mode
+    (n_sp, n_sub, M, 2*n_ant); its norms are row m of an (M, n_sp) matrix
+    and its scale entry m of an (M,) array. ValueError unless there is at
+    least one user and all share one shape."""
+    targets = list(targets)
+    return PreprocessedTarget(
+        data=np.stack([t.data.transpose(1, 0, 2) for t in targets], axis=2),
+        snapshot_norms=np.stack([t.snapshot_norms for t in targets], axis=0),
+        scale=np.array([t.scale for t in targets], dtype=float),
+    )
+
+
+def split_users(data, snapshot_norms, scale) -> list:
+    """Invert :func:`stack_users` and :func:`preprocess` on group target data
+    or a 4-way decoder output (n_sp, n_sub, M, 2*n_ant): one estimated
+    channel per user, in the order of the user mode."""
+    return [
+        postprocess(data[:, :, m, :].transpose(1, 0, 2), snapshot_norms[m], float(scale[m]))
+        for m in range(data.shape[2])
+    ]
+
+
 # ---------------------------------------------------------------------------
 # scene files
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "carrier_hz": scene.carrier_hz,
-        "bandwidth_hz": scene.bandwidth_hz,
-        "n_sub": scene.n_sub,
-        "n_sp": scene.n_sp,
-        "snapshot_dt_s": scene.snapshot_dt_s,
-        "bs": {
-            "position_m": list(scene.bs_position),
-            "ura_rows": scene.ura_rows,
-            "ura_cols": scene.ura_cols,
-            "element_spacing_wl": scene.element_spacing_wl,
-        },
-        "scatterers": [
-            {"position_m": list(s.position), "gain_re": s.gain.real, "gain_im": s.gain.imag}
-            for s in scene.scatterers
-        ],
-        "ues": [
-            {
-                "id": u.ue_id,
-                "start_m": list(u.start),
-                "velocity_mps": list(u.velocity),
-                "los": u.los,
-            }
-            for u in scene.ues
-        ],
-    }
 
 
 _scene_field = partial(read_field, "scene")
@@ -322,8 +316,8 @@ def _user_track(doc, where: str) -> UserTrack:
 
 
 def scene_from_dict(doc: dict) -> Scene:
-    """Inverse of :func:`scene_to_dict`. A missing or mistyped field raises
-    ValueError naming the field."""
+    """The Scene a parsed scene file describes (docs/artifacts.md). A missing
+    or mistyped field raises ValueError naming the field."""
     bs = _scene_field(doc, "bs", OBJECT)
     scatterers = _scene_field(doc, "scatterers", list_of(OBJECT))
     ues = _scene_field(doc, "ues", list_of(OBJECT))
@@ -345,9 +339,3 @@ def scene_from_dict(doc: dict) -> Scene:
 def load_scene(path) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
         return scene_from_dict(json.load(fh))
-
-
-def save_scene(scene: Scene, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene), fh, indent=2)
-        fh.write("\n")

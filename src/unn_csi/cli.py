@@ -29,10 +29,9 @@ import numpy as np
 
 from . import baselines, codec, transfer as transfer_mod
 from ._fields import INT, NUMBER, list_of
-from .channel import Scene, add_noise, load_scene, noise_variance, preprocess, synthesize
+from .channel import Scene, add_noise, load_scene, noise_variance, preprocess, stack_users, synthesize
 from .decoder import DecoderSpec, compression_ratio, load_spec, param_count, params_to_vector
 from .fitting import FitConfig, FitDivergedError, batch_size, fit, fit_batch
-from .multiuser import build_group, fit_group
 from .baselines import make_unn_estimator, mmse_genie, mmse_raw, nmse, records_to_curves
 
 __all__ = ["ExperimentConfig", "Diagnostic", "validate", "run", "main"]
@@ -144,7 +143,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 def _check_spec_against(scene: Scene, spec: DecoderSpec, name: str, diags: list, group_size=None):
     """Error unless the decoder outputs the target the mode fits: (n_sub, n_sp,
     2*n_ant) for one UE, (n_sp, n_sub, M, 2*n_ant) for a group of M UEs (the
-    layout of multiuser.build_group)."""
+    layout of channel.stack_users)."""
     want = (scene.n_sub, scene.n_sp) if group_size is None else (scene.n_sp, scene.n_sub, group_size)
     want += (2 * scene.n_ant,)
     if spec.output_dims != want:
@@ -191,6 +190,19 @@ def _noise_seed(value):
     return value
 
 
+def _check_list(value, item, name: str, diags: list):
+    """`value` as a tuple of `item`-checked entries; None plus an error
+    diagnostic unless it is a non-empty list of such entries."""
+    try:
+        items = list_of(item)(value)
+        if not items:
+            raise ValueError("the list is empty")
+        return items
+    except (TypeError, ValueError) as exc:
+        diags.append(Diagnostic("error", f"{name} must be a non-empty list: {exc}"))
+        return None
+
+
 def validate(config: ExperimentConfig) -> list:
     """Static checks; returns diagnostics and never mutates or runs anything."""
     diags: list = []
@@ -205,11 +217,7 @@ def validate(config: ExperimentConfig) -> list:
         return diags
 
     for name, item in (("snr_db", _snr), ("ues", INT), ("seeds", _noise_seed)):
-        try:
-            if not list_of(item)(getattr(config, name)):
-                raise ValueError("the list is empty")
-        except (TypeError, ValueError) as exc:
-            diags.append(Diagnostic("error", f"{name} must be a non-empty list: {exc}"))
+        _check_list(getattr(config, name), item, name, diags)
     if not isinstance(config.workers, int) or isinstance(config.workers, bool) or config.workers < 1:
         diags.append(Diagnostic("error", f"workers must be an integer >= 1, got {config.workers!r}"))
     _check_fit(config, None, "fit", diags)
@@ -234,10 +242,18 @@ def validate(config: ExperimentConfig) -> list:
         if not groups:
             diags.append(Diagnostic("error", "group mode needs a non-empty groups list"))
         for gi, entry in enumerate(groups):
-            ues = entry.get("ues") if isinstance(entry, dict) else None
-            if not isinstance(ues, list) or not ues:
+            if not isinstance(entry, dict) or "ues" not in entry:
                 diags.append(Diagnostic("error", f'groups[{gi}] needs a non-empty "ues" list'))
                 continue
+            unknown = sorted(set(entry) - {"ues", "spec", "iterations"})
+            if unknown:
+                diags.append(Diagnostic("error", f"groups[{gi}] has unknown fields {unknown}"))
+            ues = _check_list(entry["ues"], INT, f"groups[{gi}].ues", diags)
+            if ues is None:
+                continue
+            repeated = sorted({u for u in ues if ues.count(u) > 1})
+            if repeated:
+                diags.append(Diagnostic("error", f"groups[{gi}] lists UEs {repeated} more than once"))
             absent = [u for u in ues if u not in scene.ue_ids]
             if absent:
                 diags.append(Diagnostic("error", f"groups[{gi}] references unknown UEs {absent}"))
@@ -395,21 +411,18 @@ def _mode_group(config: ExperimentConfig, scene, spec, out: Path) -> dict:
         ues = list(entry["ues"])
         gspec = load_spec(_data_path(_BUILTIN_SPECS, entry["spec"])) if "spec" in entry else spec
         fit_cfg = config.fit_config(iterations=entry.get("iterations"))
-        truths, targets = {}, []
-        for ue_id in ues:
-            truth = synthesize(scene, ue_id)
-            truths[ue_id] = truth
-            targets.append(preprocess(add_noise(truth, snr_db, seed)))
-        group = build_group(targets, ues)
-        report, errors = fit_group(gspec, group, fit_cfg, truths=truths)
-        (out / "reports").mkdir(exist_ok=True)
-        blob = codec.encode(gspec, report.params, group.snapshot_norms, group.scales)
-        _atomic_write_bytes(out / "reports" / f"group{gi}.csir", blob)
-        for ue_id in ues:
+        truths = [synthesize(scene, ue_id) for ue_id in ues]
+        target = stack_users(preprocess(add_noise(truth, snr_db, seed)) for truth in truths)
+        report = fit(gspec, None, target, fit_cfg)
+        estimates = codec.recreate(gspec, report.params, target.snapshot_norms, target.scale)
+        for ue_id, est, truth in zip(ues, estimates, truths):
             rows.append(
-                (gi, ue_id, snr_db, errors[ue_id], fit_cfg.iterations,
+                (gi, ue_id, snr_db, nmse(est, truth), fit_cfg.iterations,
                  param_count(gspec), compression_ratio(gspec))
             )
+        blob = codec.encode(gspec, report.params, target.snapshot_norms, target.scale)
+        (out / "reports").mkdir(exist_ok=True)
+        _atomic_write_bytes(out / "reports" / f"group{gi}.csir", blob)
         summaries.append(
             {"group": gi, "ues": ues, "param_count": param_count(gspec),
              "compression_ratio": compression_ratio(gspec), "final_mse": report.final_mse}

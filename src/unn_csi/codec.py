@@ -17,7 +17,7 @@ import zlib
 
 import numpy as np
 
-from .channel import postprocess
+from .channel import postprocess, split_users
 from .decoder import (
     DecoderSpec,
     ParamSet,
@@ -124,14 +124,11 @@ def recreate(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale, z0=None
     Takes exactly what :func:`decode` returns, so the receiving side is
     ``recreate(*decode(blob))``. A single-user spec (2 spatial modes) gives
     one ChannelTensor; a 4-way group spec gives one per user, in the order of
-    the rows of `snapshot_norms` and entries of `scale`. `z0` must be the seed
-    tensor the parameters were fitted with (None regenerates it from
-    spec.seed_rule).
+    the rows of `snapshot_norms` and entries of `scale`
+    (:func:`~unn_csi.channel.split_users`). `z0` must be the seed tensor the
+    parameters were fitted with (None regenerates it from spec.seed_rule).
     """
     out = forward(spec, params, z0)
     if spec.n_spatial == 2:
         return [postprocess(out, snapshot_norms, scale)]
-    return [
-        postprocess(out[:, :, m, :].transpose(1, 0, 2), snapshot_norms[m], float(scale[m]))
-        for m in range(out.shape[2])
-    ]
+    return split_users(out, snapshot_norms, scale)

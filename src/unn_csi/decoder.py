@@ -8,7 +8,8 @@ channel-mode product followed by TanH, so every output entry lies in (-1, 1).
 
 The same code serves 3-way tensors (subcarrier x snapshot x channel) and 4-way
 tensors (snapshot x subcarrier x user x channel); the spec just carries one
-more spatial mode.
+more spatial mode. Kernels are pointwise, so the parameter count does not
+grow with the number of users.
 
 The forward pass never builds a batch-normalized tensor. Batch norm is a
 per-filter affine map, so it folds into the next layer's kernel W. With
@@ -490,12 +491,6 @@ def spec_from_json(text: str) -> DecoderSpec:
 def load_spec(path) -> DecoderSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return spec_from_json(fh.read())
-
-
-def save_spec(spec: DecoderSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(spec_to_json(spec))
-        fh.write("\n")
 
 
 def params_to_vector(params: ParamSet) -> np.ndarray:

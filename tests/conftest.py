@@ -1,10 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from unn_csi.channel import Scatterer, Scene, UserTrack
-from unn_csi.decoder import DecoderSpec, ParamSet, SeedRule
+from unn_csi.decoder import DecoderSpec, ParamSet, SeedRule, spec_to_json
 
 
 def make_spec(input_dims, widths, inner, preout, flags, seed=42, a=0.5):
@@ -16,6 +17,50 @@ def make_spec(input_dims, widths, inner, preout, flags, seed=42, a=0.5):
         upsample_flags=flags,
         seed_rule=SeedRule(seed, a),
     )
+
+
+def save_spec(spec: DecoderSpec, path) -> None:
+    """Write `spec` as a decoder spec file in its canonical JSON form."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(spec_to_json(spec))
+        fh.write("\n")
+
+
+def scene_to_dict(scene: Scene) -> dict:
+    """The scene file document (docs/artifacts.md) that describes `scene`."""
+    return {
+        "carrier_hz": scene.carrier_hz,
+        "bandwidth_hz": scene.bandwidth_hz,
+        "n_sub": scene.n_sub,
+        "n_sp": scene.n_sp,
+        "snapshot_dt_s": scene.snapshot_dt_s,
+        "bs": {
+            "position_m": list(scene.bs_position),
+            "ura_rows": scene.ura_rows,
+            "ura_cols": scene.ura_cols,
+            "element_spacing_wl": scene.element_spacing_wl,
+        },
+        "scatterers": [
+            {"position_m": list(s.position), "gain_re": s.gain.real, "gain_im": s.gain.imag}
+            for s in scene.scatterers
+        ],
+        "ues": [
+            {
+                "id": u.ue_id,
+                "start_m": list(u.start),
+                "velocity_mps": list(u.velocity),
+                "los": u.los,
+            }
+            for u in scene.ues
+        ],
+    }
+
+
+def save_scene(scene: Scene, path) -> None:
+    """Write `scene` as a scene file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(scene_to_dict(scene), fh, indent=2)
+        fh.write("\n")
 
 
 @pytest.fixture

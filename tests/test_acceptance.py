@@ -15,11 +15,10 @@ import pytest
 
 from unn_csi import cli
 from unn_csi.baselines import mmse_genie, mmse_raw, nmse, nmse_linear
-from unn_csi.channel import add_noise, load_scene, postprocess, preprocess, synthesize
-from unn_csi.codec import CodecError, decode, encode, payload_bytes
+from unn_csi.channel import add_noise, load_scene, postprocess, preprocess, stack_users, synthesize
+from unn_csi.codec import CodecError, decode, encode, payload_bytes, recreate
 from unn_csi.decoder import forward, load_spec, param_count
 from unn_csi.fitting import FitConfig, fit
-from unn_csi.multiuser import build_group, fit_group
 from unn_csi.transfer import weight_distance
 
 from conftest import gradcheck_point, make_spec
@@ -160,12 +159,13 @@ def test_criterion_5_multiuser_parameter_invariance(desk):
                 forward(spec, report.params), targets[u].snapshot_norms, targets[u].scale
             )
             singles[u] = nmse(est, truths[u])
-        group = build_group([targets[u] for u in ues], ues)
-        _, joint = fit_group(group_spec(3), group, DESK_FIT, truths=truths)
-        for u in ues:
-            assert joint[u] <= singles[u] + 6.0, (
-                f"UE {u}: joint {joint[u]:.2f} dB vs single {singles[u]:.2f} dB"
-            )
+        group = stack_users(targets[u] for u in ues)
+        report = fit(group_spec(3), None, group, DESK_FIT)
+        estimates = recreate(group_spec(3), report.params, group.snapshot_norms, group.scale)
+        assert len(estimates) == len(ues)
+        for u, est in zip(ues, estimates):
+            joint = nmse(est, truths[u])
+            assert joint <= singles[u] + 6.0, f"UE {u}: joint {joint:.2f} dB vs single {singles[u]:.2f} dB"
 
 
 def test_criterion_6_codec_round_trip(desk):

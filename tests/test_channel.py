@@ -10,13 +10,14 @@ from unn_csi.channel import (
     load_scene,
     postprocess,
     preprocess,
-    save_scene,
     scene_from_dict,
-    scene_to_dict,
+    split_users,
+    stack_users,
     synthesize,
 )
 from unn_csi.baselines import nmse_linear
 
+from conftest import save_scene, scene_to_dict
 from oracles import two_path_channel
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -175,13 +176,16 @@ class TestAddNoise:
 class TestPreprocess:
     def test_all_ones_hand_example(self):
         data = np.ones((2, 1, 2), dtype=complex) * (1 + 1j)
-        t = preprocess(ChannelTensor(data), scale=1.0)
-        # snapshot Frobenius norm: sqrt(4 * |1+j|^2) = 2 sqrt(2)
+        t = preprocess(ChannelTensor(data))
+        # snapshot Frobenius norm: sqrt(4 * |1+j|^2) = 2 sqrt(2); every
+        # normalized part is 1 / (2 sqrt(2)), so the scale 0.9 / peak is
+        # 0.9 * 2 sqrt(2) and every target entry is 0.9
         norm = 2.0 * np.sqrt(2.0)
         assert np.allclose(t.snapshot_norms, [norm])
+        assert np.isclose(t.scale, 0.9 * norm)
         assert t.data.shape == (2, 1, 4)
-        assert np.allclose(t.data[..., :2], 1.0 / norm)  # real halves
-        assert np.allclose(t.data[..., 2:], 1.0 / norm)  # imaginary halves
+        assert np.allclose(t.data[..., :2], 0.9)  # real halves
+        assert np.allclose(t.data[..., 2:], 0.9)  # imaginary halves
 
     def test_round_trip_exact_in_float64(self, micro_scene):
         truth = synthesize(micro_scene, 1)
@@ -225,6 +229,44 @@ class TestPostprocess:
         back = postprocess(t.data.astype(np.float32), t.snapshot_norms, t.scale)
         err = np.abs(back.data - truth.data).max() / np.abs(truth.data).max()
         assert err < 1e-6
+
+
+@pytest.fixture
+def two_targets(micro_scene):
+    return [preprocess(add_noise(synthesize(micro_scene, u), 20.0, 60 + u)) for u in (1, 2)]
+
+
+class TestStackUsers:
+    def test_identical_members_give_equal_slices(self, two_targets):
+        group = stack_users([two_targets[0]] * 2)
+        assert np.array_equal(group.data[:, :, 0, :], group.data[:, :, 1, :])
+
+    def test_mode_order_swaps_subcarrier_and_snapshot(self, rect_scene):
+        # n_sub = 8, n_sp = 4: unequal extents expose a wrong transpose
+        targets = [preprocess(synthesize(rect_scene, u)) for u in (1, 2)]
+        group = stack_users(targets)
+        assert group.data.shape == (4, 8, 2, 4)
+        assert np.array_equal(group.data[:, :, 1, :], targets[1].data.transpose(1, 0, 2))
+        assert group.snapshot_norms.shape == (2, 4)
+        assert np.array_equal(group.snapshot_norms[1], targets[1].snapshot_norms)
+        assert group.scale.tolist() == [t.scale for t in targets]
+
+    def test_split_round_trip(self, two_targets):
+        group = stack_users(two_targets)
+        back = split_users(group.data, group.snapshot_norms, group.scale)
+        assert len(back) == 2
+        for original, split in zip(two_targets, back):
+            expected = postprocess(original.data, original.snapshot_norms, original.scale)
+            assert split.data.tobytes() == expected.data.tobytes()
+
+    def test_dim_mismatch_rejected(self, two_targets, rect_scene):
+        short = preprocess(synthesize(rect_scene, 1))
+        with pytest.raises(ValueError):
+            stack_users([two_targets[0], short])
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError):
+            stack_users([])
 
 
 class TestChannelTensorInvariants:

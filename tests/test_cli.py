@@ -5,11 +5,11 @@ from pathlib import Path
 import pytest
 
 from unn_csi import cli
-from unn_csi.channel import save_scene
-from unn_csi.codec import decode
-from unn_csi.decoder import save_spec
+from unn_csi.baselines import nmse
+from unn_csi.channel import synthesize
+from unn_csi.codec import decode, recreate
 
-from conftest import make_spec
+from conftest import make_spec, save_scene, save_spec
 
 
 @pytest.fixture
@@ -215,7 +215,7 @@ class TestRunTransferMode:
 
 
 class TestRunGroupMode:
-    def test_group_results_schema(self, tiny_setup, tmp_path):
+    def test_group_results_schema(self, tiny_setup, tmp_path, micro_scene):
         base_dir, config = tiny_setup
         gspec = make_spec(
             (2, 2, 2), (8, 8, 8, 8, 4), 2, 1, ((True, True, False), (True, True, False)), seed=11, a=0.15
@@ -235,6 +235,12 @@ class TestRunGroupMode:
         blob = Path(config["out"], "reports", "group0.csir").read_bytes()
         _, _, norms, scales = decode(blob)
         assert norms.shape == (2, 8) and len(scales) == 2
+        # one row per listed member, in order, with that member's NMSE
+        estimates = recreate(*decode(blob))
+        cells = [row.split(",") for row in rows[1:]]
+        assert [c[1] for c in cells] == ["1", "2"]
+        for c, est in zip(cells, estimates):
+            assert float(c[3]) == nmse(est, synthesize(micro_scene, int(c[1])))
 
     def test_group_size_mismatch_diagnosed(self, tiny_setup, tmp_path):
         base_dir, config = tiny_setup
@@ -379,6 +385,26 @@ class TestMain:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert any(message in line for line in errors)
         assert not os.path.exists(config["out"])
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"ues": [2, 3, 4], "iterationz": 5}, "groups[0] has unknown fields ['iterationz']"),
+            ({"ues": [2, 2, 3]}, "groups[0] lists UEs [2] more than once"),
+            ({"ues": [True, 3, 4]}, "groups[0].ues must be a non-empty list: expected int, got bool"),
+        ],
+    )
+    def test_bad_group_entry_exits_2_with_error_line(self, tmp_path, capsys, entry, message):
+        # each entry is otherwise a valid desk group, which would run
+        cfg_path = tmp_path / "group.json"
+        cfg_path.write_text(json.dumps({
+            "fit": {"iterations": 5, "learning_rate": 2e-3, "trace_every": 5, "init_seed": 1},
+            "groups": [dict(entry, spec="desk-group")],
+        }))
+        out = tmp_path / "out"
+        assert cli.main(["--profile", "desk", "--config", str(cfg_path), "--mode", "group", "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err.splitlines()
+        assert not out.exists()
 
     def test_non_object_config_file_exits_2_with_error_line(self, tmp_path, capsys):
         cfg_path = tmp_path / "list.json"

@@ -4,12 +4,11 @@ import struct
 import numpy as np
 import pytest
 
-from unn_csi.channel import add_noise, postprocess, preprocess, synthesize
+from unn_csi.channel import add_noise, postprocess, preprocess, stack_users, synthesize
 from unn_csi.codec import CodecError, decode, encode, payload_bytes, recreate
 from unn_csi.decoder import forward, init_params, spec_to_json
 from unn_csi.fitting import FitConfig, fit
 from unn_csi.baselines import nmse
-from unn_csi.multiuser import GroupTarget, build_group, split_group
 
 from conftest import make_spec
 
@@ -169,10 +168,10 @@ class TestRecreate:
             (2, 2, 2), (8, 8, 8, 8, 4), 2, 1, ((True, True, False),) * 2, seed=11, a=0.15
         )
         targets = [preprocess(add_noise(synthesize(micro_scene, u), 20.0, u)) for u in (1, 2)]
-        group = build_group(targets, [1, 2])
+        target = stack_users(targets)
         params = init_params(gspec, 5)
-        tx = recreate(gspec, params, group.snapshot_norms, group.scales)
-        rx = recreate(*decode(encode(gspec, params, group.snapshot_norms, group.scales)))
+        tx = recreate(gspec, params, target.snapshot_norms, target.scale)
+        rx = recreate(*decode(encode(gspec, params, target.snapshot_norms, target.scale)))
         assert len(tx) == len(rx) == 2
         for a, b in zip(tx, rx):
             assert b.data.tobytes() == a.data.tobytes()
@@ -187,10 +186,11 @@ class TestRecreate:
         scales = np.array([1.5, 2.0, 0.75])
         estimates = recreate(gspec, params, norms, scales)
         assert [e.data.shape for e in estimates] == [(4, 8, 2)] * 3
-        # user m is the m-th member of the layout build_group stacks
-        stacked = GroupTarget([4, 9, 7], forward(gspec, params), norms, scales)
-        for est, member in zip(estimates, split_group(stacked)):
-            expected = postprocess(member.data, member.snapshot_norms, member.scale)
+        # user m is slice m of the user mode, with subcarrier and snapshot
+        # modes swapped back
+        out = forward(gspec, params)
+        for m, est in enumerate(estimates):
+            expected = postprocess(out[:, :, m, :].transpose(1, 0, 2), norms[m], scales[m])
             assert np.array_equal(est.data, expected.data)
 
 

@@ -234,7 +234,8 @@ class TestFit:
         with pytest.raises(TypeError, match=f"^{name}: expected"):
             FitConfig(**{"iterations": 10, name: value})
 
-    @pytest.mark.parametrize("shape", [(16, 16, 1), (16, 16, 4), (8, 16, 8)])
+    # (16, 16, 3, 8): a three-user group target
+    @pytest.mark.parametrize("shape", [(16, 16, 1), (16, 16, 4), (8, 16, 8), (16, 16, 3, 8)])
     def test_target_shape_checked_before_first_step(self, shape):
         # with 10**9 iterations the test only returns if no step runs
         spec = load_spec(str(resources.files("unn_csi").joinpath("specs/single_ue_desk.json")))

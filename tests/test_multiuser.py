@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from unn_csi.channel import add_noise, preprocess, synthesize
+from unn_csi.baselines import nmse
+from unn_csi.channel import add_noise, preprocess, stack_users, synthesize
+from unn_csi.codec import recreate
 from unn_csi.decoder import generate_seed, param_count
 from unn_csi.fitting import FitConfig, fit
-from unn_csi.multiuser import build_group, fit_group, split_group
 
 from conftest import make_spec
 
@@ -20,58 +21,6 @@ def two_targets(micro_scene):
     truths = {u: synthesize(micro_scene, u) for u in (1, 2)}
     targets = {u: preprocess(add_noise(truths[u], 20.0, 60 + u)) for u in (1, 2)}
     return truths, targets
-
-
-class TestBuildGroup:
-    def test_identical_members_give_equal_slices(self, two_targets):
-        _, targets = two_targets
-        group = build_group([targets[1], targets[1]], [1, 1])
-        assert np.array_equal(group.data[:, :, 0, :], group.data[:, :, 1, :])
-
-    def test_mode_order_swaps_subcarrier_and_snapshot(self, two_targets):
-        _, targets = two_targets
-        group = build_group([targets[1], targets[2]], [1, 2])
-        n_sub, n_sp, width = targets[1].data.shape
-        assert group.data.shape == (n_sp, n_sub, 2, width)
-        assert np.array_equal(group.data[:, :, 1, :], targets[2].data.transpose(1, 0, 2))
-
-    def test_split_round_trip(self, two_targets):
-        _, targets = two_targets
-        group = build_group([targets[1], targets[2]], [1, 2])
-        back = split_group(group)
-        for original, split in zip([targets[1], targets[2]], back):
-            assert np.array_equal(split.data, original.data)
-            assert np.array_equal(split.snapshot_norms, original.snapshot_norms)
-            assert split.scale == original.scale
-
-    def test_dim_mismatch_rejected(self, two_targets):
-        _, targets = two_targets
-        short = preprocess(
-            add_noise(synthesize_micro_half(), 20.0, 3)
-        )
-        with pytest.raises(ValueError):
-            build_group([targets[1], short], [1, 2])
-
-
-def synthesize_micro_half():
-    from unn_csi.channel import Scene, UserTrack, Scatterer
-
-    return synthesize(
-        Scene(
-            bs_position=(0.0, 0.0, 10.0),
-            ura_rows=2,
-            ura_cols=1,
-            element_spacing_wl=0.5,
-            scatterers=(Scatterer((-8.0, 10.0, 4.0), 0.3 + 0.1j),),
-            ues=(UserTrack(1, (-1.0, 25.0, 1.5), (0.0, -0.1, 0.0)),),
-            carrier_hz=2.6e9,
-            bandwidth_hz=1.0e7,
-            n_sub=4,
-            n_sp=4,
-            snapshot_dt_s=0.05,
-        ),
-        1,
-    )
 
 
 class TestParamInvariance:
@@ -91,22 +40,22 @@ class TestFitGroup:
         truths, targets = two_targets
         m = 3
         spec = group_spec(m)
-        group = build_group([targets[1]] * m, [101, 102, 103])
+        group = stack_users([targets[1]] * m)
         # user-symmetric seed: identical slices along the user mode make the
         # whole fit permutation-invariant across users
         z_slice = generate_seed(spec.seed_rule, (2, 2, 1, spec.widths[0]))
         z0 = np.concatenate([z_slice] * m, axis=2)
         config = FitConfig(iterations=200, learning_rate=2e-3, trace_every=100, init_seed=2)
-        _, errors = fit_group(spec, group, config, truths={101: truths[1], 102: truths[1], 103: truths[1]}, z0=z0)
-        vals = list(errors.values())
+        report = fit(spec, z0, group, config)
+        vals = [nmse(est, truths[1]) for est in recreate(spec, report.params, group.snapshot_norms, group.scale, z0)]
         assert max(vals) - min(vals) < 1e-6
 
     def test_m1_group_matches_single_ue_fit_bit_exactly(self, two_targets):
-        truths, targets = two_targets
+        _, targets = two_targets
         spec4 = group_spec(1, seed=33)
-        group = build_group([targets[1]], [1])
+        group = stack_users([targets[1]])
         config = FitConfig(iterations=120, learning_rate=2e-3, trace_every=40, init_seed=7)
-        report4, _ = fit_group(spec4, group, config, truths={})
+        report4 = fit(spec4, None, group, config)
 
         # same data with the user mode squeezed out, run through the 3-way path
         spec3 = make_spec((2, 2), spec4.widths, 2, 1, ((True, True), (True, True)), seed=33, a=0.15)
@@ -116,28 +65,16 @@ class TestFitGroup:
         for a, b in zip(report3.params.arrays(), report4.params.arrays()):
             assert np.array_equal(np.asarray(a), np.asarray(b))
 
-    def test_spec_group_shape_mismatch_rejected(self, two_targets):
-        _, targets = two_targets
-        group = build_group([targets[1], targets[2]], [1, 2])
-        config = FitConfig(iterations=5, trace_every=1)
-        with pytest.raises(ValueError):
-            fit_group(group_spec(3), group, config)
-
-    def test_three_way_spec_rejected(self, two_targets):
-        _, targets = two_targets
-        group = build_group([targets[1], targets[2]], [1, 2])
-        spec3 = make_spec((2, 2), (8, 8, 8, 8, 4), 2, 1, ((True, True), (True, True)))
-        with pytest.raises(ValueError):
-            fit_group(spec3, group, FitConfig(iterations=5, trace_every=1))
-
     def test_joint_fit_reports_per_ue_nmse(self, two_targets):
         truths, targets = two_targets
         spec = group_spec(2)
-        group = build_group([targets[1], targets[2]], [1, 2])
+        group = stack_users([targets[1], targets[2]])
         config = FitConfig(iterations=400, learning_rate=2e-3, trace_every=100, init_seed=2)
-        report, errors = fit_group(spec, group, config, truths=truths)
-        assert set(errors) == {1, 2}
-        assert all(np.isfinite(v) for v in errors.values())
+        report = fit(spec, None, group, config)
+        estimates = recreate(spec, report.params, group.snapshot_norms, group.scale)
+        errors = [nmse(est, truths[u]) for est, u in zip(estimates, (1, 2))]
+        assert len(estimates) == 2
+        assert all(np.isfinite(v) for v in errors)
         assert report.final_mse < report.trace[0][1]
 
 
@@ -165,8 +102,10 @@ class TestJointVersusTransfer:
             plan = TransferPlan(base=3, chain=(TransferStep(2, 3), TransferStep(4, 3)))
             results = run_transfer(plan, spec, targets, truths, cfg)
             tl_mean = np.mean([results[u].nmse_db for u in ues])
-            group = build_group([targets[u] for u in ues], ues)
-            _, joint = fit_group(gspec, group, cfg, truths=truths)
-            gaps.append(np.mean([joint[u] for u in ues]) - tl_mean)
+            group = stack_users(targets[u] for u in ues)
+            report = fit(gspec, None, group, cfg)
+            estimates = recreate(gspec, report.params, group.snapshot_norms, group.scale)
+            joint = [nmse(est, truths[u]) for est, u in zip(estimates, ues)]
+            gaps.append(np.mean(joint) - tl_mean)
         # non-strict ordering: comparable means within a dB
         assert np.mean(gaps) >= -1.0
