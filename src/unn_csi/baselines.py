@@ -16,6 +16,7 @@ from .channel import (
     ChannelTensor,
     ESTIMATED,
     MEASURED,
+    _power,
     add_noise,
     noise_variance,
     preprocess,
@@ -44,10 +45,10 @@ def nmse_linear(est, truth) -> float:
     t = np.asarray(getattr(truth, "data", truth))
     if e.shape != t.shape:
         raise ValueError(f"shape mismatch: estimate {e.shape} vs truth {t.shape}")
-    denom = float(np.sum(np.abs(t) ** 2))
+    denom = _power(t)
     if denom == 0.0:
         raise ValueError("truth tensor has zero norm")
-    return float(np.sum(np.abs(e - t) ** 2)) / denom
+    return _power(e - t) / denom
 
 
 def nmse(est, truth) -> float:
@@ -83,7 +84,7 @@ def mmse_genie(meas: ChannelTensor, truth: ChannelTensor, snr_db: float) -> Chan
     vecs = t.reshape(-1, n_ant)
     # R[a, b] = E[h_a conj(h_b)] over all (subcarrier, snapshot) vectors
     r = (vecs.T @ vecs.conj()) / vecs.shape[0]
-    sigma2 = noise_variance(float(np.sum(np.abs(t) ** 2)), t.size, snr_db)
+    sigma2 = noise_variance(_power(t), t.size, snr_db)
     a = r + sigma2 * np.eye(n_ant)
     w = np.linalg.solve(a, r.conj().T).conj().T  # W = R (R + sigma^2 I)^{-1}
     est = x.reshape(-1, n_ant) @ w.T

@@ -13,6 +13,19 @@ the departure direction u_p. The complex path gain g_p carries the free-space
 amplitude loss 1/(4 pi d_p) together with the carrier phase at the first
 snapshot and, for scatterer paths, the reflection gain. Everything is a pure
 function of the scene, so identical scenes give identical tensors.
+
+The sum over paths is one real matrix product. The unit-modulus phases of
+all P paths form C (n_sub * n_sp, P); the gains times the steering vectors
+form S (P, n_ant); and H = C S is written straight into the real view of the
+complex result as
+
+    [Re C, Im C] @ [[Re S, Im S], [-Im S, Re S]]
+
+with the rows and columns of the right factor interleaved (real, imaginary)
+to match the memory order of complex numbers. Noise, preprocessing and its
+inverse likewise read and write the real and imaginary parts of complex
+arrays in place, so the channel path makes no complex temporaries of H's
+size.
 """
 
 from __future__ import annotations
@@ -142,30 +155,32 @@ def _unit(vec):
     return vec / n
 
 
-def _steering(scene: Scene, direction) -> np.ndarray:
-    """Plane-wave URA response for a departure direction (unit vector).
+def _steering(scene: Scene, directions) -> np.ndarray:
+    """Plane-wave URA responses (P, n_ant) for P departure directions (unit
+    vectors, one per row).
 
     Elements sit in the x=0 plane of the array frame, columns along y and rows
     along z, indexed row-major (a = r * cols + c). Spacing is given in
     wavelengths, so the phase is 2 pi spacing (c u_y + r u_z).
     """
+    u = np.asarray(directions, dtype=float)
     rows = np.arange(scene.ura_rows)
     cols = np.arange(scene.ura_cols)
     phase = 2.0 * np.pi * scene.element_spacing_wl * (
-        cols[None, :] * direction[1] + rows[:, None] * direction[2]
+        cols[None, None, :] * u[:, 1, None, None] + rows[None, :, None] * u[:, 2, None, None]
     )
-    return np.exp(1j * phase).reshape(-1)
+    return np.exp(1j * phase).reshape(len(u), -1)
 
 
 def synthesize(scene: Scene, ue_id: int) -> ChannelTensor:
-    """Ground-truth channel (n_sub, n_sp, n_ant) for one UE of the scene."""
+    """Ground-truth channel (n_sub, n_sp, n_ant) for one UE of the scene, as
+    one real matrix product over its paths (see the module docstring)."""
     ue = scene.ue(ue_id)
     bs = np.asarray(scene.bs_position, dtype=float)
     start = np.asarray(ue.start, dtype=float)
     vel = np.asarray(ue.velocity, dtype=float)
     t_idx = np.arange(scene.n_sp)
     positions = start[None, :] + vel[None, :] * (t_idx * scene.snapshot_dt_s)[:, None]
-    f_sub = np.arange(scene.n_sub) * (scene.bandwidth_hz / scene.n_sub)
     lam = scene.wavelength
 
     paths = []
@@ -188,16 +203,45 @@ def synthesize(scene: Scene, ue_id: int) -> ChannelTensor:
     if not paths:
         raise ValueError(f"UE {ue_id} has no propagation path")
 
-    h = np.zeros((scene.n_sub, scene.n_sp, scene.n_ant), dtype=np.complex128)
-    dt = scene.snapshot_dt_s
-    for gain, dist, doppler, direction in paths:
-        tau = dist / SPEED_OF_LIGHT
-        g = gain / (4.0 * np.pi * dist[0]) * np.exp(-2j * np.pi * scene.carrier_hz * tau[0])
-        delay_phase = np.exp(-2j * np.pi * f_sub[:, None] * tau[None, :])
-        doppler_phase = np.exp(2j * np.pi * doppler * t_idx * dt)
-        steer = _steering(scene, direction)
-        h += g * (delay_phase * doppler_phase[None, :])[:, :, None] * steer[None, None, :]
+    gains, dists, dopplers, directions = (np.array(v) for v in zip(*paths))
+    taus = dists.T / SPEED_OF_LIGHT  # (n_sp, P)
+    n_paths = len(paths)
+    # S: path gain (free-space loss, carrier phase at the first snapshot)
+    # times steering vector, as the rows of the real right factor
+    g = gains / (4.0 * np.pi * dists[:, 0]) * np.exp(-2j * np.pi * scene.carrier_hz * taus[0])
+    s = g[:, None] * _steering(scene, directions)  # (P, n_ant)
+    right = np.empty((n_paths, 2, scene.n_ant, 2))
+    right[:, 0, :, 0] = s.real
+    right[:, 0, :, 1] = s.imag
+    right[:, 1, :, 0] = -s.imag
+    right[:, 1, :, 1] = s.real
+    h = np.empty((scene.n_sub, scene.n_sp, scene.n_ant), dtype=np.complex128)
+    # C: c[f, t, p] = exp(+j 2 pi nu_p t dt) * w[t, p]**f, with w the delay
+    # phase of one subcarrier step, filled by doubling along the subcarrier mode
+    c = np.empty((scene.n_sub, scene.n_sp, n_paths), dtype=np.complex128)
+    c[0] = np.exp(2j * np.pi * dopplers[None, :] * (t_idx * scene.snapshot_dt_s)[:, None])
+    w = np.exp(-2j * np.pi * (scene.bandwidth_hz / scene.n_sub) * taus)
+    filled = 1
+    while filled < scene.n_sub:
+        step = min(filled, scene.n_sub - filled)
+        np.multiply(c[:step], w, out=c[filled : filled + step])
+        w *= w
+        filled += step
+
+    np.matmul(
+        c.view(np.float64).reshape(scene.n_sub * scene.n_sp, 2 * n_paths),
+        right.reshape(2 * n_paths, 2 * scene.n_ant),
+        out=h.view(np.float64).reshape(scene.n_sub * scene.n_sp, 2 * scene.n_ant),
+    )
     return ChannelTensor(h, role=GROUND_TRUTH)
+
+
+def _power(x) -> float:
+    """||x||_F^2: one dot product over the real view of x (einsum, which
+    stays on the calling thread, where a BLAS dot may wake its pool)."""
+    x = np.ascontiguousarray(x)
+    flat = (x.view(x.real.dtype) if np.iscomplexobj(x) else x).reshape(-1)
+    return float(np.einsum("i,i->", flat, flat))
 
 
 def noise_variance(signal_norm_sq: float, n_entries: int, snr_db: float) -> float:
@@ -225,11 +269,22 @@ def add_noise(h: ChannelTensor, snr_db: float, seed: int) -> ChannelTensor:
         raise ValueError("noise is added to ground-truth tensors only")
     if snr_db == np.inf:
         return ChannelTensor(h.data.copy(), role=MEASURED, snr_db=snr_db)
-    var = noise_variance(float(np.sum(np.abs(h.data) ** 2)), h.data.size, snr_db)
+    truth = np.ascontiguousarray(h.data, dtype=np.complex128)
+    std = np.sqrt(noise_variance(_power(truth), truth.size, snr_db) / 2.0)
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(h.data.shape) + 1j * rng.standard_normal(h.data.shape)
-    noise *= np.sqrt(var / 2.0)
-    return ChannelTensor(h.data + noise, role=MEASURED, snr_db=snr_db)
+    meas = np.empty_like(truth)
+    # real parts take the first normal draw, imaginary parts the second
+    for part, clean in zip(_parts(meas), _parts(truth)):
+        np.multiply(rng.standard_normal(truth.shape), std, out=part)
+        part += clean
+    return ChannelTensor(meas, role=MEASURED, snr_db=snr_db)
+
+
+def _parts(x: np.ndarray) -> tuple:
+    """Real and imaginary parts of a contiguous complex128 array as writable
+    float64 views of the same shape."""
+    pairs = x.view(np.float64).reshape(x.shape + (2,))
+    return pairs[..., 0], pairs[..., 1]
 
 
 def preprocess(h: ChannelTensor) -> PreprocessedTarget:
@@ -242,31 +297,39 @@ def preprocess(h: ChannelTensor) -> PreprocessedTarget:
     """
     if h.role not in (GROUND_TRUTH, MEASURED):
         raise ValueError("preprocess expects a ground-truth or measured tensor")
-    data = h.data
-    if data.ndim != 3:
+    if h.data.ndim != 3:
         raise ValueError("single-user preprocessing expects (n_sub, n_sp, n_ant)")
-    norms = np.sqrt(np.sum(np.abs(data) ** 2, axis=(0, 2)))
+    data = np.ascontiguousarray(h.data, dtype=np.complex128)
+    flat = data.view(np.float64)  # (n_sub, n_sp, 2*n_ant), parts interleaved
+    norms = np.sqrt(np.einsum("ftk,ftk->t", flat, flat))
     if np.any(norms == 0.0):
         raise ValueError("zero-norm snapshot cannot be normalized")
-    normalized = data / norms[None, :, None]
-    scale = 0.9 / max(np.abs(normalized.real).max(), np.abs(normalized.imag).max())
-    normalized = normalized * scale
-    target = np.concatenate([normalized.real, normalized.imag], axis=2)
+    peak = np.maximum(flat.max(axis=(0, 2)), -flat.min(axis=(0, 2))) / norms
+    scale = 0.9 / peak.max()
+    gain = (scale / norms)[None, :, None]
+    n_ant = data.shape[2]
+    target = np.empty(flat.shape)
+    re, im = _parts(data)
+    np.multiply(re, gain, out=target[..., :n_ant])
+    np.multiply(im, gain, out=target[..., n_ant:])
     return PreprocessedTarget(data=target, snapshot_norms=norms, scale=float(scale))
 
 
 def postprocess(data, snapshot_norms, scale: float) -> ChannelTensor:
     """Invert :func:`preprocess` on a target or decoder output of shape
-    (n_sub, n_sp, 2*n_ant): split the real/imaginary halves, recombine, and
-    restore each snapshot's norm."""
+    (n_sub, n_sp, 2*n_ant): scale the real and imaginary halves by each
+    snapshot's norm over the scale, straight into the parts of the complex
+    result."""
     arr = np.asarray(getattr(data, "data", data))
     if arr.shape[-1] % 2 != 0:
         raise ValueError("last extent must be even (stacked real/imaginary parts)")
     n_ant = arr.shape[-1] // 2
-    cplx = arr[..., :n_ant] + 1j * arr[..., n_ant:]
-    norms = np.asarray(snapshot_norms, dtype=float)
-    cplx = cplx * (norms[None, :, None] / scale)
-    return ChannelTensor(cplx, role=ESTIMATED)
+    gain = np.asarray(snapshot_norms, dtype=float)[None, :, None] / scale
+    out = np.empty(arr.shape[:-1] + (n_ant,), dtype=np.complex128)
+    re, im = _parts(out)
+    np.multiply(arr[..., :n_ant], gain, out=re)
+    np.multiply(arr[..., n_ant:], gain, out=im)
+    return ChannelTensor(out, role=ESTIMATED)
 
 
 def stack_users(targets) -> PreprocessedTarget:

@@ -203,6 +203,12 @@ def _check_list(value, item, name: str, diags: list):
         return None
 
 
+def _repeats(items, key=None) -> list:
+    """The sorted distinct values (under `key`) that `items` holds more than once."""
+    keys = [key(v) for v in items] if key else list(items)
+    return sorted({k for k in keys if keys.count(k) > 1})
+
+
 def validate(config: ExperimentConfig) -> list:
     """Static checks; returns diagnostics and never mutates or runs anything."""
     diags: list = []
@@ -216,8 +222,12 @@ def validate(config: ExperimentConfig) -> list:
     if spec is None:
         return diags
 
-    for name, item in (("snr_db", _snr), ("ues", INT), ("seeds", _noise_seed)):
-        _check_list(getattr(config, name), item, name, diags)
+    # SNRs compare as numbers, so 10 and 10.0 name one grid point
+    for name, item, key in (("snr_db", _snr, float), ("ues", INT, None), ("seeds", _noise_seed, None)):
+        items = _check_list(getattr(config, name), item, name, diags)
+        repeated = _repeats(items, key) if items else []
+        if repeated:
+            diags.append(Diagnostic("error", f"{name} lists {repeated} more than once"))
     if not isinstance(config.workers, int) or isinstance(config.workers, bool) or config.workers < 1:
         diags.append(Diagnostic("error", f"workers must be an integer >= 1, got {config.workers!r}"))
     _check_fit(config, None, "fit", diags)
@@ -251,7 +261,7 @@ def validate(config: ExperimentConfig) -> list:
             ues = _check_list(entry["ues"], INT, f"groups[{gi}].ues", diags)
             if ues is None:
                 continue
-            repeated = sorted({u for u in ues if ues.count(u) > 1})
+            repeated = _repeats(ues)
             if repeated:
                 diags.append(Diagnostic("error", f"groups[{gi}] lists UEs {repeated} more than once"))
             absent = [u for u in ues if u not in scene.ue_ids]

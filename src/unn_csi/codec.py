@@ -33,7 +33,7 @@ from .decoder import (
 __all__ = ["CodecError", "encode", "decode", "recreate", "payload_bytes"]
 
 REPORT_MAGIC = b"CSIR"
-REPORT_VERSION = 1
+REPORT_VERSION = 2  # v1 (payload-only CRC) still decodes
 _DTYPE_F32 = 0  # dtype field reserved for future quantized payloads
 
 
@@ -45,8 +45,16 @@ def payload_bytes(spec: DecoderSpec) -> int:
     return 4 * param_count(spec)
 
 
+def _crc(version: int, blob: bytes, crc_at: int, payload: bytes) -> int:
+    """The CRC-32 a report of `version` carries at offset `crc_at`: v1 over
+    the payload alone, v2 over every byte but the CRC field itself."""
+    if version == 1:
+        return zlib.crc32(payload)
+    return zlib.crc32(blob[crc_at + 4 :], zlib.crc32(blob[:crc_at]))
+
+
 def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
-    """Serialize a fitted decoder into the report byte stream."""
+    """Serialize a fitted decoder into the (v2) report byte stream."""
     check_params(spec, params)
     header = {
         "spec": json.loads(spec_to_json(spec)),
@@ -55,44 +63,49 @@ def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
     }
     header_blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = params_to_vector(params).astype("<f4").tobytes()
-    return b"".join(
+    blob = bytearray().join(
         [
             REPORT_MAGIC,
             struct.pack("<HB", REPORT_VERSION, _DTYPE_F32),
             struct.pack("<I", len(header_blob)),
             header_blob,
-            struct.pack("<II", zlib.crc32(payload), len(payload)),
+            struct.pack("<II", 0, len(payload)),
             payload,
         ]
     )
+    crc_at = 11 + len(header_blob)
+    struct.pack_into("<I", blob, crc_at, _crc(REPORT_VERSION, blob, crc_at, payload))
+    return bytes(blob)
 
 
 def decode(blob: bytes):
-    """Exact inverse of :func:`encode`.
+    """Exact inverse of :func:`encode`; also reads v1 reports.
 
     Returns (spec, params, snapshot_norms, scale). Raises CodecError on a bad
-    magic, unknown version, checksum mismatch, or any malformed length field,
-    header or spec.
+    magic, unknown version, a length field that does not match the blob,
+    checksum mismatch, or any malformed header or spec.
     """
     if len(blob) < 11 or blob[:4] != REPORT_MAGIC:
         raise CodecError("not a CSI report (bad magic)")
     version, dtype_tag = struct.unpack_from("<HB", blob, 4)
-    if version != REPORT_VERSION:
+    if version not in (1, REPORT_VERSION):
         raise CodecError(f"unknown report version {version}")
     if dtype_tag != _DTYPE_F32:
         raise CodecError(f"unknown payload dtype tag {dtype_tag}")
+    (header_len,) = struct.unpack_from("<I", blob, 7)
+    header_end = 11 + header_len
+    if header_end + 8 > len(blob):
+        raise CodecError(f"header length {header_len} overruns the {len(blob)}-byte report")
+    crc, payload_len = struct.unpack_from("<II", blob, header_end)
+    if header_end + 8 + payload_len != len(blob):
+        raise CodecError(f"payload length {payload_len} does not match the {len(blob)}-byte report")
+    payload = blob[header_end + 8 :]
+    if _crc(version, blob, header_end, payload) != crc:
+        raise CodecError("checksum mismatch")
     try:
-        (header_len,) = struct.unpack_from("<I", blob, 7)
-        header_end = 11 + header_len
         header = json.loads(blob[11:header_end].decode("utf-8"))
-        crc, payload_len = struct.unpack_from("<II", blob, header_end)
-    except (struct.error, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
-        raise CodecError(f"malformed header or length field: {exc}") from exc
-    payload = blob[header_end + 8 : header_end + 8 + payload_len]
-    if len(payload) != payload_len:
-        raise CodecError("truncated payload")
-    if zlib.crc32(payload) != crc:
-        raise CodecError("payload checksum mismatch")
+    except ValueError as exc:  # bad UTF-8 or JSON
+        raise CodecError(f"malformed header: {exc}") from exc
 
     if not isinstance(header, dict):
         raise CodecError("malformed header: not a JSON object")

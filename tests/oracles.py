@@ -145,3 +145,53 @@ def two_path_channel(scene, ue_id):
                         )
                         a += 1
     return h
+
+
+def loop_synthesize(scene, ue_id):
+    """The channel as a sequential sum over paths: per path, the delay phase
+    (n_sub, n_sp) times the Doppler phase times the path gain, as an outer
+    product with the steering vector added into H."""
+    c_light = 299_792_458.0
+    ue = scene.ue(ue_id)
+    bs = np.asarray(scene.bs_position, dtype=float)
+    start = np.asarray(ue.start, dtype=float)
+    vel = np.asarray(ue.velocity, dtype=float)
+    t_idx = np.arange(scene.n_sp)
+    positions = start[None, :] + vel[None, :] * (t_idx * scene.snapshot_dt_s)[:, None]
+    f_sub = np.arange(scene.n_sub) * (scene.bandwidth_hz / scene.n_sub)
+    lam = c_light / scene.carrier_hz
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    paths = []
+    if ue.los:
+        d = np.linalg.norm(positions - bs[None, :], axis=1)
+        paths.append((1.0 + 0.0j, d, -float(np.dot(unit(start - bs), vel)) / lam, unit(start - bs)))
+    for sc in scene.scatterers:
+        s = np.asarray(sc.position, dtype=float)
+        d = float(np.linalg.norm(s - bs)) + np.linalg.norm(positions - s[None, :], axis=1)
+        paths.append((complex(sc.gain), d, -float(np.dot(unit(start - s), vel)) / lam, unit(s - bs)))
+
+    rows = np.arange(scene.ura_rows)
+    cols = np.arange(scene.ura_cols)
+    h = np.zeros((scene.n_sub, scene.n_sp, scene.ura_rows * scene.ura_cols), dtype=np.complex128)
+    for gain, dist, doppler, u in paths:
+        tau = dist / c_light
+        g = gain / (4.0 * np.pi * dist[0]) * np.exp(-2j * np.pi * scene.carrier_hz * tau[0])
+        delay_phase = np.exp(-2j * np.pi * f_sub[:, None] * tau[None, :])
+        doppler_phase = np.exp(2j * np.pi * doppler * t_idx * scene.snapshot_dt_s)
+        phase = 2.0 * np.pi * scene.element_spacing_wl * (cols[None, :] * u[1] + rows[:, None] * u[2])
+        steer = np.exp(1j * phase).reshape(-1)
+        h += g * (delay_phase * doppler_phase[None, :])[:, :, None] * steer[None, None, :]
+    return h
+
+
+def formula_postprocess(data, snapshot_norms, scale):
+    """Inverse preprocessing in its complex-arithmetic form: recombine the
+    real and imaginary halves as a + 1j*b, then restore each snapshot's norm
+    over the scale."""
+    arr = np.asarray(data)
+    n_ant = arr.shape[-1] // 2
+    cplx = arr[..., :n_ant] + 1j * arr[..., n_ant:]
+    return cplx * (np.asarray(snapshot_norms, dtype=float)[None, :, None] / scale)

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from unn_csi.channel import (
 from unn_csi.baselines import nmse_linear
 
 from conftest import save_scene, scene_to_dict
-from oracles import two_path_channel
+from oracles import formula_postprocess, loop_synthesize, two_path_channel
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -104,10 +106,50 @@ class TestSynthesize:
         b = synthesize(micro_scene, 1).data
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("name", ["street_canyon", "street_canyon_desk"])
+    def test_matches_the_per_path_loop(self, name):
+        # one matrix product in place of a sequential sum over paths: only the
+        # rounding differs, so every UE agrees to 1e-12 of the tensor's peak
+        # (entries where paths cancel carry no relative accuracy in either)
+        scene = load_scene(str(resources.files("unn_csi").joinpath(f"scenes/{name}.json")))
+        for ue_id in scene.ue_ids:
+            want = loop_synthesize(scene, ue_id)
+            got = synthesize(scene, ue_id).data
+            assert got.dtype == np.complex128 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize(
+        "start, scatterer, message",
+        [
+            ((0.0, 0.0, 10.0), (5.0, 5.0, 5.0), "degenerate geometry: UE coincides with the BS"),
+            ((5.0, 5.0, 5.0), (5.0, 5.0, 5.0), "degenerate geometry: UE coincides with a scatterer"),
+            ((30.0, 0.0, 1.5), (0.0, 0.0, 10.0), "degenerate geometry: scatterer coincides with the BS"),
+        ],
+    )
+    def test_degenerate_geometry_messages(self, start, scatterer, message):
+        scene = single_path_scene()
+        bad = Scene(
+            **{
+                **scene.__dict__,
+                "ues": (UserTrack(1, start, (0.0, 0.0, 0.0)),),
+                "scatterers": (Scatterer(scatterer, 0.5 + 0.0j),),
+            }
+        )
+        with pytest.raises(ValueError) as err:
+            synthesize(bad, 1)
+        assert str(err.value) == message
+
     def test_degenerate_geometry_rejected(self):
         scene = single_path_scene()
         bad = Scene(**{**scene.__dict__, "ues": (UserTrack(1, (0.0, 0.0, 10.0), (0.0, 0.0, 0.0)),)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="UE coincides with the BS"):
+            synthesize(bad, 1)
+
+    def test_moving_into_a_scatterer_rejected(self):
+        # the check covers every snapshot, not only the first
+        scene = single_path_scene(velocity=(0.0, 0.0, 1.0), n_sp=4)
+        bad = Scene(**{**scene.__dict__, "scatterers": (Scatterer((30.0, 0.0, 1.6), 0.5 + 0.0j),)})
+        with pytest.raises(ValueError, match="UE coincides with a scatterer"):
             synthesize(bad, 1)
 
     def test_unknown_ue(self, micro_scene):
@@ -197,6 +239,20 @@ class TestPreprocess:
         t = preprocess(synthesize(micro_scene, 1))
         assert np.isclose(np.abs(t.data).max(), 0.9, rtol=0, atol=1e-12)
 
+    def test_matches_the_complex_formula(self):
+        # norms and peak come from the real view; the complex-arithmetic
+        # form agrees to rounding
+        scene = load_scene(str(resources.files("unn_csi").joinpath("scenes/street_canyon.json")))
+        h = add_noise(synthesize(scene, 2), 10.0, 5)
+        t = preprocess(h)
+        norms = np.sqrt(np.sum(np.abs(h.data) ** 2, axis=(0, 2)))
+        np.testing.assert_allclose(t.snapshot_norms, norms, rtol=1e-14)
+        normalized = h.data / norms[None, :, None]
+        scale = 0.9 / max(np.abs(normalized.real).max(), np.abs(normalized.imag).max())
+        assert t.scale == pytest.approx(scale, rel=1e-14)
+        want = np.concatenate([normalized.real, normalized.imag], axis=2) * scale
+        np.testing.assert_allclose(t.data, want, rtol=0, atol=1e-15)
+
     def test_zero_norm_snapshot_rejected(self):
         data = np.ones((2, 2, 2), dtype=complex)
         data[:, 1, :] = 0.0
@@ -222,6 +278,18 @@ class TestPostprocess:
     def test_odd_last_extent_rejected(self):
         with pytest.raises(ValueError):
             postprocess(np.zeros((2, 2, 3)), np.ones(2), 1.0)
+
+    @pytest.mark.parametrize("shape", [(16, 16, 8), (64, 64, 72)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_of_the_complex_formula(self, shape, dtype):
+        # scaling the halves into the parts of the result is a + 1j*b, bit for bit
+        rng = np.random.default_rng(3)
+        data = rng.uniform(-1.0, 1.0, shape).astype(dtype)
+        norms = rng.uniform(0.1, 10.0, shape[1])
+        got = postprocess(data, norms, 0.7).data
+        want = formula_postprocess(data, norms, 0.7)
+        assert got.dtype == want.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
 
     def test_float32_round_trip_tolerance(self, micro_scene):
         truth = synthesize(micro_scene, 1)
@@ -258,6 +326,16 @@ class TestStackUsers:
         for original, split in zip(two_targets, back):
             expected = postprocess(original.data, original.snapshot_norms, original.scale)
             assert split.data.tobytes() == expected.data.tobytes()
+
+    @pytest.mark.parametrize("shape", [(16, 16, 3, 8), (64, 64, 3, 72)])
+    def test_split_bits_of_the_complex_formula(self, shape):
+        rng = np.random.default_rng(4)
+        out = rng.uniform(-1.0, 1.0, shape).astype(np.float32)  # (n_sp, n_sub, M, 2*n_ant)
+        norms = rng.uniform(0.1, 10.0, (shape[2], shape[0]))
+        scales = rng.uniform(0.5, 5.0, shape[2])
+        for m, est in enumerate(split_users(out, norms, scales)):
+            want = formula_postprocess(out[:, :, m, :].transpose(1, 0, 2), norms[m], float(scales[m]))
+            assert est.data.tobytes() == want.tobytes()
 
     def test_dim_mismatch_rejected(self, two_targets, rect_scene):
         short = preprocess(synthesize(rect_scene, 1))

@@ -406,6 +406,36 @@ class TestMain:
         assert f"error: {message}" in capsys.readouterr().err.splitlines()
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"ues": [1, 1]}, "ues lists [1] more than once"),
+            ({"ues": [2, 1, 2, 1]}, "ues lists [1, 2] more than once"),
+            ({"seeds": [0, 3, 0]}, "seeds lists [0] more than once"),
+            # SNRs compare as numbers: 10 and 10.0 are one grid point
+            ({"snr_db": [10, 10.0]}, "snr_db lists [10.0] more than once"),
+            ({"snr_db": [0, 5, 0.0]}, "snr_db lists [0.0] more than once"),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["single", "codec"])
+    def test_repeated_grid_entry_exits_2_with_error_line(self, tmp_path, capsys, grid, message, mode):
+        # every config is otherwise a valid desk grid, which would run
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(dict(
+            {"ues": [1], "snr_db": [10], "seeds": [0]},
+            fit={"iterations": 5, "learning_rate": 2e-3, "trace_every": 5, "init_seed": 1},
+            **grid,
+        )))
+        out = tmp_path / "out"
+        assert cli.main(["--profile", "desk", "--config", str(cfg_path), "--mode", mode, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err.splitlines()
+        assert not out.exists()
+
+    def test_distinct_grid_entries_pass(self, tiny_setup):
+        _, config = tiny_setup
+        config.update(ues=[2, 1], snr_db=[10, 10.5, float("inf")], seeds=[1, 0])
+        assert [d for d in cli.validate(cli.config_from_dict(config)) if d.level == "error"] == []
+
     def test_non_object_config_file_exits_2_with_error_line(self, tmp_path, capsys):
         cfg_path = tmp_path / "list.json"
         cfg_path.write_text("[1, 2]")

@@ -1,12 +1,15 @@
 import json
 import struct
+import zlib
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unn_csi.channel import add_noise, postprocess, preprocess, stack_users, synthesize
 from unn_csi.codec import CodecError, decode, encode, payload_bytes, recreate
-from unn_csi.decoder import forward, init_params, spec_to_json
+from unn_csi.decoder import forward, init_params, load_spec, params_to_vector, spec_to_json
 from unn_csi.fitting import FitConfig, fit
 from unn_csi.baselines import nmse
 
@@ -18,6 +21,22 @@ FULL_SINGLE = make_spec((4, 4), (64,) * 6 + (72,), 4, 1, ((True, True),) * 4, se
 @pytest.fixture
 def small_spec():
     return make_spec((2, 2), (8, 8, 8, 8, 4), 2, 1, ((True, True), (True, True)), seed=11, a=0.15)
+
+
+def seal(blob, version=2) -> bytes:
+    """`blob` with its version field set to `version` and the CRC that
+    version carries recomputed (v1: over the payload; v2: over every byte
+    but the CRC field), so that an edited report reaches the checks behind
+    the checksum."""
+    out = bytearray(blob)
+    struct.pack_into("<H", out, 4, version)
+    crc_at = 11 + struct.unpack_from("<I", out, 7)[0]
+    if version == 1:
+        crc = zlib.crc32(bytes(out[crc_at + 8 :]))
+    else:
+        crc = zlib.crc32(bytes(out[crc_at + 4 :]), zlib.crc32(bytes(out[:crc_at])))
+    struct.pack_into("<I", out, crc_at, crc)
+    return bytes(out)
 
 
 def zero_params(spec):
@@ -93,8 +112,11 @@ class TestDecode:
     def test_non_utf8_header_byte(self, small_spec):
         blob = bytearray(encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0))
         blob[11] = 0xFF
-        with pytest.raises(CodecError, match="header"):
+        with pytest.raises(CodecError, match="checksum"):
             decode(bytes(blob))
+        for version in (1, 2):
+            with pytest.raises(CodecError, match="header"):
+                decode(seal(blob, version))
 
     def test_bumped_header_length(self, small_spec):
         blob = bytearray(encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0))
@@ -129,8 +151,93 @@ class TestDecode:
         edit(header)
         text = json.dumps(header).encode()
         bad = blob[:7] + struct.pack("<I", len(text)) + text + blob[header_end:]
-        with pytest.raises(CodecError, match=field):
-            decode(bad)
+        for version in (1, 2):
+            with pytest.raises(CodecError, match=field):
+                decode(seal(bad, version))
+
+    def test_trailing_bytes_rejected(self, small_spec):
+        blob = encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0)
+        for version in (1, 2):
+            with pytest.raises(CodecError, match="payload length"):
+                decode(seal(blob, version) + b"\x00")
+
+
+DESK_SPEC = load_spec(str(resources.files("unn_csi").joinpath("specs/single_ue_desk.json")))
+
+
+def desk_report(init_seed=4, norms=tuple(np.linspace(0.5, 2.0, 16)), scale=1.75) -> bytes:
+    """A v2 report of the packaged desk spec (seed rule seed 20260810)."""
+    return encode(DESK_SPEC, init_params(DESK_SPEC, init_seed), np.array(norms), scale)
+
+
+desk_reports = st.builds(
+    desk_report,
+    init_seed=st.integers(0, 2**31 - 1),
+    norms=st.lists(st.floats(1e-6, 1e6), min_size=16, max_size=16),
+    scale=st.floats(0.01, 100.0),
+)
+
+
+class TestVersion2:
+    def test_layout_and_length_are_v1s(self, small_spec):
+        # v2 differs from v1 only in the version field and in what its CRC covers
+        params = init_params(small_spec, 2)
+        blob = encode(small_spec, params, np.ones(4), 1.0)
+        header_end = 11 + struct.unpack_from("<I", blob, 7)[0]
+        payload = params_to_vector(params).astype("<f4").tobytes()
+        assert struct.unpack_from("<HB", blob, 4) == (2, 0)
+        assert blob[header_end + 4 : header_end + 8] == struct.pack("<I", len(payload))
+        assert blob[header_end + 8 :] == payload
+        assert len(blob) == header_end + 8 + len(payload)
+        body = blob[:header_end] + blob[header_end + 4 :]
+        assert struct.unpack_from("<I", blob, header_end)[0] == zlib.crc32(body)
+
+    def test_v1_report_still_decodes(self, small_spec):
+        params = init_params(small_spec, 2)
+        norms = np.array([1.0, 2.5, 0.75, 3.125])
+        spec, got, norms_got, scale = decode(seal(encode(small_spec, params, norms, 2.25), 1))
+        assert spec_to_json(spec) == spec_to_json(small_spec)
+        assert np.array_equal(norms_got, norms) and scale == 2.25
+        for a, b in zip(params.arrays(), got.arrays()):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+
+    def test_header_seed_edit_caught(self):
+        blob = desk_report()
+        assert blob.count(b"20260810") == 1
+        edited = blob.replace(b"20260810", b"29260810")
+        with pytest.raises(CodecError, match="checksum"):
+            decode(edited)
+        # v1's CRC covers only the payload, which is why v2 exists
+        assert decode(seal(edited, 1))[0].seed_rule.seed == 29260810
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=desk_reports, data=st.data(), flip=st.integers(1, 255))
+    def test_every_single_byte_mutation_raises_codec_error(self, blob, data, flip):
+        at = data.draw(st.integers(0, len(blob) - 1))
+        mutated = bytearray(blob)
+        mutated[at] ^= flip
+        with pytest.raises(CodecError):
+            decode(bytes(mutated))
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=desk_reports, data=st.data())
+    def test_every_truncation_raises_codec_error(self, blob, data):
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(CodecError):
+            decode(blob[:cut])
+
+    def test_all_truncations_and_low_bit_flips_of_one_report(self):
+        # the exhaustive counterpart of the two properties for one report:
+        # every proper prefix, and the low bit of every byte
+        blob = desk_report()
+        for n in range(len(blob)):
+            with pytest.raises(CodecError):
+                decode(blob[:n])
+        for at in range(len(blob)):
+            mutated = bytearray(blob)
+            mutated[at] ^= 0x01
+            with pytest.raises(CodecError):
+                decode(bytes(mutated))
 
 
 class TestEndToEnd:
