@@ -131,7 +131,8 @@ class ChannelTensor:
         self.data = np.asarray(self.data)
         if not np.iscomplexobj(self.data):
             raise ValueError("channel tensors are complex")
-        if not np.all(np.isfinite(self.data)):
+        # on the real view: half the time of isfinite on the complex values
+        if not np.isfinite(np.ascontiguousarray(self.data).view(self.data.real.dtype)).all():
             raise ValueError("channel tensor has non-finite entries")
         if self.role not in (GROUND_TRUTH, MEASURED, ESTIMATED):
             raise ValueError(f"unknown role {self.role!r}")

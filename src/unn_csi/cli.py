@@ -20,9 +20,11 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field
 from importlib import resources
 from math import prod
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +308,30 @@ def _write_csv(path: Path, header, rows) -> None:
 # mode drivers
 
 
+# set for the life of a worker pool: each worker runs one BLAS thread, since
+# the pool already keeps the cores busy. BLAS reads these once, when a spawned
+# worker imports numpy, before any code of ours runs in it.
+_WORKER_THREAD_ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+@contextmanager
+def _worker_pool(workers: int):
+    """A pool of `workers` freshly spawned processes, each with one BLAS
+    thread. A forked worker would keep the parent's BLAS thread pool, so
+    two workers would run four busy threads on two cores."""
+    saved = {name: os.environ.get(name) for name in _WORKER_THREAD_ENV}
+    os.environ.update(_WORKER_THREAD_ENV)
+    try:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
 def _run_single_batch(args):
     """Fit one batch of single-mode cells, each (ue, snr_db, seed, truth);
     returns one result row per cell."""
@@ -342,7 +368,7 @@ def _mode_single(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     size = min(batch_size(spec), -(-len(cells) // config.workers))
     batches = [(spec, config.fit_config(), cells[i : i + size]) for i in range(0, len(cells), size)]
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with _worker_pool(config.workers) as pool:
             results = [r for batch in pool.map(_run_single_batch, batches) for r in batch]
     else:
         results = [r for batch in map(_run_single_batch, batches) for r in batch]

@@ -59,6 +59,10 @@ __all__ = [
 ]
 
 BN_EPS = 1e-5
+# the largest matrix, in entries, whose column reductions run as one BLAS row
+# product (64 KiB of float32): every matrix of the desk specs. Above it the
+# r * r and ones-row temporaries cost more than the dispatch they save.
+_ROW_PRODUCT_ENTRIES = 1 << 14
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _SM64_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -264,6 +268,13 @@ def batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
     return (d * (np.asarray(gamma) * inv) + np.asarray(beta)).reshape(x.shape)
 
 
+def _row_product_fits(m) -> bool:
+    """Whether the column reductions of each matrix of `m` (a matrix, or a
+    stack of them) run as one BLAS row product: true up to
+    _ROW_PRODUCT_ENTRIES entries per matrix, whatever the stack's extent."""
+    return m.shape[-2] * m.shape[-1] <= _ROW_PRODUCT_ENTRIES
+
+
 def _centre(r, eps=BN_EPS):
     """Centre the columns of `r` (positions x filters, or a stack of such
     matrices) in place and return (r, 1 / sqrt(var + eps)), one row of
@@ -272,22 +283,27 @@ def _centre(r, eps=BN_EPS):
     The second mean removes the rounding error of the first one, which in
     float32 grows with the column length and the offset of the data; the
     variance is then the plain mean of squares of the centred values. Means
-    are matrix-vector products with 1/N weights: BLAS runs them several
-    times faster than numpy's reduction over the leading axis, and on a
-    stack it makes the same call per matrix. The sums of squares run one
-    matrix at a time, because einsum over a stack can split a long column
-    differently from einsum over the matrix alone. So each matrix of a
-    stack gets the bits it gets alone.
+    are row products with 1/N weights: BLAS runs them several times faster
+    than numpy's reduction over the leading axis, and on a stack it makes
+    the same call per matrix. A matrix small enough for
+    :func:`_row_product_fits` takes its mean of squares the same way,
+    (1/N) @ (r * r): one call for a whole stack. A larger one sums its
+    squares by einsum, without the r * r temporary, one matrix at a time:
+    einsum over a stack can split a long column differently from einsum
+    over the matrix alone. So each matrix of a stack gets the bits it gets
+    alone.
     """
     n = r.shape[-2]
     weights = np.full((1, n), 1.0 / n, dtype=r.dtype)
     r -= weights @ r
     r -= weights @ r
-    if r.ndim == 2:
-        var = np.einsum("ij,ij->j", r, r)
+    if _row_product_fits(r):
+        var = (weights @ (r * r))[..., 0, :]
+    elif r.ndim == 2:
+        var = np.einsum("ij,ij->j", r, r) / n
     else:
-        var = np.array([np.einsum("ij,ij->j", m, m) for m in r])
-    return r, 1.0 / np.sqrt(var / n + np.asarray(eps, dtype=r.dtype))
+        var = np.array([np.einsum("ij,ij->j", m, m) for m in r]) / n
+    return r, 1.0 / np.sqrt(var + np.asarray(eps, dtype=r.dtype))
 
 
 _UPSAMPLER_CACHE: dict = {}

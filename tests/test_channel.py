@@ -358,6 +358,16 @@ class TestChannelTensorInvariants:
         with pytest.raises(ValueError):
             ChannelTensor(data)
 
+    @pytest.mark.parametrize(
+        "dtype, bad, view",
+        [(np.complex128, complex(0.0, np.nan), lambda a: a[:, ::2]), (np.complex64, complex(0.0, np.inf), np.transpose)],
+    )
+    def test_non_finite_imaginary_part_of_a_strided_array_rejected(self, dtype, bad, view):
+        data = view(np.ones((4, 4), dtype=dtype))
+        data[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ChannelTensor(data)
+
     def test_real_data_rejected(self):
         with pytest.raises(ValueError):
             ChannelTensor(np.ones((2, 2)))

@@ -332,6 +332,17 @@ class TestMain:
         assert [s.pop("workers") for s in summaries] == [1, 2]
         assert summaries[0] == summaries[1]
 
+    def test_pool_workers_start_with_one_blas_thread(self, monkeypatch):
+        # two workers with the default two BLAS threads each ran four busy
+        # threads on two cores; the caller's environment is left as it was
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        with cli._worker_pool(2) as pool:
+            seen = list(pool.map(os.getenv, names))
+        assert seen == ["1", "1", "1"]
+        assert os.environ["OMP_NUM_THREADS"] == "3" and "OPENBLAS_NUM_THREADS" not in os.environ
+
     @pytest.mark.parametrize(
         "edit, message",
         [

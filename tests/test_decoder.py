@@ -101,9 +101,9 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             batch_norm(np.zeros((2, 3)), np.ones(2), np.zeros(2))
 
-    def test_float32_large_offset_small_spread(self):
+    def test_float32_large_offset_small_spread(self, extent=64):
         rng = np.random.default_rng(5)
-        x = offset_filters(rng, (64, 64, 8))
+        x = offset_filters(rng, (extent, extent, 8))
         gamma = rng.uniform(0.5, 1.5, 8)
         beta = rng.uniform(-0.5, 0.5, 8)
         want = batch_norm(x.astype(np.float64), gamma, beta)
@@ -117,6 +117,11 @@ class TestBatchNorm:
             one_pass = (flat - mu) / np.sqrt((flat * flat).mean(axis=0) - mu * mu + np.float32(1e-5))
         err = np.abs(one_pass * gamma + beta - want.reshape(-1, 8))
         assert not np.all(err < F32_BN_TOL)
+
+    def test_float32_large_offset_small_spread_below_the_row_product_bound(self):
+        # 16x16 positions x 8 filters take their column reductions as BLAS
+        # row products, 64x64 x 8 by einsum
+        self.test_float32_large_offset_small_spread(extent=16)
 
 
 class TestForward:
@@ -153,11 +158,11 @@ class TestForward:
         got64 = forward(spec, params, z0, dtype=np.float64)
         assert np.allclose(got64, want, rtol=1e-10, atol=1e-12)
 
-    def test_float32_folded_batch_norm_large_offset_small_spread(self):
+    def test_float32_folded_batch_norm_large_offset_small_spread(self, extent=64):
         # identity first kernel: the batch norm sees the offset filters as
         # they are and is folded into the output kernel
         rng = np.random.default_rng(6)
-        spec = make_spec((64, 64), (8, 8, 4), 1, 0, ((False, False),))
+        spec = make_spec((extent, extent), (8, 8, 4), 1, 0, ((False, False),))
         z0 = offset_filters(rng, spec.seed_dims)
         params = ParamSet(
             [np.eye(8), rng.uniform(-0.5, 0.5, (8, 4))],
@@ -167,6 +172,9 @@ class TestForward:
         want = forward(spec, params, z0.astype(np.float64), dtype=np.float64)
         got = forward(spec, params, z0, dtype=np.float32)
         assert np.abs(got - want).max() < F32_BN_TOL
+
+    def test_float32_folded_batch_norm_large_offset_small_spread_below_the_row_product_bound(self):
+        self.test_float32_folded_batch_norm_large_offset_small_spread(extent=16)
 
     def test_output_in_open_tanh_range(self, tiny_spec):
         y = forward(tiny_spec, init_params(tiny_spec, 2))

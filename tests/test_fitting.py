@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unn_csi
 from unn_csi.decoder import (
     _seed,
     _Workspace,
@@ -38,6 +43,11 @@ GRADCHECK_CONFIGS = {
     "4way-ups-TTF": make_spec((2, 2, 3), (3, 4, 4, 4, 2), 2, 1, ((True, True, False),) * 2, seed=46),
     "4way-ups-TFT": make_spec((2, 3, 2), (3, 4, 4, 2), 1, 1, ((True, False, True),), seed=47),
     "4way-all-on": make_spec((2, 2, 2), (2, 3, 3, 3, 2), 2, 1, ((True, True, True),) * 2, seed=48),
+    # its matrices straddle the size bound of the BLAS row-product
+    # reductions: layer 0's ReLU output (64x64 positions x 3) sits below it,
+    # layer 1's ReLU output and the output layer's gradient (64x64 x 5)
+    # above; the other configs put every output gradient below it
+    "3way-straddle": make_spec((32, 32), (2, 3, 5, 5), 1, 1, ((True, True),), seed=49),
 }
 
 
@@ -384,6 +394,16 @@ class TestBatch:
             assert report.trace == alone.trace
             assert params_to_vector(report.params).tobytes() == params_to_vector(alone.params).tobytes()
 
+    def test_matrices_either_side_of_the_row_product_bound_keep_their_bits(self):
+        spec = GRADCHECK_CONFIGS["3way-straddle"]
+        rng = np.random.default_rng(14)
+        targets = list(rng.uniform(-0.5, 0.5, (3,) + spec.output_dims).astype(np.float32))
+        cfg = FitConfig(iterations=4, trace_every=1, init_seed=3)
+        for target, report in zip(targets, fit_batch(spec, None, targets, cfg)):
+            alone = fit(spec, None, target, cfg)
+            assert report.trace == alone.trace
+            assert params_to_vector(report.params).tobytes() == params_to_vector(alone.params).tobytes()
+
     @pytest.mark.parametrize("name", sorted(GRADCHECK_CONFIGS))
     def test_float64_gradient_slices_match_single_gradients(self, name):
         spec = GRADCHECK_CONFIGS[name]
@@ -434,3 +454,33 @@ class TestDeskConvergence:
         cfg = FitConfig(iterations=3000, learning_rate=2e-3, trace_every=500, init_seed=1)
         report = fit(spec, None, target, cfg)
         assert report.final_mse <= 1e-3 * float(np.mean(target.data**2))
+
+
+# prints the sha256 of the parameters a few single_ue_full iterations give
+FULL_FIT_DIGEST = """
+import hashlib
+from importlib import resources
+import numpy as np
+from unn_csi.decoder import load_spec, params_to_vector
+from unn_csi.fitting import FitConfig, fit
+spec = load_spec(resources.files("unn_csi").joinpath("specs/single_ue_full.json"))
+target = np.random.default_rng(15).uniform(-0.5, 0.5, spec.output_dims).astype(np.float32)
+report = fit(spec, None, target, FitConfig(iterations=3, init_seed=4))
+print(hashlib.sha256(params_to_vector(report.params).tobytes()).hexdigest())
+"""
+
+
+def test_full_scale_bytes_do_not_depend_on_the_blas_thread_count():
+    # a worker of a --workers pool runs one BLAS thread and a serial run the
+    # default count: their cells must agree. Desk shapes sit below
+    # OpenBLAS's threading threshold, so only a full-scale fit can differ.
+    env = dict(os.environ, PYTHONPATH=str(Path(unn_csi.__file__).parents[1]))
+    digests = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run(
+            [sys.executable, "-c", FULL_FIT_DIGEST], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
