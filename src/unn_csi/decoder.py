@@ -27,6 +27,15 @@ The first-pass mean of a float32 column is itself only accurate to the
 rounding of its running sum, so d is centred once more by its own mean
 (the corrected two-pass algorithm). :func:`batch_norm` uses the same
 statistics.
+
+There is one forward pass, :func:`_forward`, and it runs on a bound
+workspace (:class:`_Workspace`). Building the workspace allocates every
+activation array once. It also works out each operand that stays fixed
+while the pass runs: the matrix views of each layer, each upsampling's
+operator with its (pre, n, post) views, and the 1/N rows of batch norm.
+So a pass makes only its numpy calls. A fit builds one workspace per batch
+and reuses it every iteration. :func:`forward` builds one for its single
+call; without the cache, it holds just two scratch vectors and the output.
 """
 
 from __future__ import annotations
@@ -34,13 +43,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import cycle
 from math import prod, sqrt
 
 import numpy as np
 
 from ._fields import BOOL, INT, NUMBER, OBJECT, list_of, read_field
-from .tensors import make_upsampler, mode_product
+from .tensors import _mode_views, make_upsampler
 
 __all__ = [
     "SeedRule",
@@ -264,7 +273,8 @@ def batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
     x = np.asarray(x)
     if x.shape[-1] != len(gamma) or x.shape[-1] != len(beta):
         raise ValueError("gamma/beta length must equal the filter count (last extent)")
-    d, inv = _centre(x.reshape(-1, x.shape[-1]).copy(), eps)
+    d = x.reshape(-1, x.shape[-1]).copy()
+    inv = _centre(d, *_centring(d, eps))
     return (d * (np.asarray(gamma) * inv) + np.asarray(beta)).reshape(x.shape)
 
 
@@ -275,17 +285,25 @@ def _row_product_fits(m) -> bool:
     return m.shape[-2] * m.shape[-1] <= _ROW_PRODUCT_ENTRIES
 
 
-def _centre(r, eps=BN_EPS):
+def _centring(m, eps=BN_EPS) -> tuple:
+    """The operands :func:`_centre` takes after the matrices shaped like
+    `m`: their 1/N weight row, whether :func:`_row_product_fits` them, and
+    eps in their dtype."""
+    n = m.shape[-2]
+    return np.full((1, n), 1.0 / n, dtype=m.dtype), _row_product_fits(m), np.asarray(eps, dtype=m.dtype)
+
+
+def _centre(r, weights, row_product, eps):
     """Centre the columns of `r` (positions x filters, or a stack of such
-    matrices) in place and return (r, 1 / sqrt(var + eps)), one row of
-    statistics per matrix.
+    matrices) in place and return 1 / sqrt(var + eps), one row of
+    statistics per matrix; the other operands come from :func:`_centring`.
 
     The second mean removes the rounding error of the first one, which in
     float32 grows with the column length and the offset of the data; the
     variance is then the plain mean of squares of the centred values. Means
-    are row products with 1/N weights: BLAS runs them several times faster
-    than numpy's reduction over the leading axis, and on a stack it makes
-    the same call per matrix. A matrix small enough for
+    are row products with the 1/N weights: BLAS runs them several times
+    faster than numpy's reduction over the leading axis, and on a stack it
+    makes the same call per matrix. A matrix small enough for
     :func:`_row_product_fits` takes its mean of squares the same way,
     (1/N) @ (r * r): one call for a whole stack. A larger one sums its
     squares by einsum, without the r * r temporary, one matrix at a time:
@@ -293,17 +311,15 @@ def _centre(r, eps=BN_EPS):
     over the matrix alone. So each matrix of a stack gets the bits it gets
     alone.
     """
-    n = r.shape[-2]
-    weights = np.full((1, n), 1.0 / n, dtype=r.dtype)
     r -= weights @ r
     r -= weights @ r
-    if _row_product_fits(r):
+    if row_product:
         var = (weights @ (r * r))[..., 0, :]
     elif r.ndim == 2:
-        var = np.einsum("ij,ij->j", r, r) / n
+        var = np.einsum("ij,ij->j", r, r) / r.shape[-2]
     else:
-        var = np.array([np.einsum("ij,ij->j", m, m) for m in r]) / n
-    return r, 1.0 / np.sqrt(var + np.asarray(eps, dtype=r.dtype))
+        var = np.array([np.einsum("ij,ij->j", m, m) for m in r]) / r.shape[-2]
+    return 1.0 / np.sqrt(var + eps)
 
 
 _UPSAMPLER_CACHE: dict = {}
@@ -343,61 +359,151 @@ def _seed(spec: DecoderSpec, z0, dtype) -> np.ndarray:
     return x
 
 
+def _step_shapes(spec: DecoderSpec, lead: tuple = ()) -> list:
+    """Per layer, (plan, shapes): the (axis, source extent) pair of each of
+    its upsamplings, and the tensor shape of each result before the ReLU,
+    the kernel product and then each upsampling; `lead` is the batch axis,
+    if any."""
+    schedule = upsample_schedule(spec)
+    dims = list(spec.input_dims)
+    layout = []
+    for l in range(spec.n_layers):
+        k = spec.widths[l + 1]
+        plan = schedule[l] if l < spec.inner_count else []
+        shapes = [lead + tuple(dims) + (k,)]
+        for ax, _ in plan:
+            dims[ax] *= 2
+            shapes.append(lead + tuple(dims) + (k,))
+        layout.append((plan, shapes))
+    return layout
+
+
+def _workspace_nbytes(spec: DecoderSpec, dtype) -> int:
+    """The bytes the :class:`_Workspace` of one fit of `spec` takes: two
+    scratch vectors the size of the largest activation, plus the ReLU input
+    and output of every batch-norm layer."""
+    steps = [shapes for _, shapes in _step_shapes(spec)]
+    size = max(prod(s) for shapes in steps for s in shapes)
+    return (2 * size + 2 * sum(prod(shapes[-1]) for shapes in steps[:-1])) * np.dtype(dtype).itemsize
+
+
 class _Workspace:
-    """The arrays the forward and reverse passes of one fit, or of a batch
-    of `batch` fits, write into, made once so that no iteration allocates,
-    and at full scale faults in, its working set. For a batch, every array
-    has a leading batch axis.
+    """The passes of one decoder, or of a batch of decoders, bound to their
+    arrays. Each array a pass writes is made once, so that no iteration
+    allocates, and at full scale faults in, its working set; each operand
+    that stays fixed is worked out once, so that an iteration makes only
+    its numpy calls.
 
-    fwd[l]  what layer l writes, in order: the kernel product and each
-            upsampling, the last of which is the ReLU input u, then the
-            ReLU output r; the output layer's TanH overwrites its product
-    rev     what the reverse pass writes, in order: the output gradient,
-            then per layer, last to first, each transposed upsampling and
-            g W_f^T
-    nbytes  the bytes all of it takes
+    `x` is a checked seed tensor and `params` the parameter arrays, in x's
+    dtype or converted to it once here; for a batch of B they carry a
+    leading batch axis (x of extent 1 or B). They are bound, not copied: a
+    fit writes its parameters in place between passes. With the stacked
+    targets `t` and the gradient arrays `grads`, the reverse pass of
+    :func:`unn_csi.fitting._loss_and_grad` is bound too.
 
-    Only u and r, the forward cache, get arrays of their own. Every other
-    step writes into one of two flat scratch vectors the size of the largest
-    activation, taking turns so that no step reads the vector it writes.
+    fwd     per layer, (w, gamma, beta_row, x, v, ups, u, r, centring):
+            the kernel; the previous layer's gamma and beta (as a row),
+            None for layer 0; the input matrix (positions x filters) and
+            the kernel product; per upsampling, (operator, source,
+            destination), the (pre, n, post) views of
+            :func:`tensors.mode_product`; the ReLU input and output as
+            matrices, and the operands of :func:`_centre`. For the output
+            layer, u is the output tensor, which TanH overwrites, and r and
+            centring are None.
+    tensors per layer, the input and the ReLU input (the output, for the
+            output layer) in tensor layout: the cache of :func:`forward`
+    loss    (t, g, row, column, lead, size): the targets, the output
+            gradient g, g as one row and one column per sample, the batch
+            axis and the entries per sample
+    rev     per layer from the last to layer 1, (l, ups_t, xt, g, g_w, w,
+            gamma, beta_col, g_gamma, g_beta, ones, n, g_prev, x, u_prev):
+            the transposed upsamplings, the transposed input matrix, the
+            gradient at the kernel output, the layer's gradient arrays, the
+            ones row of its column sums (None where numpy sums them), its
+            position count, where g W_f^T goes, and layer l-1's centred
+            ReLU output and ReLU input
+    rev0    (ups_t, xt, g, g_w) for layer 0, which ends the reverse pass
+
+    Only u and r, the forward cache, get arrays of their own, and only for
+    a reverse pass or `cache`. A forward pass alone lets the ReLU overwrite
+    u, and writes its output, which the caller keeps, into an array of its
+    own. Every other step writes into one of two flat scratch vectors, each
+    the size of the largest activation they hold, taking turns so that no
+    step reads the vector it writes. Nothing bound refers back to the
+    workspace, so a finished one is freed at once, not by the cyclic
+    collector.
     """
 
-    def __init__(self, spec: DecoderSpec, dtype, batch: int | None = None):
-        self.schedule = schedule = upsample_schedule(spec)
-        lead = () if batch is None else (batch,)
-        steps = []  # per layer, the tensor shape of each result before the ReLU
-        dims = list(lead + spec.input_dims)
-        for l in range(spec.n_layers):
+    def __init__(self, spec: DecoderSpec, x, params: ParamSet, t=None, grads=None, cache=False):
+        dtype = x.dtype
+        lead = np.shape(params.kernels[0])[:-2]  # () or (B,)
+        layout = _step_shapes(spec, lead)
+        keep = cache or grads is not None
+        size = max(prod(s) for _, shapes in (layout if keep else layout[:-1]) for s in shapes)
+        block = np.empty(2 * size, dtype)  # both scratch vectors, one allocation
+        turns = cycle((block[:size], block[size:]))
+
+        def take(shape):
+            """A view of `shape` in the scratch vector the last one is not in."""
+            return next(turns)[: prod(shape)].reshape(shape)
+
+        L = spec.n_layers
+        z, x_mat = x, x.reshape(x.shape[: x.ndim - spec.n_spatial - 1] + (-1, x.shape[-1]))
+        self.fwd, self.tensors = [], []
+        for l, (plan, shapes) in enumerate(layout):
             k = spec.widths[l + 1]
-            shapes = [tuple(dims) + (k,)]
-            for ax, _ in schedule[l] if l < spec.inner_count else ():
-                dims[ax + len(lead)] *= 2
-                shapes.append(tuple(dims) + (k,))
-            steps.append(shapes)
-        size = max(prod(s) for shapes in steps for s in shapes)
-        scratch = (np.empty(size, dtype), np.empty(size, dtype))
-        self.nbytes = (2 * size + 2 * sum(prod(shapes[-1]) for shapes in steps[:-1])) * scratch[0].itemsize
-
-        def alternate(shapes, first):
-            """Views of `shapes`, taking turns between the scratch vectors."""
-            return [scratch[(first + i) % 2][: prod(s)].reshape(s) for i, s in enumerate(shapes)]
-
-        self.fwd = []
-        for l, shapes in enumerate(steps):
-            outs = alternate(shapes, 0)
-            if l == spec.n_layers - 1:
-                outs.append(outs[-1])
-            else:
-                outs[-1:] = [np.empty(shapes[-1], dtype), np.empty(shapes[-1], dtype)]
-            outs[0] = outs[0].reshape(lead + (-1, shapes[0][-1]))
-            self.fwd.append(outs)
-
-        order = [steps[-1][-1]]  # the output gradient, in the vector the TanH output is not in
-        for l in reversed(range(spec.n_layers)):
-            order += reversed(steps[l][:-1])
+            w = np.asarray(params.kernels[l], dtype=dtype)
+            gamma = beta_row = None
             if l > 0:
-                order.append(lead + (prod(steps[l][0][len(lead) : -1]), spec.widths[l]))
-        self.rev = alternate(order, 1)
+                gamma = np.asarray(params.gammas[l - 1], dtype=dtype)
+                beta_row = np.asarray(params.betas[l - 1], dtype=dtype)[..., None, :]
+            outs = [take(s) for s in shapes[:-1]]
+            own = keep if l < L - 1 else not keep
+            outs.append(np.empty(shapes[-1], dtype) if own else take(shapes[-1]))
+            u, ups = outs[0], []
+            for (ax, n), out in zip(plan, outs[1:]):
+                op = _upsampler(n, dtype)
+                ups.append((op, *_mode_views(u, 2 * n, ax + len(lead), out)))
+                u = out
+            v = outs[0].reshape(lead + (-1, k))
+            self.tensors.append((z, u))
+            if l == L - 1:
+                self.fwd.append((w, gamma, beta_row, x_mat, v, ups, u, None, None))
+                break
+            r = np.empty_like(u) if keep else u
+            u_mat, r_mat = u.reshape(lead + (-1, k)), r.reshape(lead + (-1, k))
+            self.fwd.append((w, gamma, beta_row, x_mat, v, ups, u_mat, r_mat, _centring(r_mat)))
+            z, x_mat = r, r_mat
+        if grads is None:
+            return
+
+        y = self.tensors[-1][1]
+        g = take(y.shape)  # the output gradient, in the vector y is not in
+        size = prod(spec.output_dims)
+        self.loss = (t, g, g.reshape(lead + (1, size)), g.reshape(lead + (size, 1)), lead, size)
+        self.rev = []
+        for l in reversed(range(L)):
+            w, gamma, _, x_mat, v = self.fwd[l][:5]
+            plan, shapes = layout[l]
+            ups_t = []
+            for (ax, n), shape in zip(reversed(plan), reversed(shapes[:-1])):
+                out = take(shape)
+                ups_t.append((_upsampler(n, dtype).T, *_mode_views(g, n, ax + len(lead), out)))
+                g = out
+            g = g.reshape(v.shape)
+            xt = x_mat.swapaxes(-1, -2)
+            if l == 0:
+                self.rev0 = (ups_t, xt, g, grads.kernels[0])
+                break
+            beta_col = np.asarray(params.betas[l - 1], dtype=dtype)[..., None]
+            ones = np.ones((1, g.shape[-2]), dtype) if _row_product_fits(g) else None
+            g_prev = take(x_mat.shape)
+            u_prev = self.fwd[l - 1][6]
+            self.rev.append((
+                l, ups_t, xt, g, grads.kernels[l], w, gamma, beta_col, grads.gammas[l - 1],
+                grads.betas[l - 1], ones, x_mat.shape[-2], g_prev, x_mat, u_prev,
+            ))
+            g = g_prev.reshape(self.tensors[l - 1][1].shape)
 
 
 def forward(spec: DecoderSpec, params: ParamSet, z0=None, dtype=np.float32, return_cache=False):
@@ -414,59 +520,53 @@ def forward(spec: DecoderSpec, params: ParamSet, z0=None, dtype=np.float32, retu
     u     kernel output after bias and upsampling, the ReLU input ("bn")
     inv   per filter 1 / sqrt(var + eps) of the ReLU output ("bn")
     y     the TanH output (the last layer, kind "out")
+
+    Each call binds a workspace of its own, so the arrays it returns are
+    its own too. Without the cache, that workspace is two scratch vectors
+    the size of the largest hidden activation, plus the output.
     """
     check_params(spec, params)
-    x = _seed(spec, z0, dtype)
-    cache = [] if return_cache else None
-    y = _forward(spec, params, x, cache)
-    if return_cache:
-        return y, cache
-    return y
+    ws = _Workspace(spec, _seed(spec, z0, dtype), params, cache=return_cache)
+    if not return_cache:
+        return _forward(ws)
+    folded = []
+    y = _forward(ws, folded)
+    cache = [
+        {"kind": "bn", "z_in": z_in, "w": w, "u": u, "inv": inv}
+        for (z_in, u), (w, inv) in zip(ws.tensors[:-1], folded)
+    ]
+    cache.append({"kind": "out", "z_in": ws.tensors[-1][0], "w": folded[-1][0], "y": y})
+    return y, cache
 
 
-def _forward(spec: DecoderSpec, params: ParamSet, x: np.ndarray, cache=None, ws=None) -> np.ndarray:
-    """The layers of :func:`forward` on a checked seed tensor `x`, in its
-    dtype, for one decoder or for a batch of them: for a batch of B, every
-    array of `params` carries a leading batch axis, and so does `x`, of
-    extent 1 (one seed for every sample) or B. Appends each layer's
-    intermediates to `cache` unless it is None. Each large intermediate is
-    written into the arrays of the workspace `ws`, or allocated when there
-    is none.
+def _forward(ws: _Workspace, folded=None) -> np.ndarray:
+    """The layers of :func:`forward` on the arrays bound in `ws`, for one
+    decoder or for a batch of them; returns the output tensor bound in
+    `ws`. Appends each layer's folded kernel and 1 / sqrt(var + eps) (the
+    previous layer's, for the output layer) to `folded` unless it is None.
 
     Every product is a matmul, stacked over a batch, which makes one BLAS
     call per sample, and every other step works per sample. So a sample's
     bits do not depend on B, on its place in the batch, or on whether it
     runs in a batch at all.
     """
-    dtype = x.dtype
-    lead = x.shape[: x.ndim - spec.n_spatial - 1]  # () or (1,) or (B,)
-    schedule = upsample_schedule(spec) if ws is None else ws.schedule
-    L = spec.n_layers
-    for l in range(L):
-        outs = iter(ws.fwd[l]) if ws is not None else repeat(None)
-        w = np.asarray(params.kernels[l], dtype=dtype)
-        if l > 0:  # fold the previous layer's batch norm into this kernel
-            gamma = np.asarray(params.gammas[l - 1], dtype=dtype)
-            bias = np.asarray(params.betas[l - 1], dtype=dtype)[..., None, :] @ w
+    inv = None
+    for w, gamma, beta_row, x, v, ups, u, r, centring in ws.fwd:
+        if gamma is not None:  # fold the previous layer's batch norm into this kernel
+            bias = beta_row @ w
             w = (gamma * inv)[..., None] * w
-        v = np.matmul(x.reshape(lead + (-1, x.shape[-1])), w, out=next(outs))
-        if l > 0:
+        np.matmul(x, w, out=v)
+        if gamma is not None:
             v += bias
-        u = v.reshape(v.shape[:-2] + x.shape[len(lead) : -1] + (w.shape[-1],))
-        if l < spec.inner_count:
-            for ax, n in schedule[l]:
-                u = mode_product(u, _upsampler(n, dtype), ax + len(lead), out=next(outs))
-        if l == L - 1:
-            y = np.tanh(u, out=next(outs))
-            if cache is not None:
-                cache.append({"kind": "out", "z_in": x, "w": w, "y": y})
+        for op, src, dst in ups:
+            np.matmul(op, src, out=dst)
+        if r is None:
+            y = np.tanh(u, out=u)
         else:
-            r = np.maximum(u, 0, out=next(outs))
-            d, inv = _centre(r.reshape(v.shape[:-2] + (-1, u.shape[-1])))
-            if cache is not None:
-                cache.append({"kind": "bn", "z_in": x, "w": w, "u": u, "inv": inv})
-            x = d.reshape(u.shape)
-            lead = v.shape[:-2]
+            np.maximum(u, 0, out=r)
+            inv = _centre(r, *centring)
+        if folded is not None:
+            folded.append((w, inv))
     return y
 
 

@@ -35,13 +35,22 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int, out=None) ->
             f"matrix columns ({u.shape[1]}) must match tensor extent "
             f"{a.shape[mode]} at mode {mode}"
         )
-    # on a (pre, n, post) view one batched matmul puts the new extent where
-    # the old one was, so the result is C-contiguous without an axis move
-    pre = prod(a.shape[:mode])
-    if out is not None:
-        out = out.reshape(pre, u.shape[0], -1)
-    out = np.matmul(u, a.reshape(pre, a.shape[mode], -1), out=out)
+    src, dst = _mode_views(a, u.shape[0], mode, out)
+    out = np.matmul(u, src, out=dst)
     return out.reshape(a.shape[:mode] + (u.shape[0],) + a.shape[mode + 1 :])
+
+
+def _mode_views(tensor: np.ndarray, rows: int, mode: int, out=None):
+    """The (pre, n, post) views a mode-`mode` product by a `rows`-row matrix
+    multiplies and writes: of `tensor`, and of `out` (None stays None).
+
+    On these views one batched matmul puts the new extent where the old one
+    was, so the result is C-contiguous without an axis move. The decoder
+    binds them once per workspace and then calls the matmul alone.
+    """
+    pre = prod(tensor.shape[:mode])
+    src = tensor.reshape(pre, tensor.shape[mode], -1)
+    return src, None if out is None else out.reshape(pre, rows, -1)
 
 
 def make_upsampler(n: int) -> np.ndarray:

@@ -442,6 +442,29 @@ class TestMain:
         assert f"error: {message}" in capsys.readouterr().err.splitlines()
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "fit, message",
+        [
+            ({"learning_rate": float("nan")}, "learning rate must be positive and finite, got nan"),
+            ({"learning_rate": float("inf")}, "learning rate must be positive and finite, got inf"),
+            ({"init_seed": 2**64 + 1}, "init_seed must be in 0..2**64-1, got 18446744073709551617"),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["single", "group"])
+    def test_bad_fit_value_exits_2_before_the_output_exists(self, tmp_path, capsys, fit, message, mode):
+        # a NaN learning rate used to run: single mode wrote a diverged row,
+        # group mode died with a FitDivergedError traceback
+        cfg_path = tmp_path / "fit.json"
+        cfg_path.write_text(json.dumps({
+            "fit": dict({"iterations": 5, "learning_rate": 2e-3, "trace_every": 5, "init_seed": 1}, **fit),
+            "groups": [{"ues": [2, 3], "spec": "desk-group"}],
+        }))
+        out = tmp_path / "out"
+        assert cli.main(["--profile", "desk", "--config", str(cfg_path), "--mode", mode, "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert any(message in line for line in errors), errors
+        assert not out.exists()
+
     def test_distinct_grid_entries_pass(self, tiny_setup):
         _, config = tiny_setup
         config.update(ues=[2, 1], snr_db=[10, 10.5, float("inf")], seeds=[1, 0])

@@ -201,7 +201,7 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_cache_arrays_are_fresh_per_call(self, tiny_spec):
-        # without a workspace every call allocates its own output and activations
+        # each call binds a workspace of its own: no output or activation is shared
         params = init_params(tiny_spec, 5)
 
         def activations():

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import unn_csi
 from unn_csi.decoder import (
     _seed,
+    _step_shapes,
     _Workspace,
     forward,
     generate_seed,
@@ -19,9 +21,11 @@ from unn_csi.decoder import (
     param_count,
     param_views,
     params_to_vector,
+    upsample_schedule,
 )
 from unn_csi.channel import add_noise, load_scene, preprocess, synthesize
 from unn_csi.codec import encode
+from unn_csi.tensors import make_upsampler, mode_product
 from unn_csi.fitting import (
     FitConfig,
     FitDivergedError,
@@ -236,6 +240,24 @@ class TestFit:
             FitConfig(iterations=1, learning_rate=0.0)
 
     @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("learning_rate", float("nan"), "learning rate must be positive and finite, got nan"),
+            ("learning_rate", float("inf"), "learning rate must be positive and finite, got inf"),
+            ("learning_rate", float("-inf"), "learning rate must be positive and finite"),
+            # SeedRule's range: a wider seed was masked to 64 bits and aliased another one
+            ("init_seed", 2**64, r"init_seed must be in 0\.\.2\*\*64-1, got 18446744073709551616"),
+            ("init_seed", -1, r"init_seed must be in 0\.\.2\*\*64-1, got -1"),
+        ],
+    )
+    def test_config_rejects_out_of_range_values(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            FitConfig(**{"iterations": 10, name: value})
+
+    def test_config_accepts_the_widest_seed(self):
+        assert FitConfig(iterations=1, init_seed=2**64 - 1).init_seed == 2**64 - 1
+
+    @pytest.mark.parametrize(
         "name, value",
         [("iterations", 2.5), ("iterations", True), ("trace_every", "10"), ("init_seed", 1.0),
          ("learning_rate", "2e-3")],
@@ -276,10 +298,12 @@ class TestWorkspace:
         z0 = _seed(spec, None, np.float64)
         target = np.random.default_rng(78).uniform(-0.8, 0.8, spec.output_dims)
         want = params_to_vector(gradient(spec, params, z0, target))
-        ws = _Workspace(spec, np.float64)
+        vec = np.empty(param_count(spec))
+        grads = param_views(spec, vec)
+        ws = _Workspace(spec, z0, params, target, grads)
         for _ in range(3):
-            grads = param_views(spec, np.full(param_count(spec), np.nan))
-            _loss_and_grad(spec, params, z0, target, grads, ws)
+            vec[:] = np.nan
+            _loss_and_grad(ws)
             assert np.array_equal(params_to_vector(grads), want)
 
     def test_interleaved_fits_match_fits_alone(self, tiny_spec):
@@ -302,6 +326,58 @@ class TestWorkspace:
         assert first == third == alone_other
         assert second == alone_tiny
 
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("name", sorted(GRADCHECK_CONFIGS))
+    def test_bound_upsamplings_match_mode_product(self, name, batch):
+        # a pass runs each bound (operator, source, destination) step as one
+        # matmul; on any input it must give mode_product's bits
+        spec = GRADCHECK_CONFIGS[name]
+        lead = () if batch is None else (batch,)
+        rng = np.random.default_rng(81)
+        params = param_views(spec, rng.uniform(-1, 1, lead + (param_count(spec),)))
+        grads = param_views(spec, np.empty(lead + (param_count(spec),)))
+        z0 = _seed(spec, None, np.float64)
+        if batch:
+            z0 = z0[None]
+        ws = _Workspace(spec, z0, params, np.zeros(lead + spec.output_dims), grads)
+        transposed = {entry[0]: entry[1] for entry in ws.rev}
+        transposed[0] = ws.rev0[0]
+        steps = [shapes for _, shapes in _step_shapes(spec, lead)]
+        for l, plan in enumerate(upsample_schedule(spec)):
+            forward_steps, reverse_steps = ws.fwd[l][5], transposed[l][::-1]
+            assert len(forward_steps) == len(reverse_steps) == len(plan)
+            for i, (ax, n) in enumerate(plan):
+                for shape, m, (op, src, dst) in (
+                    (steps[l][i], make_upsampler(n), forward_steps[i]),
+                    (steps[l][i + 1], make_upsampler(n).T, reverse_steps[i]),
+                ):
+                    a = rng.standard_normal(shape)
+                    assert not np.shares_memory(src, dst)
+                    src.reshape(a.shape)[...] = a
+                    np.matmul(op, src, out=dst)
+                    want = mode_product(a, m, ax + len(lead))
+                    assert np.array_equal(dst.reshape(want.shape), want)
+
+    def test_finished_fit_frees_its_workspace_without_the_collector(self):
+        # a reference cycle through a workspace would leave it to the cyclic
+        # collector: each new fit would then fault its working set in afresh
+        spec = load_spec(str(resources.files("unn_csi").joinpath("specs/single_ue_full.json")))
+        target = np.random.default_rng(0).uniform(-0.9, 0.9, spec.output_dims).astype(np.float32)
+        cfg = FitConfig(iterations=2)
+        fit(spec, None, target, cfg)  # fills the upsampler cache
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = fit(spec, None, target, cfg)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert report.iterations == 2
+        assert held < target.nbytes
+
     def test_steady_state_pass_allocates_less_than_one_output(self):
         # at full scale every intermediate is MB-sized; after the first pass
         # none of them is allocated again
@@ -311,12 +387,12 @@ class TestWorkspace:
         z0 = _seed(spec, None, f32)
         target = np.random.default_rng(0).uniform(-0.9, 0.9, spec.output_dims).astype(f32)
         grads = param_views(spec, np.empty(param_count(spec), f32))
-        ws = _Workspace(spec, f32)
-        _loss_and_grad(spec, params, z0, target, grads, ws)
+        ws = _Workspace(spec, z0, params, target, grads)
+        _loss_and_grad(ws)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _loss_and_grad(spec, params, z0, target, grads, ws)
+            _loss_and_grad(ws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,8 +493,8 @@ class TestBatch:
         z0 = _seed(spec, None, np.float64)
         block = np.stack([params_to_vector(p) for p in params])
         grads = np.full_like(block, np.nan)
-        ws = _Workspace(spec, np.float64, 2)
-        _loss_and_grad(spec, param_views(spec, block), z0[None], targets, param_views(spec, grads), ws)
+        ws = _Workspace(spec, z0[None], param_views(spec, block), targets, param_views(spec, grads))
+        _loss_and_grad(ws)
         for b in range(2):
             assert np.array_equal(grads[b], params_to_vector(gradient(spec, params[b], z0, targets[b])))
 
