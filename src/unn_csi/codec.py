@@ -12,6 +12,7 @@ layout.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 
@@ -53,14 +54,44 @@ def _crc(version: int, blob: bytes, crc_at: int, payload: bytes) -> int:
     return zlib.crc32(blob[crc_at + 4 :], zlib.crc32(blob[:crc_at]))
 
 
+def _shapes(spec: DecoderSpec) -> dict:
+    """The shapes of the norms and the scale that undo the preprocessing of
+    `spec`'s output: (n_sp,) and one number for a single-user spec,
+    (M, n_sp) and M numbers for a group, n_sp snapshots and M users."""
+    dims = spec.output_dims
+    if spec.n_spatial == 2:  # (n_sub, n_sp, 2 n_ant)
+        return {"norms": (dims[1],), "scale": ()}
+    return {"norms": (dims[2], dims[0]), "scale": (dims[2],)}  # (n_sp, n_sub, M, 2 n_ant)
+
+
+def _positive(value, shape) -> np.ndarray:
+    """`value`, a header field's JSON value, as a float array; ValueError
+    unless its shape is `shape` and every entry is a JSON number (not a
+    string or a bool, which numpy would convert), finite and > 0."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"shape {arr.shape}, the spec needs {shape}")
+    flat = [value] if arr.ndim == 0 else value if arr.ndim == 1 else [x for row in value for x in row]
+    if not all(type(x) in (int, float) and 0 < x < math.inf for x in flat):
+        raise ValueError("every entry must be a number, finite and > 0")
+    return arr
+
+
 def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
-    """Serialize a fitted decoder into the (v2) report byte stream."""
+    """Serialize a fitted decoder into the (v2) report byte stream.
+
+    Raises ValueError naming the field unless `snapshot_norms` and `scale`
+    have the shapes of `spec` (see docs/csir-format.md) and every entry is
+    finite and > 0."""
     check_params(spec, params)
-    header = {
-        "spec": json.loads(spec_to_json(spec)),
-        "norms": np.asarray(snapshot_norms, dtype=float).tolist(),
-        "scale": np.asarray(scale, dtype=float).tolist(),
-    }
+    header = {"spec": json.loads(spec_to_json(spec))}
+    shapes = _shapes(spec)
+    for name, value in (("norms", snapshot_norms), ("scale", scale)):
+        try:
+            header[name] = np.asarray(value, dtype=float).tolist()
+            _positive(header[name], shapes[name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
     header_blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = params_to_vector(params).astype("<f4").tobytes()
     blob = bytearray().join(
@@ -83,7 +114,8 @@ def decode(blob: bytes):
 
     Returns (spec, params, snapshot_norms, scale). Raises CodecError on a bad
     magic, unknown version, a length field that does not match the blob,
-    checksum mismatch, or any malformed header or spec.
+    checksum mismatch, any malformed header or spec, or norms and a scale
+    that :func:`encode` would refuse for the spec.
     """
     if len(blob) < 11 or blob[:4] != REPORT_MAGIC:
         raise CodecError("not a CSI report (bad magic)")
@@ -104,16 +136,17 @@ def decode(blob: bytes):
         raise CodecError("checksum mismatch")
     try:
         header = json.loads(blob[11:header_end].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deep
         raise CodecError(f"malformed header: {exc}") from exc
 
     if not isinstance(header, dict):
         raise CodecError("malformed header: not a JSON object")
     spec = _header_field(header, "spec", lambda doc: spec_from_json(json.dumps(doc)))
-    norms = _header_field(header, "norms", lambda v: np.asarray(v, dtype=float))
-    scale = _header_field(
-        header, "scale", lambda v: np.asarray(v, dtype=float) if isinstance(v, list) else float(v)
-    )
+    shapes = _shapes(spec)
+    norms = _header_field(header, "norms", lambda v: _positive(v, shapes["norms"]))
+    scale = _header_field(header, "scale", lambda v: _positive(v, shapes["scale"]))
+    if scale.ndim == 0:
+        scale = float(scale)
     if payload_len != payload_bytes(spec):
         raise CodecError(
             f"payload holds {payload_len} bytes, spec needs {payload_bytes(spec)}"
@@ -126,7 +159,7 @@ def decode(blob: bytes):
 def _header_field(header: dict, name: str, convert):
     try:
         return convert(header[name])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CodecError(f"malformed header field {name!r}: {exc!r}") from exc
 
 

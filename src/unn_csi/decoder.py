@@ -36,6 +36,41 @@ operator with its (pre, n, post) views, and the 1/N rows of batch norm.
 So a pass makes only its numpy calls. A fit builds one workspace per batch
 and reuses it every iteration. :func:`forward` builds one for its single
 call; without the cache, it holds just two scratch vectors and the output.
+
+The workspace also fixes how each column reduction and row broadcast runs,
+by the entries of its positions x filters matrix:
+
+=============  ================  ===============  ==============  ===========
+entries        batch-norm means  mean of squares  gradient sums   broadcasts
+=============  ================  ===============  ==============  ===========
+up to 16,384   (1/N) @ r         (1/N) @ (r * r)  ones @ g        row by row
+up to 2^19     (1/N) @ r         einsum           einsum          wide view
+above 2^19     einsum / N        einsum           einsum          wide view
+=============  ================  ===============  ==============  ===========
+
+Measured in float32 on a 2-core Xeon (2 MiB L2 per core), numpy 2.4.6 and
+OpenBLAS 0.3.31 with its default two threads:
+
+- Up to 16,384 entries (every desk matrix) a row product is one BLAS call
+  per matrix, for a whole batch too, and beats numpy's reduction over the
+  leading axis. Above it, the r * r and ones-row temporaries cost more
+  than the dispatch they save: moving the larger matrices onto row
+  products read +3-6 % and +2-4 % per full-scale iteration.
+- einsum("ij->j") adds the rows in order, as g.sum(axis=-2) does, so it
+  gives the same bits for more than one filter, in about half the time:
+  0.31 instead of 0.55-0.65 ms at 12,288 x 72.
+- A broadcast over a wide view (:func:`_tile`) runs one inner loop per
+  128 rows instead of one per row, with the same bits: subtracting a row
+  from 12,288 x 64 took 0.21 instead of 0.31-0.39 ms. It serves the bias
+  add, both centring subtractions and the reverse pass's batch-norm
+  correction.
+- Above 2^19 entries (2 MiB, the 12,288 x 64 layers of group_full_a)
+  OpenBLAS splits the one-row product (1/N) @ r over both cores, and the
+  subtraction after it slows down too. In a group_full_a iteration, the
+  centring means and subtractions took 1.0 + 3.4-3.7 ms that way,
+  0.9 + 1.5-1.7 ms with one BLAS thread, and 1.5 + 1.6-1.7 ms with einsum,
+  which keeps off the BLAS threads. single_ue_full's 4,096 x 64 matrices
+  keep the row product, 3x faster than einsum there.
 """
 
 from __future__ import annotations
@@ -70,8 +105,16 @@ __all__ = [
 BN_EPS = 1e-5
 # the largest matrix, in entries, whose column reductions run as one BLAS row
 # product (64 KiB of float32): every matrix of the desk specs. Above it the
-# r * r and ones-row temporaries cost more than the dispatch they save.
+# r * r and ones-row temporaries cost more than the dispatch they save, and
+# row broadcasts run over wide views (see _tile).
 _ROW_PRODUCT_ENTRIES = 1 << 14
+# the largest matrix whose column means are the BLAS row product (1/N) @ r
+# (2 MiB of float32, one core's L2 here); above it einsum takes them, on one
+# core (see the module docstring)
+_BLAS_MEAN_ENTRIES = 1 << 19
+# the most rows a row broadcast is tiled over (see _tile): 128 x 64 float32
+# is 32 KiB, within one core's L1 here
+_TILE_ROWS = 128
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _SM64_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -274,7 +317,7 @@ def batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
     if x.shape[-1] != len(gamma) or x.shape[-1] != len(beta):
         raise ValueError("gamma/beta length must equal the filter count (last extent)")
     d = x.reshape(-1, x.shape[-1]).copy()
-    inv = _centre(d, *_centring(d, eps))
+    inv = _centre(d, *_centring(d, np.empty(_TILE_ROWS * d.shape[-1], d.dtype), eps))
     return (d * (np.asarray(gamma) * inv) + np.asarray(beta)).reshape(x.shape)
 
 
@@ -285,40 +328,86 @@ def _row_product_fits(m) -> bool:
     return m.shape[-2] * m.shape[-1] <= _ROW_PRODUCT_ENTRIES
 
 
-def _centring(m, eps=BN_EPS) -> tuple:
+def _tile(m, block) -> tuple:
+    """(wide, tile): how a row is broadcast over each matrix of `m` (a
+    matrix, or a stack of them) in place.
+
+    Numpy runs `m op row` as one inner loop per row of m, k entries long.
+    Above _ROW_PRODUCT_ENTRIES entries per matrix, `wide` is m seen as rows
+    of R of its rows each, R the largest power of two up to _TILE_ROWS that
+    divides its row count, and `tile` the (R x k, 1 x Rk) pair of views of
+    the flat `block` that :func:`_tiled` repeats a row into: one inner loop
+    per R rows, over the same entries with the same operands, so the same
+    bits. Smaller matrices, those with an odd row count, and every matrix
+    of a workspace without a tile area (`block` None) give (m, None).
+    """
+    if block is None:
+        return m, None
+    n, k = m.shape[-2:]
+    rep = min(n & -n, _TILE_ROWS)
+    if n * k <= _ROW_PRODUCT_ENTRIES or rep == 1:
+        return m, None
+    lead = m.shape[:-2]
+    part = block[..., : rep * k]
+    return m.reshape(lead + (n // rep, rep * k)), (part.reshape(lead + (rep, k)), part[..., None, :])
+
+
+def _tiled(row, tile):
+    """`row` (one per matrix) repeated into `tile` (see :func:`_tile`), as
+    the operand of a broadcast over the wide view bound with it."""
+    rows, wide = tile
+    rows[...] = row
+    return wide
+
+
+def _each(reduce, m):
+    """`reduce` of each matrix of `m` (a matrix, or a stack of them), one
+    matrix at a time: einsum over a stack can split a long column
+    differently from einsum over the matrix alone."""
+    return reduce(m) if m.ndim == 2 else np.array([reduce(x) for x in m])
+
+
+def _column_sums(m):
+    """Sums the rows of `m` in order, like m.sum(axis=0) for k > 1, in
+    about half its time, on one core."""
+    return np.einsum("ij->j", m)
+
+
+def _column_squares(m):
+    return np.einsum("ij,ij->j", m, m)
+
+
+def _centring(m, block, eps=BN_EPS) -> tuple:
     """The operands :func:`_centre` takes after the matrices shaped like
-    `m`: their 1/N weight row, whether :func:`_row_product_fits` them, and
-    eps in their dtype."""
-    n = m.shape[-2]
-    return np.full((1, n), 1.0 / n, dtype=m.dtype), _row_product_fits(m), np.asarray(eps, dtype=m.dtype)
+    `m`: the 1/N weight row (None above _BLAS_MEAN_ENTRIES, where einsum
+    takes the means), whether :func:`_row_product_fits` them, eps in their
+    dtype, and m's wide view and tile in `block` (:func:`_tile`)."""
+    n, k = m.shape[-2:]
+    weights = np.full((1, n), 1.0 / n, dtype=m.dtype) if n * k <= _BLAS_MEAN_ENTRIES else None
+    return (weights, _row_product_fits(m), np.asarray(eps, dtype=m.dtype)) + _tile(m, block)
 
 
-def _centre(r, weights, row_product, eps):
+def _centre(r, weights, row_product, eps, wide, tile):
     """Centre the columns of `r` (positions x filters, or a stack of such
     matrices) in place and return 1 / sqrt(var + eps), one row of
     statistics per matrix; the other operands come from :func:`_centring`.
 
     The second mean removes the rounding error of the first one, which in
     float32 grows with the column length and the offset of the data; the
-    variance is then the plain mean of squares of the centred values. Means
-    are row products with the 1/N weights: BLAS runs them several times
-    faster than numpy's reduction over the leading axis, and on a stack it
-    makes the same call per matrix. A matrix small enough for
-    :func:`_row_product_fits` takes its mean of squares the same way,
-    (1/N) @ (r * r): one call for a whole stack. A larger one sums its
-    squares by einsum, without the r * r temporary, one matrix at a time:
-    einsum over a stack can split a long column differently from einsum
-    over the matrix alone. So each matrix of a stack gets the bits it gets
-    alone.
+    variance is then the plain mean of squares of the centred values. The
+    module docstring's table gives the reduction each matrix size takes.
+    Each matrix of a stack gets the bits it gets alone.
     """
-    r -= weights @ r
-    r -= weights @ r
     if row_product:
+        r -= weights @ r
+        r -= weights @ r
         var = (weights @ (r * r))[..., 0, :]
-    elif r.ndim == 2:
-        var = np.einsum("ij,ij->j", r, r) / r.shape[-2]
     else:
-        var = np.array([np.einsum("ij,ij->j", m, m) for m in r]) / r.shape[-2]
+        n = r.shape[-2]
+        for _ in range(2):
+            mean = weights @ r if weights is not None else (_each(_column_sums, r) / n)[..., None, :]
+            wide -= mean if tile is None else _tiled(mean, tile)
+        var = _each(_column_squares, r) / n
     return 1.0 / np.sqrt(var + eps)
 
 
@@ -401,27 +490,29 @@ class _Workspace:
     targets `t` and the gradient arrays `grads`, the reverse pass of
     :func:`unn_csi.fitting._loss_and_grad` is bound too.
 
-    fwd     per layer, (w, gamma, beta_row, x, v, ups, u, r, centring):
-            the kernel; the previous layer's gamma and beta (as a row),
-            None for layer 0; the input matrix (positions x filters) and
-            the kernel product; per upsampling, (operator, source,
-            destination), the (pre, n, post) views of
+    fwd     per layer, (w, gamma, beta_row, x, v, ups, u, r, centring,
+            v_wide, tile): the kernel; the previous layer's gamma and beta
+            (as a row), None for layer 0; the input matrix (positions x
+            filters) and the kernel product; per upsampling, (operator,
+            source, destination), the (pre, n, post) views of
             :func:`tensors.mode_product`; the ReLU input and output as
-            matrices, and the operands of :func:`_centre`. For the output
-            layer, u is the output tensor, which TanH overwrites, and r and
-            centring are None.
+            matrices, the operands of :func:`_centre`, and the kernel
+            product's wide view and tile for the bias add (:func:`_tile`).
+            For the output layer, u is the output tensor, which TanH
+            overwrites, and r and centring are None.
     tensors per layer, the input and the ReLU input (the output, for the
             output layer) in tensor layout: the cache of :func:`forward`
     loss    (t, g, row, column, lead, size): the targets, the output
             gradient g, g as one row and one column per sample, the batch
             axis and the entries per sample
     rev     per layer from the last to layer 1, (l, ups_t, xt, g, g_w, w,
-            gamma, beta_col, g_gamma, g_beta, ones, n, g_prev, x, u_prev):
-            the transposed upsamplings, the transposed input matrix, the
-            gradient at the kernel output, the layer's gradient arrays, the
-            ones row of its column sums (None where numpy sums them), its
-            position count, where g W_f^T goes, and layer l-1's centred
-            ReLU output and ReLU input
+            gamma, beta_col, g_gamma, g_beta, ones, n, g_prev, x, x_wide,
+            tile, u_prev): the transposed upsamplings, the transposed input
+            matrix, the gradient at the kernel output, the layer's gradient
+            arrays, the ones row of its column sums (None where einsum sums
+            them), its position count, where g W_f^T goes, layer l-1's
+            centred ReLU output with its wide view and tile, and layer
+            l-1's ReLU input
     rev0    (ups_t, xt, g, g_w) for layer 0, which ends the reverse pass
 
     Only u and r, the forward cache, get arrays of their own, and only for
@@ -429,7 +520,11 @@ class _Workspace:
     u, and writes its output, which the caller keeps, into an array of its
     own. Every other step writes into one of two flat scratch vectors, each
     the size of the largest activation they hold, taking turns so that no
-    step reads the vector it writes. Nothing bound refers back to the
+    step reads the vector it writes. Every row broadcast over a wide view
+    tiles its row into one shared area after them, in the same allocation,
+    of _TILE_ROWS rows of the widest layer per sample; a workspace whose
+    matrices all have at most _ROW_PRODUCT_ENTRIES entries has none.
+    Nothing bound refers back to the
     workspace, so a finished one is freed at once, not by the cyclic
     collector.
     """
@@ -440,8 +535,13 @@ class _Workspace:
         layout = _step_shapes(spec, lead)
         keep = cache or grads is not None
         size = max(prod(s) for _, shapes in (layout if keep else layout[:-1]) for s in shapes)
-        block = np.empty(2 * size, dtype)  # both scratch vectors, one allocation
-        turns = cycle((block[:size], block[size:]))
+        # the output layer does not upsample: its one shape is its largest
+        wide = max(size, prod(layout[-1][1][-1])) > prod(lead) * _ROW_PRODUCT_ENTRIES
+        tile_area = prod(lead) * _TILE_ROWS * max(spec.widths) if wide else 0
+        # both scratch vectors and the tile of every row broadcast, one allocation
+        block = np.empty(2 * size + tile_area, dtype)
+        turns = cycle((block[:size], block[size : 2 * size]))
+        tiles = block[2 * size :].reshape(lead + (-1,)) if wide else None
 
         def take(shape):
             """A view of `shape` in the scratch vector the last one is not in."""
@@ -468,11 +568,12 @@ class _Workspace:
             v = outs[0].reshape(lead + (-1, k))
             self.tensors.append((z, u))
             if l == L - 1:
-                self.fwd.append((w, gamma, beta_row, x_mat, v, ups, u, None, None))
+                self.fwd.append((w, gamma, beta_row, x_mat, v, ups, u, None, None, *_tile(v, tiles)))
                 break
             r = np.empty_like(u) if keep else u
             u_mat, r_mat = u.reshape(lead + (-1, k)), r.reshape(lead + (-1, k))
-            self.fwd.append((w, gamma, beta_row, x_mat, v, ups, u_mat, r_mat, _centring(r_mat)))
+            centring = _centring(r_mat, tiles)
+            self.fwd.append((w, gamma, beta_row, x_mat, v, ups, u_mat, r_mat, centring, *_tile(v, tiles)))
             z, x_mat = r, r_mat
         if grads is None:
             return
@@ -501,7 +602,7 @@ class _Workspace:
             u_prev = self.fwd[l - 1][6]
             self.rev.append((
                 l, ups_t, xt, g, grads.kernels[l], w, gamma, beta_col, grads.gammas[l - 1],
-                grads.betas[l - 1], ones, x_mat.shape[-2], g_prev, x_mat, u_prev,
+                grads.betas[l - 1], ones, x_mat.shape[-2], g_prev, x_mat, *_tile(x_mat, tiles), u_prev,
             ))
             g = g_prev.reshape(self.tensors[l - 1][1].shape)
 
@@ -551,13 +652,13 @@ def _forward(ws: _Workspace, folded=None) -> np.ndarray:
     runs in a batch at all.
     """
     inv = None
-    for w, gamma, beta_row, x, v, ups, u, r, centring in ws.fwd:
+    for w, gamma, beta_row, x, v, ups, u, r, centring, v_wide, tile in ws.fwd:
         if gamma is not None:  # fold the previous layer's batch norm into this kernel
             bias = beta_row @ w
             w = (gamma * inv)[..., None] * w
         np.matmul(x, w, out=v)
         if gamma is not None:
-            v += bias
+            v_wide += bias if tile is None else _tiled(bias, tile)
         for op, src, dst in ups:
             np.matmul(op, src, out=dst)
         if r is None:

@@ -39,6 +39,16 @@ def seal(blob, version=2) -> bytes:
     return bytes(out)
 
 
+def edit_header(blob, edit) -> bytes:
+    """`blob` with `edit` applied to its parsed header and the header length
+    field set to match; the CRC is left as it was (see :func:`seal`)."""
+    header_end = 11 + struct.unpack_from("<I", blob, 7)[0]
+    header = json.loads(blob[11:header_end])
+    edit(header)
+    text = json.dumps(header).encode()
+    return blob[:7] + struct.pack("<I", len(text)) + text + blob[header_end:]
+
+
 def zero_params(spec):
     p = init_params(spec, 0)
     for w in p.kernels:
@@ -64,7 +74,7 @@ class TestEncode:
 
     def test_deterministic_bytes(self, small_spec):
         params = init_params(small_spec, 3)
-        norms = np.linspace(1.0, 2.0, 4)
+        norms = np.linspace(1.0, 2.0, 8)
         a = encode(small_spec, params, norms, 1.5)
         b = encode(small_spec, params, norms, 1.5)
         assert a == b
@@ -72,13 +82,13 @@ class TestEncode:
     def test_mismatched_params_rejected(self, small_spec):
         other = make_spec((2, 2), (4, 4, 4, 4, 4), 2, 1, ((True, True), (True, True)))
         with pytest.raises(ValueError):
-            encode(small_spec, init_params(other, 1), np.ones(4), 1.0)
+            encode(small_spec, init_params(other, 1), np.ones(8), 1.0)
 
 
 class TestDecode:
     def test_round_trip_bit_exact(self, small_spec):
         params = init_params(small_spec, 9)
-        norms = np.array([1.0, 2.5, 0.75, 3.125])
+        norms = np.array([1.0, 2.5, 0.75, 3.125, 0.5, 1.25, 4.0, 2.0])
         blob = encode(small_spec, params, norms, 2.25)
         spec2, params2, norms2, scale2 = decode(blob)
         assert spec_to_json(spec2) == spec_to_json(small_spec)
@@ -89,7 +99,7 @@ class TestDecode:
             assert np.asarray(b).dtype == np.float32
 
     def test_flipped_payload_byte_detected(self, small_spec):
-        blob = bytearray(encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0))
+        blob = bytearray(encode(small_spec, init_params(small_spec, 1), np.ones(8), 1.0))
         blob[-5] ^= 0x40
         with pytest.raises(CodecError, match="checksum"):
             decode(bytes(blob))
@@ -99,18 +109,18 @@ class TestDecode:
             decode(b"NOPE" + b"\x00" * 32)
 
     def test_unknown_version(self, small_spec):
-        blob = bytearray(encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0))
+        blob = bytearray(encode(small_spec, init_params(small_spec, 1), np.ones(8), 1.0))
         blob[4] = 0xFF
         with pytest.raises(CodecError, match="version"):
             decode(bytes(blob))
 
     def test_truncated_payload(self, small_spec):
-        blob = encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0)
+        blob = encode(small_spec, init_params(small_spec, 1), np.ones(8), 1.0)
         with pytest.raises(CodecError):
             decode(blob[:-3])
 
     def test_non_utf8_header_byte(self, small_spec):
-        blob = bytearray(encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0))
+        blob = bytearray(encode(small_spec, init_params(small_spec, 1), np.ones(8), 1.0))
         blob[11] = 0xFF
         with pytest.raises(CodecError, match="checksum"):
             decode(bytes(blob))
@@ -119,7 +129,7 @@ class TestDecode:
                 decode(seal(blob, version))
 
     def test_bumped_header_length(self, small_spec):
-        blob = bytearray(encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0))
+        blob = bytearray(encode(small_spec, init_params(small_spec, 1), np.ones(8), 1.0))
         (header_len,) = struct.unpack_from("<I", blob, 7)
         for bump in (1, 5, 1 << 20):
             struct.pack_into("<I", blob, 7, header_len + bump)
@@ -127,7 +137,7 @@ class TestDecode:
                 decode(bytes(blob))
 
     def test_truncated_inside_checksum_and_length_field(self, small_spec):
-        blob = encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0)
+        blob = encode(small_spec, init_params(small_spec, 1), np.ones(8), 1.0)
         header_end = 11 + struct.unpack_from("<I", blob, 7)[0]
         for cut in range(header_end, header_end + 8):
             with pytest.raises(CodecError):
@@ -145,18 +155,13 @@ class TestDecode:
         ],
     )
     def test_malformed_header_fields(self, small_spec, edit, field):
-        blob = encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0)
-        header_end = 11 + struct.unpack_from("<I", blob, 7)[0]
-        header = json.loads(blob[11:header_end])
-        edit(header)
-        text = json.dumps(header).encode()
-        bad = blob[:7] + struct.pack("<I", len(text)) + text + blob[header_end:]
+        bad = edit_header(encode(small_spec, init_params(small_spec, 1), np.ones(8), 1.0), edit)
         for version in (1, 2):
             with pytest.raises(CodecError, match=field):
                 decode(seal(bad, version))
 
     def test_trailing_bytes_rejected(self, small_spec):
-        blob = encode(small_spec, init_params(small_spec, 1), np.ones(4), 1.0)
+        blob = encode(small_spec, init_params(small_spec, 1), np.ones(8), 1.0)
         for version in (1, 2):
             with pytest.raises(CodecError, match="payload length"):
                 decode(seal(blob, version) + b"\x00")
@@ -182,7 +187,7 @@ class TestVersion2:
     def test_layout_and_length_are_v1s(self, small_spec):
         # v2 differs from v1 only in the version field and in what its CRC covers
         params = init_params(small_spec, 2)
-        blob = encode(small_spec, params, np.ones(4), 1.0)
+        blob = encode(small_spec, params, np.ones(8), 1.0)
         header_end = 11 + struct.unpack_from("<I", blob, 7)[0]
         payload = params_to_vector(params).astype("<f4").tobytes()
         assert struct.unpack_from("<HB", blob, 4) == (2, 0)
@@ -194,7 +199,7 @@ class TestVersion2:
 
     def test_v1_report_still_decodes(self, small_spec):
         params = init_params(small_spec, 2)
-        norms = np.array([1.0, 2.5, 0.75, 3.125])
+        norms = np.array([1.0, 2.5, 0.75, 3.125, 0.5, 1.25, 4.0, 2.0])
         spec, got, norms_got, scale = decode(seal(encode(small_spec, params, norms, 2.25), 1))
         assert spec_to_json(spec) == spec_to_json(small_spec)
         assert np.array_equal(norms_got, norms) and scale == 2.25
@@ -238,6 +243,75 @@ class TestVersion2:
             mutated[at] ^= 0x01
             with pytest.raises(CodecError):
                 decode(bytes(mutated))
+
+
+GROUP_SPEC = make_spec((2, 2, 3), (8, 8, 8, 8, 4), 2, 1, ((True, True, False),) * 2, seed=11, a=0.15)
+
+# valid (norms, scale) of a spec with 2 (DESK_SPEC) or 3 (GROUP_SPEC) spatial modes
+GOOD_PREPROCESSING = {
+    2: (np.linspace(0.5, 2.0, 16), 1.75),
+    3: (np.linspace(0.5, 2.0, 24).reshape(3, 8), np.array([1.5, 2.0, 0.75])),
+}
+# (spec, norms, scale, the field at fault): DESK_SPEC has 16 snapshots, and
+# GROUP_SPEC 3 users of 8 snapshots each
+BAD_PREPROCESSING = {
+    "three-norms-for-sixteen-snapshots": (DESK_SPEC, np.ones(3), 1.0, "norms"),
+    "scalar-scale-on-a-group": (GROUP_SPEC, np.ones((3, 8)), 1.0, "scale"),
+    "two-norm-rows-for-three-users": (GROUP_SPEC, np.ones((2, 8)), np.ones(3), "norms"),
+    "one-element-list-scale": (DESK_SPEC, np.ones(16), [1.0], "scale"),
+    "negative-scale": (DESK_SPEC, np.ones(16), -1.0, "scale"),
+    "zero-norm": (DESK_SPEC, np.r_[np.ones(15), 0.0], 1.0, "norms"),
+    "nan-norm": (GROUP_SPEC, np.full((3, 8), np.nan), np.ones(3), "norms"),
+    "infinite-group-scale": (GROUP_SPEC, np.ones((3, 8)), [1.0, np.inf, 1.0], "scale"),
+}
+
+
+class TestPreprocessingFields:
+    """The norms and scale of a report must undo the preprocessing of the
+    spec's output: before, each case below encoded and decoded, and then
+    recreate raised or returned a wrong channel."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_PREPROCESSING))
+    def test_encode_refuses(self, case):
+        spec, norms, scale, field = BAD_PREPROCESSING[case]
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            encode(spec, init_params(spec, 1), norms, scale)
+
+    @pytest.mark.parametrize("case", sorted(BAD_PREPROCESSING))
+    def test_decode_refuses(self, case):
+        spec, norms, scale, field = BAD_PREPROCESSING[case]
+        good = encode(spec, init_params(spec, 1), *GOOD_PREPROCESSING[spec.n_spatial])
+        values = {"norms": np.asarray(norms).tolist(), "scale": np.asarray(scale).tolist()}
+        bad = edit_header(good, lambda h: h.update(values))
+        for version in (1, 2):
+            with pytest.raises(CodecError, match=f"header field '{field}'"):
+                decode(seal(bad, version))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("scale", True), ("norms", ["1.0"] * 16), ("scale", 10**400), ("norms", [[[[1.0]]]] * 16)],
+        ids=["bool-scale", "string-norms", "overflowing-scale", "nested-norms"],
+    )
+    def test_decode_refuses_what_is_not_a_number(self, field, value):
+        bad = edit_header(desk_report(), lambda h: h.update({field: value}))
+        with pytest.raises(CodecError, match=f"header field '{field}'"):
+            decode(seal(bad))
+
+    def test_deeply_nested_header_is_malformed(self):
+        # the JSON parser gives up on deep nesting with RecursionError
+        blob = desk_report()
+        header_end = 11 + struct.unpack_from("<I", blob, 7)[0]
+        text = blob[11:header_end].replace(b'"norms":', b'"norms":' + b"[" * 100_000 + b"]" * 100_000 + b",\"x\":")
+        bad = blob[:7] + struct.pack("<I", len(text)) + text + blob[header_end:]
+        with pytest.raises(CodecError, match="malformed header"):
+            decode(seal(bad))
+
+    def test_valid_fields_round_trip(self):
+        for spec, (norms, scale) in ((DESK_SPEC, GOOD_PREPROCESSING[2]), (GROUP_SPEC, GOOD_PREPROCESSING[3])):
+            _, _, norms_rx, scale_rx = decode(encode(spec, init_params(spec, 1), norms, scale))
+            assert np.array_equal(norms_rx, norms) and np.array_equal(scale_rx, scale)
+            assert type(scale_rx) is (float if spec is DESK_SPEC else np.ndarray)
+
 
 
 class TestEndToEnd:
@@ -308,7 +382,7 @@ class TestGroupReports:
             (2, 2, 3), (8, 8, 8, 8, 4), 2, 1, ((True, True, False),) * 2, seed=11, a=0.15
         )
         params = init_params(gspec, 5)
-        norms = np.arange(1.0, 13.0).reshape(3, 4)
+        norms = np.arange(1.0, 25.0).reshape(3, 8)
         scales = np.array([1.5, 2.0, 0.75])
         blob = encode(gspec, params, norms, scales)
         spec2, params2, norms2, scales2 = decode(blob)

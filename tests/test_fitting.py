@@ -54,18 +54,26 @@ GRADCHECK_CONFIGS = {
     "3way-straddle": make_spec((32, 32), (2, 3, 5, 5), 1, 1, ((True, True),), seed=49),
 }
 
+# 64x64x3 positions x 48 filters (589,824 entries) in both batch-norm layers:
+# above 2^19 entries per matrix, where einsum takes the column means, and
+# above the row-product bound everywhere but layer 0's kernel product; too
+# large for a central-difference check of every coordinate
+ABOVE_BLAS_MEAN = make_spec((32, 32, 3), (2, 48, 48, 2), 1, 1, ((True, True, False),), seed=50)
 
-def central_difference_check(spec, params, z0, target, h=1e-3, loss_fn=None):
+
+def central_difference_check(spec, params, z0, target, h=1e-3, loss_fn=None, sample=None):
     """Worst per-coordinate relative error between reverse-mode gradients and
-    64-bit central finite differences of the loss."""
+    64-bit central finite differences of the loss, over every coordinate,
+    or over `sample` random ones of each parameter array."""
     if loss_fn is None:
         loss_fn = lambda: loss(spec, params, z0, target, dtype=np.float64)
     grads = gradient(spec, params, z0, target, dtype=np.float64)
+    rng = np.random.default_rng(80)
     worst = 0.0
     for arr, garr in zip(params.arrays(), grads.arrays()):
         flat = arr.ravel()
         gflat = np.asarray(garr).ravel()
-        for i in range(flat.size):
+        for i in range(flat.size) if sample is None else rng.choice(flat.size, sample, replace=False):
             orig = flat[i]
             flat[i] = orig + h
             lp = loss_fn()
@@ -149,6 +157,13 @@ class TestGradient:
 
         worst = central_difference_check(spec, params, z0, target, h=1e-6, loss_fn=oracle_loss)
         assert worst < 1e-6
+
+    def test_matches_central_differences_above_the_blas_mean_bound(self):
+        spec = ABOVE_BLAS_MEAN
+        params, z0 = gradcheck_point(spec, seed=1)
+        target = np.random.default_rng(77).uniform(-0.8, 0.8, spec.output_dims)
+        worst = central_difference_check(spec, params, z0, target, h=1e-3, sample=3)
+        assert worst < 1e-4, f"worst relative error {worst:.2e}"
 
     @pytest.mark.parametrize("name", ["single_ue_desk", "group_desk"])
     def test_float32_matches_float64_at_shipped_desk_shapes(self, name):
@@ -498,6 +513,20 @@ class TestBatch:
         for b in range(2):
             assert np.array_equal(grads[b], params_to_vector(gradient(spec, params[b], z0, targets[b])))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_slices_above_the_blas_mean_bound_match_single_gradients(self, dtype):
+        spec = ABOVE_BLAS_MEAN
+        rng = np.random.default_rng(84)
+        block = np.stack([params_to_vector(init_params(spec, seed, dtype)) for seed in (5, 6)])
+        targets = rng.uniform(-0.8, 0.8, (2,) + spec.output_dims).astype(dtype)
+        z0 = _seed(spec, None, dtype)
+        grads = np.full_like(block, np.nan)
+        ws = _Workspace(spec, z0[None], param_views(spec, block), targets, param_views(spec, grads))
+        _loss_and_grad(ws)
+        for b in range(2):
+            alone = gradient(spec, param_views(spec, block[b]), z0, targets[b], dtype=dtype)
+            assert grads[b].tobytes() == params_to_vector(alone).tobytes()
+
     def test_inits_are_per_target(self, tiny_spec):
         rng = np.random.default_rng(11)
         targets = rng.uniform(-0.5, 0.5, (2,) + tiny_spec.output_dims).astype(np.float32)
@@ -532,14 +561,15 @@ class TestDeskConvergence:
         assert report.final_mse <= 1e-3 * float(np.mean(target.data**2))
 
 
-# prints the sha256 of the parameters a few single_ue_full iterations give
+# prints the sha256 of the parameters a few iterations of the spec named by
+# argv[1] give
 FULL_FIT_DIGEST = """
-import hashlib
+import hashlib, sys
 from importlib import resources
 import numpy as np
 from unn_csi.decoder import load_spec, params_to_vector
 from unn_csi.fitting import FitConfig, fit
-spec = load_spec(resources.files("unn_csi").joinpath("specs/single_ue_full.json"))
+spec = load_spec(resources.files("unn_csi").joinpath(f"specs/{sys.argv[1]}.json"))
 target = np.random.default_rng(15).uniform(-0.5, 0.5, spec.output_dims).astype(np.float32)
 report = fit(spec, None, target, FitConfig(iterations=3, init_seed=4))
 print(hashlib.sha256(params_to_vector(report.params).tobytes()).hexdigest())
@@ -549,14 +579,17 @@ print(hashlib.sha256(params_to_vector(report.params).tobytes()).hexdigest())
 def test_full_scale_bytes_do_not_depend_on_the_blas_thread_count():
     # a worker of a --workers pool runs one BLAS thread and a serial run the
     # default count: their cells must agree. Desk shapes sit below
-    # OpenBLAS's threading threshold, so only a full-scale fit can differ.
+    # OpenBLAS's threading threshold, so only a full-scale fit can differ;
+    # group_full_a's means are the one-thread einsum, its other products BLAS.
     env = dict(os.environ, PYTHONPATH=str(Path(unn_csi.__file__).parents[1]))
-    digests = []
-    for threads in ("1", "2"):
-        env["OPENBLAS_NUM_THREADS"] = threads
-        run = subprocess.run(
-            [sys.executable, "-c", FULL_FIT_DIGEST], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert run.returncode == 0, run.stderr
-        digests.append(run.stdout)
-    assert len(digests[0]) == 65 and digests[0] == digests[1]
+    for name in ("single_ue_full", "group_full_a"):
+        digests = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            run = subprocess.run(
+                [sys.executable, "-c", FULL_FIT_DIGEST, name],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert len(digests[0]) == 65 and digests[0] == digests[1], name
