@@ -2,50 +2,50 @@
 
 Three estimators on the same measurements: the raw measurement (no prior,
 NMSE = -SNR), the genie-aided Wiener filter (true antenna covariance, an
-upper baseline), and the fitted decoder. Prints the comparison table and
-writes the per-curve series used for plotting to baseline_curves.json.
+upper baseline), and the fitted decoder, scored as the base station sees it:
+the channel recreated from each measurement's decoded CSI report. The demo
+runs the study driver's sweep mode on its own grid (UE 3, SNR 0-20 dB, noise
+seeds 0 and 1), prints the table from the results.csv it writes (schema in
+docs/artifacts.md), and copies its curves.json, the per-curve series used
+for plotting, to baseline_curves.json.
 
-The study driver writes the same table in its frozen CSV form:
-``unn-csi --profile desk --mode sweep --out results/`` gives results.csv
-(schema in docs/artifacts.md) and curves.json.
+The same run from the command line, on the desk profile's full grid:
+``unn-csi --profile desk --mode sweep --out results/``.
 
 Run:  python demos/baseline_comparison.py
 """
 
-import json
-from importlib import resources
+import csv
+import shutil
+import tempfile
+from pathlib import Path
 
-from unn_csi.baselines import (
-    make_unn_estimator,
-    mmse_genie,
-    mmse_raw,
-    records_to_curves,
-    sweep,
-)
-from unn_csi.channel import load_scene
-from unn_csi.decoder import load_spec
-from unn_csi.fitting import FitConfig
+from unn_csi.cli import ExperimentConfig, run
 
 
 def main():
-    scene = load_scene(str(resources.files("unn_csi") / "scenes/street_canyon_desk.json"))
-    spec = load_spec(str(resources.files("unn_csi") / "specs/single_ue_desk.json"))
-    config = FitConfig(iterations=3000, learning_rate=2e-3, trace_every=1000, init_seed=1)
-
-    estimators = {
-        "mmse_raw": lambda cells: [mmse_raw(meas) for meas, _, _ in cells],
-        "mmse_genie": lambda cells: [mmse_genie(*cell) for cell in cells],
-        "unn": make_unn_estimator(spec, config),
-    }
-    records = sweep(scene, estimators, ue_ids=[3], snrs_db=[0.0, 5.0, 10.0, 15.0, 20.0], seeds=[0, 1])
+    with tempfile.TemporaryDirectory() as out:
+        config = ExperimentConfig(
+            scene="desk",
+            decoder_spec="desk",
+            fit={"iterations": 3000, "learning_rate": 2e-3, "trace_every": 1000, "init_seed": 1},
+            snr_db=[0.0, 5.0, 10.0, 15.0, 20.0],
+            ues=[3],
+            seeds=[0, 1],
+            mode="sweep",
+            out=out,
+        )
+        if run(config) != 0:
+            raise SystemExit("the sweep run failed")
+        with open(Path(out) / "results.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        shutil.copyfile(Path(out) / "curves.json", "baseline_curves.json")
 
     print(f"{'estimator':>11} {'SNR':>5} {'NMSE':>9} {'gain':>7}")
-    for r in records:
-        print(f"{r.estimator:>11} {r.snr_db:5.0f} {r.nmse_db:6.2f} dB {r.gain_db:4.1f} dB")
-
-    with open("baseline_curves.json", "w", encoding="utf-8") as fh:
-        json.dump(records_to_curves(records), fh, indent=2)
-    print("\nwrote baseline_curves.json; unn-csi --mode sweep writes this table as results.csv")
+    for r in rows:
+        print(f"{r['estimator']:>11} {float(r['snr_db']):5.0f} {float(r['nmse_db']):6.2f} dB "
+              f"{float(r['gain_db']):4.1f} dB")
+    print("\nwrote baseline_curves.json, the curves.json of that sweep run")
 
 
 if __name__ == "__main__":

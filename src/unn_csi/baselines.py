@@ -19,11 +19,8 @@ from .channel import (
     _power,
     add_noise,
     noise_variance,
-    preprocess,
     synthesize,
 )
-from .codec import recreate
-from .fitting import FitConfig, FitDivergedError, batch_size, fit_batch
 
 __all__ = [
     "EvalRecord",
@@ -31,7 +28,6 @@ __all__ = [
     "nmse_linear",
     "mmse_raw",
     "mmse_genie",
-    "make_unn_estimator",
     "sweep",
     "records_to_curves",
 ]
@@ -89,23 +85,6 @@ def mmse_genie(meas: ChannelTensor, truth: ChannelTensor, snr_db: float) -> Chan
     w = np.linalg.solve(a, r.conj().T).conj().T  # W = R (R + sigma^2 I)^{-1}
     est = x.reshape(-1, n_ant) @ w.T
     return ChannelTensor(est.reshape(x.shape), role=ESTIMATED)
-
-
-def make_unn_estimator(spec, config: FitConfig):
-    """Estimator, in the form :func:`sweep` calls, that fits the decoder to
-    every measurement and yields the recreated channels, fitting a batch of
-    measurements at a time."""
-
-    def estimate(cells):
-        size = batch_size(spec)
-        for i in range(0, len(cells), size):
-            targets = [preprocess(meas) for meas, _, _ in cells[i : i + size]]
-            for target, report in zip(targets, fit_batch(spec, None, targets, config)):
-                if isinstance(report, FitDivergedError):
-                    raise report
-                yield recreate(spec, report.params, target.snapshot_norms, target.scale)[0]
-
-    return estimate
 
 
 @dataclass

@@ -26,15 +26,14 @@ from importlib import resources
 from math import prod
 from multiprocessing import get_context
 from pathlib import Path
-
-import numpy as np
+from typing import NamedTuple
 
 from . import baselines, codec, transfer as transfer_mod
 from ._fields import INT, NUMBER, list_of
 from .channel import Scene, add_noise, load_scene, noise_variance, preprocess, stack_users, synthesize
-from .decoder import DecoderSpec, compression_ratio, load_spec, param_count, params_to_vector
-from .fitting import FitConfig, FitDivergedError, batch_size, fit, fit_batch
-from .baselines import make_unn_estimator, mmse_genie, mmse_raw, nmse, records_to_curves
+from .decoder import DecoderSpec, compression_ratio, load_spec, param_count
+from .fitting import FitConfig, FitDivergedError, FitReport, batch_size, fit, fit_batch
+from .baselines import mmse_genie, mmse_raw, nmse, records_to_curves
 
 __all__ = ["ExperimentConfig", "Diagnostic", "validate", "run", "main"]
 
@@ -332,73 +331,83 @@ def _worker_pool(workers: int):
                 os.environ[name] = value
 
 
-def _run_single_batch(args):
-    """Fit one batch of single-mode cells, each (ue, snr_db, seed, truth);
-    returns one result row per cell."""
-    spec, fit_cfg, cells = args
-    measured = [add_noise(truth, snr_db, seed) for _, snr_db, seed, truth in cells]
+class _Cell(NamedTuple):
+    """One fitted cell, nothing channel-sized: its FitReport or FitDivergedError,
+    the NMSE of its measurement and of its recreated channel (nan if diverged)
+    and its .csir report (None if diverged)."""
+
+    report: FitReport | FitDivergedError
+    meas_nmse_db: float
+    nmse_db: float
+    blob: bytes | None
+
+
+def _fit_cells(batch) -> list:
+    """The cell runner on one batch (spec, fit config, cells), each cell
+    (truth, snr_db, seed): measure and preprocess every cell, fit them with
+    one fit_batch, then recreate, score and encode each; one _Cell per cell.
+    The measurements stay referenced through the fit and are scored after it."""
+    spec, fit_cfg, cells = batch
+    measured = [add_noise(truth, snr_db, seed) for truth, snr_db, seed in cells]
     targets = [preprocess(meas) for meas in measured]
     results = []
-    for (ue_id, snr_db, seed, truth), meas, target, report in zip(
+    for (truth, _, _), meas, target, report in zip(
         cells, measured, targets, fit_batch(spec, None, targets, fit_cfg)
     ):
         meas_nmse = nmse(meas, truth)
         if isinstance(report, FitDivergedError):
-            results.append({
-                "ue": ue_id, "snr_db": snr_db, "seed": seed, "status": "diverged",
-                "nmse_db": float("nan"), "meas_nmse_db": meas_nmse, "gain_db": float("nan"),
-                "final_mse": float("nan"), "error": str(report), "trace": None, "report_blob": None,
-            })
+            results.append(_Cell(report, meas_nmse, float("nan"), None))
             continue
         (est,) = codec.recreate(spec, report.params, target.snapshot_norms, target.scale)
-        est_nmse = nmse(est, truth)
         blob = codec.encode(spec, report.params, target.snapshot_norms, target.scale)
-        results.append({
-            "ue": ue_id, "snr_db": snr_db, "seed": seed, "status": "ok",
-            "nmse_db": est_nmse, "meas_nmse_db": meas_nmse, "gain_db": meas_nmse - est_nmse,
-            "final_mse": report.final_mse, "error": "", "trace": report.trace, "report_blob": blob,
-        })
+        results.append(_Cell(report, meas_nmse, nmse(est, truth), blob))
     return results
 
 
-def _mode_single(config: ExperimentConfig, scene, spec, out: Path) -> dict:
-    truths = {ue: synthesize(scene, ue) for ue in config.ues}
-    cells = [(ue, snr, seed, truths[ue]) for ue in config.ues for snr in config.snr_db for seed in config.seeds]
-    # every worker gets whole batches, and at least one batch if there are enough cells
-    size = min(batch_size(spec), -(-len(cells) // config.workers))
-    batches = [(spec, config.fit_config(), cells[i : i + size]) for i in range(0, len(cells), size)]
-    if config.workers > 1:
-        with _worker_pool(config.workers) as pool:
-            results = [r for batch in pool.map(_run_single_batch, batches) for r in batch]
-    else:
-        results = [r for batch in map(_run_single_batch, batches) for r in batch]
+def _run_cells(batches, workers: int) -> list:
+    """:func:`_fit_cells` on every batch, in a :func:`_worker_pool` of
+    `workers` processes if that is above 1 and in-process otherwise; the
+    cells' results in order."""
+    if workers > 1:
+        with _worker_pool(workers) as pool:
+            return [cell for batch in pool.map(_fit_cells, batches) for cell in batch]
+    return [cell for batch in map(_fit_cells, batches) for cell in batch]
 
+
+def _grid(config: ExperimentConfig, scene, spec) -> tuple:
+    """The `ues x snr_db x seeds` grid: its (ue, snr_db, seed) keys and its
+    cells cut into runner batches, so that every worker gets whole batches,
+    and at least one if there are enough cells."""
+    truths = {ue: synthesize(scene, ue) for ue in config.ues}
+    keys = [(ue, snr, seed) for ue in config.ues for snr in config.snr_db for seed in config.seeds]
+    cells = [(truths[ue], snr, seed) for ue, snr, seed in keys]
+    size = min(batch_size(spec), -(-len(cells) // config.workers))
+    return keys, [(spec, config.fit_config(), cells[i : i + size]) for i in range(0, len(cells), size)]
+
+
+def _mode_single(config: ExperimentConfig, scene, spec, out: Path) -> dict:
+    keys, batches = _grid(config, scene, spec)
+    cells = _run_cells(batches, config.workers)
     (out / "fit_traces").mkdir(exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
     rows = []
-    diverged = 0
-    for r in results:
-        tag = f"ue{r['ue']}_snr{r['snr_db']}_seed{r['seed']}"
-        if r["trace"] is not None:
-            trace_path = out / "fit_traces" / f"{tag}.csv"
-            _write_csv(trace_path, ["iteration", "mse"], r["trace"])
-        if r["report_blob"] is not None:
-            _atomic_write_bytes(out / "reports" / f"{tag}.csir", r["report_blob"])
-        if r["status"] == "diverged":
-            diverged += 1
-        rows.append(
-            [
-                r["ue"], float(r["snr_db"]), r["seed"], r["status"],
-                r["nmse_db"], r["meas_nmse_db"], r["gain_db"], r["final_mse"],
-                config.fit_config().iterations,
-            ]
-        )
+    for (ue, snr_db, seed), cell in zip(keys, cells):
+        ok = not isinstance(cell.report, FitDivergedError)
+        if ok:
+            tag = f"ue{ue}_snr{snr_db}_seed{seed}"
+            _write_csv(out / "fit_traces" / f"{tag}.csv", ["iteration", "mse"], cell.report.trace)
+            _atomic_write_bytes(out / "reports" / f"{tag}.csir", cell.blob)
+        rows.append([
+            ue, float(snr_db), seed, "ok" if ok else "diverged", cell.nmse_db, cell.meas_nmse_db,
+            cell.meas_nmse_db - cell.nmse_db, cell.report.final_mse if ok else float("nan"),
+            config.fit_config().iterations,
+        ])
     _write_csv(
         out / "results.csv",
         ["ue", "snr_db", "seed", "status", "nmse_db", "meas_nmse_db", "gain_db", "final_mse", "iterations"],
         rows,
     )
-    return {"cells": len(results), "diverged": diverged}
+    return {"cells": len(cells), "diverged": sum(isinstance(c.report, FitDivergedError) for c in cells)}
 
 
 def _mode_transfer(config: ExperimentConfig, scene, spec, out: Path) -> dict:
@@ -474,35 +483,39 @@ def _mode_group(config: ExperimentConfig, scene, spec, out: Path) -> dict:
 def _mode_codec(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     ue_id, snr_db, seed = config.ues[0], float(config.snr_db[0]), config.seeds[0]
     truth = synthesize(scene, ue_id)
-    meas = add_noise(truth, snr_db, seed)
-    target = preprocess(meas)
-    report = fit(spec, None, target, config.fit_config())
-    blob = codec.encode(spec, report.params, target.snapshot_norms, target.scale)
+    (cell,) = _fit_cells((spec, config.fit_config(), [(truth, snr_db, seed)]))
+    if isinstance(cell.report, FitDivergedError):
+        raise cell.report
     (out / "reports").mkdir(exist_ok=True)
-    _atomic_write_bytes(out / "reports" / f"ue{ue_id}_snr{snr_db}_seed{seed}.csir", blob)
+    _atomic_write_bytes(out / "reports" / f"ue{ue_id}_snr{snr_db}_seed{seed}.csir", cell.blob)
 
-    spec_rx, params_rx, norms_rx, scale_rx = codec.decode(blob)
-    (tx,) = codec.recreate(spec, report.params, target.snapshot_norms, target.scale)
-    (rx,) = codec.recreate(spec_rx, params_rx, norms_rx, scale_rx)
-    same_weights = params_to_vector(report.params).tobytes() == params_to_vector(params_rx).tobytes()
-    bit_exact = same_weights and bool(np.array_equal(tx.data, rx.data))
+    decoded = codec.decode(cell.blob)
+    (rx,) = codec.recreate(*decoded)
+    nmse_rx = nmse(rx, truth)
     raw_bytes = 8 * truth.data.size
     return {
-        "bit_exact": bit_exact,
+        # a decoded report that encodes back to its own bytes holds the UE's
+        # weights, norms and scale, so the base station recreates its channel
+        "bit_exact": codec.encode(*decoded) == cell.blob and nmse_rx == cell.nmse_db,
         "payload_bytes": codec.payload_bytes(spec),
-        "report_bytes": len(blob),
+        "report_bytes": len(cell.blob),
         "raw_csi_bytes": raw_bytes,
         "payload_over_raw": codec.payload_bytes(spec) / raw_bytes,
-        "nmse_db_tx": nmse(tx, truth),
-        "nmse_db_rx": nmse(rx, truth),
+        "nmse_db_tx": cell.nmse_db,
+        "nmse_db_rx": nmse_rx,
     }
 
 
 def _mode_sweep(config: ExperimentConfig, scene, spec, out: Path) -> dict:
+    fitted = _run_cells(_grid(config, scene, spec)[1], config.workers)
+    for cell in fitted:
+        if isinstance(cell.report, FitDivergedError):
+            raise cell.report
     estimators = {
         "mmse_raw": lambda cells: [mmse_raw(meas) for meas, _, _ in cells],
         "mmse_genie": lambda cells: [mmse_genie(*cell) for cell in cells],
-        "unn": make_unn_estimator(spec, config.fit_config()),
+        # the base station's recreation of each cell's report, one at a time
+        "unn": lambda cells: (codec.recreate(*codec.decode(cell.blob))[0] for cell in fitted),
     }
     records = baselines.sweep(scene, estimators, config.ues, config.snr_db, config.seeds)
     _write_csv(
@@ -538,7 +551,11 @@ def run(config: ExperimentConfig) -> int:
     spec = load_spec(_data_path(_BUILTIN_SPECS, config.decoder_spec))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    extra = _MODE_DRIVERS[config.mode](config, scene, spec, out)
+    try:
+        extra = _MODE_DRIVERS[config.mode](config, scene, spec, out)
+    except FitDivergedError as exc:
+        print(f"error: {config.mode} mode: {exc}", file=sys.stderr)
+        return 1
 
     coeffs = scene.n_sub * scene.n_sp * scene.n_ant
     summary = {
@@ -597,7 +614,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="experiment config JSON")
     parser.add_argument("--mode", choices=MODES, help="experiment mode")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--workers", type=int, help="worker processes for single mode (overrides the config)")
+    parser.add_argument(
+        "--workers", type=int,
+        help="worker processes for the fits of single mode and sweep's unn arm (overrides the config)",
+    )
     parser.add_argument("--profile", choices=sorted(_PROFILES), help="built-in default configuration")
     parser.add_argument("--seed-list", help="comma-separated noise seeds")
     args = parser.parse_args(argv)

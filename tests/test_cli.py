@@ -2,6 +2,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from unn_csi import cli
@@ -309,8 +310,13 @@ class TestMain:
         b = open(os.path.join(parallel["out"], "results.csv")).read()
         assert a == b
 
-    def test_desk_single_mode_writes_the_same_bytes_with_1_and_2_workers(self, tmp_path):
-        # 12 cells: one batch in one process, or two batches of 6 in two
+    @pytest.mark.parametrize("mode, n_files", [
+        ("single", 1 + 1 + 2 * 12),  # results.csv, summary.json, a trace and a report per cell
+        ("sweep", 1 + 1 + 1),  # results.csv, summary.json, curves.json
+    ])
+    def test_desk_single_mode_writes_the_same_bytes_with_1_and_2_workers(self, tmp_path, mode, n_files):
+        # 12 cells: one batch in one process, or two batches of 6 in two;
+        # sweep's unn arm fits its cells through the same pool
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text(json.dumps({
             "fit": {"iterations": 30, "learning_rate": 2e-3, "trace_every": 10, "init_seed": 1},
@@ -319,18 +325,55 @@ class TestMain:
         outs = {}
         for workers in (1, 2):
             outs[workers] = tmp_path / f"w{workers}"
-            argv = ["--profile", "desk", "--config", str(cfg_path), "--mode", "single"]
+            argv = ["--profile", "desk", "--config", str(cfg_path), "--mode", mode]
             assert cli.main(argv + ["--out", str(outs[workers]), "--workers", str(workers)]) == 0
 
         def files(root):
             return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
         one, two = files(outs[1]), files(outs[2])
-        assert len(one) == 1 + 1 + 2 * 12  # results.csv, summary.json, a trace and a report per cell
+        assert len(one) == n_files
         summaries = [json.loads(f.pop(Path("summary.json"))) for f in (one, two)]
         assert one == two
         assert [s.pop("workers") for s in summaries] == [1, 2]
         assert summaries[0] == summaries[1]
+
+    def test_codec_mode_sends_single_mode_report_for_the_same_cell(self, tmp_path):
+        # the two modes name the cell's SNR differently (snr0 and snr0.0)
+        cfg_path = tmp_path / "cell.json"
+        cfg_path.write_text(json.dumps({
+            "fit": {"iterations": 30, "learning_rate": 2e-3, "trace_every": 10, "init_seed": 1},
+            "ues": [1], "snr_db": [0], "seeds": [0],
+        }))
+        for mode in ("single", "codec"):
+            argv = ["--profile", "desk", "--config", str(cfg_path), "--mode", mode]
+            assert cli.main(argv + ["--out", str(tmp_path / mode)]) == 0
+        single = (tmp_path / "single" / "reports" / "ue1_snr0_seed0.csir").read_bytes()
+        assert (tmp_path / "codec" / "reports" / "ue1_snr0.0_seed0.csir").read_bytes() == single
+        (row,) = csv_lines(tmp_path / "single" / "results.csv")[1:]
+        summary = json.loads((tmp_path / "codec" / "summary.json").read_text())
+        assert summary["nmse_db_tx"] == float(row.split(",")[4])
+        assert summary["bit_exact"] is True
+
+    @pytest.mark.parametrize("mode", ["group", "codec", "sweep", "transfer"])
+    def test_diverged_fit_exits_1_with_error_line(self, tmp_path, capsys, mode):
+        # only single mode records a diverged cell and runs on; the others
+        # have no row for it, and used to die with a FitDivergedError traceback
+        cfg_path = tmp_path / "diverge.json"
+        cfg_path.write_text(json.dumps({
+            "fit": {"iterations": 5, "learning_rate": 1e18, "trace_every": 5, "init_seed": 1},
+            "ues": [1], "snr_db": [10], "seeds": [0],
+            "groups": [{"ues": [2, 3, 4], "spec": "desk-group", "iterations": 5}],
+        }))
+        out = tmp_path / "out"
+        argv = ["--profile", "desk", "--config", str(cfg_path), "--mode", mode, "--out", str(out)]
+        with np.errstate(all="ignore"):
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {mode} mode: loss "), errors
+        assert "Traceback" not in err
+        assert not (out / "results.csv").exists()
 
     def test_pool_workers_start_with_one_blas_thread(self, monkeypatch):
         # two workers with the default two BLAS threads each ran four busy
@@ -507,8 +550,6 @@ def test_full_scale_output_width_diagnostic(tmp_path):
 
 
 def test_diverged_cell_is_recorded_and_run_continues(tiny_setup, tmp_path):
-    import numpy as np
-
     _, config = tiny_setup
     config = dict(
         config,
