@@ -2,12 +2,13 @@
 
 Three estimators on the same measurements: the raw measurement (no prior,
 NMSE = -SNR), the genie-aided Wiener filter (true antenna covariance, an
-upper baseline), and the fitted decoder, scored as the base station sees it:
-the channel recreated from each measurement's decoded CSI report. The demo
-runs the study driver's sweep mode on its own grid (UE 3, SNR 0-20 dB, noise
-seeds 0 and 1), prints the table from the results.csv it writes (schema in
-docs/artifacts.md), and copies its curves.json, the per-curve series used
-for plotting, to baseline_curves.json.
+upper baseline), and the fitted decoder, scored on the channel recreated
+from each measurement's CSI report, which is what the base station
+recreates. The demo runs the study driver's sweep mode on its own grid
+(UE 3, SNR 0-20 dB, noise seeds 0 and 1), prints the table from the
+results.csv it writes (schema in docs/artifacts.md), and copies its
+curves.json, the per-curve series used for plotting, to
+baseline_curves.json.
 
 The same run from the command line, on the desk profile's full grid:
 ``unn-csi --profile desk --mode sweep --out results/``.

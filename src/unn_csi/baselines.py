@@ -26,6 +26,7 @@ __all__ = [
     "EvalRecord",
     "nmse",
     "nmse_linear",
+    "ratio_db",
     "mmse_raw",
     "mmse_genie",
     "sweep",
@@ -47,13 +48,17 @@ def nmse_linear(est, truth) -> float:
     return _power(e - t) / denom
 
 
-def nmse(est, truth) -> float:
-    """Normalized mean squared error in dB, floored at -300 dB so an exact
+def ratio_db(ratio: float) -> float:
+    """A linear NMSE ratio in dB, floored at -300 dB so an exact
     reconstruction stays finite."""
-    ratio = nmse_linear(est, truth)
     if ratio <= 0.0:
         return NMSE_FLOOR_DB
     return float(max(10.0 * np.log10(ratio), NMSE_FLOOR_DB))
+
+
+def nmse(est, truth) -> float:
+    """Normalized mean squared error in dB (:func:`ratio_db`)."""
+    return ratio_db(nmse_linear(est, truth))
 
 
 def mmse_raw(meas: ChannelTensor) -> ChannelTensor:
@@ -97,13 +102,14 @@ class EvalRecord:
     gain_db: float  # measurement NMSE minus estimator NMSE, same seeds
 
 
-def sweep(scene, estimators: dict, ue_ids, snrs_db, seeds) -> list:
+def sweep(scene, estimators: dict, ue_ids, snrs_db, seeds, ratios=None) -> list:
     """Full factorial run over (estimator, UE, SNR); NMSE ratios are averaged
     over the noise seeds in the linear domain before conversion to dB.
 
     Each estimator is called once, with every cell of the grid as a
     (measurement, truth, snr_db) tuple in (UE, SNR, seed) order, and returns
-    or yields one estimate per cell in that order.
+    or yields one estimate per cell in that order. `ratios` maps the names of
+    estimators scored elsewhere (recorded last) to their ratios in cell order.
     """
     seeds = list(seeds)
     grid = [(ue_id, snr_db) for ue_id in ue_ids for snr_db in snrs_db]
@@ -113,19 +119,22 @@ def sweep(scene, estimators: dict, ue_ids, snrs_db, seeds) -> list:
         for ue_id, snr_db in grid
         for seed in seeds
     ]
-    ratios = {
+    scored = {
         name: [nmse_linear(est, truth) for est, (_, truth, _) in zip(fn(cells), cells, strict=True)]
         for name, fn in estimators.items()
     }
+    scored.update(ratios or {})
+    for name, values in scored.items():
+        if len(values) != len(cells):
+            raise ValueError(f"{name}: {len(values)} NMSE ratios for {len(cells)} cells")
     meas_ratios = [nmse_linear(meas, truth) for meas, truth, _ in cells]
 
     records = []
     for i, (ue_id, snr_db) in enumerate(grid):
         seeds_of = slice(i * len(seeds), (i + 1) * len(seeds))
         meas_db = 10.0 * np.log10(float(np.mean(meas_ratios[seeds_of])))
-        for name in estimators:
-            est_ratio = float(np.mean(ratios[name][seeds_of]))
-            est_db = max(10.0 * np.log10(est_ratio), NMSE_FLOOR_DB) if est_ratio > 0 else NMSE_FLOOR_DB
+        for name, values in scored.items():
+            est_db = ratio_db(float(np.mean(values[seeds_of])))
             records.append(
                 EvalRecord(
                     estimator=name,

@@ -23,17 +23,20 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field
 from importlib import resources
+from itertools import product
 from math import prod
 from multiprocessing import get_context
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import baselines, codec, transfer as transfer_mod
 from ._fields import INT, NUMBER, list_of
 from .channel import Scene, add_noise, load_scene, noise_variance, preprocess, stack_users, synthesize
-from .decoder import DecoderSpec, compression_ratio, load_spec, param_count
-from .fitting import FitConfig, FitDivergedError, FitReport, batch_size, fit, fit_batch
-from .baselines import mmse_genie, mmse_raw, nmse, records_to_curves
+from .decoder import DecoderSpec, compression_ratio, load_spec, param_count, params_to_vector
+from .fitting import FitConfig, FitDivergedError, batch_size, fit, fit_batch
+from .baselines import mmse_genie, mmse_raw, nmse, nmse_linear, ratio_db, records_to_curves
 
 __all__ = ["ExperimentConfig", "Diagnostic", "validate", "run", "main"]
 
@@ -332,21 +335,21 @@ def _worker_pool(workers: int):
 
 
 class _Cell(NamedTuple):
-    """One fitted cell, nothing channel-sized: its FitReport or FitDivergedError,
-    the NMSE of its measurement and of its recreated channel (nan if diverged)
-    and its .csir report (None if diverged)."""
+    """One fitted cell, nothing channel-sized."""
 
-    report: FitReport | FitDivergedError
+    error: FitDivergedError | None  # None if the fit converged
+    trace: list
+    final_mse: float
     meas_nmse_db: float
-    nmse_db: float
-    blob: bytes | None
+    ratio: float  # linear NMSE of the recreated channel, nan if diverged
+    blob: bytes | None  # the .csir report, None if diverged
+    encoded: tuple | None = None  # (params, snapshot_norms, scale) in the blob, if asked for
 
 
-def _fit_cells(batch) -> list:
-    """The cell runner on one batch (spec, fit config, cells), each cell
-    (truth, snr_db, seed): measure and preprocess every cell, fit them with
-    one fit_batch, then recreate, score and encode each; one _Cell per cell.
-    The measurements stay referenced through the fit and are scored after it."""
+def _fit_cells(batch, keep_encoded: bool = False) -> list:
+    """The cell runner on one batch (spec, fit config, cells of (truth, snr_db,
+    seed)): measure, preprocess and fit_batch every cell, then recreate, score
+    and encode each. The measurements stay referenced through the fit."""
     spec, fit_cfg, cells = batch
     measured = [add_noise(truth, snr_db, seed) for truth, snr_db, seed in cells]
     targets = [preprocess(meas) for meas in measured]
@@ -356,58 +359,52 @@ def _fit_cells(batch) -> list:
     ):
         meas_nmse = nmse(meas, truth)
         if isinstance(report, FitDivergedError):
-            results.append(_Cell(report, meas_nmse, float("nan"), None))
+            results.append(_Cell(report, [], float("nan"), meas_nmse, float("nan"), None))
             continue
-        (est,) = codec.recreate(spec, report.params, target.snapshot_norms, target.scale)
-        blob = codec.encode(spec, report.params, target.snapshot_norms, target.scale)
-        results.append(_Cell(report, meas_nmse, nmse(est, truth), blob))
+        encoded = (report.params, target.snapshot_norms, target.scale)
+        (est,) = codec.recreate(spec, *encoded)
+        results.append(_Cell(
+            None, report.trace, report.final_mse, meas_nmse, nmse_linear(est, truth),
+            codec.encode(spec, *encoded), encoded if keep_encoded else None,
+        ))
     return results
 
 
-def _run_cells(batches, workers: int) -> list:
-    """:func:`_fit_cells` on every batch, in a :func:`_worker_pool` of
-    `workers` processes if that is above 1 and in-process otherwise; the
-    cells' results in order."""
-    if workers > 1:
-        with _worker_pool(workers) as pool:
+def _run_grid(config: ExperimentConfig, scene, spec) -> list:
+    """:func:`_fit_cells` over the `ues x snr_db x seeds` grid, in that order,
+    in batches cut so that every worker gets whole ones (at least one if there
+    are enough cells); a :func:`_worker_pool` runs them if `workers` > 1."""
+    truths = {ue: synthesize(scene, ue) for ue in config.ues}
+    cells = [(truths[ue], snr, seed) for ue, snr, seed in product(config.ues, config.snr_db, config.seeds)]
+    size = min(batch_size(spec), -(-len(cells) // config.workers))
+    batches = [(spec, config.fit_config(), cells[i : i + size]) for i in range(0, len(cells), size)]
+    if config.workers > 1:
+        with _worker_pool(config.workers) as pool:
             return [cell for batch in pool.map(_fit_cells, batches) for cell in batch]
     return [cell for batch in map(_fit_cells, batches) for cell in batch]
 
 
-def _grid(config: ExperimentConfig, scene, spec) -> tuple:
-    """The `ues x snr_db x seeds` grid: its (ue, snr_db, seed) keys and its
-    cells cut into runner batches, so that every worker gets whole batches,
-    and at least one if there are enough cells."""
-    truths = {ue: synthesize(scene, ue) for ue in config.ues}
-    keys = [(ue, snr, seed) for ue in config.ues for snr in config.snr_db for seed in config.seeds]
-    cells = [(truths[ue], snr, seed) for ue, snr, seed in keys]
-    size = min(batch_size(spec), -(-len(cells) // config.workers))
-    return keys, [(spec, config.fit_config(), cells[i : i + size]) for i in range(0, len(cells), size)]
-
-
 def _mode_single(config: ExperimentConfig, scene, spec, out: Path) -> dict:
-    keys, batches = _grid(config, scene, spec)
-    cells = _run_cells(batches, config.workers)
+    cells = _run_grid(config, scene, spec)
     (out / "fit_traces").mkdir(exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
     rows = []
-    for (ue, snr_db, seed), cell in zip(keys, cells):
-        ok = not isinstance(cell.report, FitDivergedError)
-        if ok:
+    for (ue, snr_db, seed), cell in zip(product(config.ues, config.snr_db, config.seeds), cells):
+        if cell.error is None:
             tag = f"ue{ue}_snr{snr_db}_seed{seed}"
-            _write_csv(out / "fit_traces" / f"{tag}.csv", ["iteration", "mse"], cell.report.trace)
+            _write_csv(out / "fit_traces" / f"{tag}.csv", ["iteration", "mse"], cell.trace)
             _atomic_write_bytes(out / "reports" / f"{tag}.csir", cell.blob)
+        nmse_db = ratio_db(cell.ratio)
         rows.append([
-            ue, float(snr_db), seed, "ok" if ok else "diverged", cell.nmse_db, cell.meas_nmse_db,
-            cell.meas_nmse_db - cell.nmse_db, cell.report.final_mse if ok else float("nan"),
-            config.fit_config().iterations,
+            ue, float(snr_db), seed, "ok" if cell.error is None else "diverged", nmse_db, cell.meas_nmse_db,
+            cell.meas_nmse_db - nmse_db, cell.final_mse, config.fit_config().iterations,
         ])
     _write_csv(
         out / "results.csv",
         ["ue", "snr_db", "seed", "status", "nmse_db", "meas_nmse_db", "gain_db", "final_mse", "iterations"],
         rows,
     )
-    return {"cells": len(cells), "diverged": sum(isinstance(c.report, FitDivergedError) for c in cells)}
+    return {"cells": len(cells), "diverged": sum(cell.error is not None for cell in cells)}
 
 
 def _mode_transfer(config: ExperimentConfig, scene, spec, out: Path) -> dict:
@@ -483,41 +480,38 @@ def _mode_group(config: ExperimentConfig, scene, spec, out: Path) -> dict:
 def _mode_codec(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     ue_id, snr_db, seed = config.ues[0], float(config.snr_db[0]), config.seeds[0]
     truth = synthesize(scene, ue_id)
-    (cell,) = _fit_cells((spec, config.fit_config(), [(truth, snr_db, seed)]))
-    if isinstance(cell.report, FitDivergedError):
-        raise cell.report
+    (cell,) = _fit_cells((spec, config.fit_config(), [(truth, snr_db, seed)]), keep_encoded=True)
+    if cell.error is not None:
+        raise cell.error
     (out / "reports").mkdir(exist_ok=True)
     _atomic_write_bytes(out / "reports" / f"ue{ue_id}_snr{snr_db}_seed{seed}.csir", cell.blob)
 
     decoded = codec.decode(cell.blob)
-    (rx,) = codec.recreate(*decoded)
-    nmse_rx = nmse(rx, truth)
+    (tx,), (rx,) = codec.recreate(spec, *cell.encoded), codec.recreate(*decoded)
+    same_weights = params_to_vector(cell.encoded[0]).tobytes() == params_to_vector(decoded[1]).tobytes()
     raw_bytes = 8 * truth.data.size
     return {
-        # a decoded report that encodes back to its own bytes holds the UE's
-        # weights, norms and scale, so the base station recreates its channel
-        "bit_exact": codec.encode(*decoded) == cell.blob and nmse_rx == cell.nmse_db,
+        "bit_exact": same_weights and bool(np.array_equal(tx.data, rx.data)),
         "payload_bytes": codec.payload_bytes(spec),
         "report_bytes": len(cell.blob),
         "raw_csi_bytes": raw_bytes,
         "payload_over_raw": codec.payload_bytes(spec) / raw_bytes,
-        "nmse_db_tx": cell.nmse_db,
-        "nmse_db_rx": nmse_rx,
+        "nmse_db_tx": ratio_db(cell.ratio),
+        "nmse_db_rx": nmse(rx, truth),
     }
 
 
 def _mode_sweep(config: ExperimentConfig, scene, spec, out: Path) -> dict:
-    fitted = _run_cells(_grid(config, scene, spec)[1], config.workers)
-    for cell in fitted:
-        if isinstance(cell.report, FitDivergedError):
-            raise cell.report
+    unn = []  # each cell's recreation from its report, scored once by the runner
+    for cell in _run_grid(config, scene, spec):
+        if cell.error is not None:
+            raise cell.error
+        unn.append(cell.ratio)
     estimators = {
         "mmse_raw": lambda cells: [mmse_raw(meas) for meas, _, _ in cells],
         "mmse_genie": lambda cells: [mmse_genie(*cell) for cell in cells],
-        # the base station's recreation of each cell's report, one at a time
-        "unn": lambda cells: (codec.recreate(*codec.decode(cell.blob))[0] for cell in fitted),
     }
-    records = baselines.sweep(scene, estimators, config.ues, config.snr_db, config.seeds)
+    records = baselines.sweep(scene, estimators, config.ues, config.snr_db, config.seeds, ratios={"unn": unn})
     _write_csv(
         out / "results.csv",
         ["estimator", "ue", "snr_db", "seed_count", "nmse_db", "gain_db"],
@@ -614,10 +608,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="experiment config JSON")
     parser.add_argument("--mode", choices=MODES, help="experiment mode")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument(
-        "--workers", type=int,
-        help="worker processes for the fits of single mode and sweep's unn arm (overrides the config)",
-    )
+    parser.add_argument("--workers", type=int, help="worker processes for single and sweep mode (overrides the config)")
     parser.add_argument("--profile", choices=sorted(_PROFILES), help="built-in default configuration")
     parser.add_argument("--seed-list", help="comma-separated noise seeds")
     args = parser.parse_args(argv)

@@ -138,6 +138,24 @@ class TestSweep:
             for snr in (0.0, 10.0, 20.0):
                 assert by_key[("mmse_genie", ue, snr)] <= by_key[("mmse_raw", ue, snr)] + 1e-9
 
+    def test_precomputed_ratios_score_like_an_estimator(self, micro_scene):
+        # mmse_raw's per-cell ratios, handed in as scored elsewhere, give
+        # mmse_raw's records under the new name, after the estimators'
+        grid = ([1, 2], [0.0, 10.0], [0, 1])
+        truths = {ue: synthesize(micro_scene, ue) for ue in grid[0]}
+        raw = [
+            nmse_linear(add_noise(truths[ue], snr, seed), truths[ue])
+            for ue in grid[0] for snr in grid[1] for seed in grid[2]
+        ]
+        records = sweep(micro_scene, self.estimators(), *grid, ratios={"copy": raw})
+        assert [r.estimator for r in records[:3]] == ["mmse_raw", "mmse_genie", "copy"]
+        by_name = {}
+        for r in records:
+            by_name.setdefault(r.estimator, []).append((r.ue_id, r.snr_db, r.nmse_db, r.gain_db))
+        assert by_name["copy"] == by_name["mmse_raw"]
+        with pytest.raises(ValueError, match="copy: 7 NMSE ratios for 8 cells"):
+            sweep(micro_scene, self.estimators(), *grid, ratios={"copy": raw[:-1]})
+
     def test_curves(self, micro_scene):
         records = sweep(micro_scene, self.estimators(), [1], [0.0, 10.0], [0])
         assert len(records) == 4

@@ -314,7 +314,7 @@ class TestMain:
         ("single", 1 + 1 + 2 * 12),  # results.csv, summary.json, a trace and a report per cell
         ("sweep", 1 + 1 + 1),  # results.csv, summary.json, curves.json
     ])
-    def test_desk_single_mode_writes_the_same_bytes_with_1_and_2_workers(self, tmp_path, mode, n_files):
+    def test_desk_grid_modes_write_the_same_bytes_with_1_and_2_workers(self, tmp_path, mode, n_files):
         # 12 cells: one batch in one process, or two batches of 6 in two;
         # sweep's unn arm fits its cells through the same pool
         cfg_path = tmp_path / "grid.json"
