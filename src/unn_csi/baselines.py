@@ -2,25 +2,19 @@
 
 Two baselines bracket the decoder: the raw-measurement estimator (no prior at
 all, NMSE tracks -SNR) and a genie-aided Wiener filter granted the true
-antenna-domain second-order statistics. The sweep driver runs estimators over
-a (UE, SNR, seed) grid and averages NMSE ratios in the linear domain.
+antenna-domain second-order statistics. :func:`sweep` turns per-cell NMSE
+ratios over a (UE, SNR, seed) grid, scored where each cell is measured, into
+records averaged over the seeds in the linear domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .channel import (
-    ChannelTensor,
-    ESTIMATED,
-    MEASURED,
-    _power,
-    add_noise,
-    noise_variance,
-    synthesize,
-)
+from .channel import ChannelTensor, ESTIMATED, MEASURED, _power, noise_variance
 
 __all__ = [
     "EvalRecord",
@@ -102,36 +96,23 @@ class EvalRecord:
     gain_db: float  # measurement NMSE minus estimator NMSE, same seeds
 
 
-def sweep(scene, estimators: dict, ue_ids, snrs_db, seeds, ratios=None) -> list:
-    """Full factorial run over (estimator, UE, SNR); NMSE ratios are averaged
-    over the noise seeds in the linear domain before conversion to dB.
+def sweep(ue_ids, snrs_db, seed_count: int, meas_ratios, scored: dict) -> list:
+    """One record per (UE, SNR) grid point and estimator, NMSE ratios averaged
+    over the `seed_count` noise seeds in the linear domain before conversion
+    to dB.
 
-    Each estimator is called once, with every cell of the grid as a
-    (measurement, truth, snr_db) tuple in (UE, SNR, seed) order, and returns
-    or yields one estimate per cell in that order. `ratios` maps the names of
-    estimators scored elsewhere (recorded last) to their ratios in cell order.
+    `meas_ratios` and each list of `scored`, which maps estimator names to
+    their ratios in record order, hold one linear NMSE ratio per cell in
+    (UE, SNR, seed) order; the measurement's give each record's `gain_db`.
     """
-    seeds = list(seeds)
-    grid = [(ue_id, snr_db) for ue_id in ue_ids for snr_db in snrs_db]
-    truths = {ue_id: synthesize(scene, ue_id) for ue_id in ue_ids}
-    cells = [
-        (add_noise(truths[ue_id], snr_db, seed), truths[ue_id], snr_db)
-        for ue_id, snr_db in grid
-        for seed in seeds
-    ]
-    scored = {
-        name: [nmse_linear(est, truth) for est, (_, truth, _) in zip(fn(cells), cells, strict=True)]
-        for name, fn in estimators.items()
-    }
-    scored.update(ratios or {})
-    for name, values in scored.items():
-        if len(values) != len(cells):
-            raise ValueError(f"{name}: {len(values)} NMSE ratios for {len(cells)} cells")
-    meas_ratios = [nmse_linear(meas, truth) for meas, truth, _ in cells]
+    cells = len(ue_ids) * len(snrs_db) * seed_count
+    for name, values in [("measurement", meas_ratios), *scored.items()]:
+        if len(values) != cells:
+            raise ValueError(f"{name}: {len(values)} NMSE ratios for {cells} cells")
 
     records = []
-    for i, (ue_id, snr_db) in enumerate(grid):
-        seeds_of = slice(i * len(seeds), (i + 1) * len(seeds))
+    for i, (ue_id, snr_db) in enumerate(product(ue_ids, snrs_db)):
+        seeds_of = slice(i * seed_count, (i + 1) * seed_count)
         meas_db = 10.0 * np.log10(float(np.mean(meas_ratios[seeds_of])))
         for name, values in scored.items():
             est_db = ratio_db(float(np.mean(values[seeds_of])))
@@ -140,7 +121,7 @@ def sweep(scene, estimators: dict, ue_ids, snrs_db, seeds, ratios=None) -> list:
                     estimator=name,
                     ue_id=ue_id,
                     snr_db=float(snr_db),
-                    seed_count=len(seeds),
+                    seed_count=seed_count,
                     nmse_db=est_db,
                     gain_db=meas_db - est_db,
                 )

@@ -36,7 +36,7 @@ from ._fields import INT, NUMBER, list_of
 from .channel import Scene, add_noise, load_scene, noise_variance, preprocess, stack_users, synthesize
 from .decoder import DecoderSpec, compression_ratio, load_spec, param_count, params_to_vector
 from .fitting import FitConfig, FitDivergedError, batch_size, fit, fit_batch
-from .baselines import mmse_genie, mmse_raw, nmse, nmse_linear, ratio_db, records_to_curves
+from .baselines import mmse_genie, nmse, nmse_linear, ratio_db, records_to_curves
 
 __all__ = ["ExperimentConfig", "Diagnostic", "validate", "run", "main"]
 
@@ -340,44 +340,50 @@ class _Cell(NamedTuple):
     error: FitDivergedError | None  # None if the fit converged
     trace: list
     final_mse: float
-    meas_nmse_db: float
+    meas_ratio: float  # linear NMSE of the measurement
     ratio: float  # linear NMSE of the recreated channel, nan if diverged
     blob: bytes | None  # the .csir report, None if diverged
+    scored: tuple  # linear NMSE of each of the batch's estimators
     encoded: tuple | None = None  # (params, snapshot_norms, scale) in the blob, if asked for
 
 
 def _fit_cells(batch, keep_encoded: bool = False) -> list:
-    """The cell runner on one batch (spec, fit config, cells of (truth, snr_db,
-    seed)): measure, preprocess and fit_batch every cell, then recreate, score
-    and encode each. The measurements stay referenced through the fit."""
-    spec, fit_cfg, cells = batch
+    """The cell runner on one batch (spec, fit config, estimators, cells of
+    (truth, snr_db, seed)): measure, preprocess and fit_batch every cell, then
+    score the measurement and each estimator (a module-level function, which
+    a pool worker can unpickle, called as (measurement, truth, snr_db)), and
+    recreate, score and encode each fit. The measurements stay referenced
+    through the fit; no estimate outlives its cell's scoring."""
+    spec, fit_cfg, estimators, cells = batch
     measured = [add_noise(truth, snr_db, seed) for truth, snr_db, seed in cells]
     targets = [preprocess(meas) for meas in measured]
     results = []
-    for (truth, _, _), meas, target, report in zip(
+    for (truth, snr_db, _), meas, target, report in zip(
         cells, measured, targets, fit_batch(spec, None, targets, fit_cfg)
     ):
-        meas_nmse = nmse(meas, truth)
+        meas_ratio = nmse_linear(meas, truth)
+        scored = tuple(nmse_linear(estimate(meas, truth, snr_db), truth) for estimate in estimators)
         if isinstance(report, FitDivergedError):
-            results.append(_Cell(report, [], float("nan"), meas_nmse, float("nan"), None))
+            results.append(_Cell(report, [], float("nan"), meas_ratio, float("nan"), None, scored))
             continue
         encoded = (report.params, target.snapshot_norms, target.scale)
         (est,) = codec.recreate(spec, *encoded)
         results.append(_Cell(
-            None, report.trace, report.final_mse, meas_nmse, nmse_linear(est, truth),
-            codec.encode(spec, *encoded), encoded if keep_encoded else None,
+            None, report.trace, report.final_mse, meas_ratio, nmse_linear(est, truth),
+            codec.encode(spec, *encoded), scored, encoded if keep_encoded else None,
         ))
     return results
 
 
-def _run_grid(config: ExperimentConfig, scene, spec) -> list:
-    """:func:`_fit_cells` over the `ues x snr_db x seeds` grid, in that order,
-    in batches cut so that every worker gets whole ones (at least one if there
-    are enough cells); a :func:`_worker_pool` runs them if `workers` > 1."""
+def _run_grid(config: ExperimentConfig, scene, spec, estimators: tuple) -> list:
+    """:func:`_fit_cells` with `estimators` over the `ues x snr_db x seeds`
+    grid, in that order, in batches cut so that every worker gets whole ones
+    (at least one if there are enough cells); a :func:`_worker_pool` runs
+    them if `workers` > 1."""
     truths = {ue: synthesize(scene, ue) for ue in config.ues}
     cells = [(truths[ue], snr, seed) for ue, snr, seed in product(config.ues, config.snr_db, config.seeds)]
     size = min(batch_size(spec), -(-len(cells) // config.workers))
-    batches = [(spec, config.fit_config(), cells[i : i + size]) for i in range(0, len(cells), size)]
+    batches = [(spec, config.fit_config(), estimators, cells[i : i + size]) for i in range(0, len(cells), size)]
     if config.workers > 1:
         with _worker_pool(config.workers) as pool:
             return [cell for batch in pool.map(_fit_cells, batches) for cell in batch]
@@ -385,7 +391,7 @@ def _run_grid(config: ExperimentConfig, scene, spec) -> list:
 
 
 def _mode_single(config: ExperimentConfig, scene, spec, out: Path) -> dict:
-    cells = _run_grid(config, scene, spec)
+    cells = _run_grid(config, scene, spec, ())
     (out / "fit_traces").mkdir(exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
     rows = []
@@ -394,10 +400,10 @@ def _mode_single(config: ExperimentConfig, scene, spec, out: Path) -> dict:
             tag = f"ue{ue}_snr{snr_db}_seed{seed}"
             _write_csv(out / "fit_traces" / f"{tag}.csv", ["iteration", "mse"], cell.trace)
             _atomic_write_bytes(out / "reports" / f"{tag}.csir", cell.blob)
-        nmse_db = ratio_db(cell.ratio)
+        nmse_db, meas_nmse_db = ratio_db(cell.ratio), ratio_db(cell.meas_ratio)
         rows.append([
-            ue, float(snr_db), seed, "ok" if cell.error is None else "diverged", nmse_db, cell.meas_nmse_db,
-            cell.meas_nmse_db - nmse_db, cell.final_mse, config.fit_config().iterations,
+            ue, float(snr_db), seed, "ok" if cell.error is None else "diverged", nmse_db, meas_nmse_db,
+            meas_nmse_db - nmse_db, cell.final_mse, config.fit_config().iterations,
         ])
     _write_csv(
         out / "results.csv",
@@ -480,7 +486,7 @@ def _mode_group(config: ExperimentConfig, scene, spec, out: Path) -> dict:
 def _mode_codec(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     ue_id, snr_db, seed = config.ues[0], float(config.snr_db[0]), config.seeds[0]
     truth = synthesize(scene, ue_id)
-    (cell,) = _fit_cells((spec, config.fit_config(), [(truth, snr_db, seed)]), keep_encoded=True)
+    (cell,) = _fit_cells((spec, config.fit_config(), (), [(truth, snr_db, seed)]), keep_encoded=True)
     if cell.error is not None:
         raise cell.error
     (out / "reports").mkdir(exist_ok=True)
@@ -502,16 +508,18 @@ def _mode_codec(config: ExperimentConfig, scene, spec, out: Path) -> dict:
 
 
 def _mode_sweep(config: ExperimentConfig, scene, spec, out: Path) -> dict:
-    unn = []  # each cell's recreation from its report, scored once by the runner
-    for cell in _run_grid(config, scene, spec):
+    # mmse_raw copies the measurement, so its ratios are the measurement's
+    cells = _run_grid(config, scene, spec, (mmse_genie,))
+    for cell in cells:
         if cell.error is not None:
             raise cell.error
-        unn.append(cell.ratio)
-    estimators = {
-        "mmse_raw": lambda cells: [mmse_raw(meas) for meas, _, _ in cells],
-        "mmse_genie": lambda cells: [mmse_genie(*cell) for cell in cells],
+    meas_ratios = [cell.meas_ratio for cell in cells]
+    scored = {
+        "mmse_raw": meas_ratios,
+        "mmse_genie": [cell.scored[0] for cell in cells],
+        "unn": [cell.ratio for cell in cells],
     }
-    records = baselines.sweep(scene, estimators, config.ues, config.snr_db, config.seeds, ratios={"unn": unn})
+    records = baselines.sweep(config.ues, config.snr_db, len(config.seeds), meas_ratios, scored)
     _write_csv(
         out / "results.csv",
         ["estimator", "ue", "snr_db", "seed_count", "nmse_db", "gain_db"],

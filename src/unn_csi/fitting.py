@@ -84,7 +84,6 @@ where the arithmetic dominates and stacking wins nothing, it is 1.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,7 +161,6 @@ class FitReport:
     trace: list = field(default_factory=list)  # (iteration, mse) pairs
     params: ParamSet | None = None
     final_mse: float = np.nan
-    elapsed_s: float = 0.0
 
     @property
     def iterations(self) -> int:
@@ -324,7 +322,6 @@ def fit_batch(spec: DecoderSpec, z0, targets, config: FitConfig, inits=None) -> 
 def _fit_batch(spec, x, t, inits, config) -> list:
     """:func:`fit_batch` for one batch: the stacked float32 targets `t`,
     their inits and the checked seed tensor `x` (leading extent 1)."""
-    start = time.perf_counter()
     dtype = t.dtype
     batch = len(t)
     theta = np.stack([params_to_vector(p) for p in inits]).astype(dtype)
@@ -370,7 +367,6 @@ def _fit_batch(spec, x, t, inits, config) -> list:
         theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     y = _forward(ws).reshape(t.shape)
-    elapsed = time.perf_counter() - start
     diff = ws.loss[1].reshape(t.shape)  # the output gradient's array, free again
     reports = []
     for b, error in enumerate(errors):
@@ -378,7 +374,7 @@ def _fit_batch(spec, x, t, inits, config) -> list:
             final = _mse(y[b], t[b], diff[b])
             if np.isfinite(final):
                 traces[b].append((config.iterations, final))
-                reports.append(FitReport(traces[b], param_views(spec, theta[b]), final, elapsed))
+                reports.append(FitReport(traces[b], param_views(spec, theta[b]), final))
                 continue
             error = FitDivergedError(f"final loss {final} after {config.iterations} iterations")
         reports.append(error)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import unn_csi
 from unn_csi.baselines import (
     mmse_genie,
     mmse_raw,
@@ -113,51 +119,67 @@ class TestMmseGenie:
 
 
 class TestSweep:
-    def estimators(self):
-        return {
-            "mmse_raw": lambda cells: [mmse_raw(meas) for meas, _, _ in cells],
-            "mmse_genie": lambda cells: [mmse_genie(*cell) for cell in cells],
-        }
+    ESTIMATORS = {
+        "mmse_raw": lambda meas, truth, snr_db: mmse_raw(meas),
+        "mmse_genie": mmse_genie,
+    }
+
+    def ratios(self, scene, ue_ids, snrs_db, seeds):
+        """The measurement's and each estimator's linear NMSE ratio per cell,
+        in (UE, SNR, seed) order."""
+        meas_ratios, scored = [], {name: [] for name in self.ESTIMATORS}
+        for ue in ue_ids:
+            truth = synthesize(scene, ue)
+            for snr_db in snrs_db:
+                for seed in seeds:
+                    meas = add_noise(truth, snr_db, seed)
+                    meas_ratios.append(nmse_linear(meas, truth))
+                    for name, estimate in self.ESTIMATORS.items():
+                        scored[name].append(nmse_linear(estimate(meas, truth, snr_db), truth))
+        return meas_ratios, scored
+
+    def run(self, scene, ue_ids, snrs_db, seeds):
+        return sweep(ue_ids, snrs_db, len(seeds), *self.ratios(scene, ue_ids, snrs_db, seeds))
 
     def test_single_cell_produces_one_record_per_estimator(self, micro_scene):
-        records = sweep(micro_scene, self.estimators(), [1], [10.0], [0])
-        assert len(records) == 2
-        assert {r.estimator for r in records} == {"mmse_raw", "mmse_genie"}
+        records = self.run(micro_scene, [1], [10.0], [0])
+        assert [r.estimator for r in records] == ["mmse_raw", "mmse_genie"]
         raw = next(r for r in records if r.estimator == "mmse_raw")
         assert raw.gain_db == pytest.approx(0.0, abs=1e-12)
 
-    def test_reproducible_given_seed_list(self, micro_scene):
-        a = sweep(micro_scene, self.estimators(), [1, 2], [0.0, 10.0], [0, 1])
-        b = sweep(micro_scene, self.estimators(), [1, 2], [0.0, 10.0], [0, 1])
-        assert a == b
+    def test_records_follow_the_grid_and_estimator_order(self, micro_scene):
+        records = self.run(micro_scene, [1, 2], [0.0, 10.0], [0, 1])
+        assert [(r.ue_id, r.snr_db, r.estimator) for r in records] == [
+            (ue, snr, name) for ue in (1, 2) for snr in (0.0, 10.0) for name in ("mmse_raw", "mmse_genie")
+        ]
+        assert {r.seed_count for r in records} == {2}
 
     def test_genie_never_worse_than_raw(self, micro_scene):
-        records = sweep(micro_scene, self.estimators(), [1, 2], [0.0, 10.0, 20.0], [0, 1, 2])
+        records = self.run(micro_scene, [1, 2], [0.0, 10.0, 20.0], [0, 1, 2])
         by_key = {(r.estimator, r.ue_id, r.snr_db): r.nmse_db for r in records}
         for ue in (1, 2):
             for snr in (0.0, 10.0, 20.0):
                 assert by_key[("mmse_genie", ue, snr)] <= by_key[("mmse_raw", ue, snr)] + 1e-9
 
-    def test_precomputed_ratios_score_like_an_estimator(self, micro_scene):
-        # mmse_raw's per-cell ratios, handed in as scored elsewhere, give
-        # mmse_raw's records under the new name, after the estimators'
+    def test_raw_arm_is_the_measurement_ratio(self, micro_scene):
+        # mmse_raw copies the measurement, so its ratio is the measurement's
+        # bit for bit, and its records gain exactly nothing
+        meas_ratios, scored = self.ratios(micro_scene, [1, 2], [0.0, 10.0], [0, 1])
+        assert scored["mmse_raw"] == meas_ratios
+        records = sweep([1, 2], [0.0, 10.0], 2, meas_ratios, scored)
+        assert {r.gain_db for r in records if r.estimator == "mmse_raw"} == {0.0}
+
+    def test_short_ratio_list_names_its_estimator(self, micro_scene):
         grid = ([1, 2], [0.0, 10.0], [0, 1])
-        truths = {ue: synthesize(micro_scene, ue) for ue in grid[0]}
-        raw = [
-            nmse_linear(add_noise(truths[ue], snr, seed), truths[ue])
-            for ue in grid[0] for snr in grid[1] for seed in grid[2]
-        ]
-        records = sweep(micro_scene, self.estimators(), *grid, ratios={"copy": raw})
-        assert [r.estimator for r in records[:3]] == ["mmse_raw", "mmse_genie", "copy"]
-        by_name = {}
-        for r in records:
-            by_name.setdefault(r.estimator, []).append((r.ue_id, r.snr_db, r.nmse_db, r.gain_db))
-        assert by_name["copy"] == by_name["mmse_raw"]
-        with pytest.raises(ValueError, match="copy: 7 NMSE ratios for 8 cells"):
-            sweep(micro_scene, self.estimators(), *grid, ratios={"copy": raw[:-1]})
+        meas_ratios, scored = self.ratios(micro_scene, *grid)
+        scored["mmse_genie"] = scored["mmse_genie"][:-1]
+        with pytest.raises(ValueError, match="mmse_genie: 7 NMSE ratios for 8 cells"):
+            sweep(grid[0], grid[1], 2, meas_ratios, scored)
+        with pytest.raises(ValueError, match="measurement: 7 NMSE ratios for 8 cells"):
+            sweep(grid[0], grid[1], 2, meas_ratios[:-1], {})
 
     def test_curves(self, micro_scene):
-        records = sweep(micro_scene, self.estimators(), [1], [0.0, 10.0], [0])
+        records = self.run(micro_scene, [1], [0.0, 10.0], [0])
         assert len(records) == 4
         curves = records_to_curves(records)
         assert [p[0] for p in curves["mmse_raw"]["1"]] == [0.0, 10.0]
@@ -174,3 +196,34 @@ class TestFullScaleCalibration:
         for snr_db in (0.0, 20.0):
             meas = mmse_raw(add_noise(truth, snr_db, seed=0))
             assert nmse(meas, truth) == pytest.approx(-snr_db, abs=0.3)
+
+
+# prints the sha256 of mmse_genie's estimate for street_canyon UEs 1 and 4 at
+# 0 and 20 dB, noise seed 0
+GENIE_DIGEST = """
+import hashlib
+from importlib import resources
+from unn_csi.baselines import mmse_genie
+from unn_csi.channel import add_noise, load_scene, synthesize
+scene = load_scene(str(resources.files("unn_csi").joinpath("scenes/street_canyon.json")))
+for ue in (1, 4):
+    truth = synthesize(scene, ue)
+    for snr_db in (0.0, 20.0):
+        est = mmse_genie(add_noise(truth, snr_db, 0), truth, snr_db)
+        print(hashlib.sha256(est.data.tobytes()).hexdigest())
+"""
+
+
+def test_full_scale_genie_bytes_do_not_depend_on_the_blas_thread_count():
+    # sweep mode scores mmse_genie in the cell runner, so with --workers it
+    # runs in one-BLAS-thread pool workers and serially on the default count
+    env = dict(os.environ, PYTHONPATH=str(Path(unn_csi.__file__).parents[1]))
+    digests = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run(
+            [sys.executable, "-c", GENIE_DIGEST], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout)
+    assert len(digests[0]) == 4 * 65 and digests[0] == digests[1]

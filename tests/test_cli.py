@@ -1,13 +1,14 @@
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unn_csi import cli
-from unn_csi.baselines import nmse
-from unn_csi.channel import synthesize
+from unn_csi import channel, cli
+from unn_csi.baselines import mmse_genie, mmse_raw, nmse, nmse_linear, ratio_db
+from unn_csi.channel import add_noise, load_scene, synthesize
 from unn_csi.codec import decode, recreate
 
 from conftest import make_spec, save_scene, save_spec
@@ -276,6 +277,53 @@ class TestRunSweepMode:
         assert len(rows) == 1 + 3 * 2  # three estimators, two SNRs
         curves = json.load(open(os.path.join(config["out"], "curves.json")))
         assert set(curves) == {"mmse_raw", "mmse_genie", "unn"}
+
+    def test_baseline_rows_match_an_independent_oracle(self, tiny_setup, tmp_path):
+        _, config = tiny_setup
+        ues, snrs, seeds = [1, 2], [0.0, 10.0], [0, 1]
+        config = dict(config, mode="sweep", ues=ues, snr_db=snrs, seeds=seeds, out=str(tmp_path / "sweep"))
+        assert cli.run(cli.config_from_dict(config)) == 0
+        rows = {
+            (row[0], int(row[1]), float(row[2])): row
+            for row in (line.split(",") for line in csv_lines(tmp_path / "sweep" / "results.csv")[1:])
+        }
+        scene = load_scene(config["scene"])
+        for ue in ues:
+            truth = synthesize(scene, ue)
+            for snr in snrs:
+                measured = [add_noise(truth, snr, seed) for seed in seeds]
+                meas_ratios = [nmse_linear(meas, truth) for meas in measured]
+                arms = {
+                    "mmse_raw": [nmse_linear(mmse_raw(meas), truth) for meas in measured],
+                    "mmse_genie": [nmse_linear(mmse_genie(meas, truth, snr), truth) for meas in measured],
+                }
+                # mmse_raw copies the measurement: the same ratio, bit for bit
+                assert arms["mmse_raw"] == meas_ratios
+                meas_db = 10.0 * np.log10(np.mean(meas_ratios))
+                for name, ratios in arms.items():
+                    want = ratio_db(float(np.mean(ratios)))
+                    _, _, _, seed_count, nmse_db, gain_db = rows[(name, ue, snr)]
+                    assert (int(seed_count), float(nmse_db), float(gain_db)) == (2, want, meas_db - want)
+
+    def test_each_cell_is_measured_once_and_each_ue_synthesized_once(self, tiny_setup, tmp_path, monkeypatch):
+        # counted at every binding in the package, so that a second measure
+        # path anywhere shows
+        _, config = tiny_setup
+        config = dict(config, mode="sweep", ues=[1, 2], snr_db=[0.0, 10.0], seeds=[0, 1, 2], out=str(tmp_path))
+        calls = {"add_noise": 0, "synthesize": 0}
+        modules = [m for n, m in list(sys.modules.items()) if n == "unn_csi" or n.startswith("unn_csi.")]
+        for name in calls:
+            original = getattr(channel, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        assert cli.run(cli.config_from_dict(config)) == 0
+        assert calls == {"add_noise": 2 * 2 * 3, "synthesize": 2}
 
 
 class TestMain:
