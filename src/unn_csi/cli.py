@@ -213,18 +213,34 @@ def _repeats(items, key=None) -> list:
     return sorted({k for k in keys if keys.count(k) > 1})
 
 
+class _Inputs(NamedTuple):
+    """The files :func:`_checked` loaded and checked, which :func:`run`
+    hands to the mode driver, so that it runs on exactly what was checked."""
+
+    scene: Scene
+    spec: DecoderSpec
+    plan: transfer_mod.TransferPlan | None  # transfer mode's
+    group_specs: list  # group mode's, one per entry of config.groups
+
+
 def validate(config: ExperimentConfig) -> list:
     """Static checks; returns diagnostics and never mutates or runs anything."""
+    return _checked(config)[0]
+
+
+def _checked(config: ExperimentConfig) -> tuple:
+    """(diagnostics, inputs): what :func:`validate` returns, and the
+    :class:`_Inputs` it loaded, None if the scene or spec failed to load."""
     diags: list = []
     if config.mode not in MODES:
         diags.append(Diagnostic("error", f"unknown mode {config.mode!r}"))
-        return diags
+        return diags, None
     scene = _load(load_scene, _BUILTIN_SCENES, config.scene, "scene", diags)
     if scene is None:
-        return diags
+        return diags, None
     spec = _load(load_spec, _BUILTIN_SPECS, config.decoder_spec, "decoder spec", diags)
     if spec is None:
-        return diags
+        return diags, None
 
     # SNRs compare as numbers, so 10 and 10.0 name one grid point
     for name, item, key in (("snr_db", _snr, float), ("ues", INT, None), ("seeds", _noise_seed, None)):
@@ -243,6 +259,7 @@ def validate(config: ExperimentConfig) -> list:
 
     if config.mode in ("single", "sweep", "codec", "transfer"):
         _check_spec_against(scene, spec, config.decoder_spec, diags)
+    plan, group_specs = None, []
     if config.mode == "transfer":
         if not config.transfer_plan:
             diags.append(Diagnostic("error", "transfer mode needs a transfer_plan"))
@@ -273,10 +290,11 @@ def validate(config: ExperimentConfig) -> list:
                 diags.append(Diagnostic("error", f"groups[{gi}] references unknown UEs {absent}"))
             _check_fit(config, entry.get("iterations"), f"groups[{gi}]", diags)
             spec_name = entry.get("spec", config.decoder_spec)
-            gspec = _load(load_spec, _BUILTIN_SPECS, spec_name, "group spec", diags)
+            gspec = _load(load_spec, _BUILTIN_SPECS, spec_name, "group spec", diags) if "spec" in entry else spec
+            group_specs.append(gspec)
             if gspec is not None:
                 _check_spec_against(scene, gspec, spec_name, diags, group_size=len(ues))
-    return diags
+    return diags, _Inputs(scene, spec, plan, group_specs)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +408,8 @@ def _run_grid(config: ExperimentConfig, scene, spec, estimators: tuple) -> list:
     return [cell for batch in map(_fit_cells, batches) for cell in batch]
 
 
-def _mode_single(config: ExperimentConfig, scene, spec, out: Path) -> dict:
-    cells = _run_grid(config, scene, spec, ())
+def _mode_single(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
+    cells = _run_grid(config, inputs.scene, inputs.spec, ())
     (out / "fit_traces").mkdir(exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
     rows = []
@@ -413,8 +431,8 @@ def _mode_single(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     return {"cells": len(cells), "diverged": sum(cell.error is not None for cell in cells)}
 
 
-def _mode_transfer(config: ExperimentConfig, scene, spec, out: Path) -> dict:
-    plan = transfer_mod.load_plan(_data_path(_BUILTIN_PLANS, config.transfer_plan))
+def _mode_transfer(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
+    scene, plan = inputs.scene, inputs.plan
     snr_db = float(config.snr_db[0])
     seed = config.seeds[0]
 
@@ -424,7 +442,7 @@ def _mode_transfer(config: ExperimentConfig, scene, spec, out: Path) -> dict:
         truths[ue_id] = truth
         targets[ue_id] = preprocess(add_noise(truth, snr_db, seed))
 
-    results = transfer_mod.run_transfer(plan, spec, targets, truths, config.fit_config())
+    results = transfer_mod.run_transfer(plan, inputs.spec, targets, truths, config.fit_config())
     fits = list(results.values()) + [res.control for res in results.values() if res.control is not None]
     rows = [
         [res.ue_id, "" if res.init_from is None else res.init_from, "random" if res.init_from is None else "transfer",
@@ -450,16 +468,15 @@ def _mode_transfer(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     return {"chain": len(plan.chain)}
 
 
-def _mode_group(config: ExperimentConfig, scene, spec, out: Path) -> dict:
+def _mode_group(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
     snr_db = float(config.snr_db[0])
     seed = config.seeds[0]
     rows = []
     summaries = []
-    for gi, entry in enumerate(config.groups):
+    for gi, (entry, gspec) in enumerate(zip(config.groups, inputs.group_specs)):
         ues = list(entry["ues"])
-        gspec = load_spec(_data_path(_BUILTIN_SPECS, entry["spec"])) if "spec" in entry else spec
         fit_cfg = config.fit_config(iterations=entry.get("iterations"))
-        truths = [synthesize(scene, ue_id) for ue_id in ues]
+        truths = [synthesize(inputs.scene, ue_id) for ue_id in ues]
         target = stack_users(preprocess(add_noise(truth, snr_db, seed)) for truth in truths)
         report = fit(gspec, None, target, fit_cfg)
         estimates = codec.recreate(gspec, report.params, target.snapshot_norms, target.scale)
@@ -483,9 +500,10 @@ def _mode_group(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     return {"groups": summaries}
 
 
-def _mode_codec(config: ExperimentConfig, scene, spec, out: Path) -> dict:
+def _mode_codec(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
+    spec = inputs.spec
     ue_id, snr_db, seed = config.ues[0], float(config.snr_db[0]), config.seeds[0]
-    truth = synthesize(scene, ue_id)
+    truth = synthesize(inputs.scene, ue_id)
     (cell,) = _fit_cells((spec, config.fit_config(), (), [(truth, snr_db, seed)]), keep_encoded=True)
     if cell.error is not None:
         raise cell.error
@@ -507,9 +525,9 @@ def _mode_codec(config: ExperimentConfig, scene, spec, out: Path) -> dict:
     }
 
 
-def _mode_sweep(config: ExperimentConfig, scene, spec, out: Path) -> dict:
+def _mode_sweep(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
     # mmse_raw copies the measurement, so its ratios are the measurement's
-    cells = _run_grid(config, scene, spec, (mmse_genie,))
+    cells = _run_grid(config, inputs.scene, inputs.spec, (mmse_genie,))
     for cell in cells:
         if cell.error is not None:
             raise cell.error
@@ -543,18 +561,17 @@ MODES = tuple(_MODE_DRIVERS)
 
 def run(config: ExperimentConfig) -> int:
     """Execute the configured mode; returns a process exit code."""
-    diags = validate(config)
+    diags, inputs = _checked(config)
     for d in diags:
         print(d, file=sys.stderr)
     if any(d.level == "error" for d in diags):
         return 2
 
-    scene = load_scene(_data_path(_BUILTIN_SCENES, config.scene))
-    spec = load_spec(_data_path(_BUILTIN_SPECS, config.decoder_spec))
+    scene, spec = inputs.scene, inputs.spec
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        extra = _MODE_DRIVERS[config.mode](config, scene, spec, out)
+        extra = _MODE_DRIVERS[config.mode](config, inputs, out)
     except FitDivergedError as exc:
         print(f"error: {config.mode} mode: {exc}", file=sys.stderr)
         return 1

@@ -22,12 +22,12 @@ from .channel import postprocess, split_users
 from .decoder import (
     DecoderSpec,
     ParamSet,
+    _spec_from_doc,
     check_params,
     forward,
     param_count,
     params_from_vector,
     params_to_vector,
-    spec_from_json,
     spec_to_json,
 )
 
@@ -141,7 +141,7 @@ def decode(blob: bytes):
 
     if not isinstance(header, dict):
         raise CodecError("malformed header: not a JSON object")
-    spec = _header_field(header, "spec", lambda doc: spec_from_json(json.dumps(doc)))
+    spec = _header_field(header, "spec", _spec_from_doc)
     shapes = _shapes(spec)
     norms = _header_field(header, "norms", lambda v: _positive(v, shapes["norms"]))
     scale = _header_field(header, "scale", lambda v: _positive(v, shapes["scale"]))

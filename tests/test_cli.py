@@ -423,6 +423,31 @@ class TestMain:
         assert "Traceback" not in err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_run_loads_each_input_file_once(self, tmp_path, monkeypatch, mode):
+        # the mode driver runs on what validate loaded and checked: a file
+        # replaced between two reads would otherwise run unchecked
+        cfg_path = tmp_path / "once.json"
+        cfg_path.write_text(json.dumps({
+            "fit": {"iterations": 2, "learning_rate": 2e-3, "trace_every": 1, "init_seed": 1},
+            "ues": [1], "snr_db": [10], "seeds": [0],
+            "groups": [{"ues": [2, 3, 4], "spec": "desk-group", "iterations": 2}],
+        }))
+        calls = {"load_scene": 0, "load_spec": 0, "load_plan": 0}
+        for module, name in ((cli, "load_scene"), (cli, "load_spec"), (cli.transfer_mod, "load_plan")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        argv = ["--profile", "desk", "--config", str(cfg_path), "--mode", mode, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert calls == {
+            "load_scene": 1, "load_spec": 2 if mode == "group" else 1, "load_plan": int(mode == "transfer"),
+        }
+
     def test_pool_workers_start_with_one_blas_thread(self, monkeypatch):
         # two workers with the default two BLAS threads each ran four busy
         # threads on two cores; the caller's environment is left as it was

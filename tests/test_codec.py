@@ -147,6 +147,9 @@ class TestDecode:
         "edit, field",
         [
             (lambda h: h.pop("spec"), "spec"),
+            (lambda h: h.update(spec=[1, 2]), "'spec'.*JSON object"),
+            (lambda h: h.update(spec="spec"), "'spec'.*JSON object"),
+            (lambda h: h["spec"].pop("seed_rule"), "'spec'.*seed_rule"),
             (lambda h: h["spec"].pop("widths"), "widths"),
             (lambda h: h["spec"].update(upsample_flags="TT"), "upsample_flags"),
             (lambda h: h["spec"]["seed_rule"].pop("seed"), "seed_rule.seed"),

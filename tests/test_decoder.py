@@ -1,8 +1,12 @@
 import json
+import sys
+import threading
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from unn_csi import decoder
 from unn_csi.decoder import (
     ParamSet,
     SeedRule,
@@ -11,6 +15,7 @@ from unn_csi.decoder import (
     forward,
     generate_seed,
     init_params,
+    load_spec,
     param_count,
     params_from_vector,
     params_to_vector,
@@ -239,6 +244,75 @@ class TestForward:
         params = init_params(tiny_spec, 1)
         with pytest.raises(ValueError):
             forward(tiny_spec, params, z0=np.zeros((9, 9, 3)))
+
+
+def packaged_spec(name):
+    return load_spec(str(resources.files("unn_csi").joinpath(f"specs/{name}.json")))
+
+
+def fresh_forward(spec, params):
+    """The forward pass on a workspace built for this call alone."""
+    return decoder._forward(decoder._Workspace(spec, decoder._seed(spec, None, np.float32), params))
+
+
+class TestForwardReuse:
+    @pytest.mark.parametrize("name", ["single_ue_desk", "group_desk"])
+    def test_reused_workspace_matches_a_fresh_one(self, name):
+        spec = packaged_spec(name)
+        first_params, second_params = init_params(spec, 1), init_params(spec, 2)
+        first = forward(spec, first_params)
+        first_kept = first.copy()
+        spare = decoder._spare[1]
+        second = forward(spec, second_params)
+        assert decoder._spare[1] is spare  # the second call ran on the first one's workspace
+        assert np.array_equal(first, fresh_forward(spec, first_params))
+        assert np.array_equal(second, fresh_forward(spec, second_params))
+        assert not np.array_equal(first, second)
+        assert np.array_equal(first, first_kept)  # the second call left the first output alone
+
+    def test_alternating_specs_match_fresh_passes(self):
+        specs = [packaged_spec("single_ue_desk"), packaged_spec("group_desk")]
+        for i in range(4):
+            spec, params = specs[i % 2], init_params(specs[i % 2], i)
+            assert np.array_equal(forward(spec, params), fresh_forward(spec, params))
+            assert decoder._spare[0][0] == spec
+
+    def test_concurrent_calls_match_serial_ones(self):
+        spec = packaged_spec("single_ue_desk")
+        param_sets = [init_params(spec, seed) for seed in range(5)]
+        want = [forward(spec, params) for params in param_sets]
+        got = {t: [] for t in range(4)}
+
+        def calls(t):
+            for i in range(50):
+                j = (t + i) % len(param_sets)
+                got[t].append((j, forward(spec, param_sets[j])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for t in range(4):
+            assert len(got[t]) == 50
+            for j, y in got[t]:
+                assert np.array_equal(y, want[j])
+
+    def test_large_spec_leaves_the_slot_alone(self):
+        desk = packaged_spec("single_ue_desk")
+        forward(desk, init_params(desk, 1))
+        before = decoder._spare
+        full = packaged_spec("single_ue_full")
+        params = init_params(full, 1)
+        y = forward(full, params)
+        assert decoder._spare is before
+        assert np.array_equal(y, fresh_forward(full, params))
 
 
 class TestParamCount:
