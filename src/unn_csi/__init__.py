@@ -31,7 +31,7 @@ from .channel import (
     synthesize,
 )
 from .fitting import FitConfig, FitDivergedError, FitReport, fit, gradient, loss
-from .transfer import TransferPlan, TransferStep, run_transfer, weight_distance
+from .transfer import TransferPlan, TransferStep, weight_distance
 from .baselines import mmse_genie, mmse_raw, nmse, sweep
 from .codec import decode, encode, recreate
 

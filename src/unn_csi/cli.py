@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field
 from importlib import resources
 from itertools import product
@@ -360,56 +360,68 @@ class _Cell(NamedTuple):
     final_mse: float
     meas_ratio: float  # linear NMSE of the measurement
     ratio: float  # linear NMSE of the recreated channel, nan if diverged
-    blob: bytes | None  # the .csir report, None if diverged
     scored: tuple  # linear NMSE of each of the batch's estimators
-    encoded: tuple | None = None  # (params, snapshot_norms, scale) in the blob, if asked for
+    fitted: tuple | None  # (params, snapshot_norms, scale) a report encodes, None if diverged
 
 
-def _fit_cells(batch, keep_encoded: bool = False) -> list:
+def _fit_cells(batch) -> list:
     """The cell runner on one batch (spec, fit config, estimators, cells of
-    (truth, snr_db, seed)): measure, preprocess and fit_batch every cell, then
-    score the measurement and each estimator (a module-level function, which
-    a pool worker can unpickle, called as (measurement, truth, snr_db)), and
-    recreate, score and encode each fit. The measurements stay referenced
-    through the fit; no estimate outlives its cell's scoring."""
+    (truth, snr_db, seed, init)): measure, preprocess and fit_batch every
+    cell, each from its init (None draws one from the fit config's
+    init_seed), then score the measurement and each estimator (a
+    module-level function, which a pool worker can unpickle, called as
+    (measurement, truth, snr_db)), and recreate and score each fit. The
+    measurements stay referenced through the fit; no estimate outlives its
+    cell's scoring."""
     spec, fit_cfg, estimators, cells = batch
-    measured = [add_noise(truth, snr_db, seed) for truth, snr_db, seed in cells]
+    measured = [add_noise(truth, snr_db, seed) for truth, snr_db, seed, _ in cells]
     targets = [preprocess(meas) for meas in measured]
+    reports = fit_batch(spec, None, targets, fit_cfg, [init for *_, init in cells])
     results = []
-    for (truth, snr_db, _), meas, target, report in zip(
-        cells, measured, targets, fit_batch(spec, None, targets, fit_cfg)
-    ):
+    for (truth, snr_db, *_), meas, target, report in zip(cells, measured, targets, reports):
         meas_ratio = nmse_linear(meas, truth)
         scored = tuple(nmse_linear(estimate(meas, truth, snr_db), truth) for estimate in estimators)
         if isinstance(report, FitDivergedError):
-            results.append(_Cell(report, [], float("nan"), meas_ratio, float("nan"), None, scored))
+            results.append(_Cell(report, [], float("nan"), meas_ratio, float("nan"), scored, None))
             continue
-        encoded = (report.params, target.snapshot_norms, target.scale)
-        (est,) = codec.recreate(spec, *encoded)
-        results.append(_Cell(
-            None, report.trace, report.final_mse, meas_ratio, nmse_linear(est, truth),
-            codec.encode(spec, *encoded), scored, encoded if keep_encoded else None,
-        ))
+        fitted = (report.params, target.snapshot_norms, target.scale)
+        (est,) = codec.recreate(spec, *fitted)
+        results.append(
+            _Cell(None, report.trace, report.final_mse, meas_ratio, nmse_linear(est, truth), scored, fitted)
+        )
     return results
 
 
+@contextmanager
+def _cell_runner(config: ExperimentConfig, spec, estimators: tuple):
+    """Yields a function that runs :func:`_fit_cells` with `estimators` on a
+    list of cells and returns their `_Cell`s in order. It cuts the cells into
+    batches so that every worker gets whole ones (at least one if there are
+    enough cells); one :func:`_worker_pool`, open for the life of the
+    context, runs them if `workers` > 1."""
+    fit_cfg = config.fit_config()
+    with _worker_pool(config.workers) if config.workers > 1 else nullcontext() as pool:
+
+        def run(cells: list) -> list:
+            size = min(batch_size(spec), -(-len(cells) // config.workers))
+            batches = [(spec, fit_cfg, estimators, cells[i : i + size]) for i in range(0, len(cells), size)]
+            return [cell for batch in (pool.map if pool else map)(_fit_cells, batches) for cell in batch]
+
+        yield run
+
+
 def _run_grid(config: ExperimentConfig, scene, spec, estimators: tuple) -> list:
-    """:func:`_fit_cells` with `estimators` over the `ues x snr_db x seeds`
-    grid, in that order, in batches cut so that every worker gets whole ones
-    (at least one if there are enough cells); a :func:`_worker_pool` runs
-    them if `workers` > 1."""
+    """The cell runner with `estimators` over the `ues x snr_db x seeds`
+    grid, in that order, every fit from a random init."""
     truths = {ue: synthesize(scene, ue) for ue in config.ues}
-    cells = [(truths[ue], snr, seed) for ue, snr, seed in product(config.ues, config.snr_db, config.seeds)]
-    size = min(batch_size(spec), -(-len(cells) // config.workers))
-    batches = [(spec, config.fit_config(), estimators, cells[i : i + size]) for i in range(0, len(cells), size)]
-    if config.workers > 1:
-        with _worker_pool(config.workers) as pool:
-            return [cell for batch in pool.map(_fit_cells, batches) for cell in batch]
-    return [cell for batch in map(_fit_cells, batches) for cell in batch]
+    cells = [(truths[ue], snr, seed, None) for ue, snr, seed in product(config.ues, config.snr_db, config.seeds)]
+    with _cell_runner(config, spec, estimators) as run:
+        return run(cells)
 
 
 def _mode_single(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
-    cells = _run_grid(config, inputs.scene, inputs.spec, ())
+    spec = inputs.spec
+    cells = _run_grid(config, inputs.scene, spec, ())
     (out / "fit_traces").mkdir(exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
     rows = []
@@ -417,7 +429,7 @@ def _mode_single(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
         if cell.error is None:
             tag = f"ue{ue}_snr{snr_db}_seed{seed}"
             _write_csv(out / "fit_traces" / f"{tag}.csv", ["iteration", "mse"], cell.trace)
-            _atomic_write_bytes(out / "reports" / f"{tag}.csir", cell.blob)
+            _atomic_write_bytes(out / "reports" / f"{tag}.csir", codec.encode(spec, *cell.fitted))
         nmse_db, meas_nmse_db = ratio_db(cell.ratio), ratio_db(cell.meas_ratio)
         rows.append([
             ue, float(snr_db), seed, "ok" if cell.error is None else "diverged", nmse_db, meas_nmse_db,
@@ -432,22 +444,26 @@ def _mode_single(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
 
 
 def _mode_transfer(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
-    scene, plan = inputs.scene, inputs.plan
-    snr_db = float(config.snr_db[0])
-    seed = config.seeds[0]
+    plan = inputs.plan
+    snr_db, seed = float(config.snr_db[0]), config.seeds[0]
+    truths = {ue_id: synthesize(inputs.scene, ue_id) for ue_id in plan.ue_ids}
+    fits = transfer_mod.schedule(plan)
+    cells = [None] * len(fits)
+    with _cell_runner(config, inputs.spec, ()) as run:
+        for depth in range(max(fit.depth for fit in fits) + 1):
+            level = [i for i, fit in enumerate(fits) if fit.depth == depth]
+            inits = [None if fits[i].source is None else cells[fits[i].source].fitted[0] for i in level]
+            batch = [(truths[fits[i].ue_id], snr_db, seed, init) for i, init in zip(level, inits)]
+            for i, cell in zip(level, run(batch)):
+                if cell.error is not None:
+                    raise cell.error
+                cells[i] = cell
 
-    targets, truths = {}, {}
-    for ue_id in plan.ue_ids:
-        truth = synthesize(scene, ue_id)
-        truths[ue_id] = truth
-        targets[ue_id] = preprocess(add_noise(truth, snr_db, seed))
-
-    results = transfer_mod.run_transfer(plan, inputs.spec, targets, truths, config.fit_config())
-    fits = list(results.values()) + [res.control for res in results.values() if res.control is not None]
     rows = [
-        [res.ue_id, "" if res.init_from is None else res.init_from, "random" if res.init_from is None else "transfer",
-         snr_db, seed, res.nmse_db, res.report.final_mse, res.report.iterations]
-        for res in fits
+        [fit.ue_id, "" if fit.source is None else fits[fit.source].ue_id,
+         "random" if fit.source is None else "transfer", snr_db, seed, ratio_db(cell.ratio), cell.final_mse,
+         cell.trace[-1][0]]
+        for fit, cell in zip(fits, cells)
     ]
     _write_csv(
         out / "results.csv",
@@ -455,14 +471,14 @@ def _mode_transfer(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict
         rows,
     )
 
+    # the controls follow the plan's fits, one per warm start in chain order
+    warm = [i for i, fit in enumerate(fits) if fit.source is not None]
     dist_rows = []
-    for res in results.values():
-        if res.control is None:
-            continue
-        anchor = results[res.init_from].report.params
-        edge = f"{res.init_from}->{res.ue_id}"
-        for kind, fitted in (("transfer", res), ("random", res.control)):
-            distance = transfer_mod.weight_distance(anchor, fitted.report.params)
+    for i, control in zip(warm, range(len(plan.ue_ids), len(fits))):
+        source = fits[i].source
+        edge = f"{fits[source].ue_id}->{fits[i].ue_id}"
+        for kind, j in (("transfer", i), ("random", control)):
+            distance = transfer_mod.weight_distance(cells[source].fitted[0], cells[j].fitted[0])
             dist_rows += [(layer, d, f"{kind}:{edge}") for layer, d in enumerate(distance.per_layer, start=1)]
     _write_csv(out / "weight_distances.csv", ["layer", "distance", "init_kind"], dist_rows)
     return {"chain": len(plan.chain)}
@@ -504,20 +520,21 @@ def _mode_codec(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
     spec = inputs.spec
     ue_id, snr_db, seed = config.ues[0], float(config.snr_db[0]), config.seeds[0]
     truth = synthesize(inputs.scene, ue_id)
-    (cell,) = _fit_cells((spec, config.fit_config(), (), [(truth, snr_db, seed)]), keep_encoded=True)
+    (cell,) = _fit_cells((spec, config.fit_config(), (), [(truth, snr_db, seed, None)]))
     if cell.error is not None:
         raise cell.error
+    blob = codec.encode(spec, *cell.fitted)
     (out / "reports").mkdir(exist_ok=True)
-    _atomic_write_bytes(out / "reports" / f"ue{ue_id}_snr{snr_db}_seed{seed}.csir", cell.blob)
+    _atomic_write_bytes(out / "reports" / f"ue{ue_id}_snr{snr_db}_seed{seed}.csir", blob)
 
-    decoded = codec.decode(cell.blob)
-    (tx,), (rx,) = codec.recreate(spec, *cell.encoded), codec.recreate(*decoded)
-    same_weights = params_to_vector(cell.encoded[0]).tobytes() == params_to_vector(decoded[1]).tobytes()
+    decoded = codec.decode(blob)
+    (tx,), (rx,) = codec.recreate(spec, *cell.fitted), codec.recreate(*decoded)
+    same_weights = params_to_vector(cell.fitted[0]).tobytes() == params_to_vector(decoded[1]).tobytes()
     raw_bytes = 8 * truth.data.size
     return {
         "bit_exact": same_weights and bool(np.array_equal(tx.data, rx.data)),
         "payload_bytes": codec.payload_bytes(spec),
-        "report_bytes": len(cell.blob),
+        "report_bytes": len(blob),
         "raw_csi_bytes": raw_bytes,
         "payload_over_raw": codec.payload_bytes(spec) / raw_bytes,
         "nmse_db_tx": ratio_db(cell.ratio),
@@ -633,7 +650,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="experiment config JSON")
     parser.add_argument("--mode", choices=MODES, help="experiment mode")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--workers", type=int, help="worker processes for single and sweep mode (overrides the config)")
+    parser.add_argument(
+        "--workers", type=int, help="worker processes for single, sweep and transfer mode (overrides the config)"
+    )
     parser.add_argument("--profile", choices=sorted(_PROFILES), help="built-in default configuration")
     parser.add_argument("--seed-list", help="comma-separated noise seeds")
     args = parser.parse_args(argv)

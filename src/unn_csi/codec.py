@@ -23,12 +23,12 @@ from .decoder import (
     DecoderSpec,
     ParamSet,
     _spec_from_doc,
+    _spec_to_doc,
     check_params,
     forward,
     param_count,
     params_from_vector,
     params_to_vector,
-    spec_to_json,
 )
 
 __all__ = ["CodecError", "encode", "decode", "recreate", "payload_bytes"]
@@ -84,7 +84,7 @@ def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
     have the shapes of `spec` (see docs/csir-format.md) and every entry is
     finite and > 0."""
     check_params(spec, params)
-    header = {"spec": json.loads(spec_to_json(spec))}
+    header = {"spec": _spec_to_doc(spec)}
     shapes = _shapes(spec)
     for name, value in (("norms", snapshot_norms), ("scale", scale)):
         try:

@@ -735,7 +735,13 @@ def _forward(ws: _Workspace, folded=None) -> np.ndarray:
 
 def spec_to_json(spec: DecoderSpec) -> str:
     """Canonical JSON form (sorted keys, no whitespace) of a DecoderSpec."""
-    doc = {
+    return json.dumps(_spec_to_doc(spec), sort_keys=True, separators=(",", ":"))
+
+
+def _spec_to_doc(spec: DecoderSpec) -> dict:
+    """The JSON object of :func:`spec_to_json`, before it is dumped; the
+    inverse of :func:`_spec_from_doc`."""
+    return {
         "input_dims": list(spec.input_dims),
         "widths": list(spec.widths),
         "inner_count": spec.inner_count,
@@ -743,7 +749,6 @@ def spec_to_json(spec: DecoderSpec) -> str:
         "upsample_flags": [list(row) for row in spec.upsample_flags],
         "seed_rule": {"seed": spec.seed_rule.seed, "half_range": spec.seed_rule.half_range},
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 _spec_field = partial(read_field, "decoder spec")

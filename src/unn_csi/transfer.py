@@ -1,13 +1,18 @@
-"""Transfer learning across neighboring users.
+"""Transfer learning across neighboring users: plans and their schedule.
 
-A base UE is fitted from random initialization; each chain entry is then
-fitted with the same iteration budget but initialized from an already-fitted
-neighbor's parameters (kernels and batch-norm pairs alike). Every such warm
-start is compared against its control: the same target fitted from random
-initialization with the same budget. A chain entry with no neighbor to start
-from is a plain random fit with no control. The per-layer Frobenius
-distances between fitted kernel sets quantify how much the warm start
-constrained the search.
+A plan names a base UE, fitted from random initialization, and a chain of
+steps. Each step fits its target with the same iteration budget, initialized
+from an already-fitted neighbor's parameters (kernels and batch-norm pairs
+alike), and every such warm start is compared against its control: the same
+target fitted from random initialization with the same budget. A step with
+no neighbor to start from is a plain random fit with no control.
+
+:func:`schedule` turns a plan into the fits that run it and the order they
+can run in; the study driver (``unn-csi --mode transfer``) runs them on its
+cell runner, level by level. The library primitive under a warm start is
+``fitting.fit(..., init=fitted.params)``. The per-layer Frobenius distances
+between fitted kernel sets (:func:`weight_distance`) quantify how much the
+warm start constrained the search.
 """
 
 from __future__ import annotations
@@ -15,21 +20,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from ._fields import INT, OBJECT, list_of, read_field, typed
-from .baselines import nmse
-from .codec import recreate
-from .decoder import DecoderSpec, ParamSet
-from .fitting import FitConfig, FitDivergedError, FitReport, fit_batch
+from .decoder import ParamSet
 
 __all__ = [
     "TransferStep",
     "TransferPlan",
-    "TransferResult",
+    "ScheduledFit",
     "WeightDistance",
-    "run_transfer",
+    "schedule",
     "weight_distance",
     "plan_from_json",
     "load_plan",
@@ -65,69 +68,26 @@ class TransferPlan:
         return [self.base] + [s.target for s in self.chain]
 
 
-@dataclass
-class TransferResult:
+class ScheduledFit(NamedTuple):
     ue_id: int
-    init_from: int | None
-    report: FitReport
-    nmse_db: float
-    control: TransferResult | None = None  # the same target fitted from random init
+    source: int | None  # index of the fit whose weights this one starts from, None = random init
+    depth: int  # warm starts between this fit and a random init
 
 
-def run_transfer(
-    plan: TransferPlan,
-    spec: DecoderSpec,
-    targets: dict,
-    truths: dict,
-    config: FitConfig,
-) -> dict:
-    """Fit the base UE from random init, then every chain entry from its
-    predecessor's fitted weights (or from random init if its `init_from` is
-    None), all with the same seed tensor and the same iteration count. Each
-    warm-started entry also gets its control: its target fitted from random
-    init. Random inits draw from config.init_seed.
+def schedule(plan: TransferPlan) -> list:
+    """The fits that run `plan`: one per plan UE, in plan order, then the
+    random-init control of each warm-started step, in chain order.
 
-    Returns {ue_id: TransferResult} in plan order; `control` is set on the
-    warm-started entries only. `targets` maps UE id to PreprocessedTarget,
-    `truths` to the ground-truth ChannelTensor used for the NMSE.
-
-    Fits the same number of warm starts away from a random init run as one
-    batch, so the base and the controls share the first. Once a batch is
-    done, raises the FitDivergedError of its first diverged fit.
+    A fit can start once the fit it starts from is done, so the fits of one
+    `depth` can run side by side: the base, the `null` steps and every
+    control at depth 0, then each warm start one level below its source.
     """
-    for ue_id in plan.ue_ids:
-        if ue_id not in targets:
-            raise KeyError(f"plan references UE {ue_id} with no target")
-    # each step: (ue_id, index of the step whose fitted weights it starts from)
     index = {ue_id: i for i, ue_id in enumerate(plan.ue_ids)}
-    steps = [(plan.base, None)] + [
-        (s.target, None if s.init_from is None else index[s.init_from]) for s in plan.chain
-    ]
-    warm = [ue_id for ue_id, source in steps if source is not None]
-    steps += [(ue_id, None) for ue_id in warm]
-    depth = []
-    for _, source in steps:
-        depth.append(0 if source is None else depth[source] + 1)
-
-    fitted = [None] * len(steps)
-    for level in range(max(depth) + 1):
-        batch = [i for i, d in enumerate(depth) if d == level]
-        inits = [None if steps[i][1] is None else fitted[steps[i][1]].report.params for i in batch]
-        reports = fit_batch(spec, None, [targets[steps[i][0]] for i in batch], config, inits)
-        for i, report in zip(batch, reports):
-            if isinstance(report, FitDivergedError):
-                raise report
-            ue_id, source = steps[i]
-            target = targets[ue_id]
-            (est,) = recreate(spec, report.params, target.snapshot_norms, target.scale)
-            err = nmse(est, truths[ue_id]) if ue_id in truths else float("nan")
-            init_from = None if source is None else steps[source][0]
-            fitted[i] = TransferResult(ue_id, init_from, report, err)
-
-    results = {res.ue_id: res for res in fitted[: len(plan.ue_ids)]}
-    for ue_id, control in zip(warm, fitted[len(plan.ue_ids) :]):
-        results[ue_id].control = control
-    return results
+    fits = [ScheduledFit(plan.base, None, 0)]
+    for step in plan.chain:
+        source = None if step.init_from is None else index[step.init_from]
+        fits.append(ScheduledFit(step.target, source, 0 if source is None else fits[source].depth + 1))
+    return fits + [ScheduledFit(fit.ue_id, None, 0) for fit in fits if fit.source is not None]
 
 
 @dataclass

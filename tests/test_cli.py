@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unn_csi import channel, cli
+from unn_csi import channel, cli, codec
 from unn_csi.baselines import mmse_genie, mmse_raw, nmse, nmse_linear, ratio_db
 from unn_csi.channel import add_noise, load_scene, synthesize
 from unn_csi.codec import decode, recreate
@@ -326,6 +326,30 @@ class TestRunSweepMode:
         assert calls == {"add_noise": 2 * 2 * 3, "synthesize": 2}
 
 
+@pytest.mark.parametrize("mode, learning_rate, encodes", [
+    ("single", 2e-3, 4), ("single", 1e18, 0), ("codec", 2e-3, 1), ("sweep", 2e-3, 0),
+])
+def test_only_a_written_report_is_encoded(tiny_setup, tmp_path, monkeypatch, mode, learning_rate, encodes):
+    # counted at every binding in the package: one encode per report on
+    # disk, which single mode writes for each converged cell
+    _, config = tiny_setup
+    config = dict(config, mode=mode, ues=[1, 2], snr_db=[0.0, 10.0], out=str(tmp_path / mode))
+    config["fit"] = dict(config["fit"], learning_rate=learning_rate)
+    calls = []
+    original = codec.encode
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in [m for n, m in list(sys.modules.items()) if n == "unn_csi" or n.startswith("unn_csi.")]:
+        if getattr(module, "encode", None) is original:
+            monkeypatch.setattr(module, "encode", counted)
+    with np.errstate(all="ignore"):
+        assert cli.run(cli.config_from_dict(config)) == 0
+    assert len(calls) == len(list((tmp_path / mode).rglob("*.csir"))) == encodes
+
+
 class TestMain:
     def test_requires_profile_or_config(self):
         with pytest.raises(SystemExit):
@@ -361,10 +385,12 @@ class TestMain:
     @pytest.mark.parametrize("mode, n_files", [
         ("single", 1 + 1 + 2 * 12),  # results.csv, summary.json, a trace and a report per cell
         ("sweep", 1 + 1 + 1),  # results.csv, summary.json, curves.json
+        ("transfer", 1 + 1 + 1),  # results.csv, summary.json, weight_distances.csv
     ])
     def test_desk_grid_modes_write_the_same_bytes_with_1_and_2_workers(self, tmp_path, mode, n_files):
         # 12 cells: one batch in one process, or two batches of 6 in two;
-        # sweep's unn arm fits its cells through the same pool
+        # sweep's unn arm fits its cells through the same pool, and transfer
+        # mode runs each level of chain-base3's 13 fits through it
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text(json.dumps({
             "fit": {"iterations": 30, "learning_rate": 2e-3, "trace_every": 10, "init_seed": 1},

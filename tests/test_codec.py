@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unn_csi.channel import add_noise, postprocess, preprocess, stack_users, synthesize
-from unn_csi.codec import CodecError, decode, encode, payload_bytes, recreate
+from unn_csi.codec import CodecError, _shapes, decode, encode, payload_bytes, recreate
 from unn_csi.decoder import forward, init_params, load_spec, params_to_vector, spec_to_json
 from unn_csi.fitting import FitConfig, fit
 from unn_csi.baselines import nmse
@@ -78,6 +78,19 @@ class TestEncode:
         a = encode(small_spec, params, norms, 1.5)
         b = encode(small_spec, params, norms, 1.5)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "name", ["single_ue_desk", "single_ue_full", "group_desk", "group_full_a", "group_full_b"]
+    )
+    def test_header_spec_is_the_canonical_spec_json(self, name):
+        # the header is dumped with sorted keys, so "spec" is its last field
+        spec = load_spec(str(resources.files("unn_csi").joinpath(f"specs/{name}.json")))
+        shapes = _shapes(spec)
+        blob = encode(spec, zero_params(spec), np.ones(shapes["norms"]), np.ones(shapes["scale"]))
+        header = blob[11 : 11 + struct.unpack_from("<I", blob, 7)[0]]
+        head, _, spec_bytes = header.partition(b',"spec":')
+        assert head.startswith(b'{"norms":') and spec_bytes.endswith(b"}")
+        assert spec_bytes[:-1] == spec_to_json(spec).encode("utf-8")
 
     def test_mismatched_params_rejected(self, small_spec):
         other = make_spec((2, 2), (4, 4, 4, 4, 4), 2, 1, ((True, True), (True, True)))

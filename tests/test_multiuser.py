@@ -88,7 +88,6 @@ class TestJointVersusTransfer:
 
         from unn_csi.channel import load_scene
         from unn_csi.decoder import load_spec
-        from unn_csi.transfer import TransferPlan, TransferStep, run_transfer
 
         scene = load_scene(str(resources.files("unn_csi").joinpath("scenes/street_canyon_desk.json")))
         spec = load_spec(str(resources.files("unn_csi").joinpath("specs/single_ue_desk.json")))
@@ -99,9 +98,14 @@ class TestJointVersusTransfer:
             truths = {u: synthesize(scene, u) for u in ues}
             targets = {u: preprocess(add_noise(truths[u], 20.0, seed_base + u)) for u in ues}
             cfg = FitConfig(1500, 2e-3, trace_every=500, init_seed=1 + seed_base)
-            plan = TransferPlan(base=3, chain=(TransferStep(2, 3), TransferStep(4, 3)))
-            results = run_transfer(plan, spec, targets, truths, cfg)
-            tl_mean = np.mean([results[u].nmse_db for u in ues])
+            # UE 3 from random init, then UEs 2 and 4 warm-started from it
+            fits = {3: fit(spec, None, targets[3], cfg)}
+            fits.update({u: fit(spec, None, targets[u], cfg, init=fits[3].params) for u in (2, 4)})
+            tl = []
+            for u in ues:
+                (est,) = recreate(spec, fits[u].params, targets[u].snapshot_norms, targets[u].scale)
+                tl.append(nmse(est, truths[u]))
+            tl_mean = np.mean(tl)
             group = stack_users(targets[u] for u in ues)
             report = fit(gspec, None, group, cfg)
             estimates = recreate(gspec, report.params, group.snapshot_norms, group.scale)

@@ -1,23 +1,26 @@
 import copy
 import json
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from unn_csi import cli
 from unn_csi.channel import add_noise, preprocess, synthesize
-from unn_csi.decoder import init_params
+from unn_csi.decoder import init_params, params_to_vector
 from unn_csi.fitting import FitConfig, fit, fit_batch
 from unn_csi.transfer import (
+    ScheduledFit,
     TransferPlan,
     TransferStep,
     load_plan,
     plan_from_json,
-    run_transfer,
+    schedule,
     weight_distance,
 )
 
-from conftest import make_spec
+from conftest import make_spec, save_scene, save_spec
 
 
 @pytest.fixture
@@ -80,100 +83,125 @@ class TestPlanValidation:
         assert plan.chain == (TransferStep(2, None),)
 
     def test_packaged_plans_load(self):
-        from importlib import resources
-
         for name, base in (("chain_base3.json", 3), ("chain_base6.json", 6)):
             plan = load_plan(str(resources.files("unn_csi").joinpath(f"plans/{name}")))
             assert plan.base == base
 
 
-class TestRunTransfer:
-    def test_base_only_plan_equals_direct_fit(self, micro_fixture, small_spec):
-        truths, targets, config = micro_fixture
-        plan = TransferPlan(base=1, chain=())
-        results = run_transfer(plan, small_spec, targets, truths, config)
-        direct = fit(small_spec, None, targets[1], config)
-        assert results[1].report.trace == direct.trace
-        for a, b in zip(results[1].report.params.arrays(), direct.params.arrays()):
-            assert np.array_equal(np.asarray(a), np.asarray(b))
+def packaged_plan(name):
+    return load_plan(str(resources.files("unn_csi").joinpath(f"plans/{name}.json")))
 
-    def test_random_init_step_reproduces_baseline_bit_exactly(self, micro_fixture, small_spec):
-        truths, targets, config = micro_fixture
-        plan = TransferPlan(base=1, chain=(TransferStep(2, None),))
-        results = run_transfer(plan, small_spec, targets, truths, config)
-        direct = fit(small_spec, None, targets[2], config)
-        assert results[2].report.trace == direct.trace
-        for a, b in zip(results[2].report.params.arrays(), direct.params.arrays()):
-            assert np.array_equal(np.asarray(a), np.asarray(b))
-        # a random-init step is its own baseline: no control arm
-        assert results[1].control is None and results[2].control is None
 
-    def test_control_equals_direct_fit_from_init_seed(self, micro_fixture, small_spec):
-        truths, targets, config = micro_fixture
-        plan = TransferPlan(base=1, chain=(TransferStep(2, 1),))
-        results = run_transfer(plan, small_spec, targets, truths, config)
-        assert list(results) == [1, 2] and results[1].control is None
-        control = results[2].control
-        direct = fit(small_spec, None, targets[2], config)
-        assert (control.ue_id, control.init_from, control.control) == (2, None, None)
-        assert control.report.trace == direct.trace
-        for a, b in zip(control.report.params.arrays(), direct.params.arrays()):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
+class TestSchedule:
     @pytest.mark.parametrize("name, sizes", [("chain_base3", [7, 2, 2, 1, 1]), ("chain_base6", [4, 2, 1])])
-    def test_controls_share_the_base_batch(self, micro_fixture, small_spec, monkeypatch, name, sizes):
-        from importlib import resources
+    def test_controls_share_the_base_batch(self, name, sizes):
+        plan = packaged_plan(name)
+        fits = schedule(plan)
+        assert [sum(f.depth == d for f in fits) for d in range(max(f.depth for f in fits) + 1)] == sizes
+        # the plan's fits in plan order, then one control per warm start
+        n = len(plan.ue_ids)
+        assert [f.ue_id for f in fits[:n]] == plan.ue_ids
+        assert [f.ue_id for f in fits[n:]] == [s.target for s in plan.chain if s.init_from is not None]
+        assert all((f.source, f.depth) == (None, 0) for f in fits[n:])
+        for f, step in zip(fits[1:n], plan.chain):
+            assert fits[f.source].ue_id == step.init_from
+            assert f.depth == fits[f.source].depth + 1
 
-        import unn_csi.transfer as transfer_mod
+    def test_null_step_is_one_random_fit(self):
+        plan = TransferPlan(base=1, chain=(TransferStep(2, None), TransferStep(3, 2)))
+        assert schedule(plan) == [
+            ScheduledFit(1, None, 0), ScheduledFit(2, None, 0), ScheduledFit(3, 1, 1), ScheduledFit(3, None, 0),
+        ]
 
-        truths, targets, config = micro_fixture
-        plan = load_plan(str(resources.files("unn_csi").joinpath(f"plans/{name}.json")))
-        calls = []
 
-        def recording_fit_batch(spec, z0, batch_targets, cfg, inits=None):
-            calls.append(len(batch_targets))
-            return fit_batch(spec, z0, batch_targets, cfg, inits)
+@pytest.fixture
+def twin_setup(tmp_path, micro_scene, small_spec):
+    """A transfer-mode config on micro_scene plus UE 3, a twin of UE 1: the
+    same track, so the same target at one SNR and noise seed."""
+    scene = replace(micro_scene, ues=micro_scene.ues + (replace(micro_scene.ues[0], ue_id=3),))
+    save_scene(scene, tmp_path / "scene.json")
+    save_spec(small_spec, tmp_path / "spec.json")
+    config = {
+        "scene": str(tmp_path / "scene.json"),
+        "decoder_spec": str(tmp_path / "spec.json"),
+        "fit": {"iterations": 300, "learning_rate": 2e-3, "trace_every": 100, "init_seed": 5},
+        "snr_db": [20.0],
+        "ues": [1],
+        "seeds": [41],
+        "mode": "transfer",
+    }
 
-        monkeypatch.setattr(transfer_mod, "fit_batch", recording_fit_batch)
-        same = {u: targets[1] for u in plan.ue_ids}
-        results = run_transfer(plan, small_spec, same, {}, replace(config, iterations=2, trace_every=1))
-        assert calls == sizes
-        assert list(results) == plan.ue_ids
-        assert [u for u, res in results.items() if res.control is not None] == [s.target for s in plan.chain]
+    def run(out, chain=(), **overrides):
+        plan_path = tmp_path / f"{out}.plan.json"
+        plan_path.write_text(json.dumps({"base": 1, "chain": [{"target": t, "init_from": s} for t, s in chain]}))
+        doc = dict(config, transfer_plan=str(plan_path), out=str(tmp_path / out), **overrides)
+        assert cli.run(cli.config_from_dict(doc)) == 0
+        return read_rows(tmp_path / out / "results.csv")
 
-    def test_warm_start_on_identical_target_never_behind_base(self, micro_fixture, small_spec):
-        truths, targets, config = micro_fixture
-        plan = TransferPlan(base=1, chain=(TransferStep(2, 1),))
-        same = {1: targets[1], 2: targets[1]}
-        same_truths = {1: truths[1], 2: truths[1]}
-        results = run_transfer(plan, small_spec, same, same_truths, config)
-        base_trace = dict(results[1].report.trace)
-        tl_trace = dict(results[2].report.trace)
-        for it, base_loss in base_trace.items():
-            assert tl_trace[it] <= base_loss * (1 + 1e-6)
+    return run
 
+
+def read_rows(path) -> list:
+    lines = path.read_text().strip().split("\n")
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+@pytest.fixture
+def recorded_fit_batch(monkeypatch):
+    """Every cli.fit_batch call as (inits, reports), in call order."""
+    calls = []
+
+    def recording(spec, z0, targets, config, inits=None):
+        reports = fit_batch(spec, z0, targets, config, inits)
+        calls.append((inits, reports))
+        return reports
+
+    monkeypatch.setattr(cli, "fit_batch", recording)
+    return calls
+
+
+class TestTransferMode:
+    def test_random_fits_equal_single_mode_cells(self, twin_setup):
+        # the base, a null step and a control are fits of their cell from the
+        # config's init_seed, so single mode fits them to the same bits
+        rows = twin_setup("tl", chain=[(3, 1), (2, None)])
+        single = {r["ue"]: r for r in twin_setup("single", mode="single", ues=[1, 2, 3])}
+        assert [(r["ue"], r["init_from"], r["init_kind"]) for r in rows] == [
+            ("1", "", "random"), ("3", "1", "transfer"), ("2", "", "random"), ("3", "", "random"),
+        ]
+        for r in (rows[0], rows[2], rows[3]):
+            assert np.isfinite(float(r["nmse_db"]))
+            assert (r["nmse_db"], r["final_mse"]) == (single[r["ue"]]["nmse_db"], single[r["ue"]]["final_mse"])
+        assert rows[1]["nmse_db"] != single["3"]["nmse_db"]
+
+    def test_warm_fits_start_from_their_predecessors_weights(self, twin_setup, recorded_fit_batch):
+        rows = twin_setup("tl", chain=[(2, 1), (3, 2)], fit={"iterations": 20, "learning_rate": 2e-3})
+        assert [r["init_from"] for r in rows] == ["", "1", "2", "", ""]
+        # the base and both controls, then each warm start alone
+        assert [len(inits) for inits, _ in recorded_fit_batch] == [3, 1, 1]
+        assert recorded_fit_batch[0][0] == [None, None, None]
+        for (_, before), ((init,), _) in zip(recorded_fit_batch, recorded_fit_batch[1:]):
+            assert params_to_vector(init).tobytes() == params_to_vector(before[0].params).tobytes()
+
+    def test_warm_start_on_identical_target_never_behind_base(self, twin_setup, recorded_fit_batch):
+        twin_setup("tl", chain=[(3, 1)])
+        (_, (base, control)), (_, (warm,)) = recorded_fit_batch
+        assert control.trace == base.trace  # the twin's control is the base fit again
+        for (it, base_loss), (it_warm, warm_loss) in zip(base.trace, warm.trace):
+            assert it == it_warm and warm_loss <= base_loss * (1 + 1e-6)
+
+
+class TestWarmStart:
     def test_chain_uses_predecessor_params(self, micro_fixture, small_spec):
+        # a fit warm-started from the base lands nearer the base than a fit
+        # of the same target started from a fresh random draw
         truths, targets, config = micro_fixture
-        plan = TransferPlan(base=1, chain=(TransferStep(2, 1),))
-        results = run_transfer(plan, small_spec, targets, truths, config)
-        # a chain fit warm-started from the base lands nearer the base than a
-        # fit of the same target started from a fresh random draw
+        base = fit(small_spec, None, targets[1], config)
+        warm = fit(small_spec, None, targets[2], config, init=base.params)
         rnd = fit(small_spec, None, targets[2], replace(config, init_seed=777))
-        d_tl = weight_distance(results[1].report.params, results[2].report.params).total
-        d_rnd = weight_distance(results[1].report.params, rnd.params).total
+        d_tl = weight_distance(base.params, warm.params).total
+        d_rnd = weight_distance(base.params, rnd.params).total
         assert d_tl < d_rnd
-
-    def test_missing_target_rejected(self, micro_fixture, small_spec):
-        truths, targets, config = micro_fixture
-        plan = TransferPlan(base=1, chain=(TransferStep(9, 1),))
-        with pytest.raises(KeyError):
-            run_transfer(plan, small_spec, targets, truths, config)
-
-    def test_nmse_reported(self, micro_fixture, small_spec):
-        truths, targets, config = micro_fixture
-        plan = TransferPlan(base=1, chain=())
-        results = run_transfer(plan, small_spec, targets, truths, config)
-        assert np.isfinite(results[1].nmse_db)
 
 
 class TestWeightDistance:
