@@ -5,6 +5,8 @@ The type checks also guard the fit settings and the lists of an experiment
 config.
 """
 
+import sys
+
 
 def typed(*kinds):
     """Identity on JSON values of the given Python types; TypeError otherwise."""
@@ -20,6 +22,14 @@ def typed(*kinds):
 
 
 INT, NUMBER, BOOL, OBJECT = typed(int), typed(int, float), typed(bool), typed(dict)
+
+
+def FINITE(value):
+    """A JSON number that a float holds: not NaN or +-Infinity, which Python's
+    json reads, nor an integer beyond the float range."""
+    if not abs(NUMBER(value)) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
 
 
 def list_of(item, length=None):

@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from ._fields import BOOL, INT, NUMBER, OBJECT, list_of, read_field
+from ._fields import BOOL, FINITE, INT, OBJECT, list_of, read_field
 
 __all__ = [
     "Scatterer",
@@ -362,11 +362,11 @@ def split_users(data, snapshot_norms, scale) -> list:
 
 
 _scene_field = partial(read_field, "scene")
-_point = list_of(NUMBER, 3)
+_point = list_of(FINITE, 3)
 
 
 def _scatterer(doc, where: str) -> Scatterer:
-    gain = complex(_scene_field(doc, "gain_re", NUMBER, where), _scene_field(doc, "gain_im", NUMBER, where))
+    gain = complex(_scene_field(doc, "gain_re", FINITE, where), _scene_field(doc, "gain_im", FINITE, where))
     return Scatterer(_scene_field(doc, "position_m", _point, where), gain)
 
 
@@ -389,14 +389,14 @@ def scene_from_dict(doc: dict) -> Scene:
         bs_position=_scene_field(bs, "position_m", _point, "bs."),
         ura_rows=_scene_field(bs, "ura_rows", INT, "bs."),
         ura_cols=_scene_field(bs, "ura_cols", INT, "bs."),
-        element_spacing_wl=float(_scene_field(bs, "element_spacing_wl", NUMBER, "bs.")),
+        element_spacing_wl=float(_scene_field(bs, "element_spacing_wl", FINITE, "bs.")),
         scatterers=tuple(_scatterer(s, f"scatterers[{i}].") for i, s in enumerate(scatterers)),
         ues=tuple(_user_track(u, f"ues[{i}].") for i, u in enumerate(ues)),
-        carrier_hz=float(_scene_field(doc, "carrier_hz", NUMBER)),
-        bandwidth_hz=float(_scene_field(doc, "bandwidth_hz", NUMBER)),
+        carrier_hz=float(_scene_field(doc, "carrier_hz", FINITE)),
+        bandwidth_hz=float(_scene_field(doc, "bandwidth_hz", FINITE)),
         n_sub=_scene_field(doc, "n_sub", INT),
         n_sp=_scene_field(doc, "n_sp", INT),
-        snapshot_dt_s=float(_scene_field(doc, "snapshot_dt_s", NUMBER)),
+        snapshot_dt_s=float(_scene_field(doc, "snapshot_dt_s", FINITE)),
     )
 
 

@@ -85,13 +85,13 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import cycle
-from math import prod, sqrt
+from math import inf, prod, sqrt
 
 import numpy as np
 
-from ._fields import BOOL, INT, NUMBER, OBJECT, list_of, read_field
+from ._fields import BOOL, FINITE, INT, OBJECT, list_of, read_field
 from .tensors import _mode_views, make_upsampler
 
 __all__ = [
@@ -159,8 +159,8 @@ class SeedRule:
     def __post_init__(self):
         if not 0 <= self.seed <= _U64:
             raise ValueError("seed must fit in 64 bits")
-        if self.half_range < 0:
-            raise ValueError("half_range must be >= 0")
+        if not 0 <= self.half_range < inf:
+            raise ValueError("half_range must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -419,30 +419,14 @@ def _centre(r, weights, row_product, eps, wide, tile):
     return 1.0 / np.sqrt(var + eps)
 
 
-_UPSAMPLER_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _upsampler(n: int, dtype) -> np.ndarray:
-    key = (n, dtype)
-    op = _UPSAMPLER_CACHE.get(key)
-    if op is None:
-        op = make_upsampler(n).astype(dtype)
-        _UPSAMPLER_CACHE[key] = op
-    return op
+    return make_upsampler(n).astype(dtype)
 
 
 def upsample_schedule(spec: DecoderSpec) -> list:
     """Per inner layer, the (axis, source extent) pairs of enabled upsamplings."""
-    extents = list(spec.input_dims)
-    schedule = []
-    for row in spec.upsample_flags:
-        steps = []
-        for ax, on in enumerate(row):
-            if on:
-                steps.append((ax, extents[ax]))
-                extents[ax] *= 2
-        schedule.append(steps)
-    return schedule
+    return [plan for plan, _ in _step_shapes(spec)[: spec.inner_count]]
 
 
 def _seed(spec: DecoderSpec, z0, dtype) -> np.ndarray:
@@ -461,16 +445,16 @@ def _step_shapes(spec: DecoderSpec, lead: tuple = ()) -> list:
     its upsamplings, and the tensor shape of each result before the ReLU,
     the kernel product and then each upsampling; `lead` is the batch axis,
     if any."""
-    schedule = upsample_schedule(spec)
     dims = list(spec.input_dims)
     layout = []
     for l in range(spec.n_layers):
         k = spec.widths[l + 1]
-        plan = schedule[l] if l < spec.inner_count else []
-        shapes = [lead + tuple(dims) + (k,)]
-        for ax, _ in plan:
-            dims[ax] *= 2
-            shapes.append(lead + tuple(dims) + (k,))
+        plan, shapes = [], [lead + tuple(dims) + (k,)]
+        for ax, on in enumerate(spec.upsample_flags[l] if l < spec.inner_count else ()):
+            if on:
+                plan.append((ax, dims[ax]))
+                dims[ax] *= 2
+                shapes.append(lead + tuple(dims) + (k,))
         layout.append((plan, shapes))
     return layout
 
@@ -644,15 +628,12 @@ def forward(spec: DecoderSpec, params: ParamSet, z0=None, dtype=np.float32, retu
 
     z0 defaults to the tensor regenerated from spec.seed_rule. All arithmetic
     happens in `dtype` (float32 by default; float64 for verification). With
-    return_cache=True also returns, per layer, the intermediates the reverse
-    pass in :mod:`unn_csi.fitting` needs, in tensor layout:
+    return_cache=True also returns, per layer, a dict of its `kind` ("bn",
+    or "out" for the output layer) and these arrays in tensor layout:
 
     z_in  the input the layer's kernel is applied to: the seed tensor for
           layer 0, else the centred ReLU output d of the previous layer
-    w     the kernel actually applied (the folded diag(a) W after layer 0)
     u     kernel output after bias and upsampling, the ReLU input ("bn")
-    inv   per filter 1 / sqrt(var + eps) of the ReLU output ("bn")
-    y     the TanH output (the last layer, kind "out")
 
     The arrays a call returns are its own. A call with the cache or a
     given z0 binds a workspace of its own. Without either, a desk-sized
@@ -668,16 +649,11 @@ def forward(spec: DecoderSpec, params: ParamSet, z0=None, dtype=np.float32, retu
     if z0 is None and not return_cache:
         return _forward_reusing(spec, params, np.dtype(dtype))
     ws = _Workspace(spec, _seed(spec, z0, dtype), params, cache=return_cache)
+    y = _forward(ws)
     if not return_cache:
-        return _forward(ws)
-    folded = []
-    y = _forward(ws, folded)
-    cache = [
-        {"kind": "bn", "z_in": z_in, "w": w, "u": u, "inv": inv}
-        for (z_in, u), (w, inv) in zip(ws.tensors[:-1], folded)
-    ]
-    cache.append({"kind": "out", "z_in": ws.tensors[-1][0], "w": folded[-1][0], "y": y})
-    return y, cache
+        return y
+    cache = [{"kind": "bn", "z_in": z_in, "u": u} for z_in, u in ws.tensors[:-1]]
+    return y, cache + [{"kind": "out", "z_in": ws.tensors[-1][0]}]
 
 
 def _forward_reusing(spec: DecoderSpec, params: ParamSet, dtype) -> np.ndarray:
@@ -772,7 +748,7 @@ def _spec_from_doc(doc) -> DecoderSpec:
         upsample_flags=_spec_field(doc, "upsample_flags", list_of(list_of(BOOL))),
         seed_rule=SeedRule(
             _spec_field(rule, "seed", INT, "seed_rule."),
-            float(_spec_field(rule, "half_range", NUMBER, "seed_rule.")),
+            float(_spec_field(rule, "half_range", FINITE, "seed_rule.")),
         ),
     )
 

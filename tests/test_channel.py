@@ -391,6 +391,8 @@ class TestSceneFiles:
             (lambda d: d.update(n_sp="8"), "'n_sp'"),
             (lambda d: d.update(n_sp=8.0), "'n_sp'"),
             (lambda d: d.update(carrier_hz=None), "'carrier_hz'"),
+            (lambda d: d.update(carrier_hz=float("nan")), "'carrier_hz'"),
+            (lambda d: d["bs"].update(element_spacing_wl=10**400), "'bs.element_spacing_wl'"),
             (lambda d: d["bs"].pop("ura_rows"), "'bs.ura_rows'"),
             (lambda d: d["bs"].update(position_m=[0.0, 10.0]), "'bs.position_m'"),
             (lambda d: d.update(scatterers={}), "'scatterers'"),

@@ -607,6 +607,20 @@ class TestMain:
         assert any(message in line for line in errors), errors
         assert not out.exists()
 
+    def test_non_finite_scene_number_exits_2_before_the_output_exists(self, tiny_setup, capsys):
+        # json reads NaN; a scene holding one must fail validation, before
+        # synthesize could raise past main with the output directory made
+        tmp_path, config = tiny_setup
+        scene = json.loads(Path(config["scene"]).read_text())
+        scene["carrier_hz"] = float("nan")
+        Path(config["scene"]).write_text(json.dumps(scene))
+        cfg_path = tmp_path / "nan.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["--config", str(cfg_path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "'carrier_hz'" in errors[0], errors
+        assert not os.path.exists(config["out"])
+
     def test_distinct_grid_entries_pass(self, tiny_setup):
         _, config = tiny_setup
         config.update(ues=[2, 1], snr_db=[10, 10.5, float("inf")], seeds=[1, 0])

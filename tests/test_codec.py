@@ -166,6 +166,7 @@ class TestDecode:
             (lambda h: h["spec"].pop("widths"), "widths"),
             (lambda h: h["spec"].update(upsample_flags="TT"), "upsample_flags"),
             (lambda h: h["spec"]["seed_rule"].pop("seed"), "seed_rule.seed"),
+            (lambda h: h["spec"]["seed_rule"].update(half_range=float("nan")), "seed_rule.half_range"),
             (lambda h: h.pop("norms"), "norms"),
             (lambda h: h.update(scale=None), "scale"),
         ],

@@ -82,6 +82,11 @@ class TestGenerateSeed:
         with pytest.raises(ValueError):
             generate_seed(SeedRule(1, 0.1), (0, 2))
 
+    @pytest.mark.parametrize("half_range", [-0.1, float("nan"), float("inf")])
+    def test_rejects_bad_half_range(self, half_range):
+        with pytest.raises(ValueError, match="half_range"):
+            SeedRule(1, half_range)
+
 
 class TestBatchNorm:
     def test_constant_slice_is_zeroed(self):
@@ -235,10 +240,21 @@ class TestForward:
             for b in second:
                 assert not np.shares_memory(a, b)
 
-    def test_rejects_mismatched_params(self, tiny_spec):
-        other = make_spec((2, 3), (3, 5, 5, 5, 2), 2, 1, ((True, True), (True, True)))
-        with pytest.raises(ValueError):
-            forward(tiny_spec, init_params(other, 1))
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.kernels.pop(), "layer count"),
+            (lambda p: p.kernels.__setitem__(1, p.kernels[1][:-1]), "kernel 1 has shape"),
+            (lambda p: p.gammas.__setitem__(0, p.gammas[0][:-1]), "batch-norm pair 0"),
+            (lambda p: p.betas.__setitem__(1, p.betas[1][None]), "batch-norm pair 1"),
+        ],
+        ids=["missing-layer", "kernel-shape", "gamma", "beta"],
+    )
+    def test_rejects_mismatched_params(self, tiny_spec, edit, message):
+        params = init_params(tiny_spec, 1)
+        edit(params)
+        with pytest.raises(ValueError, match=message):
+            forward(tiny_spec, params)
 
     def test_rejects_wrong_seed_shape(self, tiny_spec):
         params = init_params(tiny_spec, 1)
@@ -375,6 +391,7 @@ class TestSpecValidation:
             (lambda d: d.update(seed_rule=7), "'seed_rule'"),
             (lambda d: d["seed_rule"].pop("seed"), "'seed_rule.seed'"),
             (lambda d: d["seed_rule"].update(half_range="wide"), "'seed_rule.half_range'"),
+            (lambda d: d["seed_rule"].update(half_range=float("inf")), "'seed_rule.half_range'"),
         ],
     )
     def test_json_missing_or_mistyped_field_is_named(self, tiny_spec, edit, field):

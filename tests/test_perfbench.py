@@ -42,6 +42,7 @@ def test_forward_cache_keeps_tensor_layout(spec_file):
     assert [c["kind"] for c in cache] == ["bn"] * (spec.n_layers - 1) + ["out"]
     dims = list(spec.input_dims)
     for l, c in enumerate(cache):
+        assert set(c) == ({"kind", "z_in", "u"} if c["kind"] == "bn" else {"kind", "z_in"})
         assert c["z_in"].shape == tuple(dims) + (spec.widths[l],)
         if l < spec.inner_count:
             dims = [2 * d if on else d for d, on in zip(dims, spec.upsample_flags[l])]
