@@ -96,7 +96,9 @@ class Scene:
             raise ValueError("URA needs at least one element")
         if self.n_sub < 1 or self.n_sp < 1:
             raise ValueError("n_sub and n_sp must be positive")
-        for ue in self.ues:
+        for i, ue in enumerate(self.ues):
+            if ue.ue_id in self.ue_ids[:i]:  # Scene.ue could never reach this track
+                raise ValueError(f"scene lists UE id {ue.ue_id} more than once")
             if not ue.los and not self.scatterers:
                 raise ValueError(f"UE {ue.ue_id} has no propagation path")
 

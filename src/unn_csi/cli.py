@@ -250,6 +250,8 @@ def _checked(config: ExperimentConfig) -> tuple:
             diags.append(Diagnostic("error", f"{name} lists {repeated} more than once"))
     if not isinstance(config.workers, int) or isinstance(config.workers, bool) or config.workers < 1:
         diags.append(Diagnostic("error", f"workers must be an integer >= 1, got {config.workers!r}"))
+    if not isinstance(config.out, str) or "\0" in config.out:  # the OS takes no NUL in a path
+        diags.append(Diagnostic("error", f"out must be a directory path string, got {config.out!r}"))
     _check_fit(config, None, "fit", diags)
     if spec.seed_rule.half_range <= 0:
         diags.append(Diagnostic("error", "seed rule has zero half-range; the decoder input is all zeros"))
@@ -395,10 +397,11 @@ def _fit_cells(batch) -> list:
 @contextmanager
 def _cell_runner(config: ExperimentConfig, spec, estimators: tuple):
     """Yields a function that runs :func:`_fit_cells` with `estimators` on a
-    list of cells and returns their `_Cell`s in order. It cuts the cells into
-    batches so that every worker gets whole ones (at least one if there are
-    enough cells); one :func:`_worker_pool`, open for the life of the
-    context, runs them if `workers` > 1."""
+    list of cells and returns their `_Cell`s in order. It is the one place
+    that cuts fits into batches: at most :func:`batch_size` cells each, and
+    small enough that every worker gets one if there are enough cells; one
+    :func:`_worker_pool`, open for the life of the context, runs them if
+    `workers` > 1."""
     fit_cfg = config.fit_config()
     with _worker_pool(config.workers) if config.workers > 1 else nullcontext() as pool:
 
@@ -586,7 +589,11 @@ def run(config: ExperimentConfig) -> int:
 
     scene, spec = inputs.scene, inputs.spec
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {config.out!r}: {exc.strerror}", file=sys.stderr)
+        return 2
     try:
         extra = _MODE_DRIVERS[config.mode](config, inputs, out)
     except FitDivergedError as exc:

@@ -424,11 +424,6 @@ def _upsampler(n: int, dtype) -> np.ndarray:
     return make_upsampler(n).astype(dtype)
 
 
-def upsample_schedule(spec: DecoderSpec) -> list:
-    """Per inner layer, the (axis, source extent) pairs of enabled upsamplings."""
-    return [plan for plan, _ in _step_shapes(spec)[: spec.inner_count]]
-
-
 def _seed(spec: DecoderSpec, z0, dtype) -> np.ndarray:
     """`z0` (regenerated from spec.seed_rule when None) as a contiguous
     `dtype` array; ValueError unless its shape is spec.seed_dims."""

@@ -38,18 +38,18 @@ matrices take einsum one matrix at a time, which adds the rows in order as
 two filter rows runs over a wide view of d, 128 rows to an inner loop.
 
 ``fit_batch`` runs B independent fits of one spec, one target each, as one
-array program, and ``fit`` is its batch of one. Kernels, gammas, betas,
-targets, gradients and Adam moments carry a leading batch axis: every
-parameter, gradient and moment lives in one contiguous (B, P) block whose
-per-layer arrays are views, so an Adam step is a handful of block
-operations. Every product is a stacked matmul, one BLAS call per sample;
-each sample keeps its own batch-norm statistics, and the MSE, the
+array program, whatever B is, and ``fit`` is its batch of one. Kernels,
+gammas, betas, targets, gradients and Adam moments carry a leading batch
+axis: every parameter, gradient and moment lives in one contiguous (B, P)
+block whose per-layer arrays are views, so an Adam step is a handful of
+block operations. Every product is a stacked matmul, one BLAS call per
+sample; each sample keeps its own batch-norm statistics, and the MSE, the
 divergence check and the trace are per sample. A batch of one runs the same
 code without the batch axis, which makes the same calls with less
 bookkeeping. So a fit's bits depend neither on B nor on its place in the
-batch. A fit that diverges gets its
-own FitDivergedError and starts again from zero parameters and moments,
-which keeps its slice finite; the others run to the end unchanged.
+batch. A fit that diverges gets its own FitDivergedError and starts again
+from zero parameters and moments, which keeps its slice finite; the others
+run to the end unchanged.
 
 A batch allocates the arrays of its forward and reverse passes once and
 reuses them in every iteration, its final loss included. This workspace
@@ -73,12 +73,13 @@ bounds an iteration, that takes 13-29 % off one batch's forward and
 reverse pass. ``gradient`` binds a workspace for its one call, and so does
 :func:`unn_csi.decoder.forward`; ``loss`` runs that forward.
 
-The batch size is worked out, not configured: :func:`batch_size` takes as
-many samples as fit their workspaces into ``BATCH_BYTES`` (2 MiB), and at
-least one. That is 19 for ``single_ue_desk`` and 6 for ``group_desk``,
-where a fit iteration is bound by numpy call dispatch and stacking B=8
-fits cuts the time per fit iteration two- to threefold; at full scale,
-where the arithmetic dominates and stacking wins nothing, it is 1.
+The batch size is worked out, not configured, and the cell runner of
+:mod:`unn_csi.cli` cuts its fits by it: :func:`batch_size` takes as many
+samples as fit their workspaces into ``BATCH_BYTES`` (2 MiB), and at least
+one. That is 19 for ``single_ue_desk`` and 6 for ``group_desk``, where a
+fit iteration is bound by numpy call dispatch and stacking B=8 fits cuts
+the time per fit iteration two- to threefold; at full scale, where the
+arithmetic dominates and stacking wins nothing, it is 1.
 """
 
 from __future__ import annotations
@@ -289,13 +290,14 @@ def fit_batch(spec: DecoderSpec, z0, targets, config: FitConfig, inits=None) -> 
     tensor `z0`, with :func:`fit`'s steps; `inits` is None or one ParamSet
     (None: draw it from config.init_seed) per target.
 
-    The fits run :func:`batch_size` at a time as one array program. Returns
-    one entry per target, in order: its FitReport, or the FitDivergedError
-    of a fit whose loss turned non-finite or exceeded 1e6 times its initial
-    value. The other fits of a batch run on unchanged, and a fit's result
-    does not depend on which batch it runs in or where. Raises ValueError
-    before the first step unless every target's shape is spec.output_dims,
-    the seed tensor's is spec.seed_dims and every init matches the spec.
+    The fits run as one array program, however many there are; callers
+    cut by :func:`batch_size`. Returns one entry per target, in order: its
+    FitReport, or the FitDivergedError of a fit whose loss turned
+    non-finite or exceeded 1e6 times its initial value. The other fits run
+    on unchanged, and a fit's result does not depend on which batch it runs
+    in or where. Raises ValueError before the first step unless every
+    target's shape is spec.output_dims, the seed tensor's is
+    spec.seed_dims and every init matches the spec.
     """
     for target in targets:
         _target(spec, target)
@@ -308,23 +310,13 @@ def fit_batch(spec: DecoderSpec, z0, targets, config: FitConfig, inits=None) -> 
         inits = [drawn if p is None else p for p in inits]
     for p in inits:
         check_params(spec, p)
-    size = batch_size(spec) if len(targets) > 1 else 1
-    reports = []
-    for i in range(0, len(targets), size):
-        chunk = targets[i : i + size]
-        t = np.empty((len(chunk),) + spec.output_dims, np.float32)
-        for row, target in zip(t, chunk):
-            row[...] = getattr(target, "data", target)
-        reports += _fit_batch(spec, x, t, inits[i : i + size], config)
-    return reports
-
-
-def _fit_batch(spec, x, t, inits, config) -> list:
-    """:func:`fit_batch` for one batch: the stacked float32 targets `t`,
-    their inits and the checked seed tensor `x` (leading extent 1)."""
-    dtype = t.dtype
-    batch = len(t)
-    theta = np.stack([params_to_vector(p) for p in inits]).astype(dtype)
+    batch = len(targets)
+    if not batch:
+        return []
+    t = np.empty((batch,) + spec.output_dims, np.float32)
+    for row, target in zip(t, targets):
+        row[...] = getattr(target, "data", target)
+    theta = np.stack([params_to_vector(p) for p in inits]).astype(t.dtype)
     grad = np.empty_like(theta)
     # a batch of one runs without the batch axis: the same calls, fewer of them
     rows = slice(None) if batch > 1 else 0

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from unn_csi import cli
 from unn_csi.channel import Scatterer, Scene, UserTrack
 from unn_csi.decoder import DecoderSpec, ParamSet, SeedRule, spec_to_json
+from unn_csi.fitting import fit_batch
 
 
 def make_spec(input_dims, widths, inner, preout, flags, seed=42, a=0.5):
@@ -64,6 +66,20 @@ def save_scene(scene: Scene, path) -> None:
 
 
 @pytest.fixture
+def recorded_fit_batch(monkeypatch):
+    """Every cli.fit_batch call as (inits, reports), in call order."""
+    calls = []
+
+    def recording(spec, z0, targets, config, inits=None):
+        reports = fit_batch(spec, z0, targets, config, inits)
+        calls.append((inits, reports))
+        return reports
+
+    monkeypatch.setattr(cli, "fit_batch", recording)
+    return calls
+
+
+@pytest.fixture
 def tiny_spec():
     """Small 3-way decoder used across the fitting tests."""
     return make_spec((2, 3), (3, 4, 4, 4, 2), 2, 1, ((True, True), (True, True)))
@@ -118,7 +134,7 @@ def gradcheck_point(spec, seed, gap=0.5):
     layer output stays at least `gap` above zero. Upsampling rows are convex
     combinations, so positivity survives interpolation.
     """
-    from unn_csi.decoder import generate_seed, upsample_schedule
+    from unn_csi.decoder import generate_seed
     from unn_csi.tensors import make_upsampler, mode_product
 
     rng = np.random.default_rng(seed)
@@ -137,13 +153,13 @@ def gradcheck_point(spec, seed, gap=0.5):
     z0 = np.abs(generate_seed(spec.seed_rule, spec.seed_dims)) + 0.2
 
     # dry float64 forward pass with the textbook (unfolded) batch norm
-    schedule = upsample_schedule(spec)
     z = z0.copy()
     for l in range(n_layers - 1):
         u = (z.reshape(-1, z.shape[-1]) @ params.kernels[l]).reshape(z.shape[:-1] + (spec.widths[l + 1],))
-        if l < spec.inner_count:
-            for ax, n in schedule[l]:
-                u = mode_product(u, make_upsampler(n), ax)
+        flags = spec.upsample_flags[l] if l < spec.inner_count else ()
+        for ax, on in enumerate(flags):
+            if on:  # doubles the extent it reads
+                u = mode_product(u, make_upsampler(u.shape[ax]), ax)
         r = np.maximum(u, 0)
         flat = r.reshape(-1, r.shape[-1])
         centred = flat - flat.mean(0)

@@ -409,6 +409,14 @@ class TestSceneFiles:
         with pytest.raises(ValueError, match=field):
             scene_from_dict(doc)
 
+    def test_repeated_ue_id_rejected(self, micro_scene):
+        # Scene.ue returns the first track with an id, so a second one could
+        # never be fitted
+        doc = scene_to_dict(micro_scene)
+        doc["ues"][1]["id"] = doc["ues"][0]["id"]
+        with pytest.raises(ValueError, match="scene lists UE id 1 more than once"):
+            scene_from_dict(doc)
+
     def test_must_be_an_object(self):
         with pytest.raises(ValueError, match="object"):
             scene_from_dict([1, 2])

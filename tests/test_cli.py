@@ -1,7 +1,9 @@
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -350,6 +352,23 @@ def test_only_a_written_report_is_encoded(tiny_setup, tmp_path, monkeypatch, mod
     assert len(calls) == len(list((tmp_path / mode).rglob("*.csir"))) == encodes
 
 
+@pytest.mark.parametrize("workers, sizes", [(1, [19, 2]), (2, [11, 10])])
+def test_runner_cuts_batches_by_batch_size_and_workers(tmp_path, monkeypatch, recorded_fit_batch, workers, sizes):
+    # 21 desk cells: at most batch_size (19 for single_ue_desk) to a batch,
+    # and at most ceil(21 / workers), so that every worker gets one. The
+    # pool runs in-process here, so its fit_batch calls are recorded too.
+    @contextmanager
+    def in_process_pool(n):
+        yield SimpleNamespace(map=map)
+
+    monkeypatch.setattr(cli, "_worker_pool", in_process_pool)
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps({"snr_db": [0, 10, 20], "seeds": [0], "fit": {"iterations": 2}}))
+    argv = ["--profile", "desk", "--config", str(cfg_path), "--workers", str(workers), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert [len(inits) for inits, _ in recorded_fit_batch] == sizes
+
+
 class TestMain:
     def test_requires_profile_or_config(self):
         with pytest.raises(SystemExit):
@@ -620,6 +639,50 @@ class TestMain:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "'carrier_hz'" in errors[0], errors
         assert not os.path.exists(config["out"])
+
+    def test_scene_repeating_a_ue_id_exits_2_before_the_output_exists(self, tmp_path, capsys):
+        # Scene.ue returns the first track with an id: the desk scene's UE 2
+        # renamed to 1 could never be fitted, and nothing would say so
+        scene = json.loads(Path(cli._data_path(cli._BUILTIN_SCENES, "desk")).read_text())
+        scene["ues"][1]["id"] = 1
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        cfg_path = tmp_path / "twice.json"
+        cfg_path.write_text(json.dumps({
+            "scene": str(tmp_path / "scene.json"), "ues": [1], "snr_db": [10], "seeds": [0], "fit": {"iterations": 2},
+        }))
+        out = tmp_path / "out"
+        assert cli.main(["--profile", "desk", "--config", str(cfg_path), "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: cannot load scene "), errors
+        assert errors[0].endswith("scene lists UE id 1 more than once")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out, shown", [(5, "5"), ("a\0b", "'a\\x00b'")])
+    def test_out_that_is_no_path_exits_2_with_error_line(self, tiny_setup, capsys, monkeypatch, out, shown):
+        # Path(5) used to raise a TypeError traceback, and mkdir a ValueError
+        # on the NUL
+        tmp_path, config = tiny_setup
+        monkeypatch.chdir(tmp_path)
+        config["out"] = out
+        cfg_path = tmp_path / "bad_out.json"
+        cfg_path.write_text(json.dumps(config))
+        before = sorted(tmp_path.iterdir())
+        assert cli.main(["--config", str(cfg_path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: out must be a directory path string, got {shown}"]
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_out_naming_a_file_exits_2_and_leaves_the_file(self, tiny_setup, capsys):
+        # mkdir used to raise a FileExistsError traceback
+        tmp_path, config = tiny_setup
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory\n")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["--config", str(cfg_path), "--out", str(taken)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: cannot create output directory {str(taken)!r}: File exists"]
+        assert taken.read_bytes() == b"not a directory\n"
 
     def test_distinct_grid_entries_pass(self, tiny_setup):
         _, config = tiny_setup

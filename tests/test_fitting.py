@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import unn_csi
+from unn_csi import fitting
 from unn_csi.decoder import (
     _seed,
     _step_shapes,
@@ -21,7 +22,6 @@ from unn_csi.decoder import (
     param_count,
     param_views,
     params_to_vector,
-    upsample_schedule,
 )
 from unn_csi.channel import add_noise, load_scene, preprocess, synthesize
 from unn_csi.codec import encode
@@ -30,6 +30,7 @@ from unn_csi.fitting import (
     FitConfig,
     FitDivergedError,
     _loss_and_grad,
+    batch_size,
     fit,
     fit_batch,
     gradient,
@@ -358,7 +359,7 @@ class TestWorkspace:
         transposed = {entry[0]: entry[1] for entry in ws.rev}
         transposed[0] = ws.rev0[0]
         steps = [shapes for _, shapes in _step_shapes(spec, lead)]
-        for l, plan in enumerate(upsample_schedule(spec)):
+        for l, (plan, _) in enumerate(_step_shapes(spec)[: spec.inner_count]):
             forward_steps, reverse_steps = ws.fwd[l][5], transposed[l][::-1]
             assert len(forward_steps) == len(reverse_steps) == len(plan)
             for i, (ax, n) in enumerate(plan):
@@ -538,6 +539,28 @@ class TestBatch:
             assert params_to_vector(got.params).tobytes() == params_to_vector(ref.params).tobytes()
         with pytest.raises(ValueError, match="1 inits for 2 targets"):
             fit_batch(tiny_spec, None, list(targets), cfg, [warm])
+
+    def test_targets_past_batch_size_run_as_one_program(self, monkeypatch):
+        # fit_batch fits what it is given as one batch; cutting by
+        # batch_size is its caller's work
+        scene = load_scene(_desk("scenes", "street_canyon_desk"))
+        spec = load_spec(_desk("specs", "single_ue_desk"))
+        cells = [(ue, snr) for ue in range(1, 8) for snr in (0, 10, 20)][: batch_size(spec) + 1]
+        targets = [preprocess(add_noise(synthesize(scene, ue), snr, ue)) for ue, snr in cells]
+        cfg = FitConfig(iterations=3, trace_every=1, init_seed=5)
+        alone = [fit(spec, None, t, cfg) for t in targets]
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return _Workspace(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "_Workspace", counted)
+        reports = fit_batch(spec, None, targets, cfg)
+        assert len(builds) == 1 and len(reports) == len(targets) == 20
+        for report, ref in zip(reports, alone):
+            assert report.trace == ref.trace
+            assert params_to_vector(report.params).tobytes() == params_to_vector(ref.params).tobytes()
 
     def test_every_target_checked_before_the_first_step(self, tiny_spec):
         good = np.zeros(tiny_spec.output_dims, np.float32)

@@ -9,7 +9,7 @@ import pytest
 from unn_csi import cli
 from unn_csi.channel import add_noise, preprocess, synthesize
 from unn_csi.decoder import init_params, params_to_vector
-from unn_csi.fitting import FitConfig, fit, fit_batch
+from unn_csi.fitting import FitConfig, fit
 from unn_csi.transfer import (
     ScheduledFit,
     TransferPlan,
@@ -144,20 +144,6 @@ def twin_setup(tmp_path, micro_scene, small_spec):
 def read_rows(path) -> list:
     lines = path.read_text().strip().split("\n")
     return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
-
-
-@pytest.fixture
-def recorded_fit_batch(monkeypatch):
-    """Every cli.fit_batch call as (inits, reports), in call order."""
-    calls = []
-
-    def recording(spec, z0, targets, config, inits=None):
-        reports = fit_batch(spec, z0, targets, config, inits)
-        calls.append((inits, reports))
-        return reports
-
-    monkeypatch.setattr(cli, "fit_batch", recording)
-    return calls
 
 
 class TestTransferMode:
