@@ -1,12 +1,14 @@
 """The over-the-air CSI report: a fitted decoder serialized to bytes.
 
 A report carries everything the receiving side needs to regenerate the
-estimated channel: the canonical decoder spec JSON (including the seed rule),
-the per-snapshot norms and scale factor of the preprocessing, and every
-trainable scalar as little-endian float32 in canonical order. Encoding is
+estimated channel: the canonical decoder spec JSON (including the seed rule)
+as its header, then a binary section of the per-snapshot norms and scale
+factor of the preprocessing as little-endian float64 and every trainable
+scalar as little-endian float32 in canonical order. Encoding is
 deterministic, so any two encoders produce identical bytes from identical
-inputs; decode is the exact inverse. See docs/csir-format.md for the byte
-layout.
+inputs; decode is the exact inverse, and also reads the v1 and v2 reports
+that carried the norms and scale as header JSON. See docs/csir-format.md for
+the byte layout.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .decoder import (
 __all__ = ["CodecError", "encode", "decode", "recreate", "payload_bytes"]
 
 REPORT_MAGIC = b"CSIR"
-REPORT_VERSION = 2  # v1 (payload-only CRC) still decodes
+REPORT_VERSION = 3  # v1 (payload-only CRC) and v2 (norms and scale in the header) still decode
 _DTYPE_F32 = 0  # dtype field reserved for future quantized payloads
 
 
@@ -43,12 +45,13 @@ class CodecError(ValueError):
 
 
 def payload_bytes(spec: DecoderSpec) -> int:
+    """The bytes of a report's weights: 4 per trainable scalar."""
     return 4 * param_count(spec)
 
 
 def _crc(version: int, blob: bytes, crc_at: int, payload: bytes) -> int:
     """The CRC-32 a report of `version` carries at offset `crc_at`: v1 over
-    the payload alone, v2 over every byte but the CRC field itself."""
+    the payload alone, v2 and v3 over every byte but the CRC field itself."""
     if version == 1:
         return zlib.crc32(payload)
     return zlib.crc32(blob[crc_at + 4 :], zlib.crc32(blob[:crc_at]))
@@ -64,36 +67,67 @@ def _shapes(spec: DecoderSpec) -> dict:
     return {"norms": (dims[2], dims[0]), "scale": (dims[2],)}  # (n_sp, n_sub, M, 2 n_ant)
 
 
-def _positive(value, shape) -> np.ndarray:
-    """`value`, a header field's JSON value, as a float array; ValueError
-    unless its shape is `shape` and every entry is a JSON number (not a
-    string or a bool, which numpy would convert), finite and > 0."""
-    arr = np.asarray(value, dtype=float)
+def _positive(arr: np.ndarray) -> bool:
+    """Whether every entry of the non-empty `arr` is finite and > 0: two
+    reductions, which a NaN entry turns into NaN and so fails."""
+    return bool(arr.min() > 0 and arr.max() < math.inf)
+
+
+def _checked(arr: np.ndarray, shape) -> np.ndarray:
+    """`arr`; ValueError unless its shape is `shape` and every entry is
+    finite and > 0."""
     if arr.shape != shape:
         raise ValueError(f"shape {arr.shape}, the spec needs {shape}")
-    flat = [value] if arr.ndim == 0 else value if arr.ndim == 1 else [x for row in value for x in row]
-    if not all(type(x) in (int, float) and 0 < x < math.inf for x in flat):
-        raise ValueError("every entry must be a number, finite and > 0")
+    if not _positive(arr):
+        raise ValueError("every entry must be finite and > 0")
     return arr
 
 
+def _json_numbers(value, shape) -> np.ndarray:
+    """`value`, a v1/v2 header field's JSON value, as a float array checked
+    by :func:`_checked`; ValueError also unless every entry is a JSON number
+    (not a string or a bool, which numpy would convert)."""
+    arr = _checked(np.asarray(value, dtype=float), shape)
+    flat = [value] if arr.ndim == 0 else value if arr.ndim == 1 else [x for row in value for x in row]
+    if not all(type(x) in (int, float) for x in flat):
+        raise ValueError("every entry must be a JSON number")
+    return arr
+
+
+def _weights(params: ParamSet) -> np.ndarray:
+    """The canonical weight vector as little-endian float32; ValueError
+    naming the array (kind and layer, layer 1 first) of the first weight
+    that is not finite after the cast, a float64 beyond the float32 range
+    included."""
+    with np.errstate(over="ignore"):  # such a weight casts to inf, refused below
+        vec = params_to_vector(params).astype("<f4")
+    finite = np.isfinite(vec)
+    if not finite.all():
+        ends = np.cumsum([np.size(a) for a in params.arrays()])
+        k = int(np.searchsorted(ends, np.argmin(finite), side="right"))  # kernel, gamma, beta per layer
+        kind = ("kernel", "gamma", "beta")[k % 3]
+        raise ValueError(f"layer {k // 3 + 1} {kind} has a weight not finite as float32")
+    return vec
+
+
 def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
-    """Serialize a fitted decoder into the (v2) report byte stream.
+    """Serialize a fitted decoder into the (v3) report byte stream.
 
     Raises ValueError naming the field unless `snapshot_norms` and `scale`
     have the shapes of `spec` (see docs/csir-format.md) and every entry is
-    finite and > 0."""
+    finite and > 0, and naming the array unless every weight is finite as
+    float32."""
     check_params(spec, params)
-    header = {"spec": _spec_to_doc(spec)}
-    shapes = _shapes(spec)
-    for name, value in (("norms", snapshot_norms), ("scale", scale)):
+    head = []
+    for (name, shape), value in zip(_shapes(spec).items(), (snapshot_norms, scale)):
         try:
-            header[name] = np.asarray(value, dtype=float).tolist()
-            _positive(header[name], shapes[name])
+            arr = _checked(np.asarray(value, dtype=float), shape)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{name}: {exc}") from None
+        head.append(arr.astype("<f8").tobytes())
+    header = {"spec": _spec_to_doc(spec)}
     header_blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = params_to_vector(params).astype("<f4").tobytes()
+    payload = b"".join(head) + _weights(params).tobytes()
     blob = bytearray().join(
         [
             REPORT_MAGIC,
@@ -110,17 +144,19 @@ def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
 
 
 def decode(blob: bytes):
-    """Exact inverse of :func:`encode`; also reads v1 reports.
+    """Exact inverse of :func:`encode`; also reads v1 and v2 reports.
 
     Returns (spec, params, snapshot_norms, scale). Raises CodecError on a bad
     magic, unknown version, a length field that does not match the blob,
-    checksum mismatch, any malformed header or spec, or norms and a scale
-    that :func:`encode` would refuse for the spec.
+    checksum mismatch, any malformed header or spec (a v3 header holds
+    `spec` alone), a payload whose length the spec does not give, norms and
+    a scale that :func:`encode` would refuse for the spec, or a weight that
+    is NaN or infinite.
     """
     if len(blob) < 11 or blob[:4] != REPORT_MAGIC:
         raise CodecError("not a CSI report (bad magic)")
     version, dtype_tag = struct.unpack_from("<HB", blob, 4)
-    if version not in (1, REPORT_VERSION):
+    if version not in (1, 2, REPORT_VERSION):
         raise CodecError(f"unknown report version {version}")
     if dtype_tag != _DTYPE_F32:
         raise CodecError(f"unknown payload dtype tag {dtype_tag}")
@@ -141,17 +177,32 @@ def decode(blob: bytes):
 
     if not isinstance(header, dict):
         raise CodecError("malformed header: not a JSON object")
+    extra = sorted(header.keys() - {"spec"}) if version == 3 else []
+    if extra:
+        raise CodecError(f"malformed header: keys {extra} besides 'spec'")
     spec = _header_field(header, "spec", _spec_from_doc)
     shapes = _shapes(spec)
-    norms = _header_field(header, "norms", lambda v: _positive(v, shapes["norms"]))
-    scale = _header_field(header, "scale", lambda v: _positive(v, shapes["scale"]))
+    if version < 3:  # the norms and scale are header JSON
+        norms = _header_field(header, "norms", lambda v: _json_numbers(v, shapes["norms"]))
+        scale = _header_field(header, "scale", lambda v: _json_numbers(v, shapes["scale"]))
+        n_head = 0
+    else:  # they are the float64s before the weights
+        n_norms = math.prod(shapes["norms"])
+        n_head = n_norms + math.prod(shapes["scale"])
+    want = 8 * n_head + payload_bytes(spec)
+    if payload_len != want:
+        raise CodecError(f"payload holds {payload_len} bytes, spec needs {want}")
+    if version == 3:
+        head = np.frombuffer(payload, dtype="<f8", count=n_head).astype(float)
+        if not _positive(head):  # one test for both fields; name the first at fault
+            name = "scale" if _positive(head[:n_norms]) else "norms"
+            raise CodecError(f"malformed field {name!r}: every entry must be finite and > 0")
+        norms, scale = head[:n_norms].reshape(shapes["norms"]), head[n_norms:].reshape(shapes["scale"])
     if scale.ndim == 0:
         scale = float(scale)
-    if payload_len != payload_bytes(spec):
-        raise CodecError(
-            f"payload holds {payload_len} bytes, spec needs {payload_bytes(spec)}"
-        )
-    vec = np.frombuffer(payload, dtype="<f4")
+    vec = np.frombuffer(payload, dtype="<f4", offset=8 * n_head)
+    if not np.isfinite(vec).all():
+        raise CodecError("payload holds a NaN or infinite weight")
     params = params_from_vector(spec, vec, dtype=np.float32)
     return spec, params, norms, scale
 

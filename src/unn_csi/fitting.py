@@ -71,7 +71,10 @@ gradient views. An iteration then makes only its numpy calls, with no
 reshapes, lookups or checks between them. At desk scale, where dispatch
 bounds an iteration, that takes 13-29 % off one batch's forward and
 reverse pass. ``gradient`` binds a workspace for its one call, and so does
-:func:`unn_csi.decoder.forward`; ``loss`` runs that forward.
+:func:`unn_csi.decoder.forward` with the cache, with a given seed tensor, or
+at full scale; a desk-sized ``forward`` runs on the workspace it kept from
+its last call (see the :mod:`unn_csi.decoder` docstring). ``loss`` runs that
+forward.
 
 The batch size is worked out, not configured, and the cell runner of
 :mod:`unn_csi.cli` cuts its fits by it: :func:`batch_size` takes as many

@@ -265,7 +265,9 @@ class TestRunCodecMode:
         assert cli.run(cli.config_from_dict(config)) == 0
         summary = json.load(open(os.path.join(config["out"], "summary.json")))
         assert summary["bit_exact"] is True
-        assert summary["payload_bytes"] == 4 * 272
+        assert summary["payload_bytes"] == 4 * 272  # the weights alone
+        (report,) = Path(config["out"], "reports").glob("*.csir")
+        assert summary["report_bytes"] == report.stat().st_size
         assert summary["nmse_db_rx"] == summary["nmse_db_tx"]
 
 
