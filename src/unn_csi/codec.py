@@ -6,9 +6,8 @@ as its header, then a binary section of the per-snapshot norms and scale
 factor of the preprocessing as little-endian float64 and every trainable
 scalar as little-endian float32 in canonical order. Encoding is
 deterministic, so any two encoders produce identical bytes from identical
-inputs; decode is the exact inverse, and also reads the v1 and v2 reports
-that carried the norms and scale as header JSON. See docs/csir-format.md for
-the byte layout.
+inputs; decode is the exact inverse, and refuses every report version but
+the one encode writes. See docs/csir-format.md for the byte layout.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .decoder import (
 __all__ = ["CodecError", "encode", "decode", "recreate", "payload_bytes"]
 
 REPORT_MAGIC = b"CSIR"
-REPORT_VERSION = 3  # v1 (payload-only CRC) and v2 (norms and scale in the header) still decode
+REPORT_VERSION = 3  # the one version encode writes and decode reads
 _DTYPE_F32 = 0  # dtype field reserved for future quantized payloads
 
 
@@ -49,11 +48,9 @@ def payload_bytes(spec: DecoderSpec) -> int:
     return 4 * param_count(spec)
 
 
-def _crc(version: int, blob: bytes, crc_at: int, payload: bytes) -> int:
-    """The CRC-32 a report of `version` carries at offset `crc_at`: v1 over
-    the payload alone, v2 and v3 over every byte but the CRC field itself."""
-    if version == 1:
-        return zlib.crc32(payload)
+def _crc(blob: bytes, crc_at: int) -> int:
+    """The CRC-32 a report carries at offset `crc_at`: over every byte but
+    the CRC field itself."""
     return zlib.crc32(blob[crc_at + 4 :], zlib.crc32(blob[:crc_at]))
 
 
@@ -83,17 +80,6 @@ def _checked(arr: np.ndarray, shape) -> np.ndarray:
     return arr
 
 
-def _json_numbers(value, shape) -> np.ndarray:
-    """`value`, a v1/v2 header field's JSON value, as a float array checked
-    by :func:`_checked`; ValueError also unless every entry is a JSON number
-    (not a string or a bool, which numpy would convert)."""
-    arr = _checked(np.asarray(value, dtype=float), shape)
-    flat = [value] if arr.ndim == 0 else value if arr.ndim == 1 else [x for row in value for x in row]
-    if not all(type(x) in (int, float) for x in flat):
-        raise ValueError("every entry must be a JSON number")
-    return arr
-
-
 def _weights(params: ParamSet) -> np.ndarray:
     """The canonical weight vector as little-endian float32; ValueError
     naming the array (kind and layer, layer 1 first) of the first weight
@@ -111,7 +97,7 @@ def _weights(params: ParamSet) -> np.ndarray:
 
 
 def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
-    """Serialize a fitted decoder into the (v3) report byte stream.
+    """Serialize a fitted decoder into the (version 3) report byte stream.
 
     Raises ValueError naming the field unless `snapshot_norms` and `scale`
     have the shapes of `spec` (see docs/csir-format.md) and every entry is
@@ -139,24 +125,24 @@ def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
         ]
     )
     crc_at = 11 + len(header_blob)
-    struct.pack_into("<I", blob, crc_at, _crc(REPORT_VERSION, blob, crc_at, payload))
+    struct.pack_into("<I", blob, crc_at, _crc(blob, crc_at))
     return bytes(blob)
 
 
 def decode(blob: bytes):
-    """Exact inverse of :func:`encode`; also reads v1 and v2 reports.
+    """Exact inverse of :func:`encode`; reads version 3 only.
 
     Returns (spec, params, snapshot_norms, scale). Raises CodecError on a bad
-    magic, unknown version, a length field that does not match the blob,
-    checksum mismatch, any malformed header or spec (a v3 header holds
-    `spec` alone), a payload whose length the spec does not give, norms and
-    a scale that :func:`encode` would refuse for the spec, or a weight that
-    is NaN or infinite.
+    magic, any other version, a length field that does not match the blob,
+    checksum mismatch, any malformed header or spec (a header holds `spec`
+    alone), a payload whose length the spec does not give, norms and a scale
+    that :func:`encode` would refuse for the spec, or a weight that is NaN
+    or infinite.
     """
     if len(blob) < 11 or blob[:4] != REPORT_MAGIC:
         raise CodecError("not a CSI report (bad magic)")
     version, dtype_tag = struct.unpack_from("<HB", blob, 4)
-    if version not in (1, 2, REPORT_VERSION):
+    if version != REPORT_VERSION:
         raise CodecError(f"unknown report version {version}")
     if dtype_tag != _DTYPE_F32:
         raise CodecError(f"unknown payload dtype tag {dtype_tag}")
@@ -167,8 +153,7 @@ def decode(blob: bytes):
     crc, payload_len = struct.unpack_from("<II", blob, header_end)
     if header_end + 8 + payload_len != len(blob):
         raise CodecError(f"payload length {payload_len} does not match the {len(blob)}-byte report")
-    payload = blob[header_end + 8 :]
-    if _crc(version, blob, header_end, payload) != crc:
+    if _crc(blob, header_end) != crc:
         raise CodecError("checksum mismatch")
     try:
         header = json.loads(blob[11:header_end].decode("utf-8"))
@@ -177,27 +162,25 @@ def decode(blob: bytes):
 
     if not isinstance(header, dict):
         raise CodecError("malformed header: not a JSON object")
-    extra = sorted(header.keys() - {"spec"}) if version == 3 else []
+    extra = sorted(header.keys() - {"spec"})
     if extra:
         raise CodecError(f"malformed header: keys {extra} besides 'spec'")
-    spec = _header_field(header, "spec", _spec_from_doc)
+    try:
+        spec = _spec_from_doc(header["spec"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CodecError(f"malformed header field 'spec': {exc!r}") from exc
     shapes = _shapes(spec)
-    if version < 3:  # the norms and scale are header JSON
-        norms = _header_field(header, "norms", lambda v: _json_numbers(v, shapes["norms"]))
-        scale = _header_field(header, "scale", lambda v: _json_numbers(v, shapes["scale"]))
-        n_head = 0
-    else:  # they are the float64s before the weights
-        n_norms = math.prod(shapes["norms"])
-        n_head = n_norms + math.prod(shapes["scale"])
+    n_norms = math.prod(shapes["norms"])
+    n_head = n_norms + math.prod(shapes["scale"])
     want = 8 * n_head + payload_bytes(spec)
     if payload_len != want:
         raise CodecError(f"payload holds {payload_len} bytes, spec needs {want}")
-    if version == 3:
-        head = np.frombuffer(payload, dtype="<f8", count=n_head).astype(float)
-        if not _positive(head):  # one test for both fields; name the first at fault
-            name = "scale" if _positive(head[:n_norms]) else "norms"
-            raise CodecError(f"malformed field {name!r}: every entry must be finite and > 0")
-        norms, scale = head[:n_norms].reshape(shapes["norms"]), head[n_norms:].reshape(shapes["scale"])
+    payload = blob[header_end + 8 :]
+    head = np.frombuffer(payload, dtype="<f8", count=n_head).astype(float)
+    if not _positive(head):  # one test for both fields; name the first at fault
+        name = "scale" if _positive(head[:n_norms]) else "norms"
+        raise CodecError(f"malformed field {name!r}: every entry must be finite and > 0")
+    norms, scale = head[:n_norms].reshape(shapes["norms"]), head[n_norms:].reshape(shapes["scale"])
     if scale.ndim == 0:
         scale = float(scale)
     vec = np.frombuffer(payload, dtype="<f4", offset=8 * n_head)
@@ -207,14 +190,7 @@ def decode(blob: bytes):
     return spec, params, norms, scale
 
 
-def _header_field(header: dict, name: str, convert):
-    try:
-        return convert(header[name])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CodecError(f"malformed header field {name!r}: {exc!r}") from exc
-
-
-def recreate(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale, z0=None) -> list:
+def recreate(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> list:
     """Regenerate the estimated channels a report describes: one decoder
     forward pass, then the inverse preprocessing per user.
 
@@ -222,10 +198,10 @@ def recreate(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale, z0=None
     ``recreate(*decode(blob))``. A single-user spec (2 spatial modes) gives
     one ChannelTensor; a 4-way group spec gives one per user, in the order of
     the rows of `snapshot_norms` and entries of `scale`
-    (:func:`~unn_csi.channel.split_users`). `z0` must be the seed tensor the
-    parameters were fitted with (None regenerates it from spec.seed_rule).
+    (:func:`~unn_csi.channel.split_users`). The seed tensor is regenerated
+    from spec.seed_rule, the seed rule a report carries.
     """
-    out = forward(spec, params, z0)
+    out = forward(spec, params)
     if spec.n_spatial == 2:
         return [postprocess(out, snapshot_norms, scale)]
     return split_users(out, snapshot_norms, scale)
