@@ -1,10 +1,11 @@
-"""Typed field access for the JSON files the package reads: decoder specs,
-scenes and transfer plans. A missing or mistyped field raises ValueError
-naming the file kind and the field, never a bare KeyError or TypeError.
-The type checks also guard the fit settings and the lists of an experiment
-config.
+"""Typed field access for the JSON the package reads: decoder specs (spec
+files and report headers), scenes and transfer plans. JSON nested too deep,
+an unknown key, or a missing or mistyped field raises ValueError naming the
+file kind and the field, never a bare RecursionError, KeyError or
+TypeError. The parser and the type checks also serve experiment configs.
 """
 
+import json
 import sys
 
 
@@ -44,14 +45,33 @@ def list_of(item, length=None):
     return convert
 
 
+def parse(kind: str, text: str):
+    """The JSON value of `text`; ValueError naming `kind` for JSON nested
+    too deep, where Python's parser raises RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{kind}: JSON nested too deep") from None
+
+
+def check_keys(kind: str, doc, names, prefix: str = ""):
+    """`doc`; ValueError unless it is a JSON object whose keys are all in
+    `names`, naming the first other key as `prefix + key`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} must be a JSON object")
+    unknown = sorted(doc.keys() - set(names))
+    if unknown:
+        raise ValueError(f"{kind}: unknown field {prefix + unknown[0]!r}")
+    return doc
+
+
 _REQUIRED = object()
 
 
 def read_field(kind: str, doc, name: str, convert, prefix: str = "", default=_REQUIRED):
     """`convert(doc[name])`, or `default` for an absent optional field, with
-    every failure raised as ValueError naming `prefix + name` in a `kind` file."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{kind} must be a JSON object")
+    every failure raised as ValueError naming `prefix + name` in a `kind` file.
+    `doc` is a dict, which :func:`check_keys` checks."""
     if name not in doc:
         if default is not _REQUIRED:
             return default

@@ -30,7 +30,6 @@ size.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from ._fields import BOOL, FINITE, INT, OBJECT, list_of, read_field
+from ._fields import BOOL, FINITE, INT, OBJECT, check_keys, list_of, parse, read_field
 
 __all__ = [
     "Scatterer",
@@ -364,15 +363,18 @@ def split_users(data, snapshot_norms, scale) -> list:
 
 
 _scene_field = partial(read_field, "scene")
+_scene_keys = partial(check_keys, "scene")
 _point = list_of(FINITE, 3)
 
 
 def _scatterer(doc, where: str) -> Scatterer:
+    _scene_keys(doc, ("position_m", "gain_re", "gain_im"), where)
     gain = complex(_scene_field(doc, "gain_re", FINITE, where), _scene_field(doc, "gain_im", FINITE, where))
     return Scatterer(_scene_field(doc, "position_m", _point, where), gain)
 
 
 def _user_track(doc, where: str) -> UserTrack:
+    _scene_keys(doc, ("id", "start_m", "velocity_mps", "los"), where)
     return UserTrack(
         ue_id=_scene_field(doc, "id", INT, where),
         start=_scene_field(doc, "start_m", _point, where),
@@ -383,8 +385,10 @@ def _user_track(doc, where: str) -> UserTrack:
 
 def scene_from_dict(doc: dict) -> Scene:
     """The Scene a parsed scene file describes (docs/artifacts.md). A missing
-    or mistyped field raises ValueError naming the field."""
+    or mistyped field, or an unknown one, raises ValueError naming the field."""
+    _scene_keys(doc, ("carrier_hz", "bandwidth_hz", "n_sub", "n_sp", "snapshot_dt_s", "bs", "scatterers", "ues"))
     bs = _scene_field(doc, "bs", OBJECT)
+    _scene_keys(bs, ("position_m", "ura_rows", "ura_cols", "element_spacing_wl"), "bs.")
     scatterers = _scene_field(doc, "scatterers", list_of(OBJECT))
     ues = _scene_field(doc, "ues", list_of(OBJECT))
     return Scene(
@@ -404,4 +408,4 @@ def scene_from_dict(doc: dict) -> Scene:
 
 def load_scene(path) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_dict(json.load(fh))
+        return scene_from_dict(parse("scene", fh.read()))

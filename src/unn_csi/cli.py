@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import baselines, codec, transfer as transfer_mod
-from ._fields import INT, NUMBER, list_of
+from ._fields import INT, NUMBER, list_of, parse
 from .channel import Scene, add_noise, load_scene, noise_variance, preprocess, stack_users, synthesize
 from .decoder import DecoderSpec, compression_ratio, load_spec, param_count, params_to_vector
 from .fitting import FitConfig, FitDivergedError, batch_size, fit, fit_batch
@@ -253,8 +253,6 @@ def _checked(config: ExperimentConfig) -> tuple:
     if not isinstance(config.out, str) or "\0" in config.out:  # the OS takes no NUL in a path
         diags.append(Diagnostic("error", f"out must be a directory path string, got {config.out!r}"))
     _check_fit(config, None, "fit", diags)
-    if spec.seed_rule.half_range <= 0:
-        diags.append(Diagnostic("error", "seed rule has zero half-range; the decoder input is all zeros"))
     missing = [u for u in config.ues if u not in scene.ue_ids] if isinstance(config.ues, list) else []
     if missing:
         diags.append(Diagnostic("error", f"scene has no UEs {missing}"))
@@ -632,7 +630,7 @@ def build_config(args) -> ExperimentConfig:
         doc.update(json.loads(json.dumps(_PROFILES[args.profile])))
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            loaded = parse(f"config file {args.config}", fh.read())
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {args.config} holds a {type(loaded).__name__}, not a JSON object")
         doc.update(loaded)

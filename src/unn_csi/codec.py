@@ -1,18 +1,18 @@
 """The over-the-air CSI report: a fitted decoder serialized to bytes.
 
-A report carries everything the receiving side needs to regenerate the
-estimated channel: the canonical decoder spec JSON (including the seed rule)
-as its header, then a binary section of the per-snapshot norms and scale
-factor of the preprocessing as little-endian float64 and every trainable
-scalar as little-endian float32 in canonical order. Encoding is
-deterministic, so any two encoders produce identical bytes from identical
-inputs; decode is the exact inverse, and refuses every report version but
-the one encode writes. See docs/csir-format.md for the byte layout.
+A report carries only what the receiving side cannot work out itself: the
+canonical decoder spec JSON (including the seed rule) as its header, then
+the per-snapshot norms and scale factor of the preprocessing as
+little-endian float64 and every trainable scalar as little-endian float32 in
+canonical order. The spec fixes the size of that binary section, which runs
+to the end of the report. Encoding is deterministic, so any two encoders
+produce identical bytes from identical inputs; decode is the exact inverse,
+and refuses every report version but the one encode writes. See
+docs/csir-format.md for the byte layout.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 import zlib
@@ -23,19 +23,19 @@ from .channel import postprocess, split_users
 from .decoder import (
     DecoderSpec,
     ParamSet,
-    _spec_from_doc,
-    _spec_to_doc,
     check_params,
     forward,
     param_count,
     params_from_vector,
     params_to_vector,
+    spec_from_json,
+    spec_to_json,
 )
 
 __all__ = ["CodecError", "encode", "decode", "recreate", "payload_bytes"]
 
 REPORT_MAGIC = b"CSIR"
-REPORT_VERSION = 3  # the one version encode writes and decode reads
+REPORT_VERSION = 4  # the one version encode writes and decode reads
 _DTYPE_F32 = 0  # dtype field reserved for future quantized payloads
 
 
@@ -61,6 +61,8 @@ def _shapes(spec: DecoderSpec) -> dict:
     dims = spec.output_dims
     if spec.n_spatial == 2:  # (n_sub, n_sp, 2 n_ant)
         return {"norms": (dims[1],), "scale": ()}
+    if spec.n_spatial != 3:
+        raise ValueError(f"a report's decoder has 2 or 3 spatial modes, not {spec.n_spatial}")
     return {"norms": (dims[2], dims[0]), "scale": (dims[2],)}  # (n_sp, n_sub, M, 2 n_ant)
 
 
@@ -97,12 +99,12 @@ def _weights(params: ParamSet) -> np.ndarray:
 
 
 def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
-    """Serialize a fitted decoder into the (version 3) report byte stream.
+    """Serialize a fitted decoder into the (version 4) report byte stream.
 
-    Raises ValueError naming the field unless `snapshot_norms` and `scale`
-    have the shapes of `spec` (see docs/csir-format.md) and every entry is
-    finite and > 0, and naming the array unless every weight is finite as
-    float32."""
+    Raises ValueError unless `spec` has 2 or 3 spatial modes, naming the
+    field unless `snapshot_norms` and `scale` have the shapes of `spec` (see
+    docs/csir-format.md) and every entry is finite and > 0, and naming the
+    array unless every weight is finite as float32."""
     check_params(spec, params)
     head = []
     for (name, shape), value in zip(_shapes(spec).items(), (snapshot_norms, scale)):
@@ -111,79 +113,56 @@ def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{name}: {exc}") from None
         head.append(arr.astype("<f8").tobytes())
-    header = {"spec": _spec_to_doc(spec)}
-    header_blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header = spec_to_json(spec).encode("utf-8")
     payload = b"".join(head) + _weights(params).tobytes()
-    blob = bytearray().join(
-        [
-            REPORT_MAGIC,
-            struct.pack("<HB", REPORT_VERSION, _DTYPE_F32),
-            struct.pack("<I", len(header_blob)),
-            header_blob,
-            struct.pack("<II", 0, len(payload)),
-            payload,
-        ]
-    )
-    crc_at = 11 + len(header_blob)
-    struct.pack_into("<I", blob, crc_at, _crc(blob, crc_at))
+    frame = REPORT_MAGIC + struct.pack("<HBI", REPORT_VERSION, _DTYPE_F32, len(header)) + header
+    blob = bytearray().join([frame, bytes(4), payload])  # a zero CRC, set below
+    struct.pack_into("<I", blob, len(frame), _crc(blob, len(frame)))
     return bytes(blob)
 
 
 def decode(blob: bytes):
-    """Exact inverse of :func:`encode`; reads version 3 only.
+    """Exact inverse of :func:`encode`; reads version 4 only.
 
     Returns (spec, params, snapshot_norms, scale). Raises CodecError on a bad
-    magic, any other version, a length field that does not match the blob,
-    checksum mismatch, any malformed header or spec (a header holds `spec`
-    alone), a payload whose length the spec does not give, norms and a scale
+    magic, any other version, a header length that overruns the blob,
+    checksum mismatch, a header that is not a spec file's JSON (see
+    :func:`~unn_csi.decoder.spec_from_json`), a spec :func:`encode` refuses,
+    a binary section whose length the spec does not give, norms and a scale
     that :func:`encode` would refuse for the spec, or a weight that is NaN
     or infinite.
     """
     if len(blob) < 11 or blob[:4] != REPORT_MAGIC:
         raise CodecError("not a CSI report (bad magic)")
-    version, dtype_tag = struct.unpack_from("<HB", blob, 4)
+    version, dtype_tag, header_len = struct.unpack_from("<HBI", blob, 4)
     if version != REPORT_VERSION:
         raise CodecError(f"unknown report version {version}")
     if dtype_tag != _DTYPE_F32:
         raise CodecError(f"unknown payload dtype tag {dtype_tag}")
-    (header_len,) = struct.unpack_from("<I", blob, 7)
-    header_end = 11 + header_len
-    if header_end + 8 > len(blob):
+    crc_at = 11 + header_len
+    if crc_at + 4 > len(blob):
         raise CodecError(f"header length {header_len} overruns the {len(blob)}-byte report")
-    crc, payload_len = struct.unpack_from("<II", blob, header_end)
-    if header_end + 8 + payload_len != len(blob):
-        raise CodecError(f"payload length {payload_len} does not match the {len(blob)}-byte report")
-    if _crc(blob, header_end) != crc:
+    if _crc(blob, crc_at) != struct.unpack_from("<I", blob, crc_at)[0]:
         raise CodecError("checksum mismatch")
-    try:
-        header = json.loads(blob[11:header_end].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deep
+    try:  # UTF-8 first: json.loads would also take UTF-16 and UTF-32 bytes
+        spec = spec_from_json(blob[11:crc_at].decode("utf-8"))
+        shapes = _shapes(spec)
+    except ValueError as exc:  # bad UTF-8 or JSON, or not a report's spec
         raise CodecError(f"malformed header: {exc}") from exc
-
-    if not isinstance(header, dict):
-        raise CodecError("malformed header: not a JSON object")
-    extra = sorted(header.keys() - {"spec"})
-    if extra:
-        raise CodecError(f"malformed header: keys {extra} besides 'spec'")
-    try:
-        spec = _spec_from_doc(header["spec"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CodecError(f"malformed header field 'spec': {exc!r}") from exc
-    shapes = _shapes(spec)
     n_norms = math.prod(shapes["norms"])
     n_head = n_norms + math.prod(shapes["scale"])
+    section = blob[crc_at + 4 :]  # a copy: at 15 + n its float64s and float32s would sit unaligned
     want = 8 * n_head + payload_bytes(spec)
-    if payload_len != want:
-        raise CodecError(f"payload holds {payload_len} bytes, spec needs {want}")
-    payload = blob[header_end + 8 :]
-    head = np.frombuffer(payload, dtype="<f8", count=n_head).astype(float)
+    if len(section) != want:
+        raise CodecError(f"payload holds {len(section)} bytes, spec needs {want}")
+    head = np.frombuffer(section, dtype="<f8", count=n_head).astype(float)
     if not _positive(head):  # one test for both fields; name the first at fault
         name = "scale" if _positive(head[:n_norms]) else "norms"
         raise CodecError(f"malformed field {name!r}: every entry must be finite and > 0")
     norms, scale = head[:n_norms].reshape(shapes["norms"]), head[n_norms:].reshape(shapes["scale"])
     if scale.ndim == 0:
         scale = float(scale)
-    vec = np.frombuffer(payload, dtype="<f4", offset=8 * n_head)
+    vec = np.frombuffer(section, dtype="<f4", offset=8 * n_head)
     if not np.isfinite(vec).all():
         raise CodecError("payload holds a NaN or infinite weight")
     params = params_from_vector(spec, vec, dtype=np.float32)

@@ -1,5 +1,8 @@
 """The under-parameterized decoder: architecture spec, parameters, forward pass.
 
+A spec's canonical JSON form (:func:`spec_to_json`) is both a spec file and
+the header of a CSI report, and :func:`spec_from_json` reads both.
+
 A decoder stacks three layer types. Inner layers apply a 1x1(x1) convolution
 (a channel-mode product), double selected spatial modes with fixed linear
 upsampling operators, then ReLU and per-filter batch normalization.
@@ -91,7 +94,7 @@ from math import inf, prod, sqrt
 
 import numpy as np
 
-from ._fields import BOOL, FINITE, INT, OBJECT, list_of, read_field
+from ._fields import BOOL, FINITE, INT, OBJECT, check_keys, list_of, parse, read_field
 from .tensors import _mode_views, make_upsampler
 
 __all__ = [
@@ -159,27 +162,25 @@ class SeedRule:
     def __post_init__(self):
         if not 0 <= self.seed <= _U64:
             raise ValueError("seed must fit in 64 bits")
-        if not 0 <= self.half_range < inf:
-            raise ValueError("half_range must be finite and >= 0")
+        if not 0 < self.half_range < inf:  # zero would make the seed tensor all zeros
+            raise ValueError("half_range must be finite and > 0")
 
 
 @dataclass(frozen=True)
 class DecoderSpec:
-    """Architecture description.
+    """Architecture description. The layer counts follow from the lists:
+    one inner (upsampling) layer per flag row, one output layer, and a
+    pre-output layer for each further width.
 
     input_dims      spatial extents of the seed tensor (2 entries for the
                     single-user decoder, 3 for the multi-user decoder)
     widths          filter counts k_0..k_L (k_0 = seed depth, k_L = output width)
-    inner_count     number of upsampling layers
-    preoutput_count number of non-upsampling BN layers before the output
     upsample_flags  per inner layer, one bool per spatial mode
     seed_rule       rule for the fixed random input
     """
 
     input_dims: tuple
     widths: tuple
-    inner_count: int
-    preoutput_count: int
     upsample_flags: tuple
     seed_rule: SeedRule
 
@@ -189,24 +190,24 @@ class DecoderSpec:
         object.__setattr__(
             self, "upsample_flags", tuple(tuple(bool(f) for f in row) for row in self.upsample_flags)
         )
-        if self.inner_count < 1 or self.preoutput_count < 0:
+        if self.inner_count < 1:
             raise ValueError("need at least one inner layer")
-        if len(self.widths) != self.n_layers + 1:
-            raise ValueError(
-                f"widths must list k_0..k_L ({self.n_layers + 1} values), got {len(self.widths)}"
-            )
+        if len(self.widths) < self.inner_count + 2:  # k_0, one per inner layer, the output's
+            raise ValueError(f"widths must list k_0..k_L, {self.inner_count + 2} or more: {len(self.widths)}")
         if any(k < 1 for k in self.widths):
             raise ValueError("filter widths must be positive")
         if any(d < 1 for d in self.input_dims):
             raise ValueError("seed extents must be positive")
-        if len(self.upsample_flags) != self.inner_count:
-            raise ValueError("need one upsample flag row per inner layer")
         if any(len(row) != len(self.input_dims) for row in self.upsample_flags):
             raise ValueError("each flag row needs one entry per spatial mode")
 
     @property
+    def inner_count(self) -> int:
+        return len(self.upsample_flags)
+
+    @property
     def n_layers(self) -> int:
-        return self.inner_count + self.preoutput_count + 1
+        return len(self.widths) - 1
 
     @property
     def n_spatial(self) -> int:
@@ -705,41 +706,31 @@ def _forward(ws: _Workspace, folded=None) -> np.ndarray:
 
 
 def spec_to_json(spec: DecoderSpec) -> str:
-    """Canonical JSON form (sorted keys, no whitespace) of a DecoderSpec."""
-    return json.dumps(_spec_to_doc(spec), sort_keys=True, separators=(",", ":"))
-
-
-def _spec_to_doc(spec: DecoderSpec) -> dict:
-    """The JSON object of :func:`spec_to_json`, before it is dumped; the
-    inverse of :func:`_spec_from_doc`."""
-    return {
+    """Canonical JSON form (sorted keys, no whitespace) of a DecoderSpec:
+    a spec file's content, and a report's header."""
+    doc = {
         "input_dims": list(spec.input_dims),
         "widths": list(spec.widths),
-        "inner_count": spec.inner_count,
-        "preoutput_count": spec.preoutput_count,
         "upsample_flags": [list(row) for row in spec.upsample_flags],
         "seed_rule": {"seed": spec.seed_rule.seed, "half_range": spec.seed_rule.half_range},
     }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-_spec_field = partial(read_field, "decoder spec")
+_SPEC = "decoder spec"
+_spec_field = partial(read_field, _SPEC)
 
 
 def spec_from_json(text: str) -> DecoderSpec:
-    """Parse the canonical JSON form. A missing or mistyped field raises
+    """Parse a spec file or report header, the inverse of
+    :func:`spec_to_json`. JSON nested too deep, a key other than the four
+    fields and the seed rule's two, or a missing or mistyped field raises
     ValueError naming the field."""
-    return _spec_from_doc(json.loads(text))
-
-
-def _spec_from_doc(doc) -> DecoderSpec:
-    """The DecoderSpec of a parsed JSON document, checked as
-    :func:`spec_from_json` checks it."""
-    rule = _spec_field(doc, "seed_rule", OBJECT)
+    doc = check_keys(_SPEC, parse(_SPEC, text), ("input_dims", "widths", "upsample_flags", "seed_rule"))
+    rule = check_keys(_SPEC, _spec_field(doc, "seed_rule", OBJECT), ("seed", "half_range"), "seed_rule.")
     return DecoderSpec(
         input_dims=_spec_field(doc, "input_dims", list_of(INT)),
         widths=_spec_field(doc, "widths", list_of(INT)),
-        inner_count=_spec_field(doc, "inner_count", INT),
-        preoutput_count=_spec_field(doc, "preoutput_count", INT),
         upsample_flags=_spec_field(doc, "upsample_flags", list_of(list_of(BOOL))),
         seed_rule=SeedRule(
             _spec_field(rule, "seed", INT, "seed_rule."),

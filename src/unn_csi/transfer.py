@@ -17,14 +17,13 @@ warm start constrained the search.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from ._fields import INT, OBJECT, list_of, read_field, typed
+from ._fields import INT, OBJECT, check_keys, list_of, parse, read_field, typed
 from .decoder import ParamSet
 
 __all__ = [
@@ -110,17 +109,20 @@ def weight_distance(a: ParamSet, b: ParamSet) -> WeightDistance:
     return WeightDistance(per_layer=per_layer, total=float(np.sqrt(sum(d * d for d in per_layer))))
 
 
-_plan_field = partial(read_field, "transfer plan")
+_PLAN = "transfer plan"
+_plan_field = partial(read_field, _PLAN)
 _optional_int = typed(int, type(None))
 
 
 def plan_from_json(text: str) -> TransferPlan:
-    """Parse a plan file (docs/artifacts.md). A missing or mistyped field
-    raises ValueError naming the field; `init_from` may be omitted or null."""
-    doc = json.loads(text)
+    """Parse a plan file (docs/artifacts.md). JSON nested too deep, or a
+    missing, mistyped or unknown field, raises ValueError naming the field;
+    `init_from` may be omitted or null."""
+    doc = check_keys(_PLAN, parse(_PLAN, text), ("base", "chain"))
     chain = []
     for i, step in enumerate(_plan_field(doc, "chain", list_of(OBJECT))):
         where = f"chain[{i}]."
+        check_keys(_PLAN, step, ("target", "init_from"), where)
         target = _plan_field(step, "target", INT, where)
         init_from = _plan_field(step, "init_from", _optional_int, where, default=None)
         chain.append(TransferStep(target, init_from))

@@ -10,15 +10,8 @@ from unn_csi.decoder import DecoderSpec, ParamSet, SeedRule, spec_to_json
 from unn_csi.fitting import fit_batch
 
 
-def make_spec(input_dims, widths, inner, preout, flags, seed=42, a=0.5):
-    return DecoderSpec(
-        input_dims=input_dims,
-        widths=widths,
-        inner_count=inner,
-        preoutput_count=preout,
-        upsample_flags=flags,
-        seed_rule=SeedRule(seed, a),
-    )
+def make_spec(input_dims, widths, flags, seed=42, a=0.5):
+    return DecoderSpec(input_dims=input_dims, widths=widths, upsample_flags=flags, seed_rule=SeedRule(seed, a))
 
 
 def save_spec(spec: DecoderSpec, path) -> None:
@@ -82,7 +75,7 @@ def recorded_fit_batch(monkeypatch):
 @pytest.fixture
 def tiny_spec():
     """Small 3-way decoder used across the fitting tests."""
-    return make_spec((2, 3), (3, 4, 4, 4, 2), 2, 1, ((True, True), (True, True)))
+    return make_spec((2, 3), (3, 4, 4, 4, 2), ((True, True), (True, True)))
 
 
 @pytest.fixture

@@ -45,7 +45,7 @@ def loop_forward(spec, params, z0, eps=1e-5):
     statistics via flattened slices.
     """
     z = np.asarray(z0, dtype=np.float64)
-    n_layers = spec.inner_count + spec.preoutput_count + 1
+    n_layers = len(spec.widths) - 1
     for l in range(n_layers):
         w = np.asarray(params.kernels[l], dtype=np.float64)
         k_out = w.shape[1]
@@ -53,7 +53,7 @@ def loop_forward(spec, params, z0, eps=1e-5):
         for idx in np.ndindex(*z.shape[:-1]):
             for j in range(k_out):
                 u[idx + (j,)] = sum(z[idx + (p,)] * w[p, j] for p in range(w.shape[0]))
-        if l < spec.inner_count:
+        if l < len(spec.upsample_flags):
             for ax, on in enumerate(spec.upsample_flags[l]):
                 if on:
                     u = loop_mode_product(u, loop_upsampler(u.shape[ax]), ax)

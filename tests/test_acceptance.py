@@ -138,8 +138,6 @@ def test_criterion_5_multiuser_parameter_invariance(desk):
             return make_spec(
                 (2, 2, m),
                 spec.widths,
-                spec.inner_count,
-                spec.preoutput_count,
                 tuple(tuple(row) + (False,) for row in spec.upsample_flags),
                 seed=spec.seed_rule.seed,
                 a=spec.seed_rule.half_range,

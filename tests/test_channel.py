@@ -1,3 +1,4 @@
+import re
 from importlib import resources
 
 import numpy as np
@@ -407,6 +408,24 @@ class TestSceneFiles:
         doc = scene_to_dict(micro_scene)
         edit(doc)
         with pytest.raises(ValueError, match=field):
+            scene_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d.update(n_subcarriers=64), "n_subcarriers"),
+            (lambda d: d["bs"].update(height_m=10.0), "bs.height_m"),
+            (lambda d: d["scatterers"][2].update(phase=0.5), "scatterers[2].phase"),
+            (lambda d: d["ues"][0].update(Los=False), "ues[0].Los"),
+        ],
+        ids=["top", "bs", "scatterer", "ue"],
+    )
+    def test_unknown_field_is_named(self, micro_scene, edit, field):
+        # a misspelt optional key such as Los was dropped, and the UE kept
+        # its line-of-sight path
+        doc = scene_to_dict(micro_scene)
+        edit(doc)
+        with pytest.raises(ValueError, match=f"^scene: unknown field {re.escape(repr(field))}$"):
             scene_from_dict(doc)
 
     def test_repeated_ue_id_rejected(self, micro_scene):

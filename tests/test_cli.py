@@ -2,6 +2,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ def tiny_setup(tmp_path, micro_scene):
     """A complete miniature experiment: scene file, decoder spec file, config."""
     scene_path = tmp_path / "scene.json"
     save_scene(micro_scene, scene_path)
-    spec = make_spec((2, 2), (8, 8, 8, 8, 4), 2, 1, ((True, True), (True, True)), seed=11, a=0.15)
+    spec = make_spec((2, 2), (8, 8, 8, 8, 4), ((True, True), (True, True)), seed=11, a=0.15)
     spec_path = tmp_path / "spec.json"
     save_spec(spec, spec_path)
     config = {
@@ -62,7 +63,7 @@ class TestValidate:
     def test_divisibility_diagnostic(self, tiny_setup, micro_scene, tmp_path):
         _, config = tiny_setup
         # 4 doublings cannot reach 8 subcarriers from any integer extent
-        bad = make_spec((2, 2), (8,) * 5 + (4,), 4, 0, ((True, True),) * 4, seed=1)
+        bad = make_spec((2, 2), (8,) * 5 + (4,), ((True, True),) * 4, seed=1)
         bad_path = tmp_path / "bad_spec.json"
         save_spec(bad, bad_path)
         config = dict(config, decoder_spec=str(bad_path))
@@ -71,7 +72,7 @@ class TestValidate:
 
     def test_output_width_diagnostic(self, tiny_setup, tmp_path):
         _, config = tiny_setup
-        wrong = make_spec((2, 2), (8, 8, 8, 8, 6), 2, 1, ((True, True), (True, True)), seed=1)
+        wrong = make_spec((2, 2), (8, 8, 8, 8, 6), ((True, True), (True, True)), seed=1)
         path = tmp_path / "wrong_width.json"
         save_spec(wrong, path)
         config = dict(config, decoder_spec=str(path))
@@ -129,7 +130,7 @@ def test_non_square_scene_layouts(tmp_path, rect_scene, mode, input_dims, fits):
     save_scene(rect_scene, scene_path)
     flags = ((True, True, False)[: len(input_dims)],) * 2
     spec_path = tmp_path / "spec.json"
-    save_spec(make_spec(input_dims, (8, 8, 8, 8, 4), 2, 1, flags, seed=11, a=0.15), spec_path)
+    save_spec(make_spec(input_dims, (8, 8, 8, 8, 4), flags, seed=11, a=0.15), spec_path)
     config = cli.config_from_dict(
         {
             "scene": str(scene_path),
@@ -222,7 +223,7 @@ class TestRunGroupMode:
     def test_group_results_schema(self, tiny_setup, tmp_path, micro_scene):
         base_dir, config = tiny_setup
         gspec = make_spec(
-            (2, 2, 2), (8, 8, 8, 8, 4), 2, 1, ((True, True, False), (True, True, False)), seed=11, a=0.15
+            (2, 2, 2), (8, 8, 8, 8, 4), ((True, True, False), (True, True, False)), seed=11, a=0.15
         )
         gpath = tmp_path / "gspec.json"
         save_spec(gspec, gpath)
@@ -249,7 +250,7 @@ class TestRunGroupMode:
     def test_group_size_mismatch_diagnosed(self, tiny_setup, tmp_path):
         base_dir, config = tiny_setup
         gspec = make_spec(
-            (2, 2, 3), (8, 8, 8, 8, 4), 2, 1, ((True, True, False), (True, True, False)), seed=11
+            (2, 2, 3), (8, 8, 8, 8, 4), ((True, True, False), (True, True, False)), seed=11
         )
         gpath = tmp_path / "gspec3.json"
         save_spec(gspec, gpath)
@@ -580,6 +581,20 @@ class TestMain:
         assert f"error: {message}" in capsys.readouterr().err.splitlines()
         assert not out.exists()
 
+    def test_zero_half_range_group_spec_exits_2_with_error_line(self, tmp_path, capsys):
+        # an all-zero seed tensor: every group fit would see the same input
+        spec_path = tmp_path / "group.json"
+        spec = json.loads(resources.files("unn_csi").joinpath("specs/group_desk.json").read_text())
+        spec["seed_rule"]["half_range"] = 0.0
+        spec_path.write_text(json.dumps(spec))
+        cfg_path = tmp_path / "group-config.json"
+        cfg_path.write_text(json.dumps({"groups": [{"ues": [2, 3, 4], "spec": str(spec_path)}]}))
+        out = tmp_path / "out"
+        assert cli.main(["--profile", "desk", "--config", str(cfg_path), "--mode", "group", "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: cannot load group spec {str(spec_path)!r}: half_range must be finite and > 0"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "grid, message",
         [
@@ -699,6 +714,27 @@ class TestMain:
         assert f"error: config file {cfg_path} holds a list, not a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, kind",
+        [(None, "config file {}"), ("scene", "scene"), ("decoder_spec", "decoder spec"), ("transfer_plan", "transfer plan")],
+        ids=["config", "scene", "spec", "plan"],
+    )
+    def test_deeply_nested_file_exits_2_with_one_error_line(self, tmp_path, capsys, field, kind):
+        # Python's JSON parser raises RecursionError this deep, which ended
+        # the run with a traceback and exit code 1
+        nested = tmp_path / "nested.json"
+        nested.write_text('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        cfg_path = nested
+        if field is not None:
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps({field: str(nested)}))
+        out = tmp_path / "out"
+        args = ["--profile", "desk", "--config", str(cfg_path), "--mode", "transfer", "--out", str(out)]
+        assert cli.main(args) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].endswith(f"{kind.format(nested)}: JSON nested too deep"), errors
+        assert not out.exists()
+
 
 def _args():
     import argparse
@@ -708,7 +744,7 @@ def _args():
 
 def test_full_scale_output_width_diagnostic(tmp_path):
     # one filter short of 2 * 36 antennas must be flagged
-    bad = make_spec((4, 4), (64,) * 6 + (71,), 4, 1, ((True, True),) * 4, seed=1, a=0.15)
+    bad = make_spec((4, 4), (64,) * 6 + (71,), ((True, True),) * 4, seed=1, a=0.15)
     path = tmp_path / "bad71.json"
     save_spec(bad, path)
     config = cli.config_from_dict(

@@ -28,9 +28,9 @@ from conftest import make_spec
 from oracles import loop_forward, splitmix64_reference
 
 
-FULL_SINGLE = make_spec((4, 4), (64,) * 6 + (72,), 4, 1, ((True, True),) * 4, seed=1, a=0.15)
-FULL_GROUP_A = make_spec((4, 4, 3), (64,) * 6 + (72,), 4, 1, ((True, True, False),) * 4, seed=1, a=0.15)
-FULL_GROUP_B = make_spec((4, 4, 3), (64,) * 7 + (72,), 4, 2, ((True, True, False),) * 4, seed=1, a=0.15)
+FULL_SINGLE = make_spec((4, 4), (64,) * 6 + (72,), ((True, True),) * 4, seed=1, a=0.15)
+FULL_GROUP_A = make_spec((4, 4, 3), (64,) * 6 + (72,), ((True, True, False),) * 4, seed=1, a=0.15)
+FULL_GROUP_B = make_spec((4, 4, 3), (64,) * 7 + (72,), ((True, True, False),) * 4, seed=1, a=0.15)
 
 # float32 batch-norm tolerance on O(1) outputs: a few hundred float32 ulps
 F32_BN_TOL = 1e-5
@@ -58,9 +58,11 @@ class TestSplitMix:
 
 
 class TestGenerateSeed:
-    def test_zero_half_range(self):
-        z = generate_seed(SeedRule(5, 0.0), (3, 3, 2))
-        assert np.array_equal(z, np.zeros((3, 3, 2)))
+    @pytest.mark.parametrize("half_range", [0.0, -0.0])
+    def test_zero_half_range(self, half_range):
+        # the seed tensor would be all zeros, so every fit would see one input
+        with pytest.raises(ValueError, match="^half_range must be finite and > 0$"):
+            SeedRule(5, half_range)
 
     def test_reference_bounds_and_statistics(self):
         z = generate_seed(SeedRule(20260810, 0.15), (4, 4, 64))
@@ -160,9 +162,9 @@ class TestForward:
     @pytest.mark.parametrize(
         "spec",
         [
-            make_spec((2, 2), (2, 2, 2, 2), 2, 0, ((True, True), (True, False)), seed=3),
-            make_spec((2, 3), (3, 4, 4, 2), 1, 1, ((False, True),), seed=4),
-            make_spec((2, 2, 2), (2, 3, 3, 2), 1, 1, ((True, False, True),), seed=5),
+            make_spec((2, 2), (2, 2, 2, 2), ((True, True), (True, False)), seed=3),
+            make_spec((2, 3), (3, 4, 4, 2), ((False, True),), seed=4),
+            make_spec((2, 2, 2), (2, 3, 3, 2), ((True, False, True),), seed=5),
         ],
     )
     def test_matches_loop_oracle(self, spec):
@@ -185,7 +187,7 @@ class TestForward:
         # identity first kernel: the batch norm sees the offset filters as
         # they are and is folded into the output kernel
         rng = np.random.default_rng(seed)
-        spec = make_spec(dims, (k, k, 4), 1, 0, ((False,) * len(dims),))
+        spec = make_spec(dims, (k, k, 4), ((False,) * len(dims),))
         z0 = offset_filters(rng, spec.seed_dims)
         params = ParamSet(
             [np.eye(k), rng.uniform(-0.5, 0.5, (k, 4))],
@@ -217,7 +219,7 @@ class TestForward:
     )
     def test_output_extents_follow_spec(self, input_dims, flags):
         widths = (2,) + (3,) * len(flags) + (3, 2)
-        spec = make_spec(input_dims, widths, len(flags), 1, flags, seed=9)
+        spec = make_spec(input_dims, widths, flags, seed=9)
         y = forward(spec, init_params(spec, 1))
         assert y.shape == spec.output_dims
 
@@ -340,12 +342,12 @@ class TestParamCount:
         assert param_count(FULL_GROUP_B) == 29952
 
     def test_single_layer_with_bn(self):
-        spec = make_spec((2,), (1, 1, 1), 1, 0, ((False,),))
+        spec = make_spec((2,), (1, 1, 1), ((False,),))
         assert param_count(spec) == 1 * 1 + 2 * 1 + 1 * 1  # two kernels + one BN pair
 
     def test_minimal_bn_pair_arithmetic(self):
         # one BN'd kernel of 1x1 plus gamma and beta
-        spec = make_spec((2,), (1, 1, 1), 1, 0, ((False,),))
+        spec = make_spec((2,), (1, 1, 1), ((False,),))
         kernels = sum(spec.widths[l] * spec.widths[l + 1] for l in range(2))
         assert param_count(spec) - kernels == 2
 
@@ -358,15 +360,29 @@ class TestParamCount:
 class TestSpecValidation:
     def test_widths_length_enforced(self):
         with pytest.raises(ValueError):
-            make_spec((2, 2), (2, 2, 2), 2, 1, ((True, True), (True, True)))
+            make_spec((2, 2), (2, 2, 2), ((True, True), (True, True)))
 
     def test_flag_rows_enforced(self):
-        with pytest.raises(ValueError):
-            make_spec((2, 2), (2, 2, 2, 2), 2, 0, ((True, True),))
+        # the flag rows are the inner layers, and a decoder needs one
+        with pytest.raises(ValueError, match="need at least one inner layer"):
+            make_spec((2, 2), (2, 2, 2, 2), ())
+
+    @pytest.mark.parametrize(
+        "widths, flags, inner, preoutput",
+        [
+            ((2, 2, 2), ((True, True),), 1, 0),
+            ((2, 2, 2, 2), ((True, True),), 1, 1),
+            ((2,) * 6, ((True, True),) * 3, 3, 1),
+        ],
+    )
+    def test_layer_counts_follow_the_lists(self, widths, flags, inner, preoutput):
+        spec = make_spec((2, 2), widths, flags)
+        assert (spec.inner_count, spec.n_layers) == (inner, inner + preoutput + 1)
+        assert len(init_params(spec, 1).gammas) == inner + preoutput
 
     def test_flag_width_enforced(self):
         with pytest.raises(ValueError):
-            make_spec((2, 2), (2, 2, 2), 1, 0, ((True,),))
+            make_spec((2, 2), (2, 2, 2), ((True,),))
 
     def test_json_round_trip(self, tiny_spec):
         again = spec_from_json(spec_to_json(tiny_spec))
@@ -382,9 +398,6 @@ class TestSpecValidation:
             (lambda d: d.pop("widths"), "'widths'"),
             (lambda d: d.update(widths=16), "'widths'"),
             (lambda d: d.update(input_dims=["a", 2]), "'input_dims'"),
-            (lambda d: d.update(inner_count=None), "'inner_count'"),
-            (lambda d: d.update(inner_count=2.5), "'inner_count'"),
-            (lambda d: d.pop("preoutput_count"), "'preoutput_count'"),
             (lambda d: d.update(upsample_flags="TT"), "'upsample_flags'"),
             (lambda d: d.update(upsample_flags=[True, True]), "'upsample_flags'"),
             (lambda d: d.update(upsample_flags=[[1, 1], [1, 1]]), "'upsample_flags'"),
@@ -399,6 +412,26 @@ class TestSpecValidation:
         edit(doc)
         with pytest.raises(ValueError, match=field):
             spec_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d.update(inner_count=2), "inner_count"),
+            (lambda d: d.update(preoutput_count=1), "preoutput_count"),
+            (lambda d: d.update(Widths=[1]), "Widths"),
+            (lambda d: d["seed_rule"].update(halfrange=0.5), "seed_rule.halfrange"),
+        ],
+    )
+    def test_json_unknown_field_is_named(self, tiny_spec, edit, field):
+        # spec files and report headers share this rule
+        doc = json.loads(spec_to_json(tiny_spec))
+        edit(doc)
+        with pytest.raises(ValueError, match=f"^decoder spec: unknown field '{field}'$"):
+            spec_from_json(json.dumps(doc))
+
+    def test_json_nested_too_deep(self):
+        with pytest.raises(ValueError, match="^decoder spec: JSON nested too deep$"):
+            spec_from_json("[" * 100_000 + "]" * 100_000)
 
     def test_json_must_be_an_object(self):
         with pytest.raises(ValueError, match="object"):

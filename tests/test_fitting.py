@@ -41,25 +41,25 @@ from conftest import gradcheck_point, make_spec
 from oracles import loop_forward, loop_mse
 
 GRADCHECK_CONFIGS = {
-    "3way-ups-all": make_spec((2, 3), (3, 4, 4, 4, 2), 2, 1, ((True, True), (True, True)), seed=42),
-    "3way-ups-partial": make_spec((2, 3), (3, 4, 4, 4, 2), 2, 1, ((True, False), (False, True)), seed=43),
-    "3way-no-ups": make_spec((3, 3), (3, 4, 4, 2), 1, 1, ((False, False),), seed=44),
-    "3way-2preout": make_spec((2, 2), (3, 4, 4, 4, 4, 2), 1, 3, ((True, True),), seed=45),
-    "4way-ups-TTF": make_spec((2, 2, 3), (3, 4, 4, 4, 2), 2, 1, ((True, True, False),) * 2, seed=46),
-    "4way-ups-TFT": make_spec((2, 3, 2), (3, 4, 4, 2), 1, 1, ((True, False, True),), seed=47),
-    "4way-all-on": make_spec((2, 2, 2), (2, 3, 3, 3, 2), 2, 1, ((True, True, True),) * 2, seed=48),
+    "3way-ups-all": make_spec((2, 3), (3, 4, 4, 4, 2), ((True, True), (True, True)), seed=42),
+    "3way-ups-partial": make_spec((2, 3), (3, 4, 4, 4, 2), ((True, False), (False, True)), seed=43),
+    "3way-no-ups": make_spec((3, 3), (3, 4, 4, 2), ((False, False),), seed=44),
+    "3way-2preout": make_spec((2, 2), (3, 4, 4, 4, 4, 2), ((True, True),), seed=45),
+    "4way-ups-TTF": make_spec((2, 2, 3), (3, 4, 4, 4, 2), ((True, True, False),) * 2, seed=46),
+    "4way-ups-TFT": make_spec((2, 3, 2), (3, 4, 4, 2), ((True, False, True),), seed=47),
+    "4way-all-on": make_spec((2, 2, 2), (2, 3, 3, 3, 2), ((True, True, True),) * 2, seed=48),
     # its matrices straddle the size bound of the BLAS row-product
     # reductions: layer 0's ReLU output (64x64 positions x 3) sits below it,
     # layer 1's ReLU output and the output layer's gradient (64x64 x 5)
     # above; the other configs put every output gradient below it
-    "3way-straddle": make_spec((32, 32), (2, 3, 5, 5), 1, 1, ((True, True),), seed=49),
+    "3way-straddle": make_spec((32, 32), (2, 3, 5, 5), ((True, True),), seed=49),
 }
 
 # 64x64x3 positions x 48 filters (589,824 entries) in both batch-norm layers:
 # above 2^19 entries per matrix, where einsum takes the column means, and
 # above the row-product bound everywhere but layer 0's kernel product; too
 # large for a central-difference check of every coordinate
-ABOVE_BLAS_MEAN = make_spec((32, 32, 3), (2, 48, 48, 2), 1, 1, ((True, True, False),), seed=50)
+ABOVE_BLAS_MEAN = make_spec((32, 32, 3), (2, 48, 48, 2), ((True, True, False),), seed=50)
 
 
 def central_difference_check(spec, params, z0, target, h=1e-3, loss_fn=None, sample=None):
@@ -147,7 +147,7 @@ class TestGradient:
     def test_matches_oracle_finite_differences_at_random_point(self):
         # independent straight-loop forward differentiated numerically at a
         # random (mixed-sign) point; small h keeps clear of ReLU kinks
-        spec = make_spec((2, 2), (2, 2, 1), 1, 0, ((False, True),), seed=5)
+        spec = make_spec((2, 2), (2, 2, 1), ((False, True),), seed=5)
         z0 = generate_seed(spec.seed_rule, spec.seed_dims)
         params = init_params(spec, 9, dtype=np.float64)
         rng = np.random.default_rng(3)
@@ -181,7 +181,7 @@ class TestGradient:
             assert np.abs(a32 - a64).max() <= 1e-4 * np.abs(a64).max()
 
     def test_dead_kernel_column_gets_zero_gradient(self):
-        spec = make_spec((2, 3), (3, 4, 4, 2), 1, 1, ((True, True),), seed=6)
+        spec = make_spec((2, 3), (3, 4, 4, 2), ((True, True),), seed=6)
         params = init_params(spec, 2, dtype=np.float64)
         z0 = np.abs(generate_seed(spec.seed_rule, spec.seed_dims)) + 0.1
         params.kernels[0][:, 1] = -1.0  # all pre-activations of filter 1 negative
@@ -296,7 +296,7 @@ class TestFit:
 
         target = preprocess(synthesize(rect_scene, 1))
         assert target.data.shape == (8, 4, 4)
-        spec = make_spec((1, 2), (3, 4, 4, 4, 4), 2, 1, ((True, True),) * 2)
+        spec = make_spec((1, 2), (3, 4, 4, 4, 4), ((True, True),) * 2)
         with pytest.raises(ValueError, match=r"target \(8, 4, 4\) does not match decoder output \(4, 8, 4\)"):
             fit(spec, None, target, FitConfig(iterations=10**9))
 
@@ -477,7 +477,7 @@ class TestBatch:
     def test_long_single_filter_columns_keep_their_bits(self):
         # 12,288 positions of one filter: numpy's einsum over a stack of two
         # such columns sums the second one differently from the column alone
-        spec = make_spec((64, 64, 3), (1, 1, 2), 1, 0, ((False, False, False),), seed=12)
+        spec = make_spec((64, 64, 3), (1, 1, 2), ((False, False, False),), seed=12)
         rng = np.random.default_rng(13)
         targets = list(rng.uniform(-0.5, 0.5, (2,) + spec.output_dims).astype(np.float32))
         cfg = FitConfig(iterations=3, trace_every=1, init_seed=2)
@@ -577,7 +577,7 @@ class TestDeskConvergence:
         from importlib import resources
 
         scene = load_scene(str(resources.files("unn_csi").joinpath("scenes/street_canyon_desk.json")))
-        spec = make_spec((2, 2), (32,) * 5 + (8,), 3, 1, ((True, True),) * 3, seed=20260810, a=0.15)
+        spec = make_spec((2, 2), (32,) * 5 + (8,), ((True, True),) * 3, seed=20260810, a=0.15)
         target = preprocess(synthesize(scene, 3))
         cfg = FitConfig(iterations=3000, learning_rate=2e-3, trace_every=500, init_seed=1)
         report = fit(spec, None, target, cfg)

@@ -11,9 +11,7 @@ from conftest import make_spec
 
 
 def group_spec(m, widths=(8, 8, 8, 8, 4), seed=21):
-    return make_spec(
-        (2, 2, m), widths, 2, 1, ((True, True, False), (True, True, False)), seed=seed, a=0.15
-    )
+    return make_spec((2, 2, m), widths, ((True, True, False), (True, True, False)), seed=seed, a=0.15)
 
 
 @pytest.fixture
@@ -59,7 +57,7 @@ class TestFitGroup:
         report4 = fit(spec4, None, group, config)
 
         # same data with the user mode squeezed out, run through the 3-way path
-        spec3 = make_spec((2, 2), spec4.widths, 2, 1, ((True, True), (True, True)), seed=33, a=0.15)
+        spec3 = make_spec((2, 2), spec4.widths, ((True, True), (True, True)), seed=33, a=0.15)
         z0_4 = generate_seed(spec4.seed_rule, spec4.seed_dims)
         report3 = fit(spec3, z0_4.reshape(2, 2, spec4.widths[0]), group.data[:, :, 0, :], config)
         assert report3.trace == report4.trace

@@ -25,7 +25,7 @@ from conftest import make_spec, save_scene, save_spec
 
 @pytest.fixture
 def small_spec():
-    return make_spec((2, 2), (8, 8, 8, 8, 4), 2, 1, ((True, True), (True, True)), seed=11, a=0.15)
+    return make_spec((2, 2), (8, 8, 8, 8, 4), ((True, True), (True, True)), seed=11, a=0.15)
 
 
 @pytest.fixture
@@ -76,6 +76,19 @@ class TestPlanValidation:
     )
     def test_missing_or_mistyped_field_is_named(self, doc, field):
         with pytest.raises(ValueError, match=field):
+            plan_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"base": 3, "chain": [], "controls": []}, "controls"),
+            ({"base": 3, "chain": [{"target": 2}, {"target": 4, "init_form": 2}]}, r"chain\[1\].init_form"),
+        ],
+        ids=["top", "chain-step"],
+    )
+    def test_unknown_field_is_named(self, doc, field):
+        # a misspelt init_from ran the step as a random-init fit
+        with pytest.raises(ValueError, match=f"^transfer plan: unknown field '{field}'$"):
             plan_from_json(json.dumps(doc))
 
     def test_omitted_init_from_is_random(self):
@@ -219,6 +232,6 @@ class TestWeightDistance:
         assert weight_distance(a, b).total == 0.0
 
     def test_spec_mismatch_rejected(self, small_spec):
-        other = make_spec((2, 2), (4, 4, 4, 4, 4), 2, 1, ((True, True), (True, True)))
+        other = make_spec((2, 2), (4, 4, 4, 4, 4), ((True, True), (True, True)))
         with pytest.raises(ValueError):
             weight_distance(init_params(small_spec, 1), init_params(other, 1))
