@@ -1,8 +1,8 @@
 """Typed field access for the JSON the package reads: decoder specs (spec
-files and report headers), scenes and transfer plans. JSON nested too deep,
-an unknown key, or a missing or mistyped field raises ValueError naming the
-file kind and the field, never a bare RecursionError, KeyError or
-TypeError. The parser and the type checks also serve experiment configs.
+files and report headers), scenes, transfer plans and experiment configs.
+JSON nested too deep, a repeated or unknown key, a non-object where an
+object belongs, or a missing or mistyped field raises ValueError naming the
+file kind and the field, never a bare RecursionError, KeyError or TypeError.
 """
 
 import json
@@ -46,19 +46,28 @@ def list_of(item, length=None):
 
 
 def parse(kind: str, text: str):
-    """The JSON value of `text`; ValueError naming `kind` for JSON nested
-    too deep, where Python's parser raises RecursionError."""
+    """The JSON value of `text`; ValueError naming `kind` for a key repeated
+    in an object (Python's parser keeps the last) or JSON nested too deep."""
+
+    def unique(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):  # name the first key seen twice
+            keys = [key for key, _ in pairs]
+            raise ValueError(f"{kind}: repeated field {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+        return doc
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except RecursionError:
         raise ValueError(f"{kind}: JSON nested too deep") from None
 
 
 def check_keys(kind: str, doc, names, prefix: str = ""):
-    """`doc`; ValueError unless it is a JSON object whose keys are all in
-    `names`, naming the first other key as `prefix + key`."""
+    """`doc`; ValueError unless it is a JSON object (named by its path
+    `prefix`, if any) whose keys are all in `names`, naming the first other
+    key as `prefix + key`."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{kind} must be a JSON object")
+        raise ValueError(f"{kind}: {prefix[:-1]} must be a JSON object" if prefix else f"{kind} must be a JSON object")
     unknown = sorted(doc.keys() - set(names))
     if unknown:
         raise ValueError(f"{kind}: unknown field {prefix + unknown[0]!r}")

@@ -95,6 +95,8 @@ class Scene:
             raise ValueError("URA needs at least one element")
         if self.n_sub < 1 or self.n_sp < 1:
             raise ValueError("n_sub and n_sp must be positive")
+        if not (self.carrier_hz > 0 and self.bandwidth_hz > 0):  # the wavelength divides by the carrier
+            raise ValueError("carrier_hz and bandwidth_hz must be positive")
         for i, ue in enumerate(self.ues):
             if ue.ue_id in self.ue_ids[:i]:  # Scene.ue could never reach this track
                 raise ValueError(f"scene lists UE id {ue.ue_id} more than once")

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import baselines, codec, transfer as transfer_mod
-from ._fields import INT, NUMBER, list_of, parse
+from ._fields import INT, NUMBER, check_keys, list_of, parse, read_field
 from .channel import Scene, add_noise, load_scene, noise_variance, preprocess, stack_users, synthesize
 from .decoder import DecoderSpec, compression_ratio, load_spec, param_count, params_to_vector
 from .fitting import FitConfig, FitDivergedError, batch_size, fit, fit_batch
@@ -111,11 +111,8 @@ class ExperimentConfig:
     groups: list = field(default_factory=list)
     workers: int = 1
 
-    def fit_config(self, iterations=None) -> FitConfig:
-        kw = dict(self.fit)
-        if iterations is not None:
-            kw["iterations"] = iterations
-        return FitConfig(**kw)
+    def fit_config(self) -> FitConfig:
+        return FitConfig(**self.fit)
 
 
 def _data_path(mapping: dict, name: str) -> str:
@@ -128,16 +125,22 @@ def _data_path(mapping: dict, name: str) -> str:
     return name
 
 
+_CONFIG = "config"
+_FIELDS = ExperimentConfig.__dataclass_fields__
+_REQUIRED = [name for name, f in _FIELDS.items() if f.default is MISSING and f.default_factory is MISSING]
+
+
+def _config_object(doc, names, required, prefix: str = ""):
+    """`doc`; ValueError unless it is a JSON object holding each field of
+    `required` and none outside `names`. :func:`validate` checks the values."""
+    check_keys(_CONFIG, doc, names, prefix)
+    for name in required:
+        read_field(_CONFIG, doc, name, lambda value: value, prefix)
+    return doc
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    fields = ExperimentConfig.__dataclass_fields__
-    unknown = set(doc) - set(fields)
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    required = [n for n, f in fields.items() if f.default is MISSING and f.default_factory is MISSING]
-    missing = [n for n in required if n not in doc]
-    if missing:
-        raise ValueError(f"missing config fields: {missing}")
-    return ExperimentConfig(**doc)
+    return ExperimentConfig(**_config_object(doc, _FIELDS, _REQUIRED))
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +168,20 @@ def _check_spec_against(scene: Scene, spec: DecoderSpec, name: str, diags: list,
         )
 
 
-def _load(loader, mapping: dict, name: str, what: str, diags: list):
-    """`loader` on a builtin data name or path; None plus an error diagnostic
-    if the file is missing or malformed."""
+def _diagnosed(diags: list, context: str, call, *args, **kwargs):
+    """`call(*args, **kwargs)`; None plus an error diagnostic, `context`
+    followed by the error, if it raises OSError, TypeError or ValueError."""
     try:
-        return loader(_data_path(mapping, name))
-    except (OSError, ValueError) as exc:
-        diags.append(Diagnostic("error", f"cannot load {what} {name!r}: {exc}"))
+        return call(*args, **kwargs)
+    except (OSError, TypeError, ValueError) as exc:
+        diags.append(Diagnostic("error", f"{context}{exc}"))
         return None
 
 
-def _check_fit(config: ExperimentConfig, iterations, where: str, diags: list) -> None:
-    try:
-        config.fit_config(iterations)
-    except (TypeError, ValueError) as exc:
-        diags.append(Diagnostic("error", f"bad fit settings in {where}: {exc}"))
+def _load(loader, mapping: dict, name: str, what: str, diags: list):
+    """`loader` on a builtin data name or path; None plus an error diagnostic
+    if the file is missing or malformed."""
+    return _diagnosed(diags, f"cannot load {what} {name!r}: ", lambda: loader(_data_path(mapping, name)))
 
 
 def _snr(value):
@@ -194,17 +196,12 @@ def _noise_seed(value):
     return value
 
 
-def _check_list(value, item, name: str, diags: list):
-    """`value` as a tuple of `item`-checked entries; None plus an error
-    diagnostic unless it is a non-empty list of such entries."""
-    try:
-        items = list_of(item)(value)
-        if not items:
-            raise ValueError("the list is empty")
-        return items
-    except (TypeError, ValueError) as exc:
-        diags.append(Diagnostic("error", f"{name} must be a non-empty list: {exc}"))
-        return None
+def _non_empty_list(value, item) -> tuple:
+    """`value`, a non-empty list of `item`-checked entries, as a tuple."""
+    items = list_of(item)(value)
+    if not items:
+        raise ValueError("the list is empty")
+    return items
 
 
 def _repeats(items, key=None) -> list:
@@ -214,13 +211,14 @@ def _repeats(items, key=None) -> list:
 
 
 class _Inputs(NamedTuple):
-    """The files :func:`_checked` loaded and checked, which :func:`run`
-    hands to the mode driver, so that it runs on exactly what was checked."""
+    """What :func:`_checked` loaded and checked, which :func:`run` hands to
+    the mode driver, so that it runs on exactly what was checked."""
 
     scene: Scene
     spec: DecoderSpec
+    fit: FitConfig
     plan: transfer_mod.TransferPlan | None  # transfer mode's
-    group_specs: list  # group mode's, one per entry of config.groups
+    groups: list  # group mode's (ues, spec, fit config), one per entry of config.groups
 
 
 def validate(config: ExperimentConfig) -> list:
@@ -244,22 +242,24 @@ def _checked(config: ExperimentConfig) -> tuple:
 
     # SNRs compare as numbers, so 10 and 10.0 name one grid point
     for name, item, key in (("snr_db", _snr, float), ("ues", INT, None), ("seeds", _noise_seed, None)):
-        items = _check_list(getattr(config, name), item, name, diags)
+        items = _diagnosed(diags, f"{name} must be a non-empty list: ", _non_empty_list, getattr(config, name), item)
         repeated = _repeats(items, key) if items else []
         if repeated:
             diags.append(Diagnostic("error", f"{name} lists {repeated} more than once"))
     if not isinstance(config.workers, int) or isinstance(config.workers, bool) or config.workers < 1:
         diags.append(Diagnostic("error", f"workers must be an integer >= 1, got {config.workers!r}"))
-    if not isinstance(config.out, str) or "\0" in config.out:  # the OS takes no NUL in a path
+    # an empty path would be the working directory; the OS takes no NUL in one
+    if not isinstance(config.out, str) or not config.out or "\0" in config.out:
         diags.append(Diagnostic("error", f"out must be a directory path string, got {config.out!r}"))
-    _check_fit(config, None, "fit", diags)
+    fit_doc = _diagnosed(diags, "", _config_object, config.fit, FitConfig.__dataclass_fields__, ["iterations"], "fit.")
+    fit_cfg = None if fit_doc is None else _diagnosed(diags, "bad fit settings in fit: ", FitConfig, **fit_doc)
     missing = [u for u in config.ues if u not in scene.ue_ids] if isinstance(config.ues, list) else []
     if missing:
         diags.append(Diagnostic("error", f"scene has no UEs {missing}"))
 
     if config.mode in ("single", "sweep", "codec", "transfer"):
         _check_spec_against(scene, spec, config.decoder_spec, diags)
-    plan, group_specs = None, []
+    plan, groups = None, []
     if config.mode == "transfer":
         if not config.transfer_plan:
             diags.append(Diagnostic("error", "transfer mode needs a transfer_plan"))
@@ -269,32 +269,33 @@ def _checked(config: ExperimentConfig) -> tuple:
             if absent:
                 diags.append(Diagnostic("error", f"transfer plan references unknown UEs {absent}"))
     if config.mode == "group":
-        groups = config.groups if isinstance(config.groups, list) else []
-        if not groups:
+        entries = config.groups if isinstance(config.groups, list) else []
+        if not entries:
             diags.append(Diagnostic("error", "group mode needs a non-empty groups list"))
-        for gi, entry in enumerate(groups):
-            if not isinstance(entry, dict) or "ues" not in entry:
-                diags.append(Diagnostic("error", f'groups[{gi}] needs a non-empty "ues" list'))
+        for gi, entry in enumerate(entries):
+            where = f"groups[{gi}]"
+            entry = _diagnosed(diags, "", _config_object, entry, ("ues", "spec", "iterations"), ["ues"], where + ".")
+            if entry is None:
                 continue
-            unknown = sorted(set(entry) - {"ues", "spec", "iterations"})
-            if unknown:
-                diags.append(Diagnostic("error", f"groups[{gi}] has unknown fields {unknown}"))
-            ues = _check_list(entry["ues"], INT, f"groups[{gi}].ues", diags)
+            ues = _diagnosed(diags, f"{where}.ues must be a non-empty list: ", _non_empty_list, entry["ues"], INT)
             if ues is None:
                 continue
             repeated = _repeats(ues)
             if repeated:
-                diags.append(Diagnostic("error", f"groups[{gi}] lists UEs {repeated} more than once"))
+                diags.append(Diagnostic("error", f"{where} lists UEs {repeated} more than once"))
             absent = [u for u in ues if u not in scene.ue_ids]
             if absent:
-                diags.append(Diagnostic("error", f"groups[{gi}] references unknown UEs {absent}"))
-            _check_fit(config, entry.get("iterations"), f"groups[{gi}]", diags)
+                diags.append(Diagnostic("error", f"{where} references unknown UEs {absent}"))
+            group_fit = fit_cfg
+            if "iterations" in entry:  # on the fit object's other settings, or their defaults if it failed
+                kw = dict(fit_doc or {}, iterations=entry["iterations"])
+                group_fit = _diagnosed(diags, f"bad fit settings in {where}: ", FitConfig, **kw)
             spec_name = entry.get("spec", config.decoder_spec)
             gspec = _load(load_spec, _BUILTIN_SPECS, spec_name, "group spec", diags) if "spec" in entry else spec
-            group_specs.append(gspec)
             if gspec is not None:
                 _check_spec_against(scene, gspec, spec_name, diags, group_size=len(ues))
-    return diags, _Inputs(scene, spec, plan, group_specs)
+            groups.append((list(ues), gspec, group_fit))
+    return diags, _Inputs(scene, spec, fit_cfg, plan, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +394,14 @@ def _fit_cells(batch) -> list:
 
 
 @contextmanager
-def _cell_runner(config: ExperimentConfig, spec, estimators: tuple):
+def _cell_runner(config: ExperimentConfig, inputs: _Inputs, estimators: tuple):
     """Yields a function that runs :func:`_fit_cells` with `estimators` on a
     list of cells and returns their `_Cell`s in order. It is the one place
     that cuts fits into batches: at most :func:`batch_size` cells each, and
     small enough that every worker gets one if there are enough cells; one
     :func:`_worker_pool`, open for the life of the context, runs them if
     `workers` > 1."""
-    fit_cfg = config.fit_config()
+    spec, fit_cfg = inputs.spec, inputs.fit
     with _worker_pool(config.workers) if config.workers > 1 else nullcontext() as pool:
 
         def run(cells: list) -> list:
@@ -411,18 +412,18 @@ def _cell_runner(config: ExperimentConfig, spec, estimators: tuple):
         yield run
 
 
-def _run_grid(config: ExperimentConfig, scene, spec, estimators: tuple) -> list:
+def _run_grid(config: ExperimentConfig, inputs: _Inputs, estimators: tuple) -> list:
     """The cell runner with `estimators` over the `ues x snr_db x seeds`
     grid, in that order, every fit from a random init."""
-    truths = {ue: synthesize(scene, ue) for ue in config.ues}
+    truths = {ue: synthesize(inputs.scene, ue) for ue in config.ues}
     cells = [(truths[ue], snr, seed, None) for ue, snr, seed in product(config.ues, config.snr_db, config.seeds)]
-    with _cell_runner(config, spec, estimators) as run:
+    with _cell_runner(config, inputs, estimators) as run:
         return run(cells)
 
 
 def _mode_single(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
     spec = inputs.spec
-    cells = _run_grid(config, inputs.scene, spec, ())
+    cells = _run_grid(config, inputs, ())
     (out / "fit_traces").mkdir(exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
     rows = []
@@ -434,7 +435,7 @@ def _mode_single(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
         nmse_db, meas_nmse_db = ratio_db(cell.ratio), ratio_db(cell.meas_ratio)
         rows.append([
             ue, float(snr_db), seed, "ok" if cell.error is None else "diverged", nmse_db, meas_nmse_db,
-            meas_nmse_db - nmse_db, cell.final_mse, config.fit_config().iterations,
+            meas_nmse_db - nmse_db, cell.final_mse, inputs.fit.iterations,
         ])
     _write_csv(
         out / "results.csv",
@@ -450,7 +451,7 @@ def _mode_transfer(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict
     truths = {ue_id: synthesize(inputs.scene, ue_id) for ue_id in plan.ue_ids}
     fits = transfer_mod.schedule(plan)
     cells = [None] * len(fits)
-    with _cell_runner(config, inputs.spec, ()) as run:
+    with _cell_runner(config, inputs, ()) as run:
         for depth in range(max(fit.depth for fit in fits) + 1):
             level = [i for i, fit in enumerate(fits) if fit.depth == depth]
             inits = [None if fits[i].source is None else cells[fits[i].source].fitted[0] for i in level]
@@ -490,9 +491,7 @@ def _mode_group(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
     seed = config.seeds[0]
     rows = []
     summaries = []
-    for gi, (entry, gspec) in enumerate(zip(config.groups, inputs.group_specs)):
-        ues = list(entry["ues"])
-        fit_cfg = config.fit_config(iterations=entry.get("iterations"))
+    for gi, (ues, gspec, fit_cfg) in enumerate(inputs.groups):
         truths = [synthesize(inputs.scene, ue_id) for ue_id in ues]
         target = stack_users(preprocess(add_noise(truth, snr_db, seed)) for truth in truths)
         report = fit(gspec, None, target, fit_cfg)
@@ -521,7 +520,7 @@ def _mode_codec(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
     spec = inputs.spec
     ue_id, snr_db, seed = config.ues[0], float(config.snr_db[0]), config.seeds[0]
     truth = synthesize(inputs.scene, ue_id)
-    (cell,) = _fit_cells((spec, config.fit_config(), (), [(truth, snr_db, seed, None)]))
+    (cell,) = _fit_cells((spec, inputs.fit, (), [(truth, snr_db, seed, None)]))
     if cell.error is not None:
         raise cell.error
     blob = codec.encode(spec, *cell.fitted)
@@ -545,7 +544,7 @@ def _mode_codec(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
 
 def _mode_sweep(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
     # mmse_raw copies the measurement, so its ratios are the measurement's
-    cells = _run_grid(config, inputs.scene, inputs.spec, (mmse_genie,))
+    cells = _run_grid(config, inputs, (mmse_genie,))
     for cell in cells:
         if cell.error is not None:
             raise cell.error
@@ -620,30 +619,20 @@ def run(config: ExperimentConfig) -> int:
 # command line
 
 
-def _parse_seed_list(text: str) -> list:
-    return [int(s) for s in text.split(",") if s.strip() != ""]
-
-
 def build_config(args) -> ExperimentConfig:
     doc: dict = {}
     if args.profile:
         doc.update(json.loads(json.dumps(_PROFILES[args.profile])))
-    if args.config:
+    if args.config is not None:
+        kind = f"config file {args.config}"
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = parse(f"config file {args.config}", fh.read())
-        if not isinstance(loaded, dict):
-            raise ValueError(f"config file {args.config} holds a {type(loaded).__name__}, not a JSON object")
-        doc.update(loaded)
+            doc.update(check_keys(kind, parse(kind, fh.read()), _FIELDS))
     if not doc:
         raise SystemExit("pass --profile desk|full and/or --config <path>")
-    if args.mode:
-        doc["mode"] = args.mode
-    if args.out:
-        doc["out"] = args.out
-    if args.seed_list:
-        doc["seeds"] = _parse_seed_list(args.seed_list)
-    if args.workers is not None:
-        doc["workers"] = args.workers
+    # a flag that is given applies, even empty, and then fails its check
+    seeds = None if args.seed_list is None else [int(s) for s in args.seed_list.split(",") if s.strip() != ""]
+    flags = {"mode": args.mode, "out": args.out, "seeds": seeds, "workers": args.workers}
+    doc.update((name, value) for name, value in flags.items() if value is not None)
     return config_from_dict(doc)
 
 

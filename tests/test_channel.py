@@ -428,6 +428,28 @@ class TestSceneFiles:
         with pytest.raises(ValueError, match=f"^scene: unknown field {re.escape(repr(field))}$"):
             scene_from_dict(doc)
 
+    def test_repeated_key_is_named(self, micro_scene, tmp_path):
+        # Python's JSON parser keeps the last of two values: this UE loaded
+        # with its line of sight, whatever the first "los" said
+        path = tmp_path / "scene.json"
+        save_scene(micro_scene, path)
+        text = path.read_text()
+        assert text.count('"los": true') == 2
+        path.write_text(text.replace('"los": true', '"los": false, "los": true', 1))
+        with pytest.raises(ValueError, match="^scene: repeated field 'los'$"):
+            load_scene(path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("carrier_hz", 0.0), ("carrier_hz", -1e9), ("bandwidth_hz", 0.0), ("bandwidth_hz", -5e6)]
+    )
+    def test_non_positive_frequency_rejected(self, micro_scene, field, value):
+        # a zero carrier made Scene.wavelength divide by zero; a negative one
+        # gave a negative wavelength
+        doc = scene_to_dict(micro_scene)
+        doc[field] = value
+        with pytest.raises(ValueError, match="^carrier_hz and bandwidth_hz must be positive$"):
+            scene_from_dict(doc)
+
     def test_repeated_ue_id_rejected(self, micro_scene):
         # Scene.ue returns the first track with an id, so a second one could
         # never be fitted

@@ -510,10 +510,11 @@ class TestMain:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda c: c.update(fit={"iterations": 10, "bogus": 1}), "'bogus'"),
+            (lambda c: c.update(fit={"iterations": 10, "bogus": 1}), "config: unknown field 'fit.bogus'"),
             (lambda c: c.update(fit={"iterations": 0}), "iterations must be >= 1"),
-            (lambda c: c.update(fit={"iterations": 10, "betas": 0.9}), "bad fit settings in fit"),
-            (lambda c: c.update(fit={"learning_rate": 2e-3}), "'iterations'"),
+            (lambda c: c.update(fit=[10]), "config: fit must be a JSON object"),
+            (lambda c: c.update(fit={"iterations": 10, "betas": 0.9}), "config: unknown field 'fit.betas'"),
+            (lambda c: c.update(fit={"learning_rate": 2e-3}), "config: missing field 'fit.iterations'"),
             (lambda c: c["fit"].update(iterations=2.5), "iterations: expected int, got float"),
             (lambda c: c["fit"].update(trace_every="40"), "trace_every: expected int, got str"),
             (lambda c: c["fit"].update(init_seed=True), "init_seed: expected int, got bool"),
@@ -533,8 +534,8 @@ class TestMain:
             (lambda c: c.update(seeds=[0, -1]), "seeds must be a non-empty list: noise seed -1 is negative"),
             (lambda c: c.update(mode="group", groups=[{"ues": [1, 2], "iterations": "x"}]), "in groups[0]"),
             (lambda c: c.update(mode="group", groups=[{"ues": [1, 2, 99]}]), "groups[0] references"),
-            (lambda c: c.update(mode="group", groups=[{"spec": "desk-group"}]), "groups[0] needs"),
-            (lambda c: c.update(mode="group", groups=[5]), "groups[0] needs"),
+            (lambda c: c.update(mode="group", groups=[{"spec": "desk-group"}]), "config: missing field 'groups[0].ues'"),
+            (lambda c: c.update(mode="group", groups=[5]), "config: groups[0] must be a JSON object"),
             (lambda c: c.update(mode="group", groups=5), "group mode needs a non-empty groups list"),
             (lambda c: c.update(mode="group", groups={"ues": [1, 2]}), "group mode needs a non-empty groups list"),
             # an integer name must never reach open(), which takes it for a file descriptor
@@ -547,8 +548,8 @@ class TestMain:
             (lambda c: c.update(decoder_spec=[1]), "cannot load decoder spec [1]: a data name must"),
             (lambda c: c.update(workers=0), "workers must be"),
             (lambda c: c.update(workers="2"), "workers must be"),
-            (lambda c: c.pop("fit"), "missing config fields: ['fit']"),
-            (lambda c: [c.pop(k) for k in ("scene", "ues")], "missing config fields: ['scene', 'ues']"),
+            (lambda c: c.pop("fit"), "config: missing field 'fit'"),
+            (lambda c: [c.pop(k) for k in ("scene", "ues")], "config: missing field 'scene'"),
         ],
     )
     def test_malformed_config_exits_2_with_error_line(self, tiny_setup, tmp_path, capsys, edit, message):
@@ -564,7 +565,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "entry, message",
         [
-            ({"ues": [2, 3, 4], "iterationz": 5}, "groups[0] has unknown fields ['iterationz']"),
+            ({"ues": [2, 3, 4], "iterationz": 5}, "config: unknown field 'groups[0].iterationz'"),
             ({"ues": [2, 2, 3]}, "groups[0] lists UEs [2] more than once"),
             ({"ues": [True, 3, 4]}, "groups[0].ues must be a non-empty list: expected int, got bool"),
         ],
@@ -711,7 +712,7 @@ class TestMain:
         cfg_path.write_text("[1, 2]")
         out = tmp_path / "out"
         assert cli.main(["--profile", "desk", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert f"error: config file {cfg_path} holds a list, not a JSON object" in capsys.readouterr().err
+        assert f"error: config file {cfg_path} must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -734,6 +735,86 @@ class TestMain:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and errors[0].endswith(f"{kind.format(nested)}: JSON nested too deep"), errors
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, kind",
+        [(None, "config file {}"), ("scene", "scene"), ("decoder_spec", "decoder spec"), ("transfer_plan", "transfer plan")],
+        ids=["config", "scene", "spec", "plan"],
+    )
+    def test_repeated_key_in_a_file_exits_2_with_one_error_line(self, tmp_path, capsys, field, kind):
+        # Python's JSON parser keeps the last of two values, and the run went
+        # on with it; the desk profile's file of each kind, its first key
+        # given twice
+        twice = tmp_path / "twice.json"
+        if field is None:
+            text = json.dumps({"mode": "single", "fit": {"iterations": 2}})
+        else:
+            builtin = {"scene": cli._BUILTIN_SCENES, "decoder_spec": cli._BUILTIN_SPECS}.get(field, cli._BUILTIN_PLANS)
+            text = Path(cli._data_path(builtin, cli._PROFILES["desk"][field])).read_text()
+        key = next(iter(json.loads(text)))
+        twice.write_text(text.replace("{", "{" + json.dumps(key) + ": 0, ", 1))
+        cfg_path = twice
+        if field is not None:
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps({field: str(twice), "fit": {"iterations": 2}}))
+        out = tmp_path / "out"
+        args = ["--profile", "desk", "--config", str(cfg_path), "--mode", "transfer", "--out", str(out)]
+        assert cli.main(args) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].endswith(f"{kind.format(twice)}: repeated field {key!r}"), errors
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"fit": {"iterations": 2, "learning_rate": 2e-3, "iterations": 3}}', "iterations"),
+            ('{"fit": {"iterations": 2}, "groups": [{"ues": [2, 3, 4], "ues": [5, 6, 7]}]}', "ues"),
+        ],
+        ids=["fit", "group-entry"],
+    )
+    def test_repeated_key_in_a_config_object_exits_2_with_error_line(self, tmp_path, capsys, text, key):
+        cfg_path = tmp_path / "twice.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["--profile", "desk", "--config", str(cfg_path), "--mode", "group", "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: config file {cfg_path}: repeated field {key!r}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("carrier_hz", 0), ("carrier_hz", -1e9), ("bandwidth_hz", 0)])
+    def test_non_positive_scene_frequency_exits_2_before_the_output_exists(self, tmp_path, capsys, field, value):
+        # a zero carrier passed validation, and codec mode died in
+        # Scene.wavelength with a ZeroDivisionError traceback and exit code 1
+        scene = json.loads(Path(cli._data_path(cli._BUILTIN_SCENES, "desk")).read_text())
+        scene[field] = value
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"scene": str(tmp_path / "scene.json"), "fit": {"iterations": 2}}))
+        out = tmp_path / "out"
+        assert cli.main(["--profile", "desk", "--config", str(cfg_path), "--mode", "codec", "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: cannot load scene "), errors
+        assert errors[0].endswith(": carrier_hz and bandwidth_hz must be positive")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--config", "fit.json", "--seed-list", ""], "error: seeds must be a non-empty list: the list is empty"),
+            (["--config", ""], "No such file or directory: ''"),
+            (["--config", "fit.json", "--out", ""], "error: out must be a directory path string, got ''"),
+        ],
+        ids=["seed-list", "config", "out"],
+    )
+    def test_empty_flag_value_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch, flags, message):
+        # each flag was dropped when empty: the profile's seeds ran, the
+        # profile ran without the config, or the default out was written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fit.json").write_text(json.dumps({"fit": {"iterations": 2}}))
+        assert cli.main(["--profile", "desk", "--mode", "codec", "--out", "out", *flags]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0], errors
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fit.json"]
 
 
 def _args():

@@ -193,6 +193,16 @@ class TestDecode:
         with pytest.raises(CodecError, match="^malformed header: decoder spec must be a JSON object$"):
             decode(seal(bad))
 
+    def test_header_repeating_a_key_is_malformed(self):
+        # Python's JSON parser keeps the last of two values: this report
+        # decoded to the packaged spec, and encode(*decode(blob)) was not blob
+        blob = desk_report()
+        header = blob[11 : 11 + struct.unpack_from("<I", blob, 7)[0]]
+        assert header.startswith(b'{"input_dims":[2,2],')
+        bad = seal(with_header(blob, header.replace(b'{"input_dims":', b'{"input_dims":[9,9],"input_dims":', 1)))
+        with pytest.raises(CodecError, match="^malformed header: decoder spec: repeated field 'input_dims'$"):
+            decode(bad)
+
     def test_utf16_header_is_malformed(self):
         # the header is read as UTF-8 before it is parsed: json.loads would
         # take these bytes as UTF-16 and return the spec

@@ -429,6 +429,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^decoder spec: unknown field '{field}'$"):
             spec_from_json(json.dumps(doc))
 
+    def test_json_repeated_key_is_named(self, tiny_spec):
+        # Python's JSON parser keeps the last of two values, so the first
+        # seed was dropped without a word
+        text = spec_to_json(tiny_spec)
+        assert text.count('"seed":') == 1
+        with pytest.raises(ValueError, match="^decoder spec: repeated field 'seed'$"):
+            spec_from_json(text.replace('"seed":', '"seed":12,"seed":'))
+
     def test_json_nested_too_deep(self):
         with pytest.raises(ValueError, match="^decoder spec: JSON nested too deep$"):
             spec_from_json("[" * 100_000 + "]" * 100_000)

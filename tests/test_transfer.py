@@ -91,6 +91,12 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=f"^transfer plan: unknown field '{field}'$"):
             plan_from_json(json.dumps(doc))
 
+    def test_repeated_key_is_named(self):
+        # Python's JSON parser keeps the last of two values: this step ran
+        # as a fit of UE 4 alone
+        with pytest.raises(ValueError, match="^transfer plan: repeated field 'target'$"):
+            plan_from_json('{"base": 3, "chain": [{"target": 2, "target": 4}]}')
+
     def test_omitted_init_from_is_random(self):
         plan = plan_from_json('{"base": 3, "chain": [{"target": 2}]}')
         assert plan.chain == (TransferStep(2, None),)
