@@ -1,10 +1,12 @@
 """Serialize a fitted decoder into a CSI report and rebuild the channel.
 
-The user side fits the decoder to its measurement and transmits only the
-report: spec JSON (with the seed rule), per-snapshot norms, scale, and the
-float32 weights. The base-station side decodes, regenerates the seed tensor,
+The user side fits the decoder to its measurement, rounds the weights to
+float16 values as the study driver does, and transmits only the report: spec
+JSON (with the seed rule), per-snapshot norms, scale, and the weights at 2
+bytes each. The base-station side decodes, regenerates the seed tensor,
 reruns the forward pass, and lands on the *bit-identical* channel estimate.
-The report is a fraction of the raw CSI size; the demo prints the accounting.
+The report is a fraction of the raw CSI size; the demo prints the accounting
+and what the rounding cost.
 
 Run:  python demos/csi_report_roundtrip.py
 """
@@ -16,7 +18,7 @@ import numpy as np
 
 from unn_csi.baselines import nmse
 from unn_csi.channel import add_noise, load_scene, preprocess, synthesize
-from unn_csi.codec import decode, encode, payload_bytes, recreate
+from unn_csi.codec import decode, encode, payload_bytes, recreate, round_to_float16
 from unn_csi.decoder import load_spec, param_count
 from unn_csi.fitting import FitConfig, fit
 from unn_csi.transfer import weight_distance
@@ -31,8 +33,10 @@ def main():
     meas = add_noise(truth, 20.0, seed=0)
     target = preprocess(meas)
 
-    # user side
+    # user side: fit, round to float16 values, then recreate and encode
     report = fit(spec, None, target, config)
+    (fit_est,) = recreate(spec, report.params, target.snapshot_norms, target.scale)
+    round_to_float16(report.params)
     (tx_est,) = recreate(spec, report.params, target.snapshot_norms, target.scale)
     blob = encode(spec, report.params, target.snapshot_norms, target.scale)
 
@@ -40,11 +44,14 @@ def main():
     (rx_est,) = recreate(*decode(blob))
 
     raw_bytes = 8 * truth.data.size  # complex64 coefficients
-    print(f"payload: {payload_bytes(spec)} bytes ({param_count(spec)} float32 weights)")
+    payload = payload_bytes(spec, blob[6])  # byte 6: the dtype tag, 1 for float16 weights
+    print(f"payload: {payload} bytes ({param_count(spec)} float16 weights, dtype tag {blob[6]}; "
+          f"{payload_bytes(spec)} as float32)")
     print(f"full report: {len(blob)} bytes, raw CSI: {raw_bytes} bytes "
-          f"-> payload/raw = {payload_bytes(spec) / raw_bytes:.4f}")
+          f"-> payload/raw = {payload / raw_bytes:.4f}")
     print(f"receiver estimate bit-identical: {np.array_equal(rx_est.data, tx_est.data)}")
-    print(f"NMSE at user: {nmse(tx_est, truth):.2f} dB, at base station: {nmse(rx_est, truth):.2f} dB")
+    print(f"NMSE at user: {nmse(tx_est, truth):.2f} dB, at base station: {nmse(rx_est, truth):.2f} dB "
+          f"(unrounded fit: {nmse(fit_est, truth):.4f} dB, float16: {nmse(tx_est, truth):.4f} dB)")
 
     # a neighbor fitted from these weights stays closer to them than one
     # fitted from a random start, which a differential compression stage

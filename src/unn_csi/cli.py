@@ -217,8 +217,8 @@ class _Inputs(NamedTuple):
     scene: Scene
     spec: DecoderSpec
     fit: FitConfig
-    plan: transfer_mod.TransferPlan | None  # transfer mode's
-    groups: list  # group mode's (ues, spec, fit config), one per entry of config.groups
+    plan: transfer_mod.TransferPlan | None  # the config's transfer_plan, None without one
+    groups: list  # (ues, spec, fit config), one per entry of config.groups
 
 
 def validate(config: ExperimentConfig) -> list:
@@ -259,42 +259,43 @@ def _checked(config: ExperimentConfig) -> tuple:
 
     if config.mode in ("single", "sweep", "codec", "transfer"):
         _check_spec_against(scene, spec, config.decoder_spec, diags)
+    # a plan and group entries are checked whenever given, and needed in their own mode only
     plan, groups = None, []
-    if config.mode == "transfer":
-        if not config.transfer_plan:
-            diags.append(Diagnostic("error", "transfer mode needs a transfer_plan"))
-        else:
-            plan = _load(transfer_mod.load_plan, _BUILTIN_PLANS, config.transfer_plan, "transfer plan", diags)
-            absent = [u for u in plan.ue_ids if u not in scene.ue_ids] if plan else []
-            if absent:
-                diags.append(Diagnostic("error", f"transfer plan references unknown UEs {absent}"))
-    if config.mode == "group":
-        entries = config.groups if isinstance(config.groups, list) else []
-        if not entries:
-            diags.append(Diagnostic("error", "group mode needs a non-empty groups list"))
-        for gi, entry in enumerate(entries):
-            where = f"groups[{gi}]"
-            entry = _diagnosed(diags, "", _config_object, entry, ("ues", "spec", "iterations"), ["ues"], where + ".")
-            if entry is None:
-                continue
-            ues = _diagnosed(diags, f"{where}.ues must be a non-empty list: ", _non_empty_list, entry["ues"], INT)
-            if ues is None:
-                continue
-            repeated = _repeats(ues)
-            if repeated:
-                diags.append(Diagnostic("error", f"{where} lists UEs {repeated} more than once"))
-            absent = [u for u in ues if u not in scene.ue_ids]
-            if absent:
-                diags.append(Diagnostic("error", f"{where} references unknown UEs {absent}"))
-            group_fit = fit_cfg
-            if "iterations" in entry:  # on the fit object's other settings, or their defaults if it failed
-                kw = dict(fit_doc or {}, iterations=entry["iterations"])
-                group_fit = _diagnosed(diags, f"bad fit settings in {where}: ", FitConfig, **kw)
-            spec_name = entry.get("spec", config.decoder_spec)
-            gspec = _load(load_spec, _BUILTIN_SPECS, spec_name, "group spec", diags) if "spec" in entry else spec
-            if gspec is not None:
-                _check_spec_against(scene, gspec, spec_name, diags, group_size=len(ues))
-            groups.append((list(ues), gspec, group_fit))
+    if config.transfer_plan is not None:
+        plan = _load(transfer_mod.load_plan, _BUILTIN_PLANS, config.transfer_plan, "transfer plan", diags)
+        absent = [u for u in plan.ue_ids if u not in scene.ue_ids] if plan else []
+        if absent:
+            diags.append(Diagnostic("error", f"transfer plan references unknown UEs {absent}"))
+    elif config.mode == "transfer":
+        diags.append(Diagnostic("error", "transfer mode needs a transfer_plan"))
+    entries = config.groups if isinstance(config.groups, list) else None
+    if config.mode == "group" and not entries:
+        diags.append(Diagnostic("error", "group mode needs a non-empty groups list"))
+    elif entries is None:
+        diags.append(Diagnostic("error", f"groups must be a list, got {type(config.groups).__name__}"))
+    for gi, entry in enumerate(entries or []):
+        where = f"groups[{gi}]"
+        entry = _diagnosed(diags, "", _config_object, entry, ("ues", "spec", "iterations"), ["ues"], where + ".")
+        if entry is None:
+            continue
+        ues = _diagnosed(diags, f"{where}.ues must be a non-empty list: ", _non_empty_list, entry["ues"], INT)
+        if ues is None:
+            continue
+        repeated = _repeats(ues)
+        if repeated:
+            diags.append(Diagnostic("error", f"{where} lists UEs {repeated} more than once"))
+        absent = [u for u in ues if u not in scene.ue_ids]
+        if absent:
+            diags.append(Diagnostic("error", f"{where} references unknown UEs {absent}"))
+        group_fit = fit_cfg
+        if "iterations" in entry:  # on the fit object's other settings, or their defaults if it failed
+            kw = dict(fit_doc or {}, iterations=entry["iterations"])
+            group_fit = _diagnosed(diags, f"bad fit settings in {where}: ", FitConfig, **kw)
+        spec_name = entry.get("spec", config.decoder_spec)
+        gspec = _load(load_spec, _BUILTIN_SPECS, spec_name, "group spec", diags) if "spec" in entry else spec
+        if gspec is not None:
+            _check_spec_against(scene, gspec, spec_name, diags, group_size=len(ues))
+        groups.append((list(ues), gspec, group_fit))
     return diags, _Inputs(scene, spec, fit_cfg, plan, groups)
 
 
@@ -371,9 +372,10 @@ def _fit_cells(batch) -> list:
     cell, each from its init (None draws one from the fit config's
     init_seed), then score the measurement and each estimator (a
     module-level function, which a pool worker can unpickle, called as
-    (measurement, truth, snr_db)), and recreate and score each fit. The
-    measurements stay referenced through the fit; no estimate outlives its
-    cell's scoring."""
+    (measurement, truth, snr_db)), round each fit to the float16 weights a
+    report carries (:func:`codec.round_to_float16`), and recreate and score
+    it. The measurements stay referenced through the fit; no estimate
+    outlives its cell's scoring."""
     spec, fit_cfg, estimators, cells = batch
     measured = [add_noise(truth, snr_db, seed) for truth, snr_db, seed, _ in cells]
     targets = [preprocess(meas) for meas in measured]
@@ -385,6 +387,7 @@ def _fit_cells(batch) -> list:
         if isinstance(report, FitDivergedError):
             results.append(_Cell(report, [], float("nan"), meas_ratio, float("nan"), scored, None))
             continue
+        codec.round_to_float16(report.params)
         fitted = (report.params, target.snapshot_norms, target.scale)
         (est,) = codec.recreate(spec, *fitted)
         results.append(
@@ -495,6 +498,7 @@ def _mode_group(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
         truths = [synthesize(inputs.scene, ue_id) for ue_id in ues]
         target = stack_users(preprocess(add_noise(truth, snr_db, seed)) for truth in truths)
         report = fit(gspec, None, target, fit_cfg)
+        codec.round_to_float16(report.params)
         estimates = codec.recreate(gspec, report.params, target.snapshot_norms, target.scale)
         for ue_id, est, truth in zip(ues, estimates, truths):
             rows.append(
@@ -531,12 +535,13 @@ def _mode_codec(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
     (tx,), (rx,) = codec.recreate(spec, *cell.fitted), codec.recreate(*decoded)
     same_weights = params_to_vector(cell.fitted[0]).tobytes() == params_to_vector(decoded[1]).tobytes()
     raw_bytes = 8 * truth.data.size
+    payload = codec.payload_bytes(spec, blob[6])  # byte 6: the report's dtype tag
     return {
         "bit_exact": same_weights and bool(np.array_equal(tx.data, rx.data)),
-        "payload_bytes": codec.payload_bytes(spec),
+        "payload_bytes": payload,
         "report_bytes": len(blob),
         "raw_csi_bytes": raw_bytes,
-        "payload_over_raw": codec.payload_bytes(spec) / raw_bytes,
+        "payload_over_raw": payload / raw_bytes,
         "nmse_db_tx": ratio_db(cell.ratio),
         "nmse_db_rx": nmse(rx, truth),
     }

@@ -3,12 +3,14 @@
 A report carries only what the receiving side cannot work out itself: the
 canonical decoder spec JSON (including the seed rule) as its header, then
 the per-snapshot norms and scale factor of the preprocessing as
-little-endian float64 and every trainable scalar as little-endian float32 in
-canonical order. The spec fixes the size of that binary section, which runs
-to the end of the report. Encoding is deterministic, so any two encoders
-produce identical bytes from identical inputs; decode is the exact inverse,
-and refuses every report version but the one encode writes. See
-docs/csir-format.md for the byte layout.
+little-endian float64 and every trainable scalar in canonical order, as
+little-endian float16 when that is lossless (dtype tag 1) and float32
+otherwise (tag 0). :func:`round_to_float16` makes a fitted set lossless at
+2 bytes a weight. The spec and the tag fix the size of that binary
+section, which runs to the end of the report. Encoding is deterministic, so
+any two encoders produce identical bytes from identical inputs; decode is
+the exact inverse, and refuses every report version but the one encode
+writes. See docs/csir-format.md for the byte layout.
 """
 
 from __future__ import annotations
@@ -26,26 +28,42 @@ from .decoder import (
     check_params,
     forward,
     param_count,
-    params_from_vector,
+    param_views,
     params_to_vector,
     spec_from_json,
     spec_to_json,
 )
 
-__all__ = ["CodecError", "encode", "decode", "recreate", "payload_bytes"]
+__all__ = ["CodecError", "encode", "decode", "recreate", "payload_bytes", "round_to_float16"]
 
 REPORT_MAGIC = b"CSIR"
 REPORT_VERSION = 4  # the one version encode writes and decode reads
-_DTYPE_F32 = 0  # dtype field reserved for future quantized payloads
+_DTYPE_F32, _DTYPE_F16 = 0, 1  # payload dtype tags: the weights as float32, or as float16
+_WEIGHT_DTYPES = {_DTYPE_F32: np.dtype("<f4"), _DTYPE_F16: np.dtype("<f2")}
+_F16_OVERFLOW = 65520.0  # the least magnitude float16 rounds to infinity
 
 
 class CodecError(ValueError):
     """Malformed or corrupted CSI report."""
 
 
-def payload_bytes(spec: DecoderSpec) -> int:
-    """The bytes of a report's weights: 4 per trainable scalar."""
-    return 4 * param_count(spec)
+def payload_bytes(spec: DecoderSpec, dtype_tag: int = _DTYPE_F32) -> int:
+    """The bytes of the weights a report of `spec` with payload dtype tag
+    `dtype_tag` (its byte 6) carries: 4 per trainable scalar under tag 0,
+    2 under tag 1."""
+    return _WEIGHT_DTYPES[dtype_tag].itemsize * param_count(spec)
+
+
+def round_to_float16(params: ParamSet) -> bool:
+    """Round every weight of `params` to its nearest float16 value, in place,
+    so that :func:`encode` carries the set at 2 bytes a weight. Returns
+    False, leaving `params` alone, if a weight would overflow float16."""
+    arrays = params.arrays()
+    if any(max(a.max(), -a.min()) >= _F16_OVERFLOW for a in arrays):
+        return False
+    for a in arrays:
+        a[...] = a.astype(np.float16)
+    return True
 
 
 def _crc(blob: bytes, crc_at: int) -> int:
@@ -82,10 +100,11 @@ def _checked(arr: np.ndarray, shape) -> np.ndarray:
     return arr
 
 
-def _weights(params: ParamSet) -> np.ndarray:
-    """The canonical weight vector as little-endian float32; ValueError
-    naming the array (kind and layer, layer 1 first) of the first weight
-    that is not finite after the cast, a float64 beyond the float32 range
+def _weights(params: ParamSet) -> tuple:
+    """(dtype tag, bytes) of the canonical weight vector: little-endian
+    float16 if every weight is a float16 value, float32 otherwise;
+    ValueError naming the array (kind and layer, layer 1 first) of the first
+    weight that is not finite as float32, a float64 beyond the float32 range
     included."""
     with np.errstate(over="ignore"):  # such a weight casts to inf, refused below
         vec = params_to_vector(params).astype("<f4")
@@ -95,11 +114,25 @@ def _weights(params: ParamSet) -> np.ndarray:
         k = int(np.searchsorted(ends, np.argmin(finite), side="right"))  # kernel, gamma, beta per layer
         kind = ("kernel", "gamma", "beta")[k % 3]
         raise ValueError(f"layer {k // 3 + 1} {kind} has a weight not finite as float32")
-    return vec
+    half = _as_float16(vec)
+    return (_DTYPE_F32, vec.tobytes()) if half is None else (_DTYPE_F16, half.tobytes())
+
+
+def _as_float16(vec: np.ndarray):
+    """The float32 `vec` as little-endian float16 if every entry is a
+    float16 value, else None."""
+    with np.errstate(over="ignore"):  # a weight beyond the float16 range casts to inf: not equal
+        # the first weight settles most float32 sets before the float16 copy is made
+        if np.float16(vec[0]) != vec[0]:
+            return None
+        half = vec.astype("<f2")
+    return half if (half == vec).all() else None
 
 
 def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
-    """Serialize a fitted decoder into the (version 4) report byte stream.
+    """Serialize a fitted decoder into the (version 4) report byte stream,
+    the weights as float16 (dtype tag 1) exactly when every one of them is a
+    float16 value, as float32 (tag 0) otherwise.
 
     Raises ValueError unless `spec` has 2 or 3 spatial modes, naming the
     field unless `snapshot_norms` and `scale` have the shapes of `spec` (see
@@ -114,30 +147,34 @@ def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
             raise ValueError(f"{name}: {exc}") from None
         head.append(arr.astype("<f8").tobytes())
     header = spec_to_json(spec).encode("utf-8")
-    payload = b"".join(head) + _weights(params).tobytes()
-    frame = REPORT_MAGIC + struct.pack("<HBI", REPORT_VERSION, _DTYPE_F32, len(header)) + header
+    dtype_tag, weights = _weights(params)
+    payload = b"".join(head) + weights
+    frame = REPORT_MAGIC + struct.pack("<HBI", REPORT_VERSION, dtype_tag, len(header)) + header
     blob = bytearray().join([frame, bytes(4), payload])  # a zero CRC, set below
     struct.pack_into("<I", blob, len(frame), _crc(blob, len(frame)))
     return bytes(blob)
 
 
 def decode(blob: bytes):
-    """Exact inverse of :func:`encode`; reads version 4 only.
+    """Exact inverse of :func:`encode`; reads version 4 only, with float32
+    or float16 weights.
 
-    Returns (spec, params, snapshot_norms, scale). Raises CodecError on a bad
-    magic, any other version, a header length that overruns the blob,
+    Returns (spec, params, snapshot_norms, scale), the weights as float32.
+    Raises CodecError on a bad magic, any other version, a dtype tag other
+    than 0 and 1, a header length that overruns the blob,
     checksum mismatch, a header that is not a spec file's JSON (see
     :func:`~unn_csi.decoder.spec_from_json`), a spec :func:`encode` refuses,
     a binary section whose length the spec does not give, norms and a scale
-    that :func:`encode` would refuse for the spec, or a weight that is NaN
-    or infinite.
+    that :func:`encode` would refuse for the spec, a weight that is NaN or
+    infinite, or float32 weights that are all float16 values: every report
+    decode takes is one encode writes.
     """
     if len(blob) < 11 or blob[:4] != REPORT_MAGIC:
         raise CodecError("not a CSI report (bad magic)")
     version, dtype_tag, header_len = struct.unpack_from("<HBI", blob, 4)
     if version != REPORT_VERSION:
         raise CodecError(f"unknown report version {version}")
-    if dtype_tag != _DTYPE_F32:
+    if dtype_tag not in _WEIGHT_DTYPES:
         raise CodecError(f"unknown payload dtype tag {dtype_tag}")
     crc_at = 11 + header_len
     if crc_at + 4 > len(blob):
@@ -151,8 +188,8 @@ def decode(blob: bytes):
         raise CodecError(f"malformed header: {exc}") from exc
     n_norms = math.prod(shapes["norms"])
     n_head = n_norms + math.prod(shapes["scale"])
-    section = blob[crc_at + 4 :]  # a copy: at 15 + n its float64s and float32s would sit unaligned
-    want = 8 * n_head + payload_bytes(spec)
+    section = blob[crc_at + 4 :]  # a copy: at 15 + n its float64s and weights would sit unaligned
+    want = 8 * n_head + payload_bytes(spec, dtype_tag)
     if len(section) != want:
         raise CodecError(f"payload holds {len(section)} bytes, spec needs {want}")
     head = np.frombuffer(section, dtype="<f8", count=n_head).astype(float)
@@ -162,10 +199,12 @@ def decode(blob: bytes):
     norms, scale = head[:n_norms].reshape(shapes["norms"]), head[n_norms:].reshape(shapes["scale"])
     if scale.ndim == 0:
         scale = float(scale)
-    vec = np.frombuffer(section, dtype="<f4", offset=8 * n_head)
+    vec = np.frombuffer(section, dtype=_WEIGHT_DTYPES[dtype_tag], offset=8 * n_head).astype(np.float32)
     if not np.isfinite(vec).all():
         raise CodecError("payload holds a NaN or infinite weight")
-    params = params_from_vector(spec, vec, dtype=np.float32)
+    if dtype_tag == _DTYPE_F32 and _as_float16(vec) is not None:
+        raise CodecError("float32 payload of float16 values, which encode writes under dtype tag 1")
+    params = param_views(spec, vec)
     return spec, params, norms, scale
 
 

@@ -769,8 +769,3 @@ def param_views(spec: DecoderSpec, vec: np.ndarray) -> ParamSet:
             params.betas.append(vec[..., pos + k_out : pos + 2 * k_out])
             pos += 2 * k_out
     return params
-
-
-def params_from_vector(spec: DecoderSpec, vec: np.ndarray, dtype=np.float32) -> ParamSet:
-    """Parameters copied out of a canonical flat vector (see :func:`param_views`)."""
-    return param_views(spec, np.array(vec, dtype=dtype))

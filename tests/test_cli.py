@@ -13,6 +13,7 @@ from unn_csi import channel, cli, codec
 from unn_csi.baselines import mmse_genie, mmse_raw, nmse, nmse_linear, ratio_db
 from unn_csi.channel import add_noise, load_scene, synthesize
 from unn_csi.codec import decode, recreate
+from unn_csi.decoder import params_to_vector
 
 from conftest import make_spec, save_scene, save_spec
 
@@ -139,7 +140,9 @@ def test_non_square_scene_layouts(tmp_path, rect_scene, mode, input_dims, fits):
             "snr_db": [10.0],
             "ues": [1],
             "mode": mode,
-            "groups": [{"ues": [1, 2]}],
+            # a group entry is checked in every mode: one with the config's
+            # one-UE spec would fail the single-mode cases
+            "groups": [{"ues": [1, 2]}] if mode == "group" else [],
             "out": str(tmp_path / "out"),
         }
     )
@@ -266,8 +269,9 @@ class TestRunCodecMode:
         assert cli.run(cli.config_from_dict(config)) == 0
         summary = json.load(open(os.path.join(config["out"], "summary.json")))
         assert summary["bit_exact"] is True
-        assert summary["payload_bytes"] == 4 * 272  # the weights alone
+        assert summary["payload_bytes"] == 2 * 272  # the weights alone, as float16
         (report,) = Path(config["out"], "reports").glob("*.csir")
+        assert report.read_bytes()[6] == 1
         assert summary["report_bytes"] == report.stat().st_size
         assert summary["nmse_db_rx"] == summary["nmse_db_tx"]
 
@@ -370,6 +374,148 @@ def test_runner_cuts_batches_by_batch_size_and_workers(tmp_path, monkeypatch, re
     argv = ["--profile", "desk", "--config", str(cfg_path), "--workers", str(workers), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 0
     assert [len(inits) for inits, _ in recorded_fit_batch] == sizes
+
+
+# the desk profile on a small grid and a short fit: its single-UE spec and
+# its group spec, at a cost of seconds
+DESK_SMALL = {
+    "fit": {"iterations": 30, "learning_rate": 2e-3, "trace_every": 10, "init_seed": 1},
+    "ues": [1, 5], "snr_db": [0, 10], "seeds": [0],
+    "groups": [{"ues": [2, 3, 4], "spec": "desk-group", "iterations": 30}],
+}
+
+
+def run_desk(tmp_path, mode, doc=DESK_SMALL) -> Path:
+    """Run `mode` of the desk profile under the config `doc`; its output directory."""
+    cfg_path = tmp_path / f"{mode}.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / mode
+    assert cli.main(["--profile", "desk", "--config", str(cfg_path), "--mode", mode, "--out", str(out)]) == 0
+    return out
+
+
+class TestFloat16Reports:
+    """The runner and group mode round every fit to float16 values before
+    they recreate, score and encode it: every report of the desk profile
+    carries dtype tag 1, and the NMSE a mode records is the NMSE of the
+    channel the report regenerates."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        scene = load_scene(cli._data_path(cli._BUILTIN_SCENES, "desk"))
+        return {ue: synthesize(scene, ue) for ue in range(1, 8)}
+
+    @staticmethod
+    def regenerated(path) -> list:
+        blob = path.read_bytes()
+        assert blob[6] == 1, path.name
+        return recreate(*decode(blob))
+
+    def test_single_mode(self, tmp_path, desk):
+        out = run_desk(tmp_path, "single")
+        rows = [line.split(",") for line in csv_lines(out / "results.csv")[1:]]
+        assert len(rows) == 4
+        for ue, snr, seed, status, nmse_db, *_ in rows:
+            assert status == "ok"
+            (est,) = self.regenerated(out / "reports" / f"ue{ue}_snr{int(float(snr))}_seed{seed}.csir")
+            assert nmse(est, desk[int(ue)]) == float(nmse_db)
+
+    def test_codec_mode(self, tmp_path, desk):
+        out = run_desk(tmp_path, "codec")
+        summary = json.loads((out / "summary.json").read_text())
+        (est,) = self.regenerated(out / "reports" / "ue1_snr0.0_seed0.csir")
+        assert summary["bit_exact"] is True
+        assert nmse(est, desk[1]) == summary["nmse_db_rx"] == summary["nmse_db_tx"]
+        assert summary["payload_bytes"] == 2 * summary["param_count"] == 2560
+        assert summary["report_bytes"] == 2862
+
+    def test_group_mode(self, tmp_path, desk):
+        out = run_desk(tmp_path, "group")
+        rows = [line.split(",") for line in csv_lines(out / "results.csv")[1:]]
+        estimates = self.regenerated(out / "reports" / "group0.csir")
+        assert [row[1] for row in rows] == ["2", "3", "4"]
+        for row, est in zip(rows, estimates):
+            assert nmse(est, desk[int(row[1])]) == float(row[3])
+
+    def test_sweep_scores_the_float16_weights(self, tmp_path):
+        # sweep mode writes no report; its unn arm scores, cell for cell, the
+        # rounded fit whose report single mode writes
+        single = run_desk(tmp_path, "single")
+        sweep = run_desk(tmp_path, "sweep")
+        cells = {
+            (row[0], float(row[1])): float(row[4])
+            for row in (line.split(",") for line in csv_lines(single / "results.csv")[1:])
+        }
+        unn = [line.split(",") for line in csv_lines(sweep / "results.csv")[1:] if line.startswith("unn,")]
+        assert len(unn) == 4
+        for _, ue, snr, _, nmse_db, _ in unn:
+            assert float(nmse_db) == cells[(ue, float(snr))]  # one seed: the cell's own NMSE
+
+
+class TestOtherModesFields:
+    """A config's transfer_plan and group entries are checked in every mode,
+    and each is needed in its own mode only: a config naming a plan that
+    does not exist, or a group entry with an unknown key, ran to exit 0 in
+    every other mode."""
+
+    FAULTS = {
+        "group-key": ({"groups": [{"ues": [2, 3], "iterationz": 5}]}, "config: unknown field 'groups[0].iterationz'"),
+        "plan-file": ({"transfer_plan": "no-such-plan.json"}, "cannot load transfer plan 'no-such-plan.json'"),
+        "groups-type": ({"groups": 5}, "groups must be a list, got int"),
+        "group-ue": ({"groups": [{"ues": [2, 3, 99], "spec": "desk-group"}]}, "groups[0] references unknown UEs [99]"),
+        # a group entry without a spec takes the config's one-UE spec
+        "group-spec": ({"groups": [{"ues": [2, 3]}]}, "decoder spec 'desk' outputs (16, 16, 8), the target is"),
+    }
+
+    @staticmethod
+    def main(tmp_path, doc, mode):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict({"fit": {"iterations": 2}, "ues": [1], "snr_db": [10]}, **doc)))
+        out = tmp_path / "out"
+        code = cli.main(["--profile", "desk", "--config", str(cfg_path), "--mode", mode, "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("mode", ["single", "codec", "sweep", "transfer"])
+    @pytest.mark.parametrize("fault", sorted(set(FAULTS) - {"plan-file"}))
+    def test_group_fault_exits_2_with_one_error_line(self, tmp_path, capsys, mode, fault):
+        doc, message = self.FAULTS[fault]
+        code, out = self.main(tmp_path, doc, mode)
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert code == 2 and len(errors) == 1 and message in errors[0], errors
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["single", "codec", "sweep", "group"])
+    def test_plan_fault_exits_2_with_one_error_line(self, tmp_path, capsys, mode):
+        doc, message = self.FAULTS["plan-file"]
+        code, out = self.main(tmp_path, doc, mode)
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert code == 2 and len(errors) == 1 and errors[0].startswith(f"error: {message}: "), errors
+        assert not out.exists()
+
+    def test_plan_with_unknown_ue_refused_in_codec_mode(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"base": 1, "chain": [{"target": 99, "init_from": 1}]}))
+        code, out = self.main(tmp_path, {"transfer_plan": str(plan)}, "codec")
+        assert code == 2 and "error: transfer plan references unknown UEs [99]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_both_faults_each_give_an_error_line(self, tmp_path, capsys):
+        # codec mode ran this config to exit 0 and wrote a full output directory
+        doc = {"groups": [{"ues": [2, 3], "iterationz": 5}], "transfer_plan": "no-such-plan.json"}
+        code, out = self.main(tmp_path, doc, "codec")
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert code == 2 and not out.exists()
+        assert len(errors) == 2
+        assert errors[0].startswith("error: cannot load transfer plan 'no-such-plan.json': ")
+        assert errors[1] == "error: config: unknown field 'groups[0].iterationz'"
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_each_field_needed_in_its_own_mode_only(self, tiny_setup, mode):
+        # tiny_setup's config gives neither a plan nor groups
+        _, config = tiny_setup
+        errors = [d.message for d in cli.validate(cli.config_from_dict(dict(config, mode=mode))) if d.level == "error"]
+        want = {"transfer": ["transfer mode needs a transfer_plan"], "group": ["group mode needs a non-empty groups list"]}
+        assert errors == want.get(mode, [])
 
 
 class TestMain:
@@ -492,9 +638,8 @@ class TestMain:
             monkeypatch.setattr(module, name, counted)
         argv = ["--profile", "desk", "--config", str(cfg_path), "--mode", mode, "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 0
-        assert calls == {
-            "load_scene": 1, "load_spec": 2 if mode == "group" else 1, "load_plan": int(mode == "transfer"),
-        }
+        # every mode checks the config's plan and group spec, each loaded once
+        assert calls == {"load_scene": 1, "load_spec": 2, "load_plan": 1}
 
     def test_pool_workers_start_with_one_blas_thread(self, monkeypatch):
         # two workers with the default two BLAS threads each ran four busy
@@ -861,7 +1006,7 @@ def test_diverged_cell_is_recorded_and_run_continues(tiny_setup, tmp_path):
 
 def test_full_scale_single_row_and_payload(tmp_path):
     # full-scale geometry, token iteration budget: the row schema and the
-    # 102912-byte report payload do not depend on fit length
+    # 51456-byte float16 report payload do not depend on fit length
     config = cli.config_from_dict(
         {
             "scene": "full",
@@ -879,8 +1024,9 @@ def test_full_scale_single_row_and_payload(tmp_path):
     assert len(rows) == 2
     blob = (tmp_path / "full_single" / "reports" / "ue1_snr20.0_seed0.csir").read_bytes()
     spec, params, norms, scale = decode(blob)
-    assert blob[-4 * 25728 :] == blob[len(blob) - 102912 :]
     from unn_csi.codec import payload_bytes
 
-    assert payload_bytes(spec) == 102912
+    assert blob[6] == 1
+    assert payload_bytes(spec, blob[6]) == 2 * 25728 == 51456
+    assert blob[-51456:] == params_to_vector(params).astype("<f2").tobytes()
     assert len(norms) == 64

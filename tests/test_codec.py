@@ -10,8 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unn_csi.channel import add_noise, postprocess, preprocess, stack_users, synthesize
-from unn_csi.codec import CodecError, _shapes, decode, encode, payload_bytes, recreate
-from unn_csi.decoder import forward, init_params, load_spec, param_count, params_to_vector, spec_to_json
+from unn_csi.codec import CodecError, _shapes, decode, encode, payload_bytes, recreate, round_to_float16
+from unn_csi.decoder import (
+    forward,
+    init_params,
+    load_spec,
+    param_count,
+    param_views,
+    params_to_vector,
+    spec_to_json,
+)
 from unn_csi.fitting import FitConfig, fit
 from unn_csi.baselines import nmse
 
@@ -51,7 +59,7 @@ def edit_header(blob, edit) -> bytes:
 def edit_section(blob, at, values, dtype) -> bytes:
     """`blob` with `values` written as `dtype` from byte `at` of the
     section behind the CRC field, resealed: the norms and scale are float64
-    from byte 0, the weights float32 behind them."""
+    from byte 0, the weights (float32 under dtype tag 0) behind them."""
     out = bytearray(blob)
     start = 15 + struct.unpack_from("<I", blob, 7)[0] + at
     raw = np.asarray(values, dtype=dtype).tobytes()
@@ -70,15 +78,19 @@ def zero_params(spec):
     return p
 
 
-def documented_sizes() -> dict:
-    """{spec: (report, weight, non-payload, header bytes)} from the size
-    table of docs/csir-format.md."""
-    text = (Path(__file__).resolve().parents[1] / "docs" / "csir-format.md").read_text(encoding="utf-8")
-    rows = re.findall(r"^\| `(\w+)` \| ([\d,]+) \| ([\d,]+) \| ([\d,]+) \| ([\d,]+) \|$", text, re.M)
+FORMAT_DOC = (Path(__file__).resolve().parents[1] / "docs" / "csir-format.md").read_text(encoding="utf-8")
+
+
+def documented_sizes(columns: int) -> dict:
+    """{spec: numbers} from the rows of docs/csir-format.md's size tables
+    that hold `columns` numbers after the spec's name."""
+    row = r"^\| `(\w+)` \|" + r" ([\d,]+) \|" * columns + "$"
+    rows = re.findall(row, FORMAT_DOC, re.M)
     return {name: tuple(int(n.replace(",", "")) for n in numbers) for name, *numbers in rows}
 
 
-DOCUMENTED_SIZES = documented_sizes()
+DOCUMENTED_SIZES = documented_sizes(4)  # float32 weights: report, weight, non-payload, header bytes
+DOCUMENTED_F16_SIZES = documented_sizes(2)  # float16 weights: report, weight bytes
 PACKAGED = ["single_ue_desk", "single_ue_full", "group_desk", "group_full_a", "group_full_b"]
 
 
@@ -96,10 +108,12 @@ def some_preprocessing(spec):
 
 class TestEncode:
     def test_full_scale_payload_size(self):
+        # zeros are float16 values, so the weights travel at 2 bytes each
         params = zero_params(FULL_SINGLE)
         blob = encode(FULL_SINGLE, params, np.ones(64), 1.0)
-        assert payload_bytes(FULL_SINGLE) == 4 * 25728 == 102912
-        assert blob[-102912:] == b"\x00" * 102912
+        assert blob[6] == 1
+        assert payload_bytes(FULL_SINGLE, 1) == 2 * 25728 == 51456
+        assert blob[-51456:] == b"\x00" * 51456
         decode(blob)  # checksum of the all-zero payload is valid
 
     def test_payload_ratio_vs_raw_csi(self):
@@ -133,6 +147,20 @@ class TestEncode:
         assert struct.unpack_from("<I", blob, 7)[0] == header_bytes
         assert payload_bytes(spec) == weight_bytes == report_bytes - non_payload_bytes
         assert len(blob) == report_bytes == 15 + header_bytes + 8 * n_head + weight_bytes
+
+    @pytest.mark.parametrize("name", PACKAGED)
+    def test_float16_report_size(self, name):
+        # the same report with float16-rounded weights: 2 bytes a weight,
+        # the sizes of docs/csir-format.md's float16 table
+        report_bytes, weight_bytes = DOCUMENTED_F16_SIZES[name]
+        non_payload_bytes = DOCUMENTED_SIZES[name][2]
+        spec = packaged(name)
+        params = init_params(spec, 1)
+        assert round_to_float16(params)
+        blob = encode(spec, params, *some_preprocessing(spec))
+        assert blob[6] == 1
+        assert payload_bytes(spec, 1) == weight_bytes == 2 * param_count(spec)
+        assert len(blob) == report_bytes == non_payload_bytes + weight_bytes
 
     @pytest.mark.parametrize("dims", [(4,), (2, 2, 2, 2)])
     def test_spec_without_a_report_layout_rejected(self, dims):
@@ -179,9 +207,9 @@ class TestDecode:
         with pytest.raises(CodecError, match=f"^unknown report version {version}$"):
             decode(seal(blob))
 
-    @pytest.mark.parametrize("tag", [1, 2, 255])
+    @pytest.mark.parametrize("tag", [2, 3, 255])
     def test_unknown_dtype_tag(self, tag):
-        # 0 (float32 weights) is the only tag; quantized payloads would add others
+        # 0 (float32 weights) and 1 (float16) are the only tags
         blob = bytearray(desk_report())
         blob[6] = tag
         with pytest.raises(CodecError, match=f"^unknown payload dtype tag {tag}$"):
@@ -314,9 +342,14 @@ class TestDecode:
 DESK_SPEC = packaged("single_ue_desk")
 
 
-def desk_report(init_seed=4, norms=tuple(np.linspace(0.5, 2.0, 16)), scale=1.75) -> bytes:
-    """A report of the packaged desk spec (seed rule seed 20260810)."""
-    return encode(DESK_SPEC, init_params(DESK_SPEC, init_seed), np.array(norms), scale)
+def desk_report(init_seed=4, norms=tuple(np.linspace(0.5, 2.0, 16)), scale=1.75, half=False) -> bytes:
+    """A report of the packaged desk spec (seed rule seed 20260810): its
+    weights as float32 (dtype tag 0), or rounded to float16 (tag 1) if
+    `half`."""
+    params = init_params(DESK_SPEC, init_seed)
+    if half:
+        assert round_to_float16(params)
+    return encode(DESK_SPEC, params, np.array(norms), scale)
 
 
 desk_reports = st.builds(
@@ -324,6 +357,7 @@ desk_reports = st.builds(
     init_seed=st.integers(0, 2**31 - 1),
     norms=st.lists(st.floats(1e-6, 1e6), min_size=16, max_size=16),
     scale=st.floats(0.01, 100.0),
+    half=st.booleans(),
 )
 
 
@@ -388,7 +422,13 @@ class TestVersions:
     def test_all_truncations_and_low_bit_flips_of_one_report(self):
         # the exhaustive counterpart of the two properties for one report:
         # every proper prefix, and the low bit of every byte
-        blob = desk_report()
+        self.all_truncations_and_low_bit_flips(desk_report())
+
+    def test_all_truncations_and_low_bit_flips_of_a_float16_report(self):
+        self.all_truncations_and_low_bit_flips(desk_report(half=True))
+
+    @staticmethod
+    def all_truncations_and_low_bit_flips(blob):
         for n in range(len(blob)):
             with pytest.raises(CodecError):
                 decode(blob[:n])
@@ -403,12 +443,19 @@ def flip_last_byte(blob) -> bytes:
     return blob[:-1] + bytes([blob[-1] ^ 0x01])
 
 
+def float16_values_as_float32(blob) -> bytes:
+    """A float32 desk report with its weights rounded to float16 values,
+    still under dtype tag 0, resealed: a report encode never writes."""
+    weights = np.frombuffer(blob[-4 * param_count(DESK_SPEC) :], "<f4").astype(np.float16)
+    return edit_section(blob, 8 * 17, weights, "<f4")
+
+
 # decode's checks in the order of docs/csir-format.md: (its error, an edit
 # of a desk report that fails that check)
 CHECKS = {
     "magic": ("not a CSI report \\(bad magic\\)", lambda b: b"NOPE" + b[4:]),
     "version": ("unknown report version 5", lambda b: b[:4] + struct.pack("<H", 5) + b[6:]),
-    "dtype-tag": ("unknown payload dtype tag 1", lambda b: b[:6] + b"\x01" + b[7:]),
+    "dtype-tag": ("unknown payload dtype tag 2", lambda b: b[:6] + b"\x02" + b[7:]),
     "header-length": ("header length .* overruns", lambda b: b[:7] + struct.pack("<I", len(b)) + b[11:]),
     "crc": ("checksum mismatch", flip_last_byte),
     "header-json": ("malformed header: 'utf-8' codec", lambda b: seal(b[:11] + b"\xff" + b[12:])),
@@ -416,6 +463,7 @@ CHECKS = {
     "section-length": ("payload holds 5264 bytes, spec needs 5256", lambda b: seal(b + bytes(8))),
     "norms-and-scale": ("malformed field 'norms'", lambda b: edit_section(b, 0, [np.nan], "<f8")),
     "weights": ("payload holds a NaN or infinite weight", lambda b: edit_section(b, 8 * 17, [np.nan], "<f4")),
+    "float16-values": ("float32 payload of float16 values", float16_values_as_float32),
 }
 
 
@@ -517,6 +565,103 @@ class TestPreprocessingFields:
             _, _, norms_rx, scale_rx = decode(encode(spec, init_params(spec, 1), norms, scale))
             assert np.array_equal(norms_rx, norms) and np.array_equal(scale_rx, scale)
             assert type(scale_rx) is (float if spec is DESK_SPEC else np.ndarray)
+
+
+def rounded_desk_params(init_seed=4):
+    """Desk parameters rounded to float16 values."""
+    params = init_params(DESK_SPEC, init_seed)
+    assert round_to_float16(params)
+    return params
+
+
+class TestFloat16Weights:
+    """Dtype tag 1: the weights as float16, written exactly when every one
+    of them is a float16 value, so that decode stays encode's inverse."""
+
+    def test_float16_report_round_trips_bit_exactly(self):
+        params = rounded_desk_params()
+        norms, scale = GOOD_PREPROCESSING[2]
+        blob = encode(DESK_SPEC, params, norms, scale)
+        assert blob[6] == 1
+        spec, params_rx, norms_rx, scale_rx = decode(blob)
+        assert spec_to_json(spec) == spec_to_json(DESK_SPEC)
+        assert np.array_equal(norms_rx, norms) and scale_rx == scale
+        for a, b in zip(params.arrays(), params_rx.arrays()):
+            assert b.dtype == np.float32 and b.tobytes() == a.tobytes()
+        assert encode(spec, params_rx, norms_rx, scale_rx) == blob
+        (tx,), (rx,) = recreate(DESK_SPEC, params, norms, scale), recreate(spec, params_rx, norms_rx, scale_rx)
+        assert rx.data.tobytes() == tx.data.tobytes()
+
+    def test_float16_weights_are_the_section_tail(self):
+        params = rounded_desk_params()
+        blob = encode(DESK_SPEC, params, *GOOD_PREPROCESSING[2])
+        assert blob[-payload_bytes(DESK_SPEC, 1) :] == params_to_vector(params).astype("<f2").tobytes()
+        assert len(blob) == 15 + len(spec_to_json(DESK_SPEC)) + 8 * 17 + 2 * param_count(DESK_SPEC)
+
+    def test_rounds_in_place_on_the_fit_block(self):
+        # the fit's own (batch, P) block is rounded, row by row, and nothing else
+        vec = params_to_vector(init_params(DESK_SPEC, 4))
+        block = np.stack([vec, vec])
+        assert round_to_float16(param_views(DESK_SPEC, block[1]))
+        assert block[0].tobytes() == vec.tobytes()
+        assert block[1].tobytes() == vec.astype(np.float16).astype(np.float32).tobytes()
+        assert not np.array_equal(block[1], vec)
+
+    @pytest.mark.parametrize("weight", [0, 700, 1279], ids=["first", "middle", "last"])
+    def test_one_inexact_weight_gives_float32(self, weight):
+        vec = params_to_vector(rounded_desk_params())
+        vec[weight] = np.nextafter(vec[weight], np.float32(np.inf))  # a float32 between two float16s
+        blob = encode(DESK_SPEC, param_views(DESK_SPEC, vec), *GOOD_PREPROCESSING[2])
+        assert blob[6] == 0
+        assert params_to_vector(decode(blob)[1]).tobytes() == vec.tobytes()
+
+    @pytest.mark.parametrize("rounded", [False, True], ids=["float32-elsewhere", "float16-elsewhere"])
+    @pytest.mark.parametrize("value", [1e5, -1e5, 65520.0])
+    def test_overflowing_weight_leaves_the_set_alone(self, value, rounded):
+        # float16 would round the weight to infinity: the whole set stays
+        # float32, and so does its report
+        params = rounded_desk_params() if rounded else init_params(DESK_SPEC, 4)
+        params.gammas[2][3] = value
+        before = params_to_vector(params)
+        assert not round_to_float16(params)
+        assert params_to_vector(params).tobytes() == before.tobytes()
+        blob = encode(DESK_SPEC, params, *GOOD_PREPROCESSING[2])
+        assert blob[6] == 0 and params_to_vector(decode(blob)[1]).tobytes() == before.tobytes()
+
+    def test_largest_weight_below_overflow_rounds(self):
+        params = init_params(DESK_SPEC, 4)
+        params.gammas[2][3] = 65519.0
+        assert round_to_float16(params)
+        assert params.gammas[2][3] == np.finfo(np.float16).max
+        assert encode(DESK_SPEC, params, *GOOD_PREPROCESSING[2])[6] == 1
+
+    @pytest.mark.parametrize("half", [False, True], ids=["float32-to-float16", "float16-to-float32"])
+    def test_flipped_tag_fails_the_section_length(self, half):
+        # the other width reads the section as the wrong length, resealed or not
+        blob = bytearray(desk_report(half=half))
+        assert blob[6] == int(half)
+        blob[6] ^= 1
+        have = 8 * 17 + (2 if half else 4) * param_count(DESK_SPEC)
+        want = 8 * 17 + (4 if half else 2) * param_count(DESK_SPEC)
+        with pytest.raises(CodecError, match="^checksum mismatch$"):
+            decode(bytes(blob))
+        with pytest.raises(CodecError, match=f"^payload holds {have} bytes, spec needs {want}$"):
+            decode(seal(blob))
+
+    def test_float32_report_of_float16_values_refused(self):
+        # encode writes such weights under tag 1: decode took this report,
+        # and encode(*decode(blob)) gave the 2,862-byte report, not blob
+        blob = float16_values_as_float32(desk_report())
+        assert blob[6] == 0 and len(blob) == 5422
+        with pytest.raises(CodecError, match="^float32 payload of float16 values, which encode writes under dtype tag 1$"):
+            decode(blob)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_decode_refuses_non_finite_float16(self, value):
+        blob = desk_report(half=True)
+        for weight in (0, 700, param_count(DESK_SPEC) - 1):
+            with pytest.raises(CodecError, match="^payload holds a NaN or infinite weight$"):
+                decode(edit_section(blob, 8 * 17 + 2 * weight, [value], "<f2"))
 
 
 def poisoned(spec, kind, layer, value, dtype=np.float32):

@@ -17,7 +17,7 @@ from unn_csi.decoder import (
     init_params,
     load_spec,
     param_count,
-    params_from_vector,
+    param_views,
     params_to_vector,
     spec_from_json,
     spec_to_json,
@@ -451,7 +451,7 @@ class TestParamVector:
         params = init_params(tiny_spec, 8)
         vec = params_to_vector(params)
         assert vec.size == param_count(tiny_spec)
-        again = params_from_vector(tiny_spec, vec)
+        again = param_views(tiny_spec, vec.copy())
         for a, b in zip(params.arrays(), again.arrays()):
             assert np.array_equal(a, b)
 
@@ -464,7 +464,7 @@ class TestParamVector:
 
     def test_wrong_length_rejected(self, tiny_spec):
         with pytest.raises(ValueError):
-            params_from_vector(tiny_spec, np.zeros(3))
+            param_views(tiny_spec, np.zeros(3))
 
 
 class TestSeedSensitivity:

@@ -188,6 +188,19 @@ class TestTransferMode:
         for (_, before), ((init,), _) in zip(recorded_fit_batch, recorded_fit_batch[1:]):
             assert params_to_vector(init).tobytes() == params_to_vector(before[0].params).tobytes()
 
+    def test_warm_starts_and_distances_use_the_float16_weights(self, twin_setup, recorded_fit_batch, tmp_path):
+        # every fit is rounded to the float16 values its report would carry
+        # before a warm start takes it up or weight_distances.csv measures it
+        twin_setup("tl", chain=[(2, 1)], fit={"iterations": 20, "learning_rate": 2e-3})
+        (_, (base, control)), ((init,), (warm,)) = recorded_fit_batch
+        for params in (base.params, control.params, warm.params, init):
+            vec = params_to_vector(params)
+            assert vec.tobytes() == vec.astype(np.float16).astype(np.float32).tobytes()
+        rows = read_rows(tmp_path / "tl" / "weight_distances.csv")
+        for kind, fitted in (("transfer:1->2", warm), ("random:1->2", control)):
+            want = weight_distance(base.params, fitted.params).per_layer
+            assert [float(r["distance"]) for r in rows if r["init_kind"] == kind] == list(want)
+
     def test_warm_start_on_identical_target_never_behind_base(self, twin_setup, recorded_fit_batch):
         twin_setup("tl", chain=[(3, 1)])
         (_, (base, control)), (_, (warm,)) = recorded_fit_batch
