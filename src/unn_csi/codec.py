@@ -10,13 +10,16 @@ otherwise (tag 0). :func:`round_to_float16` makes a fitted set lossless at
 section, which runs to the end of the report. Encoding is deterministic, so
 any two encoders produce identical bytes from identical inputs; decode is
 the exact inverse, and refuses every report version but the one encode
-writes. See docs/csir-format.md for the byte layout.
+writes. Decode parses each distinct header once: it keeps the spec and
+section layout of the headers of reports it took. See docs/csir-format.md
+for the byte layout.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -41,6 +44,13 @@ REPORT_VERSION = 4  # the one version encode writes and decode reads
 _DTYPE_F32, _DTYPE_F16 = 0, 1  # payload dtype tags: the weights as float32, or as float16
 _WEIGHT_DTYPES = {_DTYPE_F32: np.dtype("<f4"), _DTYPE_F16: np.dtype("<f2")}
 _F16_OVERFLOW = 65520.0  # the least magnitude float16 rounds to infinity
+# decode keeps the spec and section layout of up to _MEMO_SIZE distinct
+# headers of reports it took, so that a base station parses each header
+# once; when full it drops the header it added first, and only a report
+# that passed every check adds its header
+_MEMO_SIZE = 64
+_memo: dict = {}  # header bytes -> _layout(header)
+_MEMO_LOCK = threading.Lock()
 
 
 class CodecError(ValueError):
@@ -50,7 +60,9 @@ class CodecError(ValueError):
 def payload_bytes(spec: DecoderSpec, dtype_tag: int = _DTYPE_F32) -> int:
     """The bytes of the weights a report of `spec` with payload dtype tag
     `dtype_tag` (its byte 6) carries: 4 per trainable scalar under tag 0,
-    2 under tag 1."""
+    2 under tag 1; ValueError naming any other tag."""
+    if dtype_tag not in _WEIGHT_DTYPES:
+        raise ValueError(f"unknown payload dtype tag {dtype_tag}")
     return _WEIGHT_DTYPES[dtype_tag].itemsize * param_count(spec)
 
 
@@ -155,20 +167,40 @@ def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
     return bytes(blob)
 
 
-def decode(blob: bytes):
+def _layout(header: bytes) -> tuple:
+    """What decode derives from a report's header: (spec, norms shape,
+    scale shape, norm count, float64 count, weight count). CodecError
+    unless the header is the canonical JSON of a spec :func:`encode`
+    takes."""
+    try:  # UTF-8 first: json.loads would also take UTF-16 and UTF-32 bytes
+        spec = spec_from_json(header.decode("utf-8"))
+        shapes = _shapes(spec)
+    except ValueError as exc:  # bad UTF-8 or JSON, or not a report's spec
+        raise CodecError(f"malformed header: {exc}") from exc
+    if header != spec_to_json(spec).encode("utf-8"):
+        raise CodecError("malformed header: not the canonical JSON of its spec")
+    n_norms = math.prod(shapes["norms"])
+    n_head = n_norms + math.prod(shapes["scale"])
+    return spec, shapes["norms"], shapes["scale"], n_norms, n_head, param_count(spec)
+
+
+def decode(blob):
     """Exact inverse of :func:`encode`; reads version 4 only, with float32
-    or float16 weights.
+    or float16 weights, from any bytes-like `blob`.
 
     Returns (spec, params, snapshot_norms, scale), the weights as float32.
+    Reports with equal headers return one shared spec object.
     Raises CodecError on a bad magic, any other version, a dtype tag other
     than 0 and 1, a header length that overruns the blob,
     checksum mismatch, a header that is not a spec file's JSON (see
     :func:`~unn_csi.decoder.spec_from_json`), a spec :func:`encode` refuses,
+    a header that is not the spec's canonical JSON,
     a binary section whose length the spec does not give, norms and a scale
     that :func:`encode` would refuse for the spec, a weight that is NaN or
     infinite, or float32 weights that are all float16 values: every report
     decode takes is one encode writes.
     """
+    blob = memoryview(blob).cast("B")  # slices of it copy nothing
     if len(blob) < 11 or blob[:4] != REPORT_MAGIC:
         raise CodecError("not a CSI report (bad magic)")
     version, dtype_tag, header_len = struct.unpack_from("<HBI", blob, 4)
@@ -181,22 +213,21 @@ def decode(blob: bytes):
         raise CodecError(f"header length {header_len} overruns the {len(blob)}-byte report")
     if _crc(blob, crc_at) != struct.unpack_from("<I", blob, crc_at)[0]:
         raise CodecError("checksum mismatch")
-    try:  # UTF-8 first: json.loads would also take UTF-16 and UTF-32 bytes
-        spec = spec_from_json(blob[11:crc_at].decode("utf-8"))
-        shapes = _shapes(spec)
-    except ValueError as exc:  # bad UTF-8 or JSON, or not a report's spec
-        raise CodecError(f"malformed header: {exc}") from exc
-    n_norms = math.prod(shapes["norms"])
-    n_head = n_norms + math.prod(shapes["scale"])
-    section = blob[crc_at + 4 :]  # a copy: at 15 + n its float64s and weights would sit unaligned
-    want = 8 * n_head + payload_bytes(spec, dtype_tag)
+    header = bytes(blob[11:crc_at])
+    layout = _memo.get(header)
+    fresh = layout is None
+    if fresh:
+        layout = _layout(header)
+    spec, norms_shape, scale_shape, n_norms, n_head, n_weights = layout
+    section = bytes(blob[crc_at + 4 :])  # a copy: at 15 + n its float64s and weights would sit unaligned
+    want = 8 * n_head + _WEIGHT_DTYPES[dtype_tag].itemsize * n_weights
     if len(section) != want:
         raise CodecError(f"payload holds {len(section)} bytes, spec needs {want}")
     head = np.frombuffer(section, dtype="<f8", count=n_head).astype(float)
     if not _positive(head):  # one test for both fields; name the first at fault
         name = "scale" if _positive(head[:n_norms]) else "norms"
         raise CodecError(f"malformed field {name!r}: every entry must be finite and > 0")
-    norms, scale = head[:n_norms].reshape(shapes["norms"]), head[n_norms:].reshape(shapes["scale"])
+    norms, scale = head[:n_norms].reshape(norms_shape), head[n_norms:].reshape(scale_shape)
     if scale.ndim == 0:
         scale = float(scale)
     vec = np.frombuffer(section, dtype=_WEIGHT_DTYPES[dtype_tag], offset=8 * n_head).astype(np.float32)
@@ -204,6 +235,11 @@ def decode(blob: bytes):
         raise CodecError("payload holds a NaN or infinite weight")
     if dtype_tag == _DTYPE_F32 and _as_float16(vec) is not None:
         raise CodecError("float32 payload of float16 values, which encode writes under dtype tag 1")
+    if fresh:
+        with _MEMO_LOCK:  # a concurrent decode may have added the header: return its spec
+            if header not in _memo and len(_memo) >= _MEMO_SIZE:
+                del _memo[next(iter(_memo))]
+            spec = _memo.setdefault(header, layout)[0]
     params = param_views(spec, vec)
     return spec, params, norms, scale
 

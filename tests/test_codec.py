@@ -1,7 +1,10 @@
 import json
 import re
 import struct
+import sys
+import threading
 import zlib
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -9,15 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unn_csi import codec
 from unn_csi.channel import add_noise, postprocess, preprocess, stack_users, synthesize
 from unn_csi.codec import CodecError, _shapes, decode, encode, payload_bytes, recreate, round_to_float16
 from unn_csi.decoder import (
+    SeedRule,
     forward,
     init_params,
     load_spec,
     param_count,
     param_views,
     params_to_vector,
+    spec_from_json,
     spec_to_json,
 )
 from unn_csi.fitting import FitConfig, fit
@@ -161,6 +167,12 @@ class TestEncode:
         assert blob[6] == 1
         assert payload_bytes(spec, 1) == weight_bytes == 2 * param_count(spec)
         assert len(blob) == report_bytes == non_payload_bytes + weight_bytes
+
+    @pytest.mark.parametrize("tag", [2, -1, 255])
+    def test_payload_bytes_refuses_an_unknown_tag(self, tag):
+        # it raised KeyError: 2
+        with pytest.raises(ValueError, match=f"^unknown payload dtype tag {tag}$"):
+            payload_bytes(FULL_SINGLE, tag)
 
     @pytest.mark.parametrize("dims", [(4,), (2, 2, 2, 2)])
     def test_spec_without_a_report_layout_rejected(self, dims):
@@ -339,6 +351,54 @@ class TestDecode:
         assert encode(*decode(blob)) == blob
 
 
+    # headers of the report's own spec that encode never writes: each of
+    # these decoded, and re-encoding it gave other bytes
+    NON_CANONICAL = {
+        "indented": lambda h: json.dumps(json.loads(h), indent=2, sort_keys=True).encode(),
+        "keys-reordered": lambda h: json.dumps(dict(reversed(json.loads(h).items())), separators=(",", ":")).encode(),
+        "padded": lambda h: h + b" " * 10**6,
+        "half-range-spelled-0.150": lambda h: h.replace(b'"half_range":0.15,', b'"half_range":0.150,'),
+    }
+
+    @pytest.mark.parametrize("variant", NON_CANONICAL)
+    def test_non_canonical_header_refused(self, variant):
+        blob = desk_report()
+        header = blob[11 : 11 + struct.unpack_from("<I", blob, 7)[0]]
+        text = self.NON_CANONICAL[variant](header)
+        assert text != header and spec_from_json(text.decode()) == DESK_SPEC
+        with pytest.raises(CodecError, match="^malformed header: not the canonical JSON of its spec$"):
+            decode(seal(with_header(blob, text)))
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview, lambda b: np.frombuffer(b, np.uint8)])
+    def test_any_bytes_like_report_decodes(self, kind):
+        # memoryview raised AttributeError: it has no .decode
+        blob = desk_report(half=True)
+        assert decoded(decode(kind(blob))) == decoded(decode(blob))
+        assert encode(*decode(kind(blob))) == blob
+
+    def test_report_at_an_odd_offset_decodes(self):
+        # the section is copied, so its float64s sit aligned
+        blob = desk_report()
+        view = memoryview(b"x" + blob)[1:]
+        assert decoded(decode(view)) == decoded(decode(blob))
+
+
+def decoded(result) -> tuple:
+    """A decode result in comparable form: the spec, the weight bytes, and
+    the norms and scale with their types, shapes and bytes."""
+    spec, params, norms, scale = result
+    return (
+        spec,
+        params_to_vector(params).dtype,
+        params_to_vector(params).tobytes(),
+        norms.shape,
+        norms.tobytes(),
+        type(scale),
+        np.shape(scale),
+        np.asarray(scale).tobytes(),
+    )
+
+
 DESK_SPEC = packaged("single_ue_desk")
 
 
@@ -443,6 +503,12 @@ def flip_last_byte(blob) -> bytes:
     return blob[:-1] + bytes([blob[-1] ^ 0x01])
 
 
+def pad_header(blob) -> bytes:
+    """`blob` with a space after its header JSON, resealed: the spec's JSON
+    but not its canonical form."""
+    return seal(with_header(blob, blob[11 : 11 + struct.unpack_from("<I", blob, 7)[0]] + b" "))
+
+
 def float16_values_as_float32(blob) -> bytes:
     """A float32 desk report with its weights rounded to float16 values,
     still under dtype tag 0, resealed: a report encode never writes."""
@@ -460,6 +526,7 @@ CHECKS = {
     "crc": ("checksum mismatch", flip_last_byte),
     "header-json": ("malformed header: 'utf-8' codec", lambda b: seal(b[:11] + b"\xff" + b[12:])),
     "spec": ("malformed header: decoder spec: unknown field 'x'", lambda b: seal(edit_header(b, lambda h: h.update(x=1)))),
+    "canonical-header": ("malformed header: not the canonical JSON of its spec", pad_header),
     "section-length": ("payload holds 5264 bytes, spec needs 5256", lambda b: seal(b + bytes(8))),
     "norms-and-scale": ("malformed field 'norms'", lambda b: edit_section(b, 0, [np.nan], "<f8")),
     "weights": ("payload holds a NaN or infinite weight", lambda b: edit_section(b, 8 * 17, [np.nan], "<f4")),
@@ -480,6 +547,107 @@ class TestCheckOrder:
             blob = CHECKS[name][1](blob)
         with pytest.raises(CodecError, match=f"^{CHECKS[check][0]}"):
             decode(blob)
+
+
+GROUP_DESK_SPEC = packaged("group_desk")
+
+
+def group_desk_report(init_seed=4) -> bytes:
+    """A report of the packaged desk group spec, its weights rounded to
+    float16 values."""
+    params = init_params(GROUP_DESK_SPEC, init_seed)
+    assert round_to_float16(params)
+    return encode(GROUP_DESK_SPEC, params, *some_preprocessing(GROUP_DESK_SPEC))
+
+
+@pytest.fixture
+def empty_memo():
+    """decode's header memo, emptied before and after the test."""
+    codec._memo.clear()
+    yield codec._memo
+    codec._memo.clear()
+
+
+class TestHeaderMemo:
+    """decode parses each distinct header once and keeps its spec and
+    section layout; what it returns does not depend on the memo."""
+
+    def test_equal_headers_share_one_spec(self, empty_memo):
+        specs = [decode(blob)[0] for blob in (desk_report(1), desk_report(2, half=True), desk_report(3))]
+        assert specs[0] is specs[1] is specs[2]
+        assert len(empty_memo) == 1
+        group = decode(group_desk_report())[0]
+        assert group is decode(group_desk_report(5))[0] and group is not specs[0]
+
+    def test_a_hit_returns_what_a_miss_returns(self, empty_memo):
+        blobs = [desk_report(1), desk_report(2, half=True), group_desk_report(1), group_desk_report(2)]
+        for blob in blobs:
+            miss = decoded(decode(blob))
+            assert decoded(decode(blob)) == miss
+            empty_memo.clear()
+            assert decoded(decode(blob)) == miss
+            assert encode(*decode(blob)) == blob
+
+    FAILING = {
+        "non-canonical-header": (pad_header, "malformed header: not the canonical JSON of its spec"),
+        "section-length": (lambda b: seal(b + bytes(8)), r"payload holds \d+ bytes, spec needs \d+"),
+        "zero-norm": (lambda b: edit_section(b, 0, [0.0], "<f8"), "malformed field 'norms'"),
+        "nan-weight": (lambda b: edit_section(b, 8 * 17, [np.nan], "<f4"), "payload holds a NaN or infinite weight"),
+    }
+
+    @pytest.mark.parametrize("case", FAILING)
+    def test_a_refused_report_leaves_nothing(self, empty_memo, case):
+        # each fails a check after the memo lookup, on a miss and on a hit
+        edit, message = self.FAILING[case]
+        good = desk_report()
+        bad = edit(good)
+        for _ in range(2):
+            with pytest.raises(CodecError, match=f"^{message}"):
+                decode(bad)
+            assert len(empty_memo) == 0
+        decode(good)
+        assert len(empty_memo) == 1
+        for _ in range(2):
+            with pytest.raises(CodecError, match=f"^{message}"):
+                decode(bad)
+            assert len(empty_memo) == 1
+
+    def test_the_memo_is_bounded(self, empty_memo):
+        # seed-rule variants of the desk spec: one distinct header each
+        specs = [replace(DESK_SPEC, seed_rule=SeedRule(i, 0.15)) for i in range(codec._MEMO_SIZE + 8)]
+        params = rounded_desk_params()
+        for i, spec in enumerate(specs):
+            assert decode(encode(spec, params, *GOOD_PREPROCESSING[2]))[0] == spec
+            assert len(empty_memo) == min(i + 1, codec._MEMO_SIZE)
+        # the oldest headers went first; the newest are kept
+        kept = {spec_from_json(h.decode()) for h in empty_memo}
+        assert kept == set(specs[-codec._MEMO_SIZE :])
+
+    def test_concurrent_decodes_match_a_serial_one(self, empty_memo):
+        blobs = [desk_report(i, half=bool(i % 3)) if i % 2 else group_desk_report(i) for i in range(24)]
+        want = [decoded(decode(blob)) for blob in blobs]
+        empty_memo.clear()
+        start, got = threading.Barrier(4), [None] * 4
+
+        def run(k):
+            start.wait()
+            order = blobs[k:] + blobs[:k]  # each thread from its own place in the stream
+            got[k] = [decoded(decode(blob)) for blob in order for _ in range(2)]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the memo's check-then-add too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(4):
+            assert got[k] == [w for w in want[k:] + want[:k] for _ in range(2)]
+        assert len(empty_memo) == 2
 
 
 GROUP_SPEC = make_spec((2, 2, 3), (8, 8, 8, 8, 4), ((True, True, False),) * 2, seed=11, a=0.15)
