@@ -44,9 +44,9 @@ def main():
     (rx_est,) = recreate(*decode(blob))
 
     raw_bytes = 8 * truth.data.size  # complex64 coefficients
-    payload = payload_bytes(spec, blob[6])  # byte 6: the dtype tag, 1 for float16 weights
+    payload = payload_bytes(blob)  # the weights, their sign/exponent bytes Huffman-coded
     print(f"payload: {payload} bytes ({param_count(spec)} float16 weights, dtype tag {blob[6]}; "
-          f"{payload_bytes(spec)} as float32)")
+          f"{2 * param_count(spec)} as raw float16, {4 * param_count(spec)} as raw float32)")
     print(f"full report: {len(blob)} bytes, raw CSI: {raw_bytes} bytes "
           f"-> payload/raw = {payload / raw_bytes:.4f}")
     print(f"receiver estimate bit-identical: {np.array_equal(rx_est.data, tx_est.data)}")

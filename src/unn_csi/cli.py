@@ -19,13 +19,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field
 from importlib import resources
 from itertools import product
 from math import prod
-from multiprocessing import get_context
 from pathlib import Path
 from typing import NamedTuple
 
@@ -340,7 +338,11 @@ _WORKER_THREAD_ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_TH
 def _worker_pool(workers: int):
     """A pool of `workers` freshly spawned processes, each with one BLAS
     thread. A forked worker would keep the parent's BLAS thread pool, so
-    two workers would run four busy threads on two cores."""
+    two workers would run four busy threads on two cores. The pool's
+    modules are imported here, so that a one-worker run never loads them."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     saved = {name: os.environ.get(name) for name in _WORKER_THREAD_ENV}
     os.environ.update(_WORKER_THREAD_ENV)
     try:
@@ -535,7 +537,7 @@ def _mode_codec(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
     (tx,), (rx,) = codec.recreate(spec, *cell.fitted), codec.recreate(*decoded)
     same_weights = params_to_vector(cell.fitted[0]).tobytes() == params_to_vector(decoded[1]).tobytes()
     raw_bytes = 8 * truth.data.size
-    payload = codec.payload_bytes(spec, blob[6])  # byte 6: the report's dtype tag
+    payload = codec.payload_bytes(blob)
     return {
         "bit_exact": same_weights and bool(np.array_equal(tx.data, rx.data)),
         "payload_bytes": payload,

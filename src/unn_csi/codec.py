@@ -6,13 +6,14 @@ the per-snapshot norms and scale factor of the preprocessing as
 little-endian float64 and every trainable scalar in canonical order, as
 little-endian float16 when that is lossless (dtype tag 1) and float32
 otherwise (tag 0). :func:`round_to_float16` makes a fitted set lossless at
-2 bytes a weight. The spec and the tag fix the size of that binary
-section, which runs to the end of the report. Encoding is deterministic, so
-any two encoders produce identical bytes from identical inputs; decode is
-the exact inverse, and refuses every report version but the one encode
-writes. Decode parses each distinct header once: it keeps the spec and
-section layout of the headers of reports it took. See docs/csir-format.md
-for the byte layout.
+2 bytes a weight. The weights travel as byte planes: every plane but the
+most significant raw, and that one, the sign and exponent bits, as one
+raw-DEFLATE Huffman-only stream running to the end of the report.
+Encoding is deterministic for a given zlib, so any two encoders produce
+identical bytes from identical inputs; decode is the exact inverse, and
+refuses every report version but the one encode writes. Decode parses each
+distinct header once: it keeps the spec and section layout of the headers
+of reports it took. See docs/csir-format.md for the byte layout.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .decoder import (
 __all__ = ["CodecError", "encode", "decode", "recreate", "payload_bytes", "round_to_float16"]
 
 REPORT_MAGIC = b"CSIR"
-REPORT_VERSION = 4  # the one version encode writes and decode reads
+REPORT_VERSION = 5  # the one version encode writes and decode reads
 _DTYPE_F32, _DTYPE_F16 = 0, 1  # payload dtype tags: the weights as float32, or as float16
 _WEIGHT_DTYPES = {_DTYPE_F32: np.dtype("<f4"), _DTYPE_F16: np.dtype("<f2")}
 _F16_OVERFLOW = 65520.0  # the least magnitude float16 rounds to infinity
@@ -57,13 +58,12 @@ class CodecError(ValueError):
     """Malformed or corrupted CSI report."""
 
 
-def payload_bytes(spec: DecoderSpec, dtype_tag: int = _DTYPE_F32) -> int:
-    """The bytes of the weights a report of `spec` with payload dtype tag
-    `dtype_tag` (its byte 6) carries: 4 per trainable scalar under tag 0,
-    2 under tag 1; ValueError naming any other tag."""
-    if dtype_tag not in _WEIGHT_DTYPES:
-        raise ValueError(f"unknown payload dtype tag {dtype_tag}")
-    return _WEIGHT_DTYPES[dtype_tag].itemsize * param_count(spec)
+def payload_bytes(blob) -> int:
+    """The bytes of weights the report `blob` carries: its raw byte planes
+    and its coded plane, the section behind the norms and scale.
+    CodecError unless :func:`decode` takes `blob`."""
+    _, _, norms, scale = decode(blob)
+    return len(blob) - 15 - struct.unpack_from("<I", blob, 7)[0] - 8 * (norms.size + np.size(scale))
 
 
 def round_to_float16(params: ParamSet) -> bool:
@@ -114,10 +114,10 @@ def _checked(arr: np.ndarray, shape) -> np.ndarray:
 
 def _weights(params: ParamSet) -> tuple:
     """(dtype tag, bytes) of the canonical weight vector: little-endian
-    float16 if every weight is a float16 value, float32 otherwise;
-    ValueError naming the array (kind and layer, layer 1 first) of the first
-    weight that is not finite as float32, a float64 beyond the float32 range
-    included."""
+    float16 if every weight is a float16 value, float32 otherwise, as byte
+    planes (see :func:`_planes`); ValueError naming the array (kind and
+    layer, layer 1 first) of the first weight that is not finite as float32,
+    a float64 beyond the float32 range included."""
     with np.errstate(over="ignore"):  # such a weight casts to inf, refused below
         vec = params_to_vector(params).astype("<f4")
     finite = np.isfinite(vec)
@@ -127,7 +127,16 @@ def _weights(params: ParamSet) -> tuple:
         kind = ("kernel", "gamma", "beta")[k % 3]
         raise ValueError(f"layer {k // 3 + 1} {kind} has a weight not finite as float32")
     half = _as_float16(vec)
-    return (_DTYPE_F32, vec.tobytes()) if half is None else (_DTYPE_F16, half.tobytes())
+    return (_DTYPE_F32, _planes(vec)) if half is None else (_DTYPE_F16, _planes(half))
+
+
+def _planes(vec: np.ndarray) -> bytes:
+    """The little-endian `vec` as byte planes, plane k holding byte k of
+    every weight: all but the most significant plane raw, least significant
+    first, then that plane as one raw-DEFLATE Huffman-only stream."""
+    planes = vec.view(np.uint8).reshape(vec.size, vec.itemsize).T
+    coder = zlib.compressobj(9, zlib.DEFLATED, -15, 9, zlib.Z_HUFFMAN_ONLY)
+    return planes[:-1].tobytes() + coder.compress(planes[-1].tobytes()) + coder.flush()
 
 
 def _as_float16(vec: np.ndarray):
@@ -142,7 +151,7 @@ def _as_float16(vec: np.ndarray):
 
 
 def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
-    """Serialize a fitted decoder into the (version 4) report byte stream,
+    """Serialize a fitted decoder into the (version 5) report byte stream,
     the weights as float16 (dtype tag 1) exactly when every one of them is a
     float16 value, as float32 (tag 0) otherwise.
 
@@ -169,9 +178,11 @@ def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
 
 def _layout(header: bytes) -> tuple:
     """What decode derives from a report's header: (spec, norms shape,
-    scale shape, norm count, float64 count, weight count). CodecError
-    unless the header is the canonical JSON of a spec :func:`encode`
-    takes."""
+    scale shape, norm count, float64 count, weight count, cuts), the cuts
+    (kernel (slice, shape) pairs, gamma slices, beta slices) placing each
+    array in the weight vector as :func:`~unn_csi.decoder.param_views`
+    does. CodecError unless the header is the canonical JSON of a spec
+    :func:`encode` takes."""
     try:  # UTF-8 first: json.loads would also take UTF-16 and UTF-32 bytes
         spec = spec_from_json(header.decode("utf-8"))
         shapes = _shapes(spec)
@@ -181,24 +192,57 @@ def _layout(header: bytes) -> tuple:
         raise CodecError("malformed header: not the canonical JSON of its spec")
     n_norms = math.prod(shapes["norms"])
     n_head = n_norms + math.prod(shapes["scale"])
-    return spec, shapes["norms"], shapes["scale"], n_norms, n_head, param_count(spec)
+    n_weights = param_count(spec)
+    where = param_views(spec, np.arange(n_weights))  # each entry holds its own offset
+
+    def cut(a):
+        return slice(int(a.flat[0]), int(a.flat[-1]) + 1)
+
+    cuts = [(cut(k), k.shape) for k in where.kernels], [cut(g) for g in where.gammas], [cut(b) for b in where.betas]
+    return spec, shapes["norms"], shapes["scale"], n_norms, n_head, n_weights, cuts
+
+
+def _inflate(stream, n: int) -> bytes:
+    """The `n` bytes the raw-DEFLATE `stream` holds, inflating no more than
+    `n`; CodecError unless it is one complete stream of exactly `n` bytes
+    that ends where `stream` does."""
+    inflater = zlib.decompressobj(-15)
+    try:
+        plane = inflater.decompress(stream, n)
+    except zlib.error as exc:
+        raise CodecError(f"malformed coded weight plane: {exc}") from None
+    if inflater.unconsumed_tail:
+        raise CodecError(f"coded weight plane inflates to more than {n} bytes")
+    if not inflater.eof:
+        raise CodecError("coded weight plane is cut short")
+    if len(plane) != n:
+        raise CodecError(f"coded weight plane inflates to {len(plane)} bytes, spec needs {n}")
+    if inflater.unused_data:
+        raise CodecError(f"trailing bytes after the coded weight plane: {len(inflater.unused_data)}")
+    return plane
 
 
 def decode(blob):
-    """Exact inverse of :func:`encode`; reads version 4 only, with float32
+    """Exact inverse of :func:`encode`; reads version 5 only, with float32
     or float16 weights, from any bytes-like `blob`.
 
-    Returns (spec, params, snapshot_norms, scale), the weights as float32.
-    Reports with equal headers return one shared spec object.
+    Returns (spec, params, snapshot_norms, scale), the weights as float32
+    views of one vector. Reports with equal headers return one shared spec
+    object.
     Raises CodecError on a bad magic, any other version, a dtype tag other
     than 0 and 1, a header length that overruns the blob,
     checksum mismatch, a header that is not a spec file's JSON (see
     :func:`~unn_csi.decoder.spec_from_json`), a spec :func:`encode` refuses,
     a header that is not the spec's canonical JSON,
-    a binary section whose length the spec does not give, norms and a scale
-    that :func:`encode` would refuse for the spec, a weight that is NaN or
-    infinite, or float32 weights that are all float16 values: every report
-    decode takes is one encode writes.
+    a section too short for the raw byte planes the spec and tag give,
+    norms and a scale that :func:`encode` would refuse for the spec,
+    a coded plane that is not one complete raw-DEFLATE stream inflating to
+    one byte per weight and ending the report (inflating no more than
+    that), a weight that is NaN or infinite, or float32 weights that are
+    all float16 values. The coded plane is not re-deflated to compare
+    bytes: any stream that passes these checks is taken, so a report
+    whose plane another deflater wrote (stored blocks, say) decodes to
+    the weights it carries, and re-encodes to encode's bytes, not its own.
     """
     blob = memoryview(blob).cast("B")  # slices of it copy nothing
     if len(blob) < 11 or blob[:4] != REPORT_MAGIC:
@@ -218,19 +262,26 @@ def decode(blob):
     fresh = layout is None
     if fresh:
         layout = _layout(header)
-    spec, norms_shape, scale_shape, n_norms, n_head, n_weights = layout
-    section = bytes(blob[crc_at + 4 :])  # a copy: at 15 + n its float64s and weights would sit unaligned
-    want = 8 * n_head + _WEIGHT_DTYPES[dtype_tag].itemsize * n_weights
-    if len(section) != want:
-        raise CodecError(f"payload holds {len(section)} bytes, spec needs {want}")
-    head = np.frombuffer(section, dtype="<f8", count=n_head).astype(float)
+    spec, norms_shape, scale_shape, n_norms, n_head, n_weights, (kernels, gammas, betas) = layout
+    dtype = _WEIGHT_DTYPES[dtype_tag]
+    raw_at = crc_at + 4 + 8 * n_head
+    coded_at = raw_at + (dtype.itemsize - 1) * n_weights
+    if coded_at > len(blob):
+        have, need = len(blob) - crc_at - 4, coded_at - crc_at - 4
+        raise CodecError(f"payload holds {have} bytes, spec needs at least {need}")
+    head = np.frombuffer(blob, "<f8", n_head, crc_at + 4).astype(float)  # an aligned copy
     if not _positive(head):  # one test for both fields; name the first at fault
         name = "scale" if _positive(head[:n_norms]) else "norms"
         raise CodecError(f"malformed field {name!r}: every entry must be finite and > 0")
     norms, scale = head[:n_norms].reshape(norms_shape), head[n_norms:].reshape(scale_shape)
     if scale.ndim == 0:
         scale = float(scale)
-    vec = np.frombuffer(section, dtype=_WEIGHT_DTYPES[dtype_tag], offset=8 * n_head).astype(np.float32)
+    planes = np.empty((n_weights, dtype.itemsize), np.uint8)  # weight i's bytes in row i
+    planes[:, -1] = np.frombuffer(_inflate(blob[coded_at:], n_weights), np.uint8)
+    raw = np.frombuffer(blob[raw_at:coded_at], np.uint8).reshape(-1, n_weights)
+    for k, plane in enumerate(raw):  # a plane at a time: 3x faster than one 2-D strided copy
+        planes[:, k] = plane
+    vec = planes.view(dtype).reshape(n_weights).astype(np.float32, copy=False)
     if not np.isfinite(vec).all():
         raise CodecError("payload holds a NaN or infinite weight")
     if dtype_tag == _DTYPE_F32 and _as_float16(vec) is not None:
@@ -240,7 +291,9 @@ def decode(blob):
             if header not in _memo and len(_memo) >= _MEMO_SIZE:
                 del _memo[next(iter(_memo))]
             spec = _memo.setdefault(header, layout)[0]
-    params = param_views(spec, vec)
+    params = ParamSet(
+        [vec[at].reshape(shape) for at, shape in kernels], [vec[at] for at in gammas], [vec[at] for at in betas]
+    )
     return spec, params, norms, scale
 
 

@@ -1,6 +1,8 @@
 import json
 import os
+import subprocess
 import sys
+import zlib
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
@@ -269,9 +271,10 @@ class TestRunCodecMode:
         assert cli.run(cli.config_from_dict(config)) == 0
         summary = json.load(open(os.path.join(config["out"], "summary.json")))
         assert summary["bit_exact"] is True
-        assert summary["payload_bytes"] == 2 * 272  # the weights alone, as float16
         (report,) = Path(config["out"], "reports").glob("*.csir")
         assert report.read_bytes()[6] == 1
+        # the weights alone, as float16 with the high bytes Huffman-coded
+        assert summary["payload_bytes"] == codec.payload_bytes(report.read_bytes()) < 2 * 272
         assert summary["report_bytes"] == report.stat().st_size
         assert summary["nmse_db_rx"] == summary["nmse_db_tx"]
 
@@ -426,8 +429,9 @@ class TestFloat16Reports:
         (est,) = self.regenerated(out / "reports" / "ue1_snr0.0_seed0.csir")
         assert summary["bit_exact"] is True
         assert nmse(est, desk[1]) == summary["nmse_db_rx"] == summary["nmse_db_tx"]
-        assert summary["payload_bytes"] == 2 * summary["param_count"] == 2560
-        assert summary["report_bytes"] == 2862
+        blob = (out / "reports" / "ue1_snr0.0_seed0.csir").read_bytes()
+        assert summary["payload_bytes"] == codec.payload_bytes(blob) < 2 * summary["param_count"] == 2560
+        assert summary["report_bytes"] == len(blob) == 2469
 
     def test_group_mode(self, tmp_path, desk):
         out = run_desk(tmp_path, "group")
@@ -539,6 +543,15 @@ class TestMain:
         out = tmp_path / "flag_out"
         assert cli.main(["--config", str(cfg_path), "--out", str(out), "--workers", "1"]) == 0
         assert json.loads((out / "summary.json").read_text())["workers"] == 1
+
+    def test_importing_the_cli_loads_no_worker_pool(self):
+        # only a run of more than one worker imports the pool's modules
+        pool = "{'multiprocessing', 'concurrent.futures.process'}"
+        probe = f"import sys, unn_csi.cli; print(sorted({pool} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"
 
     def test_workers_flag_parallel_run_matches_serial(self, tiny_setup, tmp_path):
         _, config = tiny_setup
@@ -1027,6 +1040,8 @@ def test_full_scale_single_row_and_payload(tmp_path):
     from unn_csi.codec import payload_bytes
 
     assert blob[6] == 1
-    assert payload_bytes(spec, blob[6]) == 2 * 25728 == 51456
-    assert blob[-51456:] == params_to_vector(params).astype("<f2").tobytes()
+    assert 25728 < payload_bytes(blob) < 2 * 25728
+    low, high = params_to_vector(params).astype("<f2").view(np.uint8).reshape(-1, 2).T
+    assert blob[-payload_bytes(blob) :][:25728] == low.tobytes()
+    assert zlib.decompress(blob[-payload_bytes(blob) + 25728 :], -15) == high.tobytes()
     assert len(norms) == 64

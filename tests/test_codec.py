@@ -73,6 +73,54 @@ def edit_section(blob, at, values, dtype) -> bytes:
     return seal(out)
 
 
+def huffman(plane: bytes, level=9, strategy=zlib.Z_HUFFMAN_ONLY) -> bytes:
+    """`plane` as one raw-DEFLATE stream: Huffman-only, as encode writes
+    it, unless `level` and `strategy` say otherwise."""
+    coder = zlib.compressobj(level, zlib.DEFLATED, -15, 9, strategy)
+    return coder.compress(plane) + coder.flush()
+
+
+def weight_section(vec) -> bytes:
+    """The little-endian float16 or float32 weights `vec` as a report
+    carries them: byte k of every weight, for each k but the most
+    significant, then the most significant bytes as one Huffman stream."""
+    raw, w = np.asarray(vec).tobytes(), np.asarray(vec).itemsize
+    return b"".join(raw[k::w] for k in range(w - 1)) + huffman(raw[w - 1 :: w])
+
+
+def section_offsets(blob) -> tuple:
+    """(weights, coded plane) offsets in `blob`, from its header and tag:
+    the weights sit behind the norms and scale, and the coded plane behind
+    the raw planes."""
+    header_len = struct.unpack_from("<I", blob, 7)[0]
+    spec = spec_from_json(bytes(blob[11 : 11 + header_len]).decode())
+    weights_at = 15 + header_len + 8 * sum(int(np.prod(s)) for s in _shapes(spec).values())
+    return weights_at, weights_at + (3 if blob[6] == 0 else 1) * param_count(spec)
+
+
+def weights_of(blob) -> np.ndarray:
+    """The weights `blob` carries, read from its planes by zlib alone."""
+    weights_at, coded_at = section_offsets(blob)
+    dtype = np.dtype("<f4" if blob[6] == 0 else "<f2")
+    planes = bytes(blob[weights_at:coded_at]) + zlib.decompress(blob[coded_at:], -15)
+    return np.frombuffer(planes, np.uint8).reshape(dtype.itemsize, -1).T.copy().view(dtype).ravel()
+
+
+def with_weights(blob, vec) -> bytes:
+    """`blob` carrying the weights `vec` (little-endian float16 or float32,
+    which sets the dtype tag) in place of its own, resealed: weights encode
+    may refuse to write."""
+    vec = np.asarray(vec)
+    out = bytearray(blob[: section_offsets(blob)[0]]) + weight_section(vec)
+    out[6] = 1 if vec.itemsize == 2 else 0
+    return seal(out)
+
+
+def with_coded_plane(blob, stream) -> bytes:
+    """`blob` with `stream` in place of its coded plane, resealed."""
+    return seal(blob[: section_offsets(blob)[1]] + stream)
+
+
 def zero_params(spec):
     p = init_params(spec, 0)
     for w in p.kernels:
@@ -95,8 +143,8 @@ def documented_sizes(columns: int) -> dict:
     return {name: tuple(int(n.replace(",", "")) for n in numbers) for name, *numbers in rows}
 
 
-DOCUMENTED_SIZES = documented_sizes(4)  # float32 weights: report, weight, non-payload, header bytes
-DOCUMENTED_F16_SIZES = documented_sizes(2)  # float16 weights: report, weight bytes
+# header, non-payload bytes, then report and weight bytes under tag 0 and under tag 1
+DOCUMENTED_SIZES = documented_sizes(6)
 PACKAGED = ["single_ue_desk", "single_ue_full", "group_desk", "group_full_a", "group_full_b"]
 
 
@@ -114,17 +162,21 @@ def some_preprocessing(spec):
 
 class TestEncode:
     def test_full_scale_payload_size(self):
-        # zeros are float16 values, so the weights travel at 2 bytes each
+        # zeros are float16 values, so the weights travel as a raw plane of
+        # zero low bytes and a coded plane of zero high bytes
         params = zero_params(FULL_SINGLE)
         blob = encode(FULL_SINGLE, params, np.ones(64), 1.0)
         assert blob[6] == 1
-        assert payload_bytes(FULL_SINGLE, 1) == 2 * 25728 == 51456
-        assert blob[-51456:] == b"\x00" * 51456
+        stream = huffman(bytes(25728))
+        assert payload_bytes(blob) == 25728 + len(stream) < 2 * 25728
+        assert blob[-payload_bytes(blob) :] == bytes(25728) + stream
         decode(blob)  # checksum of the all-zero payload is valid
 
     def test_payload_ratio_vs_raw_csi(self):
         raw = 64 * 64 * 36 * 8  # complex64 coefficients, 8 bytes each
-        assert payload_bytes(FULL_SINGLE) / raw == pytest.approx(0.0873, abs=1e-4)
+        blob = encode(FULL_SINGLE, init_params(FULL_SINGLE, 1), np.ones(64), 1.0)
+        assert blob[6] == 0 and 3 * 25728 < payload_bytes(blob) < 4 * 25728
+        assert payload_bytes(blob) / raw == pytest.approx(0.0717, abs=1e-4)
 
     def test_deterministic_bytes(self, small_spec):
         params = init_params(small_spec, 3)
@@ -144,35 +196,41 @@ class TestEncode:
 
     @pytest.mark.parametrize("name", PACKAGED)
     def test_report_size(self, name):
-        # 15 framing bytes, the header, 8 per norm and scale entry, 4 per
-        # weight: the sizes docs/csir-format.md gives
-        report_bytes, weight_bytes, non_payload_bytes, header_bytes = DOCUMENTED_SIZES[name]
+        # 15 framing bytes, the header, 8 per norm and scale entry, then
+        # the weights of decoder.init_params(spec, 1): 3 raw bytes and a
+        # coded one per weight under tag 0; the sizes docs/csir-format.md gives
+        header_bytes, non_payload_bytes, report_bytes, weight_bytes = DOCUMENTED_SIZES[name][:4]
         spec = packaged(name)
         blob = encode(spec, init_params(spec, 1), *some_preprocessing(spec))
         n_head = sum(int(np.prod(s)) for s in _shapes(spec).values())
+        assert blob[6] == 0
         assert struct.unpack_from("<I", blob, 7)[0] == header_bytes
-        assert payload_bytes(spec) == weight_bytes == report_bytes - non_payload_bytes
-        assert len(blob) == report_bytes == 15 + header_bytes + 8 * n_head + weight_bytes
+        assert non_payload_bytes == 15 + header_bytes + 8 * n_head
+        assert payload_bytes(blob) == weight_bytes == report_bytes - non_payload_bytes
+        assert len(blob) == report_bytes
+        assert 3 * param_count(spec) < weight_bytes < 4 * param_count(spec)
 
     @pytest.mark.parametrize("name", PACKAGED)
     def test_float16_report_size(self, name):
-        # the same report with float16-rounded weights: 2 bytes a weight,
-        # the sizes of docs/csir-format.md's float16 table
-        report_bytes, weight_bytes = DOCUMENTED_F16_SIZES[name]
-        non_payload_bytes = DOCUMENTED_SIZES[name][2]
+        # the same weights rounded to float16: 1 raw byte and a coded one
+        # per weight, the sizes of the table's tag 1 columns
+        non_payload_bytes, _, _, report_bytes, weight_bytes = DOCUMENTED_SIZES[name][1:]
         spec = packaged(name)
         params = init_params(spec, 1)
         assert round_to_float16(params)
         blob = encode(spec, params, *some_preprocessing(spec))
         assert blob[6] == 1
-        assert payload_bytes(spec, 1) == weight_bytes == 2 * param_count(spec)
-        assert len(blob) == report_bytes == non_payload_bytes + weight_bytes
+        assert payload_bytes(blob) == weight_bytes == report_bytes - non_payload_bytes
+        assert len(blob) == report_bytes
+        assert param_count(spec) < weight_bytes < 2 * param_count(spec)
 
-    @pytest.mark.parametrize("tag", [2, -1, 255])
+    @pytest.mark.parametrize("tag", [2, 3, 255])
     def test_payload_bytes_refuses_an_unknown_tag(self, tag):
-        # it raised KeyError: 2
-        with pytest.raises(ValueError, match=f"^unknown payload dtype tag {tag}$"):
-            payload_bytes(FULL_SINGLE, tag)
+        # payload_bytes counts what a report decode takes carries
+        blob = bytearray(desk_report())
+        blob[6] = tag
+        with pytest.raises(CodecError, match=f"^unknown payload dtype tag {tag}$"):
+            payload_bytes(seal(blob))
 
     @pytest.mark.parametrize("dims", [(4,), (2, 2, 2, 2)])
     def test_spec_without_a_report_layout_rejected(self, dims):
@@ -211,9 +269,9 @@ class TestDecode:
         with pytest.raises(CodecError, match="magic"):
             decode(b"NOPE" + b"\x00" * 32)
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 3, 5, 255, 65535])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 6, 255, 65535])
     def test_unknown_version(self, version):
-        # every version field but 4 is refused, the retired 1 to 3 included
+        # every version field but 5 is refused, the retired 1 to 4 included
         blob = bytearray(desk_report())
         struct.pack_into("<H", blob, 4, version)
         with pytest.raises(CodecError, match=f"^unknown report version {version}$"):
@@ -330,18 +388,19 @@ class TestDecode:
         blob = encode(small_spec, init_params(small_spec, 1), np.ones(8), 1.0)
         with pytest.raises(CodecError, match="^checksum mismatch$"):
             decode(blob + b"\x00")
-        with pytest.raises(CodecError, match=r"^payload holds (\d+) bytes, spec needs \d+$"):
+        with pytest.raises(CodecError, match="^trailing bytes after the coded weight plane: 1$"):
             decode(seal(blob + b"\x00"))
 
-    @pytest.mark.parametrize("count", [-1, 1, 7])
-    def test_section_length_follows_the_spec(self, small_spec, count):
-        # a section with one float64 too few or too many, or a partial one
+    @pytest.mark.parametrize("count", [1, 7, 8 * 9 + 3 * 272])
+    def test_section_holds_the_raw_planes(self, small_spec, count):
+        # the spec and tag size the norms, scale and raw planes: a section
+        # `count` bytes shorter than those, down to an empty one
         blob = encode(small_spec, init_params(small_spec, 1), np.ones(8), 1.0)
         section_at = 15 + struct.unpack_from("<I", blob, 7)[0]
-        want = len(blob) - section_at
-        bad = blob[:count] if count < 0 else blob + b"\x01" * count
-        with pytest.raises(CodecError, match=f"^payload holds {want + count} bytes, spec needs {want}$"):
-            decode(seal(bad))
+        need = section_offsets(blob)[1] - section_at
+        assert blob[6] == 0 and need == 8 * 9 + 3 * 272
+        with pytest.raises(CodecError, match=f"^payload holds {need - count} bytes, spec needs at least {need}$"):
+            decode(seal(blob[: section_at + need - count]))
 
     @pytest.mark.parametrize("name", PACKAGED)
     def test_reencoding_a_decoded_report_gives_its_bytes(self, name):
@@ -422,18 +481,22 @@ desk_reports = st.builds(
 
 
 class TestVersions:
-    def test_v4_layout(self, small_spec):
+    @pytest.mark.parametrize("half", [False, True], ids=["float32", "float16"])
+    def test_v5_layout(self, small_spec, half):
         # the header is the spec; the section behind the CRC is the norms,
-        # then the scale, as float64, then the weights as float32, and it
-        # runs to the end; the CRC covers every byte but its own field
+        # then the scale, as float64, then the weights' byte planes, least
+        # significant first, the most significant one Huffman-coded to the
+        # end; the CRC covers every byte but its own field
         params = init_params(small_spec, 2)
+        if half:
+            assert round_to_float16(params)
         norms = np.linspace(0.5, 2.0, 8)
         blob = encode(small_spec, params, norms, 1.5)
         header = spec_to_json(small_spec).encode()
         header_end = 11 + len(header)
-        weights = params_to_vector(params).astype("<f4").tobytes()
-        section = norms.astype("<f8").tobytes() + struct.pack("<d", 1.5) + weights
-        assert blob[:header_end] == b"CSIR" + struct.pack("<HBI", 4, 0, len(header)) + header
+        weights = params_to_vector(params).astype("<f2" if half else "<f4")
+        section = norms.astype("<f8").tobytes() + struct.pack("<d", 1.5) + weight_section(weights)
+        assert blob[:header_end] == b"CSIR" + struct.pack("<HBI", 5, int(half), len(header)) + header
         assert blob[header_end + 4 :] == section
         body = blob[:header_end] + blob[header_end + 4 :]
         assert struct.unpack_from("<I", blob, header_end)[0] == zlib.crc32(body)
@@ -510,26 +573,39 @@ def pad_header(blob) -> bytes:
 
 
 def float16_values_as_float32(blob) -> bytes:
-    """A float32 desk report with its weights rounded to float16 values,
-    still under dtype tag 0, resealed: a report encode never writes."""
-    weights = np.frombuffer(blob[-4 * param_count(DESK_SPEC) :], "<f4").astype(np.float16)
-    return edit_section(blob, 8 * 17, weights, "<f4")
+    """A float32 report with its weights rounded to float16 values, still
+    under dtype tag 0, resealed: a report encode never writes."""
+    return with_weights(blob, weights_of(blob).astype(np.float16).astype("<f4"))
+
+
+def nan_weight(blob, at=0) -> bytes:
+    """`blob` with weight `at` set to NaN, its other weights and its tag
+    kept, resealed."""
+    weights = weights_of(blob)
+    weights[at] = np.nan
+    return with_weights(blob, weights)
+
+
+def cut_into_raw_planes(blob) -> bytes:
+    """`blob` cut one byte short of its raw planes, resealed."""
+    return seal(blob[: section_offsets(blob)[1] - 1])
 
 
 # decode's checks in the order of docs/csir-format.md: (its error, an edit
 # of a desk report that fails that check)
 CHECKS = {
     "magic": ("not a CSI report \\(bad magic\\)", lambda b: b"NOPE" + b[4:]),
-    "version": ("unknown report version 5", lambda b: b[:4] + struct.pack("<H", 5) + b[6:]),
+    "version": ("unknown report version 4", lambda b: b[:4] + struct.pack("<H", 4) + b[6:]),
     "dtype-tag": ("unknown payload dtype tag 2", lambda b: b[:6] + b"\x02" + b[7:]),
     "header-length": ("header length .* overruns", lambda b: b[:7] + struct.pack("<I", len(b)) + b[11:]),
     "crc": ("checksum mismatch", flip_last_byte),
     "header-json": ("malformed header: 'utf-8' codec", lambda b: seal(b[:11] + b"\xff" + b[12:])),
     "spec": ("malformed header: decoder spec: unknown field 'x'", lambda b: seal(edit_header(b, lambda h: h.update(x=1)))),
     "canonical-header": ("malformed header: not the canonical JSON of its spec", pad_header),
-    "section-length": ("payload holds 5264 bytes, spec needs 5256", lambda b: seal(b + bytes(8))),
+    "section-length": ("payload holds 3975 bytes, spec needs at least 3976", cut_into_raw_planes),
     "norms-and-scale": ("malformed field 'norms'", lambda b: edit_section(b, 0, [np.nan], "<f8")),
-    "weights": ("payload holds a NaN or infinite weight", lambda b: edit_section(b, 8 * 17, [np.nan], "<f4")),
+    "coded-plane": ("coded weight plane is cut short", lambda b: seal(b[:-1])),
+    "weights": ("payload holds a NaN or infinite weight", nan_weight),
     "float16-values": ("float32 payload of float16 values", float16_values_as_float32),
 }
 
@@ -547,6 +623,79 @@ class TestCheckOrder:
             blob = CHECKS[name][1](blob)
         with pytest.raises(CodecError, match=f"^{CHECKS[check][0]}"):
             decode(blob)
+
+
+class TestCodedPlane:
+    """The coded plane is inflated to at most one byte per weight, and must
+    be one complete raw-DEFLATE stream of exactly that many bytes that ends
+    the report; every stream that is not fails with CodecError, never
+    zlib.error, under either tag."""
+
+    @pytest.fixture(params=[False, True], ids=["float32", "float16"])
+    def report(self, request):
+        return desk_report(half=request.param)
+
+    @staticmethod
+    def top_plane(blob) -> bytes:
+        """The most significant byte of every weight `blob` carries."""
+        return zlib.decompress(blob[section_offsets(blob)[1] :], -15)
+
+    def test_a_stream_cut_short(self, report):
+        stream = report[section_offsets(report)[1] :]
+        with pytest.raises(CodecError, match="^coded weight plane is cut short$"):
+            decode(with_coded_plane(report, stream[: len(stream) // 2]))
+
+    def test_a_stream_one_byte_short(self, report):
+        plane = self.top_plane(report)
+        with pytest.raises(CodecError, match="^coded weight plane inflates to 1279 bytes, spec needs 1280$"):
+            decode(with_coded_plane(report, huffman(plane[:-1])))
+
+    def test_a_stream_one_byte_long(self, report):
+        plane = self.top_plane(report)
+        with pytest.raises(CodecError, match="^coded weight plane inflates to more than 1280 bytes$"):
+            decode(with_coded_plane(report, huffman(plane + plane[:1])))
+
+    def test_a_trailing_byte(self, report):
+        stream = report[section_offsets(report)[1] :]
+        with pytest.raises(CodecError, match="^trailing bytes after the coded weight plane: 1$"):
+            decode(with_coded_plane(report, stream + b"\x00"))
+
+    def test_a_bomb_is_refused_without_inflating_it(self, report, monkeypatch):
+        # DEFLATE codes at most 258 bytes in 2 bits: this 1 KB stream
+        # inflates to 10^6 bytes, of which decode inflates 1,280
+        bomb = huffman(bytes(10**6), level=9, strategy=zlib.Z_DEFAULT_STRATEGY)
+        assert len(bomb) < 1100 and len(zlib.decompress(bomb, -15)) == 10**6
+        inflated, real = [], zlib.decompressobj
+
+        class Counting:
+            def __init__(self, *args):
+                self.inflater = real(*args)
+
+            def decompress(self, data, max_length=0):
+                out = self.inflater.decompress(data, max_length)
+                inflated.append(len(out))
+                return out
+
+            def __getattr__(self, name):
+                return getattr(self.inflater, name)
+
+        monkeypatch.setattr(zlib, "decompressobj", Counting)
+        with pytest.raises(CodecError, match="^coded weight plane inflates to more than 1280 bytes$"):
+            decode(with_coded_plane(report, bomb))
+        assert inflated == [1280]
+
+    def test_a_stream_that_is_no_deflate_data(self, report):
+        # block type 3 is reserved
+        with pytest.raises(CodecError, match="^malformed coded weight plane: .*invalid block type"):
+            decode(with_coded_plane(report, b"\xff" * 8))
+
+    def test_a_stored_block_stream_decodes_to_the_same_weights(self, report):
+        # decode does not re-deflate to compare bytes: another deflater's
+        # stream of the right bytes is taken, and re-encodes to encode's
+        stored = with_coded_plane(report, huffman(self.top_plane(report), level=0))
+        assert stored != report and stored[section_offsets(stored)[1]] & 0b110 == 0  # block type 0: stored
+        assert decoded(decode(stored)) == decoded(decode(report))
+        assert encode(*decode(stored)) == report
 
 
 GROUP_DESK_SPEC = packaged("group_desk")
@@ -588,11 +737,30 @@ class TestHeaderMemo:
             assert decoded(decode(blob)) == miss
             assert encode(*decode(blob)) == blob
 
+    def test_a_hit_lays_out_the_weights_as_param_views(self, empty_memo):
+        # the memo keeps each array's place in the weight vector, so a hit
+        # builds the ParamSet param_views would, on one float32 vector
+        def address(a):
+            return a.__array_interface__["data"][0]
+
+        for blob in (desk_report(1), desk_report(2, half=True), group_desk_report(1)):
+            decode(blob)
+            spec, params, _, _ = decode(blob)
+            assert len(empty_memo) == 1
+            want = param_views(spec, params_to_vector(params))
+            for got, ref in zip(params.arrays(), want.arrays(), strict=True):
+                assert got.dtype == ref.dtype == np.float32 and got.shape == ref.shape
+                assert np.array_equal(got, ref) and got.flags.c_contiguous
+                assert got.base is params.kernels[0].base
+                assert address(got) - address(params.kernels[0]) == address(ref) - address(want.kernels[0])
+            empty_memo.clear()
+
     FAILING = {
         "non-canonical-header": (pad_header, "malformed header: not the canonical JSON of its spec"),
-        "section-length": (lambda b: seal(b + bytes(8)), r"payload holds \d+ bytes, spec needs \d+"),
+        "section-length": (cut_into_raw_planes, r"payload holds \d+ bytes, spec needs at least \d+"),
+        "trailing-bytes": (lambda b: seal(b + bytes(8)), "trailing bytes after the coded weight plane: 8"),
         "zero-norm": (lambda b: edit_section(b, 0, [0.0], "<f8"), "malformed field 'norms'"),
-        "nan-weight": (lambda b: edit_section(b, 8 * 17, [np.nan], "<f4"), "payload holds a NaN or infinite weight"),
+        "nan-weight": (nan_weight, "payload holds a NaN or infinite weight"),
     }
 
     @pytest.mark.parametrize("case", FAILING)
@@ -697,19 +865,18 @@ class TestPreprocessingFields:
     # a one-element scale list and its number have the same float64 bits
     @pytest.mark.parametrize("case", sorted(set(BAD_PREPROCESSING) - {"one-element-list-scale"}))
     def test_decode_refuses(self, case):
-        # the section written from values encode refuses: a wrong count of
-        # float64s fails the section length, a bad value names its field
+        # the section written from values encode refuses: a bad value names
+        # its field; a wrong count of float64s moves the weights, which
+        # then fail their own checks
         spec, norms, scale, field = BAD_PREPROCESSING[case]
         good = encode(spec, init_params(spec, 1), *GOOD_PREPROCESSING[spec.n_spatial])
-        section_at = 15 + struct.unpack_from("<I", good, 7)[0]
-        want = len(good) - section_at
+        section_at, weights_at = 15 + struct.unpack_from("<I", good, 7)[0], section_offsets(good)[0]
         head = np.concatenate([np.ravel(norms), np.ravel(scale)]).astype("<f8").tobytes()
-        section = head + good[-payload_bytes(spec) :]
-        bad = seal(good[:section_at] + section)
-        if len(section) == want:
+        bad = seal(good[:section_at] + head + good[weights_at:])
+        if len(head) == weights_at - section_at:
             match = f"^malformed field '{field}': every entry must be finite and > 0$"
         else:
-            match = f"^payload holds {len(section)} bytes, spec needs {want}$"
+            match = "^(malformed field|malformed coded weight plane|coded weight plane|trailing bytes)"
         with pytest.raises(CodecError, match=match):
             decode(bad)
 
@@ -761,10 +928,12 @@ class TestFloat16Weights:
         assert rx.data.tobytes() == tx.data.tobytes()
 
     def test_float16_weights_are_the_section_tail(self):
+        # one raw byte plane, then the coded one, under 2 bytes a weight
         params = rounded_desk_params()
         blob = encode(DESK_SPEC, params, *GOOD_PREPROCESSING[2])
-        assert blob[-payload_bytes(DESK_SPEC, 1) :] == params_to_vector(params).astype("<f2").tobytes()
-        assert len(blob) == 15 + len(spec_to_json(DESK_SPEC)) + 8 * 17 + 2 * param_count(DESK_SPEC)
+        assert blob[-payload_bytes(blob) :] == weight_section(params_to_vector(params).astype("<f2"))
+        assert len(blob) == 15 + len(spec_to_json(DESK_SPEC)) + 8 * 17 + payload_bytes(blob)
+        assert payload_bytes(blob) < 2 * param_count(DESK_SPEC)
 
     def test_rounds_in_place_on_the_fit_block(self):
         # the fit's own (batch, P) block is rounded, row by row, and nothing else
@@ -804,23 +973,25 @@ class TestFloat16Weights:
         assert encode(DESK_SPEC, params, *GOOD_PREPROCESSING[2])[6] == 1
 
     @pytest.mark.parametrize("half", [False, True], ids=["float32-to-float16", "float16-to-float32"])
-    def test_flipped_tag_fails_the_section_length(self, half):
-        # the other width reads the section as the wrong length, resealed or not
+    def test_flipped_tag_is_refused(self, half):
+        # read as float16, a float32 section's second raw plane is no
+        # Huffman stream; read as float32, a float16 section is shorter
+        # than three raw planes
         blob = bytearray(desk_report(half=half))
         assert blob[6] == int(half)
         blob[6] ^= 1
-        have = 8 * 17 + (2 if half else 4) * param_count(DESK_SPEC)
-        want = 8 * 17 + (4 if half else 2) * param_count(DESK_SPEC)
+        have = len(blob) - 15 - len(spec_to_json(DESK_SPEC))
         with pytest.raises(CodecError, match="^checksum mismatch$"):
             decode(bytes(blob))
-        with pytest.raises(CodecError, match=f"^payload holds {have} bytes, spec needs {want}$"):
+        short = f"^payload holds {have} bytes, spec needs at least {8 * 17 + 3 * 1280}$"
+        with pytest.raises(CodecError, match=short if half else "coded weight plane"):
             decode(seal(blob))
 
     def test_float32_report_of_float16_values_refused(self):
         # encode writes such weights under tag 1: decode took this report,
-        # and encode(*decode(blob)) gave the 2,862-byte report, not blob
+        # and encode(*decode(blob)) gave a float16 report, not blob
         blob = float16_values_as_float32(desk_report())
-        assert blob[6] == 0 and len(blob) == 5422
+        assert blob[6] == 0 and len(blob) > 15 + len(spec_to_json(DESK_SPEC)) + 8 * 17 + 3 * 1280
         with pytest.raises(CodecError, match="^float32 payload of float16 values, which encode writes under dtype tag 1$"):
             decode(blob)
 
@@ -828,8 +999,10 @@ class TestFloat16Weights:
     def test_decode_refuses_non_finite_float16(self, value):
         blob = desk_report(half=True)
         for weight in (0, 700, param_count(DESK_SPEC) - 1):
+            weights = weights_of(blob)
+            weights[weight] = value
             with pytest.raises(CodecError, match="^payload holds a NaN or infinite weight$"):
-                decode(edit_section(blob, 8 * 17 + 2 * weight, [value], "<f2"))
+                decode(with_weights(blob, weights))
 
 
 def poisoned(spec, kind, layer, value, dtype=np.float32):
@@ -869,10 +1042,12 @@ class TestNonFiniteWeights:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_decode_refuses(self, value):
-        blob, at = encode(DESK_SPEC, init_params(DESK_SPEC, 1), *GOOD_PREPROCESSING[2]), 8 * 17
+        blob = encode(DESK_SPEC, init_params(DESK_SPEC, 1), *GOOD_PREPROCESSING[2])
         for weight in (0, 700, param_count(DESK_SPEC) - 1):
+            weights = weights_of(blob)
+            weights[weight] = value
             with pytest.raises(CodecError, match="payload holds a NaN or infinite weight"):
-                decode(edit_section(blob, at + 4 * weight, [value], "<f4"))
+                decode(with_weights(blob, weights))
 
 
 class TestEndToEnd:
