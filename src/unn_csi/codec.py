@@ -9,11 +9,12 @@ otherwise (tag 0). :func:`round_to_float16` makes a fitted set lossless at
 2 bytes a weight. The weights travel as byte planes: every plane but the
 most significant raw, and that one, the sign and exponent bits, as one
 raw-DEFLATE Huffman-only stream running to the end of the report.
-Encoding is deterministic for a given zlib, so any two encoders produce
-identical bytes from identical inputs; decode is the exact inverse, and
-refuses every report version but the one encode writes. Decode parses each
-distinct header once: it keeps the spec and section layout of the headers
-of reports it took. See docs/csir-format.md for the byte layout.
+Encoding is deterministic for a given zlib build, so any two encoders on
+one zlib produce identical bytes from identical inputs; decode is the exact
+inverse, and refuses every report version but the one encode writes.
+Decode parses each distinct header once: it keeps the spec and section
+layout of the headers of reports it took. See docs/csir-format.md for the
+byte layout.
 """
 
 from __future__ import annotations
@@ -59,11 +60,16 @@ class CodecError(ValueError):
 
 
 def payload_bytes(blob) -> int:
-    """The bytes of weights the report `blob` carries: its raw byte planes
-    and its coded plane, the section behind the norms and scale.
-    CodecError unless :func:`decode` takes `blob`."""
-    _, _, norms, scale = decode(blob)
-    return len(blob) - 15 - struct.unpack_from("<I", blob, 7)[0] - 8 * (norms.size + np.size(scale))
+    """The bytes of weights the report `blob`, any bytes-like object,
+    carries: its raw byte planes and its coded plane, the section behind the
+    norms and scale. Reads the frame and header only, CodecError on those as
+    :func:`decode` raises it; it checks neither the CRC nor the sections, so
+    the count is that of a report only if :func:`decode` takes it."""
+    blob = memoryview(blob).cast("B")  # len counts bytes, whatever the buffer's items
+    crc_at = _frame(blob)[1]
+    header = bytes(blob[11:crc_at])
+    n_head = (_memo.get(header) or _layout(header))[4]
+    return len(blob) - crc_at - 4 - 8 * n_head
 
 
 def round_to_float16(params: ParamSet) -> bool:
@@ -202,6 +208,23 @@ def _layout(header: bytes) -> tuple:
     return spec, shapes["norms"], shapes["scale"], n_norms, n_head, n_weights, cuts
 
 
+def _frame(blob: memoryview) -> tuple:
+    """(dtype tag, CRC offset) of the report `blob`, a byte view; CodecError
+    on a bad magic, any other version, a dtype tag other than 0 and 1, or a
+    header length that overruns `blob`."""
+    if len(blob) < 11 or blob[:4] != REPORT_MAGIC:
+        raise CodecError("not a CSI report (bad magic)")
+    version, dtype_tag, header_len = struct.unpack_from("<HBI", blob, 4)
+    if version != REPORT_VERSION:
+        raise CodecError(f"unknown report version {version}")
+    if dtype_tag not in _WEIGHT_DTYPES:
+        raise CodecError(f"unknown payload dtype tag {dtype_tag}")
+    crc_at = 11 + header_len
+    if crc_at + 4 > len(blob):
+        raise CodecError(f"header length {header_len} overruns the {len(blob)}-byte report")
+    return dtype_tag, crc_at
+
+
 def _inflate(stream, n: int) -> bytes:
     """The `n` bytes the raw-DEFLATE `stream` holds, inflating no more than
     `n`; CodecError unless it is one complete stream of exactly `n` bytes
@@ -245,16 +268,7 @@ def decode(blob):
     the weights it carries, and re-encodes to encode's bytes, not its own.
     """
     blob = memoryview(blob).cast("B")  # slices of it copy nothing
-    if len(blob) < 11 or blob[:4] != REPORT_MAGIC:
-        raise CodecError("not a CSI report (bad magic)")
-    version, dtype_tag, header_len = struct.unpack_from("<HBI", blob, 4)
-    if version != REPORT_VERSION:
-        raise CodecError(f"unknown report version {version}")
-    if dtype_tag not in _WEIGHT_DTYPES:
-        raise CodecError(f"unknown payload dtype tag {dtype_tag}")
-    crc_at = 11 + header_len
-    if crc_at + 4 > len(blob):
-        raise CodecError(f"header length {header_len} overruns the {len(blob)}-byte report")
+    dtype_tag, crc_at = _frame(blob)
     if _crc(blob, crc_at) != struct.unpack_from("<I", blob, crc_at)[0]:
         raise CodecError("checksum mismatch")
     header = bytes(blob[11:crc_at])
