@@ -13,16 +13,16 @@ Encoding is deterministic for a given zlib build, so any two encoders on
 one zlib produce identical bytes from identical inputs; decode is the exact
 inverse, and refuses every report version but the one encode writes.
 Decode parses each distinct header once: it keeps the spec and section
-layout of the headers of reports it took. See docs/csir-format.md for the
-byte layout.
+layout of the last _MEMO_SIZE headers that parsed, dropping the least
+recently used. See docs/csir-format.md for the byte layout.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-import threading
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,13 +46,10 @@ REPORT_VERSION = 5  # the one version encode writes and decode reads
 _DTYPE_F32, _DTYPE_F16 = 0, 1  # payload dtype tags: the weights as float32, or as float16
 _WEIGHT_DTYPES = {_DTYPE_F32: np.dtype("<f4"), _DTYPE_F16: np.dtype("<f2")}
 _F16_OVERFLOW = 65520.0  # the least magnitude float16 rounds to infinity
-# decode keeps the spec and section layout of up to _MEMO_SIZE distinct
-# headers of reports it took, so that a base station parses each header
-# once; when full it drops the header it added first, and only a report
-# that passed every check adds its header
+# the distinct headers whose spec and section layout decode keeps, so that
+# a base station parses each header once: a header is kept once it parses,
+# as the canonical JSON of a spec, and the least recently used goes first
 _MEMO_SIZE = 64
-_memo: dict = {}  # header bytes -> _layout(header)
-_MEMO_LOCK = threading.Lock()
 
 
 class CodecError(ValueError):
@@ -68,7 +65,7 @@ def payload_bytes(blob) -> int:
     blob = memoryview(blob).cast("B")  # len counts bytes, whatever the buffer's items
     crc_at = _frame(blob)[1]
     header = bytes(blob[11:crc_at])
-    n_head = (_memo.get(header) or _layout(header))[4]
+    n_head = _layout(header)[4]
     return len(blob) - crc_at - 4 - 8 * n_head
 
 
@@ -182,6 +179,7 @@ def encode(spec: DecoderSpec, params: ParamSet, snapshot_norms, scale) -> bytes:
     return bytes(blob)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _layout(header: bytes) -> tuple:
     """What decode derives from a report's header: (spec, norms shape,
     scale shape, norm count, float64 count, weight count, cuts), the cuts
@@ -251,7 +249,7 @@ def decode(blob):
 
     Returns (spec, params, snapshot_norms, scale), the weights as float32
     views of one vector. Reports with equal headers return one shared spec
-    object.
+    object while their header is kept (see _MEMO_SIZE).
     Raises CodecError on a bad magic, any other version, a dtype tag other
     than 0 and 1, a header length that overruns the blob,
     checksum mismatch, a header that is not a spec file's JSON (see
@@ -272,11 +270,7 @@ def decode(blob):
     if _crc(blob, crc_at) != struct.unpack_from("<I", blob, crc_at)[0]:
         raise CodecError("checksum mismatch")
     header = bytes(blob[11:crc_at])
-    layout = _memo.get(header)
-    fresh = layout is None
-    if fresh:
-        layout = _layout(header)
-    spec, norms_shape, scale_shape, n_norms, n_head, n_weights, (kernels, gammas, betas) = layout
+    spec, norms_shape, scale_shape, n_norms, n_head, n_weights, (kernels, gammas, betas) = _layout(header)
     dtype = _WEIGHT_DTYPES[dtype_tag]
     raw_at = crc_at + 4 + 8 * n_head
     coded_at = raw_at + (dtype.itemsize - 1) * n_weights
@@ -300,11 +294,6 @@ def decode(blob):
         raise CodecError("payload holds a NaN or infinite weight")
     if dtype_tag == _DTYPE_F32 and _as_float16(vec) is not None:
         raise CodecError("float32 payload of float16 values, which encode writes under dtype tag 1")
-    if fresh:
-        with _MEMO_LOCK:  # a concurrent decode may have added the header: return its spec
-            if header not in _memo and len(_memo) >= _MEMO_SIZE:
-                del _memo[next(iter(_memo))]
-            spec = _memo.setdefault(header, layout)[0]
     params = ParamSet(
         [vec[at].reshape(shape) for at, shape in kernels], [vec[at] for at in gammas], [vec[at] for at in betas]
     )

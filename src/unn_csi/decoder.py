@@ -40,10 +40,12 @@ So a pass makes only its numpy calls. A fit builds one workspace per batch
 and reuses it every iteration. :func:`forward` with the cache or a given
 seed tensor builds one for its single call. Without either, when every
 matrix has at most _ROW_PRODUCT_ENTRIES entries (every desk spec), it
-keeps its workspace, seed tensor included, in a one-entry slot, and the
-next such call on an equal spec and dtype binds its parameters there: a
-base station regenerating many reports of one desk-sized spec builds that
-state once. Larger specs build one per call: building is about 4 % of a
+keeps its workspace, seed tensor included, for its spec and dtype, and
+the next such call on an equal spec and dtype binds its parameters there:
+a base station regenerating a stream of reports, single-UE and group
+interleaved, builds that state once per spec. Workspaces are kept for the
+last _KEPT_SPECS (spec, dtype) pairs used, the least recently used going
+first. Larger specs build one per call: building is about 4 % of a
 full-scale forward, and a kept workspace would hold about 2 MB. Without
 the cache, a workspace holds just two scratch vectors and the output.
 
@@ -86,7 +88,6 @@ OpenBLAS 0.3.31 with its default two threads:
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import cycle
@@ -609,14 +610,20 @@ def _layer_params(params: ParamSet, l: int, dtype) -> tuple:
     return w, gamma, np.asarray(params.betas[l - 1], dtype=dtype)[..., None, :]
 
 
-# the forward-only workspace of the last forward() call without z0 or cache,
-# as ((spec, dtype), workspace), if it has no tile area; taken out while a
-# call runs on it, so that a concurrent call builds its own. It keeps that
-# call's float32 parameter arrays referenced until the next such call binds
-# its own: unbinding them after each call read about 14 us slower per call
-# on a 2-core host
-_spare = None
-_SPARE_LOCK = threading.Lock()
+# the most (spec, dtype) pairs forward() keeps a workspace for (see _kept)
+_KEPT_SPECS = 8
+
+
+@lru_cache(maxsize=_KEPT_SPECS)
+def _kept(spec: DecoderSpec, dtype) -> list:
+    """The free list of forward-only workspaces of (spec, dtype) that
+    :func:`forward` without z0 or cache runs on, none with a tile area: one
+    at most, unless concurrent calls each put theirs back. A call pops its
+    workspace, so that a concurrent call builds its own. A kept workspace
+    keeps the last call's float32 parameter arrays referenced until the
+    next call binds its own: unbinding them after each call read about
+    14 us slower per call on a 2-core host."""
+    return []
 
 
 def forward(spec: DecoderSpec, params: ParamSet, z0=None, dtype=np.float32, return_cache=False):
@@ -634,10 +641,11 @@ def forward(spec: DecoderSpec, params: ParamSet, z0=None, dtype=np.float32, retu
     The arrays a call returns are its own. A call with the cache or a
     given z0 binds a workspace of its own. Without either, a desk-sized
     spec, whose matrices all have at most _ROW_PRODUCT_ENTRIES entries,
-    runs on the workspace of the last such call on an equal spec and dtype
-    (see the module docstring). That kept workspace still refers to the
-    last such call's parameter arrays (bound, not copied, when they are
-    already in `dtype`) until the next such call. Without the cache, the
+    runs on the workspace kept for its spec and dtype, if an earlier such
+    call left one (see the module docstring). That kept workspace still
+    refers to the last such call's parameter arrays (bound, not copied,
+    when they are already in `dtype`) until the next such call on the spec
+    binds its own, or the workspace is dropped. Without the cache, the
     workspace is two scratch vectors the size of the largest hidden
     activation, plus the output.
     """
@@ -654,24 +662,24 @@ def forward(spec: DecoderSpec, params: ParamSet, z0=None, dtype=np.float32, retu
 
 def _forward_reusing(spec: DecoderSpec, params: ParamSet, dtype) -> np.ndarray:
     """:func:`forward` of `params` on the regenerated seed tensor, on the
-    spare workspace if it was built for (spec, dtype). A workspace without
-    a tile area becomes the spare afterwards, and the caller gets a copy of
-    its output, which the next pass on it overwrites."""
-    global _spare
-    key, ws = (spec, dtype), None
-    with _SPARE_LOCK:
-        if _spare is not None and _spare[0] == key:
-            ws, _spare = _spare[1], None
-    if ws is None:
+    kept workspace of (spec, dtype) if there is one. A workspace without a
+    tile area is kept afterwards, and the caller gets a copy of its output,
+    taken before the workspace goes back: the next pass on it overwrites
+    the output."""
+    kept = _kept(spec, dtype)
+    try:
+        ws = kept.pop()
+    except IndexError:
         ws = _Workspace(spec, _seed(spec, None, dtype), params)
     else:
         ws.bind(params)
     y = _forward(ws)
     if ws.tiled:
         return y
-    with _SPARE_LOCK:
-        _spare = (key, ws)
-    return y.copy()
+    y = y.copy()
+    if not kept:
+        kept.append(ws)
+    return y
 
 
 def _forward(ws: _Workspace, folded=None) -> np.ndarray:

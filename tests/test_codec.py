@@ -713,10 +713,11 @@ def group_desk_report(init_seed=4) -> bytes:
 
 @pytest.fixture
 def empty_memo():
-    """decode's header memo, emptied before and after the test."""
-    codec._memo.clear()
-    yield codec._memo
-    codec._memo.clear()
+    """decode's header memo, emptied before and after the test; returns a
+    function giving the count of headers it keeps."""
+    codec._layout.cache_clear()
+    yield lambda: codec._layout.cache_info().currsize
+    codec._layout.cache_clear()
 
 
 class TestHeaderMemo:
@@ -726,7 +727,7 @@ class TestHeaderMemo:
     def test_equal_headers_share_one_spec(self, empty_memo):
         specs = [decode(blob)[0] for blob in (desk_report(1), desk_report(2, half=True), desk_report(3))]
         assert specs[0] is specs[1] is specs[2]
-        assert len(empty_memo) == 1
+        assert empty_memo() == 1
         group = decode(group_desk_report())[0]
         assert group is decode(group_desk_report(5))[0] and group is not specs[0]
 
@@ -735,7 +736,7 @@ class TestHeaderMemo:
         for blob in blobs:
             miss = decoded(decode(blob))
             assert decoded(decode(blob)) == miss
-            empty_memo.clear()
+            codec._layout.cache_clear()
             assert decoded(decode(blob)) == miss
             assert encode(*decode(blob)) == blob
 
@@ -748,14 +749,14 @@ class TestHeaderMemo:
         for blob in (desk_report(1), desk_report(2, half=True), group_desk_report(1)):
             decode(blob)
             spec, params, _, _ = decode(blob)
-            assert len(empty_memo) == 1
+            assert empty_memo() == 1
             want = param_views(spec, params_to_vector(params))
             for got, ref in zip(params.arrays(), want.arrays(), strict=True):
                 assert got.dtype == ref.dtype == np.float32 and got.shape == ref.shape
                 assert np.array_equal(got, ref) and got.flags.c_contiguous
                 assert got.base is params.kernels[0].base
                 assert address(got) - address(params.kernels[0]) == address(ref) - address(want.kernels[0])
-            empty_memo.clear()
+            codec._layout.cache_clear()
 
     FAILING = {
         "non-canonical-header": (pad_header, "malformed header: not the canonical JSON of its spec"),
@@ -766,37 +767,59 @@ class TestHeaderMemo:
     }
 
     @pytest.mark.parametrize("case", FAILING)
-    def test_a_refused_report_leaves_nothing(self, empty_memo, case):
-        # each fails a check after the memo lookup, on a miss and on a hit
+    def test_a_refused_report_keeps_only_a_parsed_header(self, empty_memo, case):
+        # each fails a check behind the header, on a miss and on a hit. A
+        # header that parses is kept whatever follows it, since the layout
+        # depends on the header alone; one that does not parse keeps nothing
         edit, message = self.FAILING[case]
         good = desk_report()
+        want = decoded(decode(good))
+        codec._layout.cache_clear()
         bad = edit(good)
+        kept = 0 if case == "non-canonical-header" else 1
         for _ in range(2):
             with pytest.raises(CodecError, match=f"^{message}"):
                 decode(bad)
-            assert len(empty_memo) == 0
-        decode(good)
-        assert len(empty_memo) == 1
+            assert empty_memo() == kept
+        assert decoded(decode(good)) == want
+        assert empty_memo() == 1
         for _ in range(2):
             with pytest.raises(CodecError, match=f"^{message}"):
                 decode(bad)
-            assert len(empty_memo) == 1
+            assert empty_memo() == 1
 
     def test_the_memo_is_bounded(self, empty_memo):
         # seed-rule variants of the desk spec: one distinct header each
-        specs = [replace(DESK_SPEC, seed_rule=SeedRule(i, 0.15)) for i in range(codec._MEMO_SIZE + 8)]
+        size = codec._MEMO_SIZE
+        specs = [replace(DESK_SPEC, seed_rule=SeedRule(i, 0.15)) for i in range(size + 8)]
         params = rounded_desk_params()
-        for i, spec in enumerate(specs):
-            assert decode(encode(spec, params, *GOOD_PREPROCESSING[2]))[0] == spec
-            assert len(empty_memo) == min(i + 1, codec._MEMO_SIZE)
-        # the oldest headers went first; the newest are kept
-        kept = {spec_from_json(h.decode()) for h in empty_memo}
-        assert kept == set(specs[-codec._MEMO_SIZE :])
+        blobs = [encode(spec, params, *GOOD_PREPROCESSING[2]) for spec in specs]
+
+        def decodes(some):
+            """(hits, misses) of the memo over decoding `some` blobs."""
+            before = codec._layout.cache_info()
+            for blob, spec in some:
+                assert decode(blob)[0] == spec
+            after = codec._layout.cache_info()
+            return after.hits - before.hits, after.misses - before.misses
+
+        for i, pair in enumerate(zip(blobs, specs)):
+            assert decodes([pair]) == (0, 1)
+            assert empty_memo() == min(i + 1, size)
+        # the newest headers are kept, in the order they came
+        pairs = list(zip(blobs, specs))
+        assert decodes(pairs[-size:]) == (size, 0)
+        # the least recently used goes first: pairs[9], once pairs[8] is used again
+        assert decodes(pairs[8:9]) == (1, 0)
+        assert decodes(pairs[:1]) == (0, 1)
+        assert decodes(pairs[8:9]) == (1, 0)
+        assert decodes(pairs[9:10]) == (0, 1)
+        assert empty_memo() == size
 
     def test_concurrent_decodes_match_a_serial_one(self, empty_memo):
         blobs = [desk_report(i, half=bool(i % 3)) if i % 2 else group_desk_report(i) for i in range(24)]
         want = [decoded(decode(blob)) for blob in blobs]
-        empty_memo.clear()
+        codec._layout.cache_clear()
         start, got = threading.Barrier(4), [None] * 4
 
         def run(k):
@@ -817,7 +840,7 @@ class TestHeaderMemo:
         assert not any(t.is_alive() for t in threads)
         for k in range(4):
             assert got[k] == [w for w in want[k:] + want[:k] for _ in range(2)]
-        assert len(empty_memo) == 2
+        assert empty_memo() == 2
 
 
 GROUP_SPEC = make_spec((2, 2, 3), (8, 8, 8, 8, 4), ((True, True, False),) * 2, seed=11, a=0.15)

@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -274,42 +275,86 @@ def fresh_forward(spec, params):
 
 
 class TestForwardReuse:
+    F32 = np.dtype(np.float32)
+
+    @pytest.fixture(autouse=True)
+    def no_kept_workspaces(self):
+        decoder._kept.cache_clear()
+        yield
+        decoder._kept.cache_clear()
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """A list that gets one entry per _Workspace built from here on."""
+        built = []
+
+        class Counted(decoder._Workspace):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(decoder, "_Workspace", Counted)
+        return built
+
     @pytest.mark.parametrize("name", ["single_ue_desk", "group_desk"])
     def test_reused_workspace_matches_a_fresh_one(self, name):
         spec = packaged_spec(name)
         first_params, second_params = init_params(spec, 1), init_params(spec, 2)
         first = forward(spec, first_params)
         first_kept = first.copy()
-        spare = decoder._spare[1]
+        (kept,) = decoder._kept(spec, self.F32)
         second = forward(spec, second_params)
-        assert decoder._spare[1] is spare  # the second call ran on the first one's workspace
+        assert decoder._kept(spec, self.F32) == [kept]  # the second call ran on the first one's workspace
         assert np.array_equal(first, fresh_forward(spec, first_params))
         assert np.array_equal(second, fresh_forward(spec, second_params))
         assert not np.array_equal(first, second)
         assert np.array_equal(first, first_kept)  # the second call left the first output alone
 
-    def test_alternating_specs_match_fresh_passes(self):
+    def test_alternating_specs_build_one_workspace_each(self, builds):
         specs = [packaged_spec("single_ue_desk"), packaged_spec("group_desk")]
-        for i in range(4):
-            spec, params = specs[i % 2], init_params(specs[i % 2], i)
-            assert np.array_equal(forward(spec, params), fresh_forward(spec, params))
-            assert decoder._spare[0][0] == spec
+        calls = [(specs[i % 2], init_params(specs[i % 2], i)) for i in range(8)]
+        want = [fresh_forward(spec, params) for spec, params in calls]
+        builds.clear()
+        for (spec, params), y in zip(calls, want):
+            assert np.array_equal(forward(spec, params), y)
+        assert len(builds) == 2
+
+    def test_the_least_recently_used_spec_goes_first(self, builds):
+        # seed-rule variants of the desk spec: one kept workspace each
+        desk = packaged_spec("single_ue_desk")
+        specs = [replace(desk, seed_rule=SeedRule(i, 0.15)) for i in range(decoder._KEPT_SPECS + 1)]
+        params = init_params(desk, 1)
+        want = [fresh_forward(spec, params) for spec in specs]
+        builds.clear()
+
+        def built(order):
+            """The workspaces built over a forward of each spec in `order`."""
+            before = len(builds)
+            for i in order:
+                assert np.array_equal(forward(specs[i], params), want[i])
+            return len(builds) - before
+
+        assert built(range(decoder._KEPT_SPECS)) == decoder._KEPT_SPECS
+        assert built([0]) == 0
+        assert built([decoder._KEPT_SPECS]) == 1  # drops specs[1], the least recently used
+        assert built([0, *range(2, decoder._KEPT_SPECS + 1)]) == 0
+        assert built([1]) == 1
 
     def test_concurrent_calls_match_serial_ones(self):
-        spec = packaged_spec("single_ue_desk")
-        param_sets = [init_params(spec, seed) for seed in range(5)]
-        want = [forward(spec, params) for params in param_sets]
+        specs = [packaged_spec("single_ue_desk"), packaged_spec("group_desk")]
+        calls = [(specs[seed % 2], init_params(specs[seed % 2], seed)) for seed in range(6)]
+        want = [fresh_forward(spec, params) for spec, params in calls]
         got = {t: [] for t in range(4)}
 
-        def calls(t):
+        def run(t):
             for i in range(50):
-                j = (t + i) % len(param_sets)
-                got[t].append((j, forward(spec, param_sets[j])))
+                j = (t + i) % len(calls)
+                got[t].append((j, forward(*calls[j])))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=calls, args=(t,)) for t in range(4)]
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -322,14 +367,39 @@ class TestForwardReuse:
             for j, y in got[t]:
                 assert np.array_equal(y, want[j])
 
-    def test_large_spec_leaves_the_slot_alone(self):
+    def test_the_output_is_copied_before_the_workspace_goes_back(self, monkeypatch):
+        # a call on the same spec as soon as the workspace is back must not
+        # reach the output the first call returns
+        spec = packaged_spec("single_ue_desk")
+        params, other = init_params(spec, 1), init_params(spec, 2)
+        want, other_want = fresh_forward(spec, params), fresh_forward(spec, other)
+        nested = []
+
+        class Hooked(list):
+            armed = False
+
+            def append(self, ws):
+                super().append(ws)
+                if self.armed:  # once: the nested call runs on ws and puts it back
+                    self.armed = False
+                    nested.append(forward(spec, other))
+
+        kept = Hooked()
+        monkeypatch.setattr(decoder, "_kept", lambda s, dtype: kept)
+        forward(spec, params)  # leaves a workspace for the next call to run on
+        kept.armed = True
+        assert np.array_equal(forward(spec, params), want)
+        assert len(nested) == 1 and np.array_equal(nested[0], other_want)
+
+    def test_large_spec_keeps_nothing(self):
         desk = packaged_spec("single_ue_desk")
         forward(desk, init_params(desk, 1))
-        before = decoder._spare
+        (before,) = decoder._kept(desk, self.F32)
         full = packaged_spec("single_ue_full")
         params = init_params(full, 1)
         y = forward(full, params)
-        assert decoder._spare is before
+        assert decoder._kept(full, self.F32) == []
+        assert decoder._kept(desk, self.F32) == [before]
         assert np.array_equal(y, fresh_forward(full, params))
 
 
