@@ -33,7 +33,7 @@ from . import baselines, codec, transfer as transfer_mod
 from ._fields import INT, NUMBER, check_keys, list_of, parse, read_field
 from .channel import Scene, add_noise, load_scene, noise_variance, preprocess, stack_users, synthesize
 from .decoder import DecoderSpec, compression_ratio, load_spec, param_count, params_to_vector
-from .fitting import FitConfig, FitDivergedError, batch_size, fit, fit_batch
+from .fitting import FitConfig, FitDivergedError, batch_size, fit_batch
 from .baselines import mmse_genie, nmse, nmse_linear, ratio_db, records_to_curves
 
 __all__ = ["ExperimentConfig", "Diagnostic", "validate", "run", "main"]
@@ -357,73 +357,81 @@ def _worker_pool(workers: int):
 
 
 class _Cell(NamedTuple):
-    """One fitted cell, nothing channel-sized."""
+    """One fitted cell, nothing channel-sized; its ratios run over the cell's UEs, in order."""
 
     error: FitDivergedError | None  # None if the fit converged
     trace: list
     final_mse: float
-    meas_ratio: float  # linear NMSE of the measurement
-    ratio: float  # linear NMSE of the recreated channel, nan if diverged
-    scored: tuple  # linear NMSE of each of the batch's estimators
+    meas_ratios: tuple  # linear NMSE of each UE's measurement
+    ratios: tuple  # linear NMSE of each UE's recreated channel, nan if diverged
+    scored: tuple  # per estimator of the run, the linear NMSE of each UE's estimate
     fitted: tuple | None  # (params, snapshot_norms, scale) a report encodes, None if diverged
 
 
 def _fit_cells(batch) -> list:
     """The cell runner on one batch (spec, fit config, estimators, cells of
-    (truth, snr_db, seed, init)): measure, preprocess and fit_batch every
-    cell, each from its init (None draws one from the fit config's
-    init_seed), then score the measurement and each estimator (a
+    (truths, snr_db, seed, init)): measure and preprocess each UE, one for a
+    3-way spec or a group, stacked by :func:`stack_users`, for a 4-way one;
+    fit_batch every cell from its init (None draws one from the fit config's
+    init_seed); per UE score the measurement and each estimator (a
     module-level function, which a pool worker can unpickle, called as
-    (measurement, truth, snr_db)), round each fit to the float16 weights a
-    report carries (:func:`codec.round_to_float16`), and recreate and score
-    it. The measurements stay referenced through the fit; no estimate
-    outlives its cell's scoring."""
+    (measurement, truth, snr_db)); round each fit to the float16 weights a
+    report carries (:func:`codec.round_to_float16`), recreate it and score
+    it per UE. The measurements stay referenced through the fit."""
     spec, fit_cfg, estimators, cells = batch
-    measured = [add_noise(truth, snr_db, seed) for truth, snr_db, seed, _ in cells]
-    targets = [preprocess(meas) for meas in measured]
+    measured = [[add_noise(t, snr_db, seed) for t in truths] for truths, snr_db, seed, _ in cells]
+    targets = [preprocess(m[0]) if spec.n_spatial == 2 else stack_users(map(preprocess, m)) for m in measured]
     reports = fit_batch(spec, None, targets, fit_cfg, [init for *_, init in cells])
     results = []
-    for (truth, snr_db, *_), meas, target, report in zip(cells, measured, targets, reports):
-        meas_ratio = nmse_linear(meas, truth)
-        scored = tuple(nmse_linear(estimate(meas, truth, snr_db), truth) for estimate in estimators)
+    for (truths, snr_db, *_), meas, target, report in zip(cells, measured, targets, reports):
+        pairs = list(zip(meas, truths))
+        meas_ratios = tuple(nmse_linear(m, truth) for m, truth in pairs)
+        scored = tuple(tuple(nmse_linear(est(m, truth, snr_db), truth) for m, truth in pairs) for est in estimators)
         if isinstance(report, FitDivergedError):
-            results.append(_Cell(report, [], float("nan"), meas_ratio, float("nan"), scored, None))
+            results.append(_Cell(report, [], float("nan"), meas_ratios, (float("nan"),) * len(pairs), scored, None))
             continue
         codec.round_to_float16(report.params)
         fitted = (report.params, target.snapshot_norms, target.scale)
-        (est,) = codec.recreate(spec, *fitted)
-        results.append(
-            _Cell(None, report.trace, report.final_mse, meas_ratio, nmse_linear(est, truth), scored, fitted)
-        )
+        ratios = tuple(nmse_linear(est, truth) for est, truth in zip(codec.recreate(spec, *fitted), truths))
+        results.append(_Cell(None, report.trace, report.final_mse, meas_ratios, ratios, scored, fitted))
     return results
 
 
 @contextmanager
-def _cell_runner(config: ExperimentConfig, inputs: _Inputs, estimators: tuple):
+def _cell_runner(workers: int, estimators: tuple = ()):
     """Yields a function that runs :func:`_fit_cells` with `estimators` on a
-    list of cells and returns their `_Cell`s in order. It is the one place
-    that cuts fits into batches: at most :func:`batch_size` cells each, and
-    small enough that every worker gets one if there are enough cells; one
-    :func:`_worker_pool`, open for the life of the context, runs them if
-    `workers` > 1."""
-    spec, fit_cfg = inputs.spec, inputs.fit
-    with _worker_pool(config.workers) if config.workers > 1 else nullcontext() as pool:
+    list of jobs (spec, fit config, cells) and returns their `_Cell`s in
+    order. It is the one place that cuts fits into batches: a job's cells at
+    most :func:`batch_size` to a batch, and few enough that every worker gets
+    one; the batches of all jobs go out in one map, which one
+    :func:`_worker_pool`, open for the life of the context, runs if `workers` > 1."""
+    with _worker_pool(workers) if workers > 1 else nullcontext() as pool:
 
-        def run(cells: list) -> list:
-            size = min(batch_size(spec), -(-len(cells) // config.workers))
-            batches = [(spec, fit_cfg, estimators, cells[i : i + size]) for i in range(0, len(cells), size)]
+        def run(jobs: list) -> list:
+            batches = []
+            for spec, fit_cfg, cells in jobs:
+                size = min(batch_size(spec), -(-len(cells) // workers))
+                batches += [(spec, fit_cfg, estimators, cells[i : i + size]) for i in range(0, len(cells), size)]
             return [cell for batch in (pool.map if pool else map)(_fit_cells, batches) for cell in batch]
 
         yield run
 
 
+def _converged(cells: list) -> list:
+    """`cells`; raises the error of the first of them whose fit diverged."""
+    for cell in cells:
+        if cell.error is not None:
+            raise cell.error
+    return cells
+
+
 def _run_grid(config: ExperimentConfig, inputs: _Inputs, estimators: tuple) -> list:
     """The cell runner with `estimators` over the `ues x snr_db x seeds`
     grid, in that order, every fit from a random init."""
-    truths = {ue: synthesize(inputs.scene, ue) for ue in config.ues}
+    truths = {ue: (synthesize(inputs.scene, ue),) for ue in config.ues}
     cells = [(truths[ue], snr, seed, None) for ue, snr, seed in product(config.ues, config.snr_db, config.seeds)]
-    with _cell_runner(config, inputs, estimators) as run:
-        return run(cells)
+    with _cell_runner(config.workers, estimators) as run:
+        return run([(inputs.spec, inputs.fit, cells)])
 
 
 def _mode_single(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
@@ -437,7 +445,7 @@ def _mode_single(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
             tag = f"ue{ue}_snr{snr_db}_seed{seed}"
             _write_csv(out / "fit_traces" / f"{tag}.csv", ["iteration", "mse"], cell.trace)
             _atomic_write_bytes(out / "reports" / f"{tag}.csir", codec.encode(spec, *cell.fitted))
-        nmse_db, meas_nmse_db = ratio_db(cell.ratio), ratio_db(cell.meas_ratio)
+        nmse_db, meas_nmse_db = ratio_db(cell.ratios[0]), ratio_db(cell.meas_ratios[0])
         rows.append([
             ue, float(snr_db), seed, "ok" if cell.error is None else "diverged", nmse_db, meas_nmse_db,
             meas_nmse_db - nmse_db, cell.final_mse, inputs.fit.iterations,
@@ -453,22 +461,20 @@ def _mode_single(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
 def _mode_transfer(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
     plan = inputs.plan
     snr_db, seed = float(config.snr_db[0]), config.seeds[0]
-    truths = {ue_id: synthesize(inputs.scene, ue_id) for ue_id in plan.ue_ids}
+    truths = {ue_id: (synthesize(inputs.scene, ue_id),) for ue_id in plan.ue_ids}
     fits = transfer_mod.schedule(plan)
     cells = [None] * len(fits)
-    with _cell_runner(config, inputs, ()) as run:
+    with _cell_runner(config.workers) as run:
         for depth in range(max(fit.depth for fit in fits) + 1):
             level = [i for i, fit in enumerate(fits) if fit.depth == depth]
             inits = [None if fits[i].source is None else cells[fits[i].source].fitted[0] for i in level]
             batch = [(truths[fits[i].ue_id], snr_db, seed, init) for i, init in zip(level, inits)]
-            for i, cell in zip(level, run(batch)):
-                if cell.error is not None:
-                    raise cell.error
+            for i, cell in zip(level, _converged(run([(inputs.spec, inputs.fit, batch)]))):
                 cells[i] = cell
 
     rows = [
         [fit.ue_id, "" if fit.source is None else fits[fit.source].ue_id,
-         "random" if fit.source is None else "transfer", snr_db, seed, ratio_db(cell.ratio), cell.final_mse,
+         "random" if fit.source is None else "transfer", snr_db, seed, ratio_db(cell.ratios[0]), cell.final_mse,
          cell.trace[-1][0]]
         for fit, cell in zip(fits, cells)
     ]
@@ -492,27 +498,23 @@ def _mode_transfer(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict
 
 
 def _mode_group(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
-    snr_db = float(config.snr_db[0])
-    seed = config.seeds[0]
-    rows = []
-    summaries = []
-    for gi, (ues, gspec, fit_cfg) in enumerate(inputs.groups):
-        truths = [synthesize(inputs.scene, ue_id) for ue_id in ues]
-        target = stack_users(preprocess(add_noise(truth, snr_db, seed)) for truth in truths)
-        report = fit(gspec, None, target, fit_cfg)
-        codec.round_to_float16(report.params)
-        estimates = codec.recreate(gspec, report.params, target.snapshot_norms, target.scale)
-        for ue_id, est, truth in zip(ues, estimates, truths):
-            rows.append(
-                (gi, ue_id, snr_db, nmse(est, truth), fit_cfg.iterations,
-                 param_count(gspec), compression_ratio(gspec))
-            )
-        blob = codec.encode(gspec, report.params, target.snapshot_norms, target.scale)
-        (out / "reports").mkdir(exist_ok=True)
-        _atomic_write_bytes(out / "reports" / f"group{gi}.csir", blob)
+    snr_db, seed = float(config.snr_db[0]), config.seeds[0]
+    # one job of one cell per group, so that a pool fits the groups side by side
+    jobs = [
+        (gspec, fit_cfg, [(tuple(synthesize(inputs.scene, ue_id) for ue_id in ues), snr_db, seed, None)])
+        for ues, gspec, fit_cfg in inputs.groups
+    ]
+    with _cell_runner(config.workers) as run:
+        cells = _converged(run(jobs))
+    (out / "reports").mkdir(exist_ok=True)
+    rows, summaries = [], []
+    for gi, ((ues, gspec, fit_cfg), cell) in enumerate(zip(inputs.groups, cells)):
+        rows += [(gi, ue_id, snr_db, ratio_db(ratio), fit_cfg.iterations, param_count(gspec), compression_ratio(gspec))
+                 for ue_id, ratio in zip(ues, cell.ratios)]
+        _atomic_write_bytes(out / "reports" / f"group{gi}.csir", codec.encode(gspec, *cell.fitted))
         summaries.append(
             {"group": gi, "ues": ues, "param_count": param_count(gspec),
-             "compression_ratio": compression_ratio(gspec), "final_mse": report.final_mse}
+             "compression_ratio": compression_ratio(gspec), "final_mse": cell.final_mse}
         )
     _write_csv(
         out / "results.csv",
@@ -526,9 +528,7 @@ def _mode_codec(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
     spec = inputs.spec
     ue_id, snr_db, seed = config.ues[0], float(config.snr_db[0]), config.seeds[0]
     truth = synthesize(inputs.scene, ue_id)
-    (cell,) = _fit_cells((spec, inputs.fit, (), [(truth, snr_db, seed, None)]))
-    if cell.error is not None:
-        raise cell.error
+    (cell,) = _converged(_fit_cells((spec, inputs.fit, (), [((truth,), snr_db, seed, None)])))
     blob = codec.encode(spec, *cell.fitted)
     (out / "reports").mkdir(exist_ok=True)
     _atomic_write_bytes(out / "reports" / f"ue{ue_id}_snr{snr_db}_seed{seed}.csir", blob)
@@ -544,22 +544,19 @@ def _mode_codec(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
         "report_bytes": len(blob),
         "raw_csi_bytes": raw_bytes,
         "payload_over_raw": payload / raw_bytes,
-        "nmse_db_tx": ratio_db(cell.ratio),
+        "nmse_db_tx": ratio_db(cell.ratios[0]),
         "nmse_db_rx": nmse(rx, truth),
     }
 
 
 def _mode_sweep(config: ExperimentConfig, inputs: _Inputs, out: Path) -> dict:
     # mmse_raw copies the measurement, so its ratios are the measurement's
-    cells = _run_grid(config, inputs, (mmse_genie,))
-    for cell in cells:
-        if cell.error is not None:
-            raise cell.error
-    meas_ratios = [cell.meas_ratio for cell in cells]
+    cells = _converged(_run_grid(config, inputs, (mmse_genie,)))
+    meas_ratios = [cell.meas_ratios[0] for cell in cells]
     scored = {
         "mmse_raw": meas_ratios,
-        "mmse_genie": [cell.scored[0] for cell in cells],
-        "unn": [cell.ratio for cell in cells],
+        "mmse_genie": [cell.scored[0][0] for cell in cells],
+        "unn": [cell.ratios[0] for cell in cells],
     }
     records = baselines.sweep(config.ues, config.snr_db, len(config.seeds), meas_ratios, scored)
     _write_csv(
@@ -652,7 +649,7 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", choices=MODES, help="experiment mode")
     parser.add_argument("--out", help="output directory")
     parser.add_argument(
-        "--workers", type=int, help="worker processes for single, sweep and transfer mode (overrides the config)"
+        "--workers", type=int, help="worker processes for single, sweep, transfer and group mode (overrides config)"
     )
     parser.add_argument("--profile", choices=sorted(_PROFILES), help="built-in default configuration")
     parser.add_argument("--seed-list", help="comma-separated noise seeds")

@@ -11,11 +11,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from unn_csi import channel, cli, codec
+from unn_csi import baselines, channel, cli, codec, fitting
 from unn_csi.baselines import mmse_genie, mmse_raw, nmse, nmse_linear, ratio_db
-from unn_csi.channel import add_noise, load_scene, synthesize
+from unn_csi.channel import add_noise, load_scene, preprocess, stack_users, synthesize
 from unn_csi.codec import decode, recreate
-from unn_csi.decoder import params_to_vector
+from unn_csi.decoder import load_spec, params_to_vector
 
 from conftest import make_spec, save_scene, save_spec
 
@@ -362,21 +362,46 @@ def test_only_a_written_report_is_encoded(tiny_setup, tmp_path, monkeypatch, mod
     assert len(calls) == len(list((tmp_path / mode).rglob("*.csir"))) == encodes
 
 
-@pytest.mark.parametrize("workers, sizes", [(1, [19, 2]), (2, [11, 10])])
-def test_runner_cuts_batches_by_batch_size_and_workers(tmp_path, monkeypatch, recorded_fit_batch, workers, sizes):
+# the desk profile's two groups on a short fit
+DESK_GROUPS = [
+    {"ues": [2, 3, 4], "spec": "desk-group", "iterations": 30},
+    {"ues": [5, 6, 7], "spec": "desk-group", "iterations": 30},
+]
+
+
+@pytest.mark.parametrize("mode, workers, sizes", [
+    ("single", 1, [19, 2]), ("single", 2, [11, 10]), ("group", 2, [1, 1]),
+], ids=["1-sizes0", "2-sizes1", "group-2-sizes2"])
+def test_runner_cuts_batches_by_batch_size_and_workers(
+    tmp_path, monkeypatch, recorded_fit_batch, mode, workers, sizes
+):
     # 21 desk cells: at most batch_size (19 for single_ue_desk) to a batch,
-    # and at most ceil(21 / workers), so that every worker gets one. The
-    # pool runs in-process here, so its fit_batch calls are recorded too.
+    # and at most ceil(21 / workers), so that every worker gets one. Each
+    # group is a batch of one target, and both go out in one map call, in
+    # group order, so that two workers fit them side by side. The pool runs
+    # in-process here, so its map calls and fit_batch calls are recorded.
+    maps = []
+
+    def recording_map(fn, batches):
+        maps.append(list(batches))
+        return map(fn, maps[-1])
+
     @contextmanager
     def in_process_pool(n):
-        yield SimpleNamespace(map=map)
+        yield SimpleNamespace(map=recording_map)
 
     monkeypatch.setattr(cli, "_worker_pool", in_process_pool)
     cfg_path = tmp_path / "grid.json"
-    cfg_path.write_text(json.dumps({"snr_db": [0, 10, 20], "seeds": [0], "fit": {"iterations": 2}}))
-    argv = ["--profile", "desk", "--config", str(cfg_path), "--workers", str(workers), "--out", str(tmp_path / "out")]
-    assert cli.main(argv) == 0
+    groups = [dict(g, iterations=2) for g in DESK_GROUPS]
+    cfg_path.write_text(json.dumps({"snr_db": [0, 10, 20], "seeds": [0], "fit": {"iterations": 2}, "groups": groups}))
+    argv = ["--profile", "desk", "--config", str(cfg_path), "--mode", mode, "--workers", str(workers)]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert [len(inits) for inits, _ in recorded_fit_batch] == sizes
+    assert [[len(cells) for *_, cells in batches] for batches in maps] == ([sizes] if workers > 1 else [])
+    if mode == "group":
+        scene = load_scene(cli._data_path(cli._BUILTIN_SCENES, "desk"))
+        for group, (_, _, _, ((truths, *_),)) in zip(groups, maps[0]):
+            assert [t.data.tobytes() for t in truths] == [synthesize(scene, ue).data.tobytes() for ue in group["ues"]]
 
 
 # the desk profile on a small grid and a short fit: its single-UE spec and
@@ -395,6 +420,31 @@ def run_desk(tmp_path, mode, doc=DESK_SMALL) -> Path:
     out = tmp_path / mode
     assert cli.main(["--profile", "desk", "--config", str(cfg_path), "--mode", mode, "--out", str(out)]) == 0
     return out
+
+
+def test_group_mode_writes_what_one_fit_of_the_stacked_group_gives(tmp_path):
+    # the path group mode took before it ran on the cell runner, kept as its
+    # reference: measure and preprocess each member, one fit on the stack of
+    # their targets, weights rounded to float16, then the report and the
+    # NMSE of each member's recreated channel
+    doc = dict(DESK_SMALL, groups=DESK_GROUPS)
+    out = run_desk(tmp_path, "group", doc)
+    scene = load_scene(cli._data_path(cli._BUILTIN_SCENES, "desk"))
+    snr_db, seed = float(doc["snr_db"][0]), doc["seeds"][0]
+    rows = [line.split(",") for line in csv_lines(out / "results.csv")[1:]]
+    assert len(rows) == 6
+    for gi, group in enumerate(DESK_GROUPS):
+        gspec = load_spec(cli._data_path(cli._BUILTIN_SPECS, group["spec"]))
+        fit_cfg = fitting.FitConfig(**dict(doc["fit"], iterations=group["iterations"]))
+        truths = [synthesize(scene, ue) for ue in group["ues"]]
+        target = stack_users(preprocess(add_noise(truth, snr_db, seed)) for truth in truths)
+        report = fitting.fit(gspec, None, target, fit_cfg)
+        codec.round_to_float16(report.params)
+        blob = codec.encode(gspec, report.params, target.snapshot_norms, target.scale)
+        assert (out / "reports" / f"group{gi}.csir").read_bytes() == blob
+        estimates = codec.recreate(gspec, report.params, target.snapshot_norms, target.scale)
+        got = [(int(row[1]), float(row[3])) for row in rows if row[0] == str(gi)]
+        assert got == [(ue, baselines.nmse(est, truth)) for ue, est, truth in zip(group["ues"], estimates, truths)]
 
 
 class TestFloat16Reports:
@@ -567,15 +617,17 @@ class TestMain:
         ("single", 1 + 1 + 2 * 12),  # results.csv, summary.json, a trace and a report per cell
         ("sweep", 1 + 1 + 1),  # results.csv, summary.json, curves.json
         ("transfer", 1 + 1 + 1),  # results.csv, summary.json, weight_distances.csv
+        ("group", 1 + 1 + 2),  # results.csv, summary.json, a report per group
     ])
     def test_desk_grid_modes_write_the_same_bytes_with_1_and_2_workers(self, tmp_path, mode, n_files):
         # 12 cells: one batch in one process, or two batches of 6 in two;
-        # sweep's unn arm fits its cells through the same pool, and transfer
-        # mode runs each level of chain-base3's 13 fits through it
+        # sweep's unn arm fits its cells through the same pool, transfer
+        # mode runs each level of chain-base3's 13 fits through it, and
+        # group mode fits the desk profile's two groups side by side in it
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text(json.dumps({
             "fit": {"iterations": 30, "learning_rate": 2e-3, "trace_every": 10, "init_seed": 1},
-            "ues": [1, 2], "snr_db": [0, 10], "seeds": [0, 1, 2],
+            "ues": [1, 2], "snr_db": [0, 10], "seeds": [0, 1, 2], "groups": DESK_GROUPS,
         }))
         outs = {}
         for workers in (1, 2):
