@@ -104,6 +104,8 @@ def sweep(ue_ids, snrs_db, seed_count: int, meas_ratios, scored: dict) -> list:
     `meas_ratios` and each list of `scored`, which maps estimator names to
     their ratios in record order, hold one linear NMSE ratio per cell in
     (UE, SNR, seed) order; the measurement's give each record's `gain_db`.
+    Both sides of the gain are in :func:`ratio_db`, floored at -300 dB: at an
+    SNR of +inf the measurement is exact, and `mmse_raw` gains 0 dB.
     """
     cells = len(ue_ids) * len(snrs_db) * seed_count
     for name, values in [("measurement", meas_ratios), *scored.items()]:
@@ -113,7 +115,7 @@ def sweep(ue_ids, snrs_db, seed_count: int, meas_ratios, scored: dict) -> list:
     records = []
     for i, (ue_id, snr_db) in enumerate(product(ue_ids, snrs_db)):
         seeds_of = slice(i * seed_count, (i + 1) * seed_count)
-        meas_db = 10.0 * np.log10(float(np.mean(meas_ratios[seeds_of])))
+        meas_db = ratio_db(float(np.mean(meas_ratios[seeds_of])))
         for name, values in scored.items():
             est_db = ratio_db(float(np.mean(values[seeds_of])))
             records.append(

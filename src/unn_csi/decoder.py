@@ -78,7 +78,9 @@ OpenBLAS 0.3.31 with its default two threads:
   correction.
 - Above 2^19 entries (2 MiB, the 12,288 x 64 layers of group_full_a)
   OpenBLAS splits the one-row product (1/N) @ r over both cores, and the
-  subtraction after it slows down too. In a group_full_a iteration, the
+  subtraction after it slows down too: it writes to lines of r that the
+  other core has just read, and each must come back from that core first.
+  The reverse pass of :mod:`unn_csi.fitting` keeps to the same rule. In a group_full_a iteration, the
   centring means and subtractions took 1.0 + 3.4-3.7 ms that way,
   0.9 + 1.5-1.7 ms with one BLAS thread, and 1.5 + 1.6-1.7 ms with einsum,
   which keeps off the BLAS threads. single_ue_full's 4,096 x 64 matrices
@@ -457,9 +459,12 @@ def _step_shapes(spec: DecoderSpec, lead: tuple = ()) -> list:
 
 
 def _workspace_nbytes(spec: DecoderSpec, dtype) -> int:
-    """The bytes the :class:`_Workspace` of one fit of `spec` takes: two
-    scratch vectors the size of the largest activation, plus the ReLU input
-    and output of every batch-norm layer."""
+    """The bytes of the `dtype` arrays of the :class:`_Workspace` of one fit
+    of `spec`: two scratch vectors the size of the largest activation, plus
+    the ReLU input and output of every batch-norm layer. It leaves out the
+    tile area and the bool ReLU mask (a quarter of the largest ReLU input
+    in float32), so that batch sizes stay 19 for single_ue_desk and 6 for
+    group_desk."""
     steps = [shapes for _, shapes in _step_shapes(spec)]
     size = max(prod(s) for shapes in steps for s in shapes)
     return (2 * size + 2 * sum(prod(shapes[-1]) for shapes in steps[:-1])) * np.dtype(dtype).itemsize
@@ -495,17 +500,21 @@ class _Workspace:
             gradient g, g as one row and one column per sample, the batch
             axis and the entries per sample
     rev     per layer from the last to layer 1, (l, ups_t, xt, g, g_w, w,
-            gamma, beta_col, g_gamma, g_beta, ones, n, g_prev, x, x_wide,
-            tile, u_prev): the transposed upsamplings, the transposed input
-            matrix, the gradient at the kernel output, the layer's gradient
-            arrays, the ones row of its column sums (None where einsum sums
-            them), its position count, where g W_f^T goes, layer l-1's
-            centred ReLU output with its wide view and tile, and layer
-            l-1's ReLU input
+            gamma, beta_col, g_gamma, g_beta, ones, n, g_prev, x_wide,
+            tile, u_prev, u_wide, mask): the transposed upsamplings, the
+            transposed input matrix, the gradient at the kernel output, the
+            layer's gradient arrays, the ones row of its column sums (None
+            where einsum sums them), its position count, where g W_f^T
+            goes, the wide view and tile of layer l-1's centred ReLU output
+            (the input matrix, which the pass only reads), layer l-1's ReLU
+            input with its wide view, which take the batch-norm correction,
+            and where u_prev's 0/1 ReLU mask goes
     rev0    (ups_t, xt, g, g_w) for layer 0, which ends the reverse pass
 
     Only u and r, the forward cache, get arrays of their own, and only for
-    a reverse pass or `cache`. A forward pass alone lets the ReLU overwrite
+    a reverse pass or `cache`; a reverse pass also gets one bool buffer the
+    size of the largest u, which each layer's mask takes in turn. A forward
+    pass alone lets the ReLU overwrite
     u, and writes its output, which the caller keeps, into an array of its
     own. Every other step writes into one of two flat scratch vectors, each
     the size of the largest activation they hold, taking turns so that no
@@ -569,6 +578,8 @@ class _Workspace:
         size = prod(spec.output_dims)
         self.loss = (t, g, g.reshape(lead + (1, size)), g.reshape(lead + (size, 1)), lead, size)
         self.rev = []
+        # the ReLU masks of the reverse pass, one layer at a time
+        mask = np.empty(max(self.fwd[l][6].size for l in range(L - 1)), bool)
         for l in reversed(range(L)):
             w, gamma, _, x_mat, v = self.fwd[l][:5]
             plan, shapes = layout[l]
@@ -588,7 +599,8 @@ class _Workspace:
             u_prev = self.fwd[l - 1][6]
             self.rev.append((
                 l, ups_t, xt, g, grads.kernels[l], w, gamma, beta_col, grads.gammas[l - 1],
-                grads.betas[l - 1], ones, x_mat.shape[-2], g_prev, x_mat, *_tile(x_mat, tiles), u_prev,
+                grads.betas[l - 1], ones, x_mat.shape[-2], g_prev, *_tile(x_mat, tiles), u_prev,
+                _tile(u_prev, tiles)[0], mask[: u_prev.size].reshape(u_prev.shape),
             ))
             g = g_prev.reshape(self.tensors[l - 1][1].shape)
 

@@ -25,6 +25,18 @@ and the gradient at the ReLU output is
 masked by the support of the ReLU output (u > 0). No normalized tensor and
 no gradient with respect to it are ever built.
 
+The reverse pass writes only to arrays that this thread wrote last. With
+OpenBLAS's two threads, the product M = d^T g reads d on both cores, and a
+write to d right after it waits for each of its cache lines to come back
+from the other core: scaling d in place into the correction took
+0.21-0.41 instead of 0.08 ms in each of single_ue_full's last two layers,
+and 0.86-1.14 instead of 0.26-0.53 ms in group_full_a's, against one BLAS
+thread. So d is only read. The mask u > 0 goes into one bool buffer of the
+workspace, after which u, the ReLU input, is dead and takes the correction
+in brackets; the column sums s are taken before M, while g is still this
+thread's alone. The operations and their order are those of the in-place
+form, so the bits are too.
+
 The column reductions and row broadcasts depend on matrix size, never on
 the batch; the table in the :mod:`unn_csi.decoder` docstring gives each
 one's path and the measurements behind its bounds. Up to 16,384 entries per
@@ -35,7 +47,8 @@ one numpy call that makes the same BLAS call per matrix as for the matrix
 alone, and faster than numpy's reduction over the leading axis. Larger
 matrices take einsum one matrix at a time, which adds the rows in order as
 ``g.sum`` would, in about half its time, and the correction of d by the
-two filter rows runs over a wide view of d, 128 rows to an inner loop.
+two filter rows runs over wide views of d and u, 128 rows to an inner
+loop.
 
 ``fit_batch`` runs B independent fits of one spec, one target each, as one
 array program, whatever B is, and ``fit`` is its batch of one. Kernels,
@@ -53,12 +66,13 @@ run to the end unchanged.
 
 A batch allocates the arrays of its forward and reverse passes once and
 reuses them in every iteration, its final loss included. This workspace
-holds the forward cache (each batch-norm layer's ReLU input and output) and
+holds the forward cache (each batch-norm layer's ReLU input and output),
 two flat scratch vectors, each the size of the largest activation, which
-every other intermediate takes turns writing into. So each sample costs the
-forward cache plus two activations, in float32: 0.11 MB for
-``single_ue_desk``, 0.33 MB for ``group_desk``, 7.2 MB for
-``single_ue_full`` and 21.7 MB for ``group_full_a``. Once it is built, an
+every other intermediate takes turns writing into, and the bool ReLU mask
+of the largest ReLU input. So each sample costs the forward cache plus two
+activations plus the mask, in float32: 0.11 MB for ``single_ue_desk``,
+0.34 MB for ``group_desk``, 7.5 MB for ``single_ue_full`` and 22.5 MB for
+``group_full_a``. Once it is built, an
 iteration allocates nothing of activation size, and at full scale no longer
 faults its working set back in every step.
 
@@ -78,8 +92,9 @@ forward.
 
 The batch size is worked out, not configured, and the cell runner of
 :mod:`unn_csi.cli` cuts its fits by it: :func:`batch_size` takes as many
-samples as fit their workspaces into ``BATCH_BYTES`` (2 MiB), and at least
-one. That is 19 for ``single_ue_desk`` and 6 for ``group_desk``, where a
+samples as fit their workspaces (their float32 arrays, without the mask and
+the tile area) into ``BATCH_BYTES`` (2 MiB), and at least one. That is 19
+for ``single_ue_desk`` and 6 for ``group_desk``, where a
 fit iteration is bound by numpy call dispatch and stacking B=8 fits cuts
 the time per fit iteration two- to threefold; at full scale, where the
 arithmetic dominates and stacking wins nothing, it is 1.
@@ -219,28 +234,33 @@ def _loss_and_grad(ws: _Workspace):
     g *= 2.0 / size
 
     for (
-        l, ups_t, xt, g, g_w, w, gamma, beta, g_gamma_out, g_beta_out, ones, n, g_prev, x, x_wide, tile, u
+        l, ups_t, xt, g, g_w, w, gamma, beta, g_gamma_out, g_beta_out, ones, n, g_prev, x_wide, tile, u, u_wide,
+        mask,
     ) in ws.rev:
         for op, src, dst in ups_t:
             np.matmul(op, src, out=dst)
-        # x is the centred ReLU output d of layer l-1, whose batch norm is
-        # folded into this layer's kernel
+        # x_wide is the centred ReLU output d of layer l-1, whose batch norm
+        # is folded into this layer's kernel; the BLAS threads of xt @ g read
+        # it, so the pass only reads it too (see the module docstring)
         inv = folded[l - 1][1]
         a = gamma * inv
-        m = xt @ g
         s = (ones @ g)[..., 0, :] if ones is not None else _each(_column_sums, g)
+        m = xt @ g
         g_w[...] = a[..., None] * m + beta * s[..., None, :]
         g_beta = (w @ s[..., None])[..., 0]
         g_gamma = inv * np.einsum("...ij,...ij->...i", w, m)
         g_beta_out[...] = g_beta
         g_gamma_out[...] = g_gamma
         np.matmul(g, folded[l][0].swapaxes(-1, -2), out=g_prev)
+        # u, layer l-1's ReLU input, is dead once its mask is taken: the
+        # correction d * c1 + c2 goes there
+        np.greater(u, 0, out=mask)
         c1 = (a * inv * g_gamma / n)[..., None, :]
-        x_wide *= c1 if tile is None else _tiled(c1, tile)
+        np.multiply(x_wide, c1 if tile is None else _tiled(c1, tile), out=u_wide)
         c2 = (a * g_beta / n)[..., None, :]
-        x_wide += c2 if tile is None else _tiled(c2, tile)
-        g_prev -= x
-        g_prev *= np.greater(u, 0, out=u)  # u is overwritten with the 0/1 ReLU mask
+        u_wide += c2 if tile is None else _tiled(c2, tile)
+        g_prev -= u
+        g_prev *= mask
     ups_t, xt, g, g_w = ws.rev0
     for op, src, dst in ups_t:
         np.matmul(op, src, out=dst)

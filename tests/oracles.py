@@ -195,3 +195,48 @@ def formula_postprocess(data, snapshot_norms, scale):
     n_ant = arr.shape[-1] // 2
     cplx = arr[..., :n_ant] + 1j * arr[..., n_ant:]
     return cplx * (np.asarray(snapshot_norms, dtype=float)[None, :, None] / scale)
+
+
+def inplace_loss_and_grad(ws):
+    """`fitting._loss_and_grad` as it was first written: the reverse pass
+    scales the cached centred ReLU output d in place into the batch-norm
+    correction d * c1 + c2, and overwrites the cached ReLU input u with the
+    0/1 ReLU mask. Unlike the rest of this file it runs the package's
+    forward pass on the package's workspace (the same `ws.rev` entries), so
+    it pins the bits of the reverse pass's statement order, not its
+    formulas; the central-difference checks pin those."""
+    from unn_csi.decoder import _column_sums, _each, _forward, _tiled
+
+    folded = []
+    y = _forward(ws, folded)
+    t, g, row, column, lead, size = ws.loss
+    np.subtract(y, t, out=g)
+    mse = np.matmul(row, column).reshape(lead).astype(np.float64) / size
+    y *= y
+    np.subtract(1.0, y, out=y)
+    g *= y
+    g *= 2.0 / size
+    for l, ups_t, xt, g, g_w, w, gamma, beta, g_gamma_out, g_beta_out, ones, n, g_prev, x_wide, tile, u, _, _ in ws.rev:
+        for op, src, dst in ups_t:
+            np.matmul(op, src, out=dst)
+        inv = folded[l - 1][1]
+        a = gamma * inv
+        m = xt @ g
+        s = (ones @ g)[..., 0, :] if ones is not None else _each(_column_sums, g)
+        g_w[...] = a[..., None] * m + beta * s[..., None, :]
+        g_beta = (w @ s[..., None])[..., 0]
+        g_gamma = inv * np.einsum("...ij,...ij->...i", w, m)
+        g_beta_out[...] = g_beta
+        g_gamma_out[...] = g_gamma
+        np.matmul(g, folded[l][0].swapaxes(-1, -2), out=g_prev)
+        c1 = (a * inv * g_gamma / n)[..., None, :]
+        x_wide *= c1 if tile is None else _tiled(c1, tile)
+        c2 = (a * g_beta / n)[..., None, :]
+        x_wide += c2 if tile is None else _tiled(c2, tile)
+        g_prev -= x_wide.reshape(u.shape)
+        g_prev *= np.greater(u, 0, out=u)
+    ups_t, xt, g, g_w = ws.rev0
+    for op, src, dst in ups_t:
+        np.matmul(op, src, out=dst)
+    np.matmul(xt, g, out=g_w)
+    return mse

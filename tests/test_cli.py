@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import zlib
 from contextlib import contextmanager
 from importlib import resources
@@ -316,6 +317,23 @@ class TestRunSweepMode:
                     want = ratio_db(float(np.mean(ratios)))
                     _, _, _, seed_count, nmse_db, gain_db = rows[(name, ue, snr)]
                     assert (int(seed_count), float(nmse_db), float(gain_db)) == (2, want, meas_db - want)
+
+    def test_infinite_snr_gains_come_from_the_floored_db(self, tmp_path):
+        # at +inf the measurement is the truth: its ratio 0 is -300 dB by
+        # ratio_db, so mmse_raw gains exactly nothing and unn gains what
+        # single mode writes for the cell. log10 of the ratio gave every
+        # estimator -inf and a divide-by-zero RuntimeWarning
+        doc = {"fit": {"iterations": 20}, "ues": [3], "snr_db": [float("inf"), 10], "seeds": [0]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = run_desk(tmp_path, "sweep", doc)
+            single = run_desk(tmp_path, "single", doc)
+        rows = {(row[0], row[2]): row for row in (line.split(",") for line in csv_lines(sweep / "results.csv")[1:])}
+        cells = {row[1]: row for row in (line.split(",") for line in csv_lines(single / "results.csv")[1:])}
+        assert rows[("mmse_raw", "inf")][4:] == ["-300.0", "0.0"]
+        assert rows[("unn", "inf")][4:] == [cells["inf"][4], cells["inf"][6]]
+        assert float(rows[("unn", "inf")][5]) == ratio_db(0.0) - float(cells["inf"][4])
+        assert float(rows[("mmse_genie", "inf")][5]) > -300.0
 
     def test_each_cell_is_measured_once_and_each_ue_synthesized_once(self, tiny_setup, tmp_path, monkeypatch):
         # counted at every binding in the package, so that a second measure

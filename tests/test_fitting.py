@@ -12,6 +12,7 @@ import pytest
 import unn_csi
 from unn_csi import fitting
 from unn_csi.decoder import (
+    _forward,
     _seed,
     _step_shapes,
     _Workspace,
@@ -38,7 +39,7 @@ from unn_csi.fitting import (
 )
 
 from conftest import gradcheck_point, make_spec
-from oracles import loop_forward, loop_mse
+from oracles import inplace_loss_and_grad, loop_forward, loop_mse
 
 GRADCHECK_CONFIGS = {
     "3way-ups-all": make_spec((2, 3), (3, 4, 4, 4, 2), ((True, True), (True, True)), seed=42),
@@ -307,8 +308,8 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("name", sorted(GRADCHECK_CONFIGS))
     def test_reused_workspace_repeats_the_gradient(self, name):
-        # the reverse pass overwrites the cache with the ReLU mask and the
-        # batch-norm correction; the next pass must not see either
+        # the reverse pass overwrites the cached ReLU input with the
+        # batch-norm correction; the next pass must not see it
         spec = GRADCHECK_CONFIGS[name]
         params = init_params(spec, 3, dtype=np.float64)
         z0 = _seed(spec, None, np.float64)
@@ -418,6 +419,54 @@ class TestWorkspace:
 
 def _desk(kind, name):
     return str(resources.files("unn_csi").joinpath(f"{kind}/{name}.json"))
+
+
+def _bound_pass(spec, batch, dtype, seed):
+    """A workspace bound for the reverse pass of `spec` at random parameters
+    (gammas and betas off 1 and 0) and targets, with a leading batch axis of
+    `batch` unless that is None, and its gradient block, all NaN."""
+    rng = np.random.default_rng(seed)
+    lead = () if batch is None else (batch,)
+    block = np.stack([params_to_vector(init_params(spec, s, dtype)) for s in range(3, 3 + (batch or 1))])
+    block = block.reshape(lead + block.shape[-1:])
+    params = param_views(spec, block)
+    for g, b in zip(params.gammas, params.betas):
+        g[...] = rng.uniform(0.5, 1.5, g.shape)
+        b[...] = rng.uniform(-0.5, 0.5, b.shape)
+    targets = rng.uniform(-0.8, 0.8, lead + spec.output_dims).astype(dtype)
+    z0 = _seed(spec, None, dtype)
+    grads = np.full_like(block, np.nan)
+    return _Workspace(spec, z0 if batch is None else z0[None], params, targets, param_views(spec, grads)), grads
+
+
+class TestReversePass:
+    """The reverse pass writes only to arrays this thread wrote last: the
+    batch-norm correction goes into the dead ReLU input, never over the
+    centred ReLU output d that the weight-gradient product reads."""
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    @pytest.mark.parametrize("name", ["single_ue_desk", "above_blas_mean"])
+    def test_cached_centred_relu_outputs_are_only_read(self, name, batch):
+        spec = ABOVE_BLAS_MEAN if name == "above_blas_mean" else load_spec(_desk("specs", name))
+        ws, _ = _bound_pass(spec, batch, np.float32, 85)
+        _forward(ws)
+        centred = [layer[7] for layer in ws.fwd[:-1]]
+        want = [d.copy() for d in centred]
+        _loss_and_grad(ws)
+        for d, copy in zip(centred, want):
+            assert d.tobytes() == copy.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name, batch", [("single_ue_full", None), ("above_blas_mean", 2), ("single_ue_desk", 3)])
+    def test_gradient_bytes_match_the_in_place_correction(self, name, batch, dtype):
+        spec = ABOVE_BLAS_MEAN if name == "above_blas_mean" else load_spec(_desk("specs", name))
+        ws, grads = _bound_pass(spec, batch, dtype, 86)
+        ref_ws, ref_grads = _bound_pass(spec, batch, dtype, 86)
+        mse = _loss_and_grad(ws)
+        ref_mse = inplace_loss_and_grad(ref_ws)
+        assert np.isfinite(ref_grads).all()
+        assert grads.tobytes() == ref_grads.tobytes()
+        assert np.asarray(mse).tobytes() == np.asarray(ref_mse).tobytes()
 
 
 BATCH_CONFIG = FitConfig(iterations=40, learning_rate=2e-3, trace_every=15, init_seed=5)
