@@ -35,7 +35,7 @@ There is one forward pass, :func:`_forward`, and it runs on a bound
 workspace (:class:`_Workspace`). Building the workspace allocates every
 activation array once. It also works out each operand that stays fixed
 while the pass runs: the matrix views of each layer, each upsampling's
-operator with its (pre, n, post) views, and the 1/N rows of batch norm.
+band steps with their operators and views, and the 1/N rows of batch norm.
 So a pass makes only its numpy calls. A fit builds one workspace per batch
 and reuses it every iteration. :func:`forward` with the cache or a given
 seed tensor builds one for its single call. Without either, when every
@@ -48,6 +48,25 @@ last _KEPT_SPECS (spec, dtype) pairs used, the least recently used going
 first. Larger specs build one per call: building is about 4 % of a
 full-scale forward, and a kept workspace would hold about 2 MB. Without
 the cache, a workspace holds just two scratch vectors and the output.
+
+The workspace binds each upsampling as the steps of its band plan
+(:func:`_bands`). The 2n x n upsampler has at most two nonzeros a row, so
+a dense product makes 16x the multiply-adds of its taps at n = 32. The
+plan, read off the operator's nonzero pattern, cuts its rows into blocks of
+8 (4 in the transpose the reverse pass applies), and each block reads only
+the source rows of its nonzero columns. The equal interior blocks run as
+one stacked matmul over a read-only sliding window view of the source; the
+edge blocks are a step each. An operator without two equal blocks in a
+row, every one up to n = 8 and so every desk spec's, stays one dense
+matmul. Each output entry is the sum of the same exact dyadic taps in the
+same order as in the dense product, with only the zero-weight terms left
+out. On every packaged spec BLAS rounds it to the dense product's bytes;
+on other shapes it can differ from them, within 4 eps (|A| @ |x|), the
+rounding bound of a sum of four taps. All upsampling steps of one
+single_ue_full iteration, forward and reverse, took 0.28 instead of
+0.52 ms, and those of group_full_a 1.23 instead of 2.31 ms (one BLAS
+thread, 2-core Xeon); blocks of (16, 8), (8, 8) or (4, 4) rows read
+0.30-0.32 and 1.27-1.41 ms.
 
 The workspace also fixes how each column reduction and row broadcast runs,
 by the entries of its positions x filters matrix:
@@ -96,6 +115,7 @@ from itertools import cycle
 from math import inf, prod, sqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fields import BOOL, FINITE, INT, OBJECT, check_keys, list_of, parse, read_field
 from .tensors import _mode_views, make_upsampler
@@ -129,6 +149,10 @@ _BLAS_MEAN_ENTRIES = 1 << 19
 # the most rows a row broadcast is tiled over (see _tile): 128 x 64 float32
 # is 32 KiB, within one core's L1 here
 _TILE_ROWS = 128
+# the output rows of one block of an upsampler's band plan (see _bands),
+# forward and transposed: the fastest pair measured at full scale (see the
+# module docstring)
+_BAND_ROWS = (8, 4)
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _SM64_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -428,6 +452,54 @@ def _upsampler(n: int, dtype) -> np.ndarray:
     return make_upsampler(n).astype(dtype)
 
 
+@lru_cache(maxsize=None)
+def _bands(n: int, dtype, transposed: bool) -> tuple:
+    """The band plan of the 2n x n upsampler in `dtype`, or of its
+    transpose: one (op, first, lo, count, step) entry per run of blocks,
+    read off the operator's nonzero pattern.
+
+    The operator's rows are cut into blocks of _BAND_ROWS rows from row 0.
+    A block of rows first.. reads only the source rows lo.. of its nonzero
+    columns, through its submatrix op. Consecutive blocks with equal
+    submatrices, each lo `step` rows past the last, make one run of
+    `count`; every other block is a run of one. An operator without a run
+    of two or more is one block, the whole operator.
+    """
+    full = _upsampler(n, dtype).T if transposed else _upsampler(n, dtype)
+    plan = []
+    for first in range(0, full.shape[0], _BAND_ROWS[transposed]):
+        block = full[first : first + _BAND_ROWS[transposed]]
+        cols = np.flatnonzero(block.any(axis=0))
+        lo, op = int(cols[0]), block[:, cols[0] : cols[-1] + 1]
+        if plan:
+            run_op, run_first, run_lo, count, step = plan[-1]
+            gap = lo - run_lo - (count - 1) * step  # from the run's last block
+            if np.array_equal(op, run_op) and gap > 0 and (count == 1 or gap == step):
+                plan[-1] = (run_op, run_first, run_lo, count + 1, gap)
+                continue
+        plan.append((op, first, lo, 1, 0))
+    if all(count == 1 for *_, count, _ in plan):
+        return ((full, 0, 0, 1, 0),)
+    return tuple(plan)
+
+
+def _upsampling_steps(n: int, dtype, transposed: bool, src, dst) -> list:
+    """The (operator, source, destination) matmuls that apply the 2n x n
+    upsampler, or its transpose, to the (pre, rows, post) view `src` and
+    write `dst`, by its band plan (:func:`_bands`). A run of blocks is one
+    stacked matmul over a read-only sliding window view of `src`."""
+    steps = []
+    for op, first, lo, count, step in _bands(n, dtype, transposed):
+        rows, width = op.shape
+        out = dst[:, first : first + count * rows]
+        if count == 1:
+            steps.append((op, src[:, lo : lo + width], out))
+            continue
+        windows = sliding_window_view(src, width, axis=1)[:, lo : lo + (count - 1) * step + 1 : step]
+        steps.append((op, windows.swapaxes(-1, -2), out.reshape(out.shape[0], count, rows, -1)))
+    return steps
+
+
 def _seed(spec: DecoderSpec, z0, dtype) -> np.ndarray:
     """`z0` (regenerated from spec.seed_rule when None) as a contiguous
     `dtype` array; ValueError unless its shape is spec.seed_dims."""
@@ -487,8 +559,9 @@ class _Workspace:
     fwd     per layer, (w, gamma, beta_row, x, v, ups, u, r, centring,
             v_wide, tile): the kernel; the previous layer's gamma and beta
             (as a row), None for layer 0; the input matrix (positions x
-            filters) and the kernel product; per upsampling, (operator,
-            source, destination), the (pre, n, post) views of
+            filters) and the kernel product; the (operator, source,
+            destination) steps of each upsampling in turn, its band plan
+            (:func:`_upsampling_steps`) over the (pre, n, post) views of
             :func:`tensors.mode_product`; the ReLU input and output as
             matrices, the operands of :func:`_centre`, and the kernel
             product's wide view and tile for the bias add (:func:`_tile`).
@@ -501,7 +574,8 @@ class _Workspace:
             axis and the entries per sample
     rev     per layer from the last to layer 1, (l, ups_t, xt, g, g_w, w,
             gamma, beta_col, g_gamma, g_beta, ones, n, g_prev, x_wide,
-            tile, u_prev, u_wide, mask): the transposed upsamplings, the
+            tile, u_prev, u_wide, mask): the steps of the transposed
+            upsamplings, the layer's last first, bound as in fwd; the
             transposed input matrix, the gradient at the kernel output, the
             layer's gradient arrays, the ones row of its column sums (None
             where einsum sums them), its position count, where g W_f^T
@@ -557,8 +631,7 @@ class _Workspace:
             outs.append(np.empty(shapes[-1], dtype) if own else take(shapes[-1]))
             u, ups = outs[0], []
             for (ax, n), out in zip(plan, outs[1:]):
-                op = _upsampler(n, dtype)
-                ups.append((op, *_mode_views(u, 2 * n, ax + len(lead), out)))
+                ups += _upsampling_steps(n, dtype, False, *_mode_views(u, 2 * n, ax + len(lead), out))
                 u = out
             v = outs[0].reshape(lead + (-1, k))
             self.tensors.append((z, u))
@@ -586,7 +659,7 @@ class _Workspace:
             ups_t = []
             for (ax, n), shape in zip(reversed(plan), reversed(shapes[:-1])):
                 out = take(shape)
-                ups_t.append((_upsampler(n, dtype).T, *_mode_views(g, n, ax + len(lead), out)))
+                ups_t += _upsampling_steps(n, dtype, True, *_mode_views(g, n, ax + len(lead), out))
                 g = out
             g = g.reshape(v.shape)
             xt = x_mat.swapaxes(-1, -2)

@@ -78,8 +78,8 @@ faults its working set back in every step.
 
 The workspace also binds the iteration: every operand that stays fixed for
 the batch is worked out once, when it is built. That covers each layer's
-input-matrix view, each upsampling's operator with its (pre, n, post)
-source and destination views, forward and transposed, the ReLU and
+input-matrix view, each upsampling's band steps (operators with their
+source and destination views), forward and transposed, the ReLU and
 centring views, the 1/N and ones rows of the column reductions, and the
 gradient views. An iteration then makes only its numpy calls, with no
 reshapes, lookups or checks between them. At desk scale, where dispatch

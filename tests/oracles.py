@@ -240,3 +240,22 @@ def inplace_loss_and_grad(ws):
         np.matmul(op, src, out=dst)
     np.matmul(xt, g, out=g_w)
     return mse
+
+
+def dense_workspace(spec, x, params, t=None, grads=None, cache=False):
+    """`decoder._Workspace` with every upsampling bound as it first was: one
+    matmul of the whole 2n x n operator (loop_upsampler's), or of its
+    transpose in the reverse pass, over the (pre, n, post) views of
+    `tensors._mode_views`, in place of the band plan's steps. It pins the
+    bits of the band steps against the dense product they replace."""
+    from unn_csi import decoder
+
+    def dense(n, dtype, transposed, src, dst):
+        op = loop_upsampler(n).astype(dtype)
+        return [(op.T if transposed else op, src, dst)]
+
+    banded, decoder._upsampling_steps = decoder._upsampling_steps, dense
+    try:
+        return decoder._Workspace(spec, x, params, t, grads, cache)
+    finally:
+        decoder._upsampling_steps = banded

@@ -3,6 +3,7 @@ import sys
 import threading
 from dataclasses import replace
 from importlib import resources
+from math import prod
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from unn_csi.decoder import (
 )
 
 from conftest import make_spec
-from oracles import loop_forward, splitmix64_reference
+from oracles import loop_forward, loop_upsampler, splitmix64_reference
 
 
 FULL_SINGLE = make_spec((4, 4), (64,) * 6 + (72,), ((True, True),) * 4, seed=1, a=0.15)
@@ -401,6 +402,89 @@ class TestForwardReuse:
         assert decoder._kept(full, self.F32) == []
         assert decoder._kept(desk, self.F32) == [before]
         assert np.array_equal(y, fresh_forward(full, params))
+
+
+def _packaged_upsamplings():
+    """(pre, n, post) of every upsampling of the packaged specs: the
+    entries before its axis, its source extent and the entries after it."""
+    found = set()
+    for path in resources.files("unn_csi").joinpath("specs").iterdir():
+        for plan, shapes in decoder._step_shapes(load_spec(str(path))):
+            for (ax, n), shape in zip(plan, shapes):
+                found.add((prod(shape[:ax]), n, prod(shape[ax + 1 :])))
+    return sorted(found)
+
+
+class TestBandedUpsampling:
+    """An upsampling runs as the steps of its band plan: each output entry
+    is the dense product's sum of the same taps in the same order, with the
+    zero-weight terms left out. Whether BLAS then rounds it as the dense
+    product does depends on the shape."""
+
+    PACKAGED = _packaged_upsamplings()
+    # (pre, post) pairs of packaged specs, and row lengths at which float32
+    # forward products differ from the dense ones from n = 32 on
+    SHAPES = [(1, 64), (32, 192), (64, 64), (1, 6144), (2, 6), (3, 7), (1, 8), (5, 24), (2, 200), (1, 1)]
+
+    @staticmethod
+    def banded(n, dtype, transposed, x):
+        """The upsampler of source extent n (its transpose if `transposed`)
+        and its product with x, (pre, rows, post), by the band steps, into
+        a destination filled with NaN first; also the entries the steps'
+        destinations hold between them."""
+        op = loop_upsampler(n).astype(dtype)
+        op = op.T if transposed else op
+        out = np.full((x.shape[0], op.shape[0], x.shape[2]), np.nan, dtype)
+        steps = decoder._upsampling_steps(n, np.dtype(dtype), transposed, x, out)
+        for step_op, src, dst in steps:
+            np.matmul(step_op, src, out=dst)
+        return op, out, sum(dst.size for _, _, dst in steps)
+
+    def test_packaged_specs_upsample_at_every_extent_checked(self):
+        assert {n for _, n, _ in self.PACKAGED} == {2, 4, 8, 16, 32}
+        assert {(pre, post) for pre, _, post in self.PACKAGED} >= set(self.SHAPES[:4])
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_packaged_shapes_give_the_dense_bytes(self, dtype, transposed):
+        rng = np.random.default_rng(91)
+        for pre, n, post in self.PACKAGED:
+            x = rng.standard_normal((pre, 2 * n if transposed else n, post)).astype(dtype)
+            op, got, written = self.banded(n, dtype, transposed, x)
+            assert written == got.size
+            assert got.tobytes() == np.matmul(op, x).tobytes(), (pre, n, post)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_entry_is_written_once_within_four_taps_of_the_dense_product(self, dtype, transposed):
+        rng = np.random.default_rng(92)
+        eps = np.finfo(dtype).eps
+        for n in range(1, 71):
+            for pre, post in self.SHAPES:
+                x = rng.standard_normal((pre, 2 * n if transposed else n, post)).astype(dtype)
+                op, got, written = self.banded(n, dtype, transposed, x)
+                assert written == got.size and not np.isnan(got).any(), (n, pre, post)
+                # a sum of at most four taps, in each of the two products
+                bound = 4 * eps * np.matmul(np.abs(op), np.abs(x))
+                assert (np.abs(got - np.matmul(op, x)) <= bound).all(), (n, pre, post)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_operators_too_short_to_band_are_one_dense_block(self, n):
+        # every upsampler of the desk specs: their passes keep the dense matmul
+        for transposed in (False, True):
+            ((op, first, lo, count, step),) = decoder._bands(n, np.dtype(np.float32), transposed)
+            want = loop_upsampler(n).astype(np.float32)
+            assert np.array_equal(op, want.T if transposed else want)
+            assert (first, lo, count, step) == (0, 0, 1, 0)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_interior_blocks_run_as_one_stacked_step(self, transposed):
+        plan = decoder._bands(32, np.dtype(np.float32), transposed)
+        assert [count for *_, count, _ in plan] == [1, 6, 1]
+        x = np.zeros((1, 64 if transposed else 32, 64), np.float32)
+        out = np.empty((1, 32 if transposed else 64, 64), np.float32)
+        _, src, _ = decoder._upsampling_steps(32, np.dtype(np.float32), transposed, x, out)[1]
+        assert np.shares_memory(src, x) and not src.flags.writeable
 
 
 class TestParamCount:

@@ -12,6 +12,7 @@ import pytest
 import unn_csi
 from unn_csi import fitting
 from unn_csi.decoder import (
+    _bands,
     _forward,
     _seed,
     _step_shapes,
@@ -39,7 +40,7 @@ from unn_csi.fitting import (
 )
 
 from conftest import gradcheck_point, make_spec
-from oracles import inplace_loss_and_grad, loop_forward, loop_mse
+from oracles import dense_workspace, inplace_loss_and_grad, loop_forward, loop_mse
 
 GRADCHECK_CONFIGS = {
     "3way-ups-all": make_spec((2, 3), (3, 4, 4, 4, 2), ((True, True), (True, True)), seed=42),
@@ -55,6 +56,18 @@ GRADCHECK_CONFIGS = {
     # above; the other configs put every output gradient below it
     "3way-straddle": make_spec((32, 32), (2, 3, 5, 5), ((True, True),), seed=49),
 }
+
+# the packaged full-scale specs, whose upsamplings must give the bytes of
+# the dense product
+FULL_SPECS = ["single_ue_full", "group_full_a", "group_full_b"]
+
+
+def _whole(view, rows):
+    """The (pre, rows, post) array whose first entries `view`, the source or
+    destination of an upsampling's first band step, starts with."""
+    assert view.ndim == 3
+    return np.lib.stride_tricks.as_strided(view, view.shape[:1] + (rows,) + view.shape[2:])
+
 
 # 64x64x3 positions x 48 filters (589,824 entries) in both batch-norm layers:
 # above 2^19 entries per matrix, where einsum takes the column means, and
@@ -344,11 +357,13 @@ class TestWorkspace:
         assert second == alone_tiny
 
     @pytest.mark.parametrize("batch", [None, 3])
-    @pytest.mark.parametrize("name", sorted(GRADCHECK_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(GRADCHECK_CONFIGS) + FULL_SPECS)
     def test_bound_upsamplings_match_mode_product(self, name, batch):
-        # a pass runs each bound (operator, source, destination) step as one
-        # matmul; on any input it must give mode_product's bits
-        spec = GRADCHECK_CONFIGS[name]
+        # a pass runs each upsampling as the (operator, source, destination)
+        # steps of its band plan, in order; on any input they must write
+        # every entry and give mode_product's bits on the packaged specs,
+        # and stay within the four-tap bound on the others
+        spec = GRADCHECK_CONFIGS.get(name) or load_spec(_desk("specs", name))
         lead = () if batch is None else (batch,)
         rng = np.random.default_rng(81)
         params = param_views(spec, rng.uniform(-1, 1, lead + (param_count(spec),)))
@@ -359,21 +374,33 @@ class TestWorkspace:
         ws = _Workspace(spec, z0, params, np.zeros(lead + spec.output_dims), grads)
         transposed = {entry[0]: entry[1] for entry in ws.rev}
         transposed[0] = ws.rev0[0]
+        f64 = np.dtype(np.float64)
         steps = [shapes for _, shapes in _step_shapes(spec, lead)]
         for l, (plan, _) in enumerate(_step_shapes(spec)[: spec.inner_count]):
-            forward_steps, reverse_steps = ws.fwd[l][5], transposed[l][::-1]
-            assert len(forward_steps) == len(reverse_steps) == len(plan)
+            forward_steps, reverse_steps = list(ws.fwd[l][5]), list(transposed[l])
+            runs = []
             for i, (ax, n) in enumerate(plan):
-                for shape, m, (op, src, dst) in (
-                    (steps[l][i], make_upsampler(n), forward_steps[i]),
-                    (steps[l][i + 1], make_upsampler(n).T, reverse_steps[i]),
-                ):
-                    a = rng.standard_normal(shape)
-                    assert not np.shares_memory(src, dst)
-                    src.reshape(a.shape)[...] = a
-                    np.matmul(op, src, out=dst)
-                    want = mode_product(a, m, ax + len(lead))
-                    assert np.array_equal(dst.reshape(want.shape), want)
+                run = [forward_steps.pop(0) for _ in _bands(n, f64, False)]
+                runs.append((ax, steps[l][i], make_upsampler(n), run))
+            for i, (ax, n) in reversed(list(enumerate(plan))):
+                run = [reverse_steps.pop(0) for _ in _bands(n, f64, True)]
+                runs.append((ax, steps[l][i + 1], make_upsampler(n).T, run))
+            assert forward_steps == reverse_steps == []
+            for ax, shape, m, run in runs:
+                src, dst = _whole(run[0][1], m.shape[1]), _whole(run[0][2], m.shape[0])
+                assert not np.shares_memory(src, dst)
+                a = rng.standard_normal(shape)
+                src[...] = a.reshape(src.shape)
+                dst[...] = np.nan
+                for op, s, d in run:
+                    np.matmul(op, s, out=d)
+                want = mode_product(a, m, ax + len(lead))
+                got = dst.reshape(want.shape)
+                if name in FULL_SPECS:
+                    assert np.array_equal(got, want)
+                else:
+                    bound = 4 * np.finfo(f64).eps * mode_product(np.abs(a), m, ax + len(lead))
+                    assert (np.abs(got - want) <= bound).all()
 
     def test_finished_fit_frees_its_workspace_without_the_collector(self):
         # a reference cycle through a workspace would leave it to the cyclic
@@ -421,10 +448,11 @@ def _desk(kind, name):
     return str(resources.files("unn_csi").joinpath(f"{kind}/{name}.json"))
 
 
-def _bound_pass(spec, batch, dtype, seed):
-    """A workspace bound for the reverse pass of `spec` at random parameters
-    (gammas and betas off 1 and 0) and targets, with a leading batch axis of
-    `batch` unless that is None, and its gradient block, all NaN."""
+def _bound_pass(spec, batch, dtype, seed, workspace=_Workspace):
+    """A `workspace` bound for the reverse pass of `spec` at random
+    parameters (gammas and betas off 1 and 0) and targets, with a leading
+    batch axis of `batch` unless that is None, and its gradient block, all
+    NaN."""
     rng = np.random.default_rng(seed)
     lead = () if batch is None else (batch,)
     block = np.stack([params_to_vector(init_params(spec, s, dtype)) for s in range(3, 3 + (batch or 1))])
@@ -436,7 +464,7 @@ def _bound_pass(spec, batch, dtype, seed):
     targets = rng.uniform(-0.8, 0.8, lead + spec.output_dims).astype(dtype)
     z0 = _seed(spec, None, dtype)
     grads = np.full_like(block, np.nan)
-    return _Workspace(spec, z0 if batch is None else z0[None], params, targets, param_views(spec, grads)), grads
+    return workspace(spec, z0 if batch is None else z0[None], params, targets, param_views(spec, grads)), grads
 
 
 class TestReversePass:
@@ -467,6 +495,32 @@ class TestReversePass:
         assert np.isfinite(ref_grads).all()
         assert grads.tobytes() == ref_grads.tobytes()
         assert np.asarray(mse).tobytes() == np.asarray(ref_mse).tobytes()
+
+
+class TestBandedUpsampling:
+    """Every upsampling runs as the steps of its band plan; on the packaged
+    full-scale specs a fit and a forward pass must give the bytes they gave
+    with one dense matmul per upsampling."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [None, 2])
+    @pytest.mark.parametrize("name", FULL_SPECS)
+    def test_gradient_bytes_match_the_dense_upsamplings(self, name, batch, dtype):
+        spec = load_spec(_desk("specs", name))
+        ws, grads = _bound_pass(spec, batch, dtype, 87)
+        ref_ws, ref_grads = _bound_pass(spec, batch, dtype, 87, dense_workspace)
+        mse = _loss_and_grad(ws)
+        ref_mse = _loss_and_grad(ref_ws)
+        assert np.isfinite(ref_grads).all()
+        assert grads.tobytes() == ref_grads.tobytes()
+        assert np.asarray(mse).tobytes() == np.asarray(ref_mse).tobytes()
+
+    @pytest.mark.parametrize("name", FULL_SPECS)
+    def test_forward_bytes_match_the_dense_upsamplings(self, name):
+        spec = load_spec(_desk("specs", name))
+        params = init_params(spec, 8)
+        want = _forward(dense_workspace(spec, _seed(spec, None, np.float32), params))
+        assert forward(spec, params).tobytes() == want.tobytes()
 
 
 BATCH_CONFIG = FitConfig(iterations=40, learning_rate=2e-3, trace_every=15, init_seed=5)
@@ -654,7 +708,7 @@ def test_full_scale_bytes_do_not_depend_on_the_blas_thread_count():
     # OpenBLAS's threading threshold, so only a full-scale fit can differ;
     # group_full_a's means are the one-thread einsum, its other products BLAS.
     env = dict(os.environ, PYTHONPATH=str(Path(unn_csi.__file__).parents[1]))
-    for name in ("single_ue_full", "group_full_a"):
+    for name in FULL_SPECS:
         digests = []
         for threads in ("1", "2"):
             env["OPENBLAS_NUM_THREADS"] = threads
