@@ -2,7 +2,6 @@
 the working tree.
 
     OPENBLAS_NUM_THREADS=1 python tools/ab_iteration.py PARENT [--rounds 10]
-        [--calls 20] [--spec single_ue_full --spec group_full_a]
 
 PARENT is a checkout of the parent commit, for example
 ``git archive HEAD~1 | tar -x -C PARENT``. Its ``src/unn_csi`` is imported
@@ -13,9 +12,9 @@ this does not.
 
 First, on every packaged spec, in float32 and float64, both sides'
 ``fitting._loss_and_grad`` run on equal parameters and targets, and the
-script checks that their gradient and MSE bytes agree. Then, per timed spec,
-each round times `calls` calls of each side's ``_loss_and_grad`` on its own
-bound float32 workspace, the parent first in odd rounds and second in even
+script checks that their gradient and MSE bytes agree. Then, on
+single_ue_full and group_full_a, each round times CALLS calls of each side's
+``_loss_and_grad`` on its own bound float32 workspace, the parent first in odd rounds and second in even
 ones, after one untimed call each, and takes each side's median call. It
 prints per spec and side the median of those over the rounds, in ms, with
 its quartiles, and the rounds in which
@@ -39,6 +38,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMED = ("single_ue_full", "group_full_a")
+# the timed calls of each side per spec and round
+CALLS = 20
 
 
 def load_side(checkout: Path, name: str):
@@ -81,10 +82,10 @@ def same_bytes(sides, spec_name: str, dtype) -> bool:
     return out[0] == out[1]
 
 
-def ms_per_call(loss_and_grad, ws, calls: int) -> float:
-    """The median ms of `calls` calls of `loss_and_grad` on `ws`."""
+def ms_per_call(loss_and_grad, ws) -> float:
+    """The median ms of CALLS calls of `loss_and_grad` on `ws`."""
     times = []
-    for _ in range(calls):
+    for _ in range(CALLS):
         start = time.perf_counter()
         loss_and_grad(ws)
         times.append(time.perf_counter() - start)
@@ -95,11 +96,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--calls", type=int, default=20, help="timed calls per side and round")
-    parser.add_argument("--spec", action="append", help=f"packaged spec to time (default: {', '.join(TIMED)})")
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.calls < 1:
-        parser.error("--rounds and --calls must be at least 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     sides = (load_side(args.parent, "unn_csi_parent"), load_side(ROOT, "unn_csi"))
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '(default)')}, numpy {np.__version__}")
 
@@ -110,14 +109,14 @@ def main(argv=None) -> int:
                 differ.append(f"{path.stem} {np.dtype(dtype).name}")
     print("gradient and MSE bytes:", "differ on " + ", ".join(differ) if differ else "equal on every packaged spec")
 
-    for spec_name in args.spec or TIMED:
+    for spec_name in TIMED:
         bound = [(side[1]._loss_and_grad, bind(side, spec_name, np.float32)[0]) for side in sides]
         for loss_and_grad, ws in bound:
             loss_and_grad(ws)
         times = np.empty((args.rounds, 2))
         for r in range(args.rounds):
             for i in (0, 1) if r % 2 == 0 else (1, 0):
-                times[r, i] = ms_per_call(*bound[i], args.calls)
+                times[r, i] = ms_per_call(*bound[i])
         q = np.percentile(times, [25, 50, 75], axis=0)
         won = int((times[:, 1] < times[:, 0]).sum())
         change = (q[1, 1] / q[1, 0] - 1) * 100
