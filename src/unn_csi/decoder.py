@@ -47,7 +47,8 @@ interleaved, builds that state once per spec. Workspaces are kept for the
 last _KEPT_SPECS (spec, dtype) pairs used, the least recently used going
 first. Larger specs build one per call: building is about 4 % of a
 full-scale forward, and a kept workspace would hold about 2 MB. Without
-the cache, a workspace holds just two scratch vectors and the output.
+the cache, a workspace holds just two scratch vectors, the tile area of
+its row broadcasts (:func:`_tile`) and the output.
 
 The workspace binds each upsampling as the steps of its band plan
 (:func:`_bands`). The 2n x n upsampler has at most two nonzeros a row, so
@@ -71,13 +72,13 @@ thread, 2-core Xeon); blocks of (16, 8), (8, 8) or (4, 4) rows read
 The workspace also fixes how each column reduction and row broadcast runs,
 by the entries of its positions x filters matrix:
 
-=============  ================  ===============  ==============  ===========
-entries        batch-norm means  mean of squares  gradient sums   broadcasts
-=============  ================  ===============  ==============  ===========
-up to 16,384   (1/N) @ r         (1/N) @ (r * r)  ones @ g        row by row
-up to 2^19     (1/N) @ r         einsum           einsum          wide view
-above 2^19     einsum / N        einsum           einsum          wide view
-=============  ================  ===============  ==============  ===========
+=============  ================  ===============  ==============  ================
+entries        batch-norm means  mean of squares  gradient sums   broadcast tiles
+=============  ================  ===============  ==============  ================
+up to 16,384   (1/N) @ r         (1/N) @ (r * r)  ones @ g        ~sqrt(N) rows
+up to 2^19     (1/N) @ r         einsum           einsum          128 rows
+above 2^19     einsum / N        einsum           einsum          128 rows
+=============  ================  ===============  ==============  ================
 
 Measured in float32 on a 2-core Xeon (2 MiB L2 per core), numpy 2.4.6 and
 OpenBLAS 0.3.31 with its default two threads:
@@ -91,10 +92,15 @@ OpenBLAS 0.3.31 with its default two threads:
   gives the same bits for more than one filter, in about half the time:
   0.31 instead of 0.55-0.65 ms at 12,288 x 72.
 - A broadcast over a wide view (:func:`_tile`) runs one inner loop per
-  128 rows instead of one per row, with the same bits: subtracting a row
-  from 12,288 x 64 took 0.21 instead of 0.31-0.39 ms. It serves the bias
-  add, both centring subtractions and the reverse pass's batch-norm
-  correction.
+  R rows instead of one per row, with the same bits: subtracting a row
+  from 12,288 x 64 took 0.21 instead of 0.31-0.39 ms at R = 128. Every
+  row broadcast takes it: the bias add, both centring subtractions and the
+  reverse pass's batch-norm correction. Up to 16,384 entries R is about
+  sqrt(N), and below 64 rows there is no tile: filling the tile writes
+  R x k entries, against the N / R inner loops it saves. At a batch of 8,
+  subtracting a row from each 768 x 16 matrix (group_desk's last
+  batch-norm layer) took 34 instead of 64 us at R = 16, and from each
+  256 x 16 one (single_ue_desk's) 14 instead of 21 us.
 - Above 2^19 entries (2 MiB, the 12,288 x 64 layers of group_full_a)
   OpenBLAS splits the one-row product (1/N) @ r over both cores, and the
   subtraction after it slows down too: it writes to lines of r that the
@@ -149,6 +155,8 @@ _BLAS_MEAN_ENTRIES = 1 << 19
 # the most rows a row broadcast is tiled over (see _tile): 128 x 64 float32
 # is 32 KiB, within one core's L1 here
 _TILE_ROWS = 128
+# the fewest rows of a matrix whose row broadcasts are tiled (see _tile)
+_TILE_MIN_ROWS = 64
 # the output rows of one block of an upsampler's band plan (see _bands),
 # forward and transposed: the fastest pair measured at full scale (see the
 # module docstring)
@@ -369,19 +377,24 @@ def _tile(m, block) -> tuple:
     matrix, or a stack of them) in place.
 
     Numpy runs `m op row` as one inner loop per row of m, k entries long.
-    Above _ROW_PRODUCT_ENTRIES entries per matrix, `wide` is m seen as rows
-    of R of its rows each, R the largest power of two up to _TILE_ROWS that
-    divides its row count, and `tile` the (R x k, 1 x Rk) pair of views of
-    the flat `block` that :func:`_tiled` repeats a row into: one inner loop
-    per R rows, over the same entries with the same operands, so the same
-    bits. Smaller matrices, those with an odd row count, and every matrix
-    of a workspace without a tile area (`block` None) give (m, None).
+    `wide` is m seen as rows of R of its rows each, and `tile` the (R x k,
+    1 x Rk) pair of views of the flat `block` that :func:`_tiled` repeats a
+    row into: one inner loop per R rows, over the same entries with the
+    same operands, so the same bits. R is the largest power of two that
+    divides the row count n and is at most a height set by the matrix
+    size: _TILE_ROWS above _ROW_PRODUCT_ENTRIES entries, and below it
+    2^floor((bit_length(n) - 1) / 2), about sqrt(n), which balances the
+    R x k entries the tile takes to fill against the n / R inner loops of
+    the broadcast. Matrices of fewer than _TILE_MIN_ROWS rows, and those
+    with an odd row count, give (m, None).
     """
-    if block is None:
-        return m, None
     n, k = m.shape[-2:]
-    rep = min(n & -n, _TILE_ROWS)
-    if n * k <= _ROW_PRODUCT_ENTRIES or rep == 1:
+    if n * k > _ROW_PRODUCT_ENTRIES:
+        height = _TILE_ROWS
+    else:
+        height = 1 << (n.bit_length() - 1) // 2 if n >= _TILE_MIN_ROWS else 1
+    rep = min(n & -n, height)
+    if rep == 1:
         return m, None
     lead = m.shape[:-2]
     part = block[..., : rep * k]
@@ -389,8 +402,11 @@ def _tile(m, block) -> tuple:
 
 
 def _tiled(row, tile):
-    """`row` (one per matrix) repeated into `tile` (see :func:`_tile`), as
-    the operand of a broadcast over the wide view bound with it."""
+    """`row` (one per matrix) as the operand of a broadcast over the wide
+    view bound with `tile` (see :func:`_tile`): repeated into it, or `row`
+    itself where the view is the matrix (`tile` None)."""
+    if tile is None:
+        return row
     rows, wide = tile
     rows[...] = row
     return wide
@@ -434,16 +450,11 @@ def _centre(r, weights, row_product, eps, wide, tile):
     module docstring's table gives the reduction each matrix size takes.
     Each matrix of a stack gets the bits it gets alone.
     """
-    if row_product:
-        r -= weights @ r
-        r -= weights @ r
-        var = (weights @ (r * r))[..., 0, :]
-    else:
-        n = r.shape[-2]
-        for _ in range(2):
-            mean = weights @ r if weights is not None else (_each(_column_sums, r) / n)[..., None, :]
-            wide -= mean if tile is None else _tiled(mean, tile)
-        var = _each(_column_squares, r) / n
+    n = r.shape[-2]
+    for _ in range(2):
+        mean = weights @ r if weights is not None else (_each(_column_sums, r) / n)[..., None, :]
+        wide -= _tiled(mean, tile)
+    var = (weights @ (r * r))[..., 0, :] if row_product else _each(_column_squares, r) / n
     return 1.0 / np.sqrt(var + eps)
 
 
@@ -598,12 +609,12 @@ class _Workspace:
     own. Every other step writes into one of two flat scratch vectors, each
     the size of the largest activation they hold, taking turns so that no
     step reads the vector it writes. Every row broadcast over a wide view
-    tiles its row into one shared area after them, in the same allocation,
-    of _TILE_ROWS rows of the widest layer per sample; a workspace whose
-    matrices all have at most _ROW_PRODUCT_ENTRIES entries has none.
-    Nothing bound refers back to the
-    workspace, so a finished one is freed at once, not by the cyclic
-    collector.
+    (:func:`_tile`) tiles its row into one shared area after them, in the
+    same allocation, of _TILE_ROWS rows of the widest layer per sample.
+    `small` says whether every matrix has at most _ROW_PRODUCT_ENTRIES
+    entries, as every desk spec's does (see :func:`_forward_reusing`).
+    Nothing bound refers back to the workspace, so a finished one is freed
+    at once, not by the cyclic collector.
     """
 
     def __init__(self, spec: DecoderSpec, x, params: ParamSet, t=None, grads=None, cache=False):
@@ -613,12 +624,11 @@ class _Workspace:
         keep = cache or grads is not None
         size = max(prod(s) for _, shapes in (layout if keep else layout[:-1]) for s in shapes)
         # the output layer does not upsample: its one shape is its largest
-        wide = max(size, prod(layout[-1][1][-1])) > prod(lead) * _ROW_PRODUCT_ENTRIES
-        tile_area = prod(lead) * _TILE_ROWS * max(spec.widths) if wide else 0
+        self.small = max(size, prod(layout[-1][1][-1])) <= prod(lead) * _ROW_PRODUCT_ENTRIES
         # both scratch vectors and the tile of every row broadcast, one allocation
-        block = np.empty(2 * size + tile_area, dtype)
+        block = np.empty(2 * size + prod(lead) * _TILE_ROWS * max(spec.widths), dtype)
         turns = cycle((block[:size], block[size : 2 * size]))
-        tiles = block[2 * size :].reshape(lead + (-1,)) if wide else None
+        tiles = block[2 * size :].reshape(lead + (-1,))
 
         def take(shape):
             """A view of `shape` in the scratch vector the last one is not in."""
@@ -626,7 +636,6 @@ class _Workspace:
 
         L = spec.n_layers
         z, x_mat = x, x.reshape(x.shape[: x.ndim - spec.n_spatial - 1] + (-1, x.shape[-1]))
-        self.tiled = wide
         self.fwd, self.tensors = [], []
         for l, (plan, shapes) in enumerate(layout):
             k = spec.widths[l + 1]
@@ -707,8 +716,8 @@ _KEPT_SPECS = 8
 @lru_cache(maxsize=_KEPT_SPECS)
 def _kept(spec: DecoderSpec, dtype) -> list:
     """The free list of forward-only workspaces of (spec, dtype) that
-    :func:`forward` without z0 or cache runs on, none with a tile area: one
-    at most, unless concurrent calls each put theirs back. A call pops its
+    :func:`forward` without z0 or cache runs on, none with a matrix above
+    _ROW_PRODUCT_ENTRIES entries: one at most, unless concurrent calls each put theirs back. A call pops its
     workspace, so that a concurrent call builds its own. A kept workspace
     keeps the last call's float32 parameter arrays referenced until the
     next call binds its own: unbinding them after each call read about
@@ -737,7 +746,7 @@ def forward(spec: DecoderSpec, params: ParamSet, z0=None, dtype=np.float32, retu
     when they are already in `dtype`) until the next such call on the spec
     binds its own, or the workspace is dropped. Without the cache, the
     workspace is two scratch vectors the size of the largest hidden
-    activation, plus the output.
+    activation and the tile area of its row broadcasts, plus the output.
     """
     check_params(spec, params)
     if z0 is None and not return_cache:
@@ -752,10 +761,10 @@ def forward(spec: DecoderSpec, params: ParamSet, z0=None, dtype=np.float32, retu
 
 def _forward_reusing(spec: DecoderSpec, params: ParamSet, dtype) -> np.ndarray:
     """:func:`forward` of `params` on the regenerated seed tensor, on the
-    kept workspace of (spec, dtype) if there is one. A workspace without a
-    tile area is kept afterwards, and the caller gets a copy of its output,
-    taken before the workspace goes back: the next pass on it overwrites
-    the output."""
+    kept workspace of (spec, dtype) if there is one. A workspace whose
+    matrices all have at most _ROW_PRODUCT_ENTRIES entries (`small`) is
+    kept afterwards, and the caller gets a copy of its output, taken before
+    the workspace goes back: the next pass on it overwrites the output."""
     kept = _kept(spec, dtype)
     try:
         ws = kept.pop()
@@ -764,7 +773,7 @@ def _forward_reusing(spec: DecoderSpec, params: ParamSet, dtype) -> np.ndarray:
     else:
         ws.bind(params)
     y = _forward(ws)
-    if ws.tiled:
+    if not ws.small:
         return y
     y = y.copy()
     if not kept:
@@ -790,7 +799,7 @@ def _forward(ws: _Workspace, folded=None) -> np.ndarray:
             w = (gamma * inv)[..., None] * w
         np.matmul(x, w, out=v)
         if gamma is not None:
-            v_wide += bias if tile is None else _tiled(bias, tile)
+            v_wide += _tiled(bias, tile)
         for op, src, dst in ups:
             np.matmul(op, src, out=dst)
         if r is None:

@@ -46,9 +46,10 @@ norm's mean of squares (1/N) @ (r * r) in the forward pass: on a stack,
 one numpy call that makes the same BLAS call per matrix as for the matrix
 alone, and faster than numpy's reduction over the leading axis. Larger
 matrices take einsum one matrix at a time, which adds the rows in order as
-``g.sum`` would, in about half its time, and the correction of d by the
-two filter rows runs over wide views of d and u, 128 rows to an inner
-loop.
+``g.sum`` would, in about half its time. The correction of d by the two
+filter rows runs over wide views of d and u at every size, one inner loop
+per tile of rows: 128 rows above 16,384 entries, about the square root of
+the row count below it, from 64 rows up.
 
 ``fit_batch`` runs B independent fits of one spec, one target each, as one
 array program, whatever B is, and ``fit`` is its batch of one. Kernels,
@@ -256,9 +257,9 @@ def _loss_and_grad(ws: _Workspace):
         # correction d * c1 + c2 goes there
         np.greater(u, 0, out=mask)
         c1 = (a * inv * g_gamma / n)[..., None, :]
-        np.multiply(x_wide, c1 if tile is None else _tiled(c1, tile), out=u_wide)
+        np.multiply(x_wide, _tiled(c1, tile), out=u_wide)
         c2 = (a * g_beta / n)[..., None, :]
-        u_wide += c2 if tile is None else _tiled(c2, tile)
+        u_wide += _tiled(c2, tile)
         g_prev -= u
         g_prev *= mask
     ups_t, xt, g, g_w = ws.rev0

@@ -230,9 +230,9 @@ def inplace_loss_and_grad(ws):
         g_gamma_out[...] = g_gamma
         np.matmul(g, folded[l][0].swapaxes(-1, -2), out=g_prev)
         c1 = (a * inv * g_gamma / n)[..., None, :]
-        x_wide *= c1 if tile is None else _tiled(c1, tile)
+        x_wide *= _tiled(c1, tile)
         c2 = (a * g_beta / n)[..., None, :]
-        x_wide += c2 if tile is None else _tiled(c2, tile)
+        x_wide += _tiled(c2, tile)
         g_prev -= x_wide.reshape(u.shape)
         g_prev *= np.greater(u, 0, out=u)
     ups_t, xt, g, g_w = ws.rev0

@@ -487,6 +487,73 @@ class TestBandedUpsampling:
         assert np.shares_memory(src, x) and not src.flags.writeable
 
 
+class TestTiledBroadcast:
+    """A row broadcast over the wide view of :func:`decoder._tile` gives the
+    plain broadcast's bytes and writes every entry, whatever the matrix."""
+
+    ROWS = sorted(
+        {1, 3, 5, 63, 65, 127, 129, 255, 767, 1099}
+        | {2**j for j in range(1, 11)}
+        | {3 * 2**j for j in range(9)}
+    )
+    FILTERS = [1, 8, 16, 64, 72]
+
+    @staticmethod
+    def broadcasts(m, row, block):
+        """The three forms the passes use, each over the wide views of `m`:
+        subtract in place, multiply into another array (NaN-filled first)
+        and add in place."""
+        wide, tile = decoder._tile(m, block)
+        subtracted = m.copy()
+        decoder._tile(subtracted, block)[0].__isub__(decoder._tiled(row, tile))
+        multiplied = np.full_like(m, np.nan)
+        np.multiply(wide, decoder._tiled(row, tile), out=decoder._tile(multiplied, block)[0])
+        added = m.copy()
+        decoder._tile(added, block)[0].__iadd__(decoder._tiled(row, tile))
+        return subtracted, multiplied, added
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_tiled_broadcasts_give_the_plain_bytes(self, lead, dtype):
+        rng = np.random.default_rng(94)
+        for n in self.ROWS:
+            for k in self.FILTERS:
+                m = rng.standard_normal(lead + (n, k)).astype(dtype)
+                row = rng.standard_normal(lead + (1, k)).astype(dtype)
+                block = np.full(lead + (decoder._TILE_ROWS * k,), np.nan, dtype)
+                got = self.broadcasts(m, row, block)
+                for form, g, want in zip(("subtract", "multiply", "add"), got, (m - row, m * row, m + row)):
+                    assert g.tobytes() == want.tobytes(), (form, n, k)
+
+    @pytest.mark.parametrize(
+        "n, k, rows",
+        [
+            (48, 16, None),  # below _TILE_MIN_ROWS
+            (65, 16, None),  # odd
+            (64, 16, 8),
+            (192, 16, 8),
+            (256, 16, 16),
+            (768, 8, 16),
+            (1024, 16, 32),
+            (1024, 8, 32),
+            (256, 64, 16),  # 16,384 entries: single_ue_full's third layer
+            (1024, 64, 128),  # above _ROW_PRODUCT_ENTRIES
+            (12288, 64, 128),
+            (24, 1024, 8),  # above it, with fewer rows than _TILE_MIN_ROWS
+        ],
+    )
+    def test_tile_height_follows_the_matrix_size(self, n, k, rows):
+        for lead in ((), (3,)):
+            block = np.empty(lead + (decoder._TILE_ROWS * k,), np.float32)
+            m = np.zeros(lead + (n, k), np.float32)
+            wide, tile = decoder._tile(m, block)
+            if rows is None:
+                assert tile is None and wide is m
+            else:
+                assert tile[0].shape == lead + (rows, k) and wide.shape == lead + (n // rows, rows * k)
+                assert np.shares_memory(wide, m) and np.shares_memory(tile[1], block)
+
+
 class TestParamCount:
     def test_full_scale_single_ue(self):
         assert param_count(FULL_SINGLE) == 25728

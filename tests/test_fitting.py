@@ -665,6 +665,14 @@ class TestBatch:
             assert report.trace == ref.trace
             assert params_to_vector(report.params).tobytes() == params_to_vector(ref.params).tobytes()
 
+    @pytest.mark.parametrize(
+        "name, size", [("single_ue_desk", 19), ("group_desk", 6)] + [(name, 1) for name in FULL_SPECS]
+    )
+    def test_batch_sizes_leave_out_the_tile_area(self, name, size):
+        # the workspace's tile area and ReLU mask are not counted: the
+        # batch sizes the study's cells are cut by stay these
+        assert batch_size(load_spec(_desk("specs", name))) == size
+
     def test_every_target_checked_before_the_first_step(self, tiny_spec):
         good = np.zeros(tiny_spec.output_dims, np.float32)
         with pytest.raises(ValueError, match=r"target \(2, 2, 2\) does not match"):

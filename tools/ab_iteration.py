@@ -10,15 +10,16 @@ this one process, so both sides share the interpreter, the heap and the
 BLAS threads; the benchmark's end-to-end times move with heap state, and
 this does not.
 
-First, on every packaged spec, in float32 and float64, both sides'
-``fitting._loss_and_grad`` run on equal parameters and targets, and the
-script checks that their gradient and MSE bytes agree. Then, on
-single_ue_full and group_full_a, each round times CALLS calls of each side's
-``_loss_and_grad`` on its own bound float32 workspace, the parent first in odd rounds and second in even
+First, on every packaged spec, in float32 and float64, without a batch
+axis and for a batch of BYTES_BATCH, both sides' ``fitting._loss_and_grad``
+run on equal parameters and targets, and the script checks that their
+gradient and MSE bytes agree. Then, for each spec and batch size of TIMED,
+each round times CALLS calls of each side's ``_loss_and_grad`` on its own
+bound float32 workspace, the parent first in odd rounds and second in even
 ones, after one untimed call each, and takes each side's median call. It
-prints per spec and side the median of those over the rounds, in ms, with
-its quartiles, and the rounds in which
-the working tree was faster. Exit status 1 if any bytes differ.
+prints per spec, batch size and side the median of those over the rounds,
+in ms, with its quartiles, and the rounds in which the working tree was
+faster. Exit status 1 if any bytes differ.
 
 BLAS threads are whatever OpenBLAS starts with: set OPENBLAS_NUM_THREADS to
 measure at 1 and at 2.
@@ -37,7 +38,12 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-TIMED = ("single_ue_full", "group_full_a")
+# (spec, batch size): the full specs at the batch size of their fits, and
+# the desk specs at those of the desk study's single, sweep, group and
+# transfer modes; a batch of one runs without the batch axis, as in fit_batch
+TIMED = (("single_ue_full", 1), ("group_full_a", 1), ("single_ue_desk", 8), ("group_desk", 1), ("group_desk", 3))
+# the batch size of the byte check's batched workspaces
+BYTES_BATCH = 3
 # the timed calls of each side per spec and round
 CALLS = 20
 
@@ -55,28 +61,30 @@ def load_side(checkout: Path, name: str):
     return importlib.import_module(f"{name}.decoder"), importlib.import_module(f"{name}.fitting"), package / "specs"
 
 
-def bind(side, spec_name: str, dtype):
-    """A workspace of `side` bound for `_loss_and_grad` on `spec_name` at
-    init_params(seed 1) with gammas and betas moved off 1 and 0, random
-    targets, and its gradient vector; equal inputs on either side."""
+def bind(side, spec_name: str, dtype, batch: int = 1):
+    """A workspace of `side` bound for `_loss_and_grad` on `spec_name` for
+    `batch` samples, without the batch axis for one, at init_params(seed 1)
+    with each sample's gammas and betas moved off 1 and 0, random targets,
+    and its gradient block; equal inputs on either side."""
     decoder, _, specs = side
     spec = decoder.load_spec(str(specs / f"{spec_name}.json"))
     rng = np.random.default_rng(7)
-    vec = decoder.params_to_vector(decoder.init_params(spec, 1, dtype))
+    rows = slice(None) if batch > 1 else 0
+    vec = np.stack([decoder.params_to_vector(decoder.init_params(spec, 1, dtype))] * batch)[rows]
     params = decoder.param_views(spec, vec)
     for g, b in zip(params.gammas, params.betas):
         g[...] = rng.uniform(0.5, 1.5, g.shape)
         b[...] = rng.uniform(-0.5, 0.5, b.shape)
-    target = rng.uniform(-0.8, 0.8, spec.output_dims).astype(dtype)
+    target = rng.uniform(-0.8, 0.8, vec.shape[:-1] + spec.output_dims).astype(dtype)
     grads = np.full_like(vec, np.nan)
-    x = decoder._seed(spec, None, dtype)
+    x = decoder._seed(spec, None, dtype)[None][rows]
     return decoder._Workspace(spec, x, params, target, decoder.param_views(spec, grads)), grads
 
 
-def same_bytes(sides, spec_name: str, dtype) -> bool:
+def same_bytes(sides, spec_name: str, dtype, batch: int) -> bool:
     out = []
     for side in sides:
-        ws, grads = bind(side, spec_name, dtype)
+        ws, grads = bind(side, spec_name, dtype, batch)
         mse = side[1]._loss_and_grad(ws)
         out.append((grads.tobytes(), np.asarray(mse).tobytes()))
     return out[0] == out[1]
@@ -105,12 +113,16 @@ def main(argv=None) -> int:
     differ = []
     for path in sorted(sides[1][2].glob("*.json")):
         for dtype in (np.float32, np.float64):
-            if not same_bytes(sides, path.stem, dtype):
-                differ.append(f"{path.stem} {np.dtype(dtype).name}")
-    print("gradient and MSE bytes:", "differ on " + ", ".join(differ) if differ else "equal on every packaged spec")
+            for batch in (1, BYTES_BATCH):
+                if not same_bytes(sides, path.stem, dtype, batch):
+                    differ.append(f"{path.stem} {np.dtype(dtype).name} B={batch}")
+    print(
+        "gradient and MSE bytes:",
+        "differ on " + ", ".join(differ) if differ else f"equal on every packaged spec, at B=1 and B={BYTES_BATCH}",
+    )
 
-    for spec_name in TIMED:
-        bound = [(side[1]._loss_and_grad, bind(side, spec_name, np.float32)[0]) for side in sides]
+    for spec_name, batch in TIMED:
+        bound = [(side[1]._loss_and_grad, bind(side, spec_name, np.float32, batch)[0]) for side in sides]
         for loss_and_grad, ws in bound:
             loss_and_grad(ws)
         times = np.empty((args.rounds, 2))
@@ -121,7 +133,7 @@ def main(argv=None) -> int:
         won = int((times[:, 1] < times[:, 0]).sum())
         change = (q[1, 1] / q[1, 0] - 1) * 100
         print(
-            f"{spec_name}: parent {q[1, 0]:.3f} ms ({q[0, 0]:.3f}-{q[2, 0]:.3f}), "
+            f"{spec_name} B={batch}: parent {q[1, 0]:.3f} ms ({q[0, 0]:.3f}-{q[2, 0]:.3f}), "
             f"change {q[1, 1]:.3f} ms ({q[0, 1]:.3f}-{q[2, 1]:.3f}), {change:+.1f} %, "
             f"faster in {won}/{args.rounds} rounds"
         )
