@@ -80,6 +80,9 @@ up to 2^19     (1/N) @ r         einsum           einsum          128 rows
 above 2^19     einsum / N        einsum           einsum          128 rows
 =============  ================  ===============  ==============  ================
 
+Up to 16,384 entries there is no tile under 64 rows, nor for a 64-row
+matrix without a batch.
+
 Measured in float32 on a 2-core Xeon (2 MiB L2 per core), numpy 2.4.6 and
 OpenBLAS 0.3.31 with its default two threads:
 
@@ -96,11 +99,13 @@ OpenBLAS 0.3.31 with its default two threads:
   from 12,288 x 64 took 0.21 instead of 0.31-0.39 ms at R = 128. Every
   row broadcast takes it: the bias add, both centring subtractions and the
   reverse pass's batch-norm correction. Up to 16,384 entries R is about
-  sqrt(N), and below 64 rows there is no tile: filling the tile writes
-  R x k entries, against the N / R inner loops it saves. At a batch of 8,
-  subtracting a row from each 768 x 16 matrix (group_desk's last
-  batch-norm layer) took 34 instead of 64 us at R = 16, and from each
-  256 x 16 one (single_ue_desk's) 14 instead of 21 us.
+  sqrt(N): filling the tile writes R x k entries, against the N / R inner
+  loops it saves. At a batch of 8, subtracting a row from each 768 x 16
+  matrix (group_desk's last batch-norm layer) took 33 instead of 59 us at
+  R = 16, and from each 256 x 16 one (single_ue_desk's) 13 instead of
+  20 us. Below 64 rows, and for a 64-row matrix without a batch, the
+  tile's extra numpy call costs more than it saves: 64 x 16 read 5-9 %
+  slower tiled alone, and 6-7 % faster at a batch of 3.
 - Above 2^19 entries (2 MiB, the 12,288 x 64 layers of group_full_a)
   OpenBLAS splits the one-row product (1/N) @ r over both cores, and the
   subtraction after it slows down too: it writes to lines of r that the
@@ -385,14 +390,19 @@ def _tile(m, block) -> tuple:
     size: _TILE_ROWS above _ROW_PRODUCT_ENTRIES entries, and below it
     2^floor((bit_length(n) - 1) / 2), about sqrt(n), which balances the
     R x k entries the tile takes to fill against the n / R inner loops of
-    the broadcast. Matrices of fewer than _TILE_MIN_ROWS rows, and those
-    with an odd row count, give (m, None).
+    the broadcast. Below _ROW_PRODUCT_ENTRIES the tile's extra numpy call
+    costs more than it saves on matrices of fewer than _TILE_MIN_ROWS
+    rows, and on a stack of fewer than twice as many rows in all (a
+    64-row matrix without a batch); those, and matrices with an odd row
+    count, give (m, None).
     """
     n, k = m.shape[-2:]
     if n * k > _ROW_PRODUCT_ENTRIES:
         height = _TILE_ROWS
+    elif n >= _TILE_MIN_ROWS and prod(m.shape[:-2]) * n >= 2 * _TILE_MIN_ROWS:
+        height = 1 << (n.bit_length() - 1) // 2
     else:
-        height = 1 << (n.bit_length() - 1) // 2 if n >= _TILE_MIN_ROWS else 1
+        height = 1
     rep = min(n & -n, height)
     if rep == 1:
         return m, None

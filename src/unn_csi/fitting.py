@@ -49,7 +49,7 @@ matrices take einsum one matrix at a time, which adds the rows in order as
 ``g.sum`` would, in about half its time. The correction of d by the two
 filter rows runs over wide views of d and u at every size, one inner loop
 per tile of rows: 128 rows above 16,384 entries, about the square root of
-the row count below it, from 64 rows up.
+the row count below it, from 64 rows up (128 without a batch).
 
 ``fit_batch`` runs B independent fits of one spec, one target each, as one
 array program, whatever B is, and ``fit`` is its batch of one. Kernels,

@@ -526,24 +526,24 @@ class TestTiledBroadcast:
                     assert g.tobytes() == want.tobytes(), (form, n, k)
 
     @pytest.mark.parametrize(
-        "n, k, rows",
+        "n, k, alone, batched",
         [
-            (48, 16, None),  # below _TILE_MIN_ROWS
-            (65, 16, None),  # odd
-            (64, 16, 8),
-            (192, 16, 8),
-            (256, 16, 16),
-            (768, 8, 16),
-            (1024, 16, 32),
-            (1024, 8, 32),
-            (256, 64, 16),  # 16,384 entries: single_ue_full's third layer
-            (1024, 64, 128),  # above _ROW_PRODUCT_ENTRIES
-            (12288, 64, 128),
-            (24, 1024, 8),  # above it, with fewer rows than _TILE_MIN_ROWS
+            (48, 16, None, None),  # below _TILE_MIN_ROWS
+            (65, 16, None, None),  # odd
+            (64, 16, None, 8),  # a matrix alone needs twice _TILE_MIN_ROWS
+            (128, 16, 8, 8),
+            (192, 16, 8, 8),
+            (256, 16, 16, 16),
+            (768, 8, 16, 16),
+            (1024, 16, 32, 32),
+            (256, 64, 16, 16),  # 16,384 entries: single_ue_full's third layer
+            (1024, 64, 128, 128),  # above _ROW_PRODUCT_ENTRIES
+            (12288, 64, 128, 128),
+            (24, 1024, 8, 8),  # above it, with fewer rows than _TILE_MIN_ROWS
         ],
     )
-    def test_tile_height_follows_the_matrix_size(self, n, k, rows):
-        for lead in ((), (3,)):
+    def test_tile_height_follows_the_matrix_size_and_the_batch(self, n, k, alone, batched):
+        for lead, rows in (((), alone), ((3,), batched)):
             block = np.empty(lead + (decoder._TILE_ROWS * k,), np.float32)
             m = np.zeros(lead + (n, k), np.float32)
             wide, tile = decoder._tile(m, block)
