@@ -386,15 +386,11 @@ def _tile(m, block) -> tuple:
     1 x Rk) pair of views of the flat `block` that :func:`_tiled` repeats a
     row into: one inner loop per R rows, over the same entries with the
     same operands, so the same bits. R is the largest power of two that
-    divides the row count n and is at most a height set by the matrix
-    size: _TILE_ROWS above _ROW_PRODUCT_ENTRIES entries, and below it
-    2^floor((bit_length(n) - 1) / 2), about sqrt(n), which balances the
-    R x k entries the tile takes to fill against the n / R inner loops of
-    the broadcast. Below _ROW_PRODUCT_ENTRIES the tile's extra numpy call
-    costs more than it saves on matrices of fewer than _TILE_MIN_ROWS
-    rows, and on a stack of fewer than twice as many rows in all (a
-    64-row matrix without a batch); those, and matrices with an odd row
-    count, give (m, None).
+    divides the row count n, up to _TILE_ROWS above _ROW_PRODUCT_ENTRIES
+    entries and up to 2^floor((bit_length(n) - 1) / 2), about sqrt(n),
+    below it (see the module docstring). Below that bound, a matrix of
+    fewer than _TILE_MIN_ROWS rows, or in a stack of fewer than twice as
+    many rows in all, gives (m, None), as does any odd row count.
     """
     n, k = m.shape[-2:]
     if n * k > _ROW_PRODUCT_ENTRIES:
@@ -726,8 +722,8 @@ _KEPT_SPECS = 8
 @lru_cache(maxsize=_KEPT_SPECS)
 def _kept(spec: DecoderSpec, dtype) -> list:
     """The free list of forward-only workspaces of (spec, dtype) that
-    :func:`forward` without z0 or cache runs on, none with a matrix above
-    _ROW_PRODUCT_ENTRIES entries: one at most, unless concurrent calls each put theirs back. A call pops its
+    :func:`forward` without z0 or cache runs on, each of them `small`: one
+    at most, unless concurrent calls each put theirs back. A call pops its
     workspace, so that a concurrent call builds its own. A kept workspace
     keeps the last call's float32 parameter arrays referenced until the
     next call binds its own: unbinding them after each call read about

@@ -504,12 +504,12 @@ class TestTiledBroadcast:
         subtract in place, multiply into another array (NaN-filled first)
         and add in place."""
         wide, tile = decoder._tile(m, block)
-        subtracted = m.copy()
-        decoder._tile(subtracted, block)[0].__isub__(decoder._tiled(row, tile))
-        multiplied = np.full_like(m, np.nan)
+        subtracted, multiplied, added = m.copy(), np.full_like(m, np.nan), m.copy()
+        view = decoder._tile(subtracted, block)[0]
+        view -= decoder._tiled(row, tile)
         np.multiply(wide, decoder._tiled(row, tile), out=decoder._tile(multiplied, block)[0])
-        added = m.copy()
-        decoder._tile(added, block)[0].__iadd__(decoder._tiled(row, tile))
+        view = decoder._tile(added, block)[0]
+        view += decoder._tiled(row, tile)
         return subtracted, multiplied, added
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
