@@ -15,11 +15,18 @@ axis and for a batch of BYTES_BATCH, both sides' ``fitting._loss_and_grad``
 run on equal parameters and targets, and the script checks that their
 gradient and MSE bytes agree. Then, for each spec and batch size of TIMED,
 each round times CALLS calls of each side's ``_loss_and_grad`` on its own
-bound float32 workspace, the parent first in odd rounds and second in even
-ones, after one untimed call each, and takes each side's median call. It
-prints per spec, batch size and side the median of those over the rounds,
-in ms, with its quartiles, and the rounds in which the working tree was
-faster. Exit status 1 if any bytes differ.
+bound float32 workspace, after one untimed call each. The two sides' calls
+take turns, the parent's first in odd rounds and second in even ones, so
+that both see the same host speed when a shared host's speed changes
+level, and each side's median call is kept. It prints per spec, batch size
+and side the median of those over the rounds, in ms, with its quartiles,
+and the rounds in which the working tree was faster. Exit status 1 if any
+bytes differ.
+
+With the checkout on both sides, one side can still read faster in most
+rounds: on a 2-core Xeon at one BLAS thread, single_ue_full read +1.1 %
+(0 of 10 rounds faster) against the same code. So this A/B does not
+resolve full-scale differences of that size.
 
 BLAS threads are whatever OpenBLAS starts with: set OPENBLAS_NUM_THREADS to
 measure at 1 and at 2.
@@ -90,14 +97,18 @@ def same_bytes(sides, spec_name: str, dtype, batch: int) -> bool:
     return out[0] == out[1]
 
 
-def ms_per_call(loss_and_grad, ws) -> float:
-    """The median ms of CALLS calls of `loss_and_grad` on `ws`."""
-    times = []
-    for _ in range(CALLS):
-        start = time.perf_counter()
-        loss_and_grad(ws)
-        times.append(time.perf_counter() - start)
-    return float(np.median(times)) * 1e3
+def ms_per_call(bound, first: int) -> np.ndarray:
+    """Each side's median ms over CALLS calls of its `_loss_and_grad` on
+    its workspace (`bound`), the two sides' calls taken in turn, side
+    `first` first."""
+    times = np.empty((CALLS, 2))
+    for c in range(CALLS):
+        for i in (first, 1 - first):
+            loss_and_grad, ws = bound[i]
+            start = time.perf_counter()
+            loss_and_grad(ws)
+            times[c, i] = time.perf_counter() - start
+    return np.median(times, axis=0) * 1e3
 
 
 def main(argv=None) -> int:
@@ -127,8 +138,7 @@ def main(argv=None) -> int:
             loss_and_grad(ws)
         times = np.empty((args.rounds, 2))
         for r in range(args.rounds):
-            for i in (0, 1) if r % 2 == 0 else (1, 0):
-                times[r, i] = ms_per_call(*bound[i])
+            times[r] = ms_per_call(bound, r % 2)
         q = np.percentile(times, [25, 50, 75], axis=0)
         won = int((times[:, 1] < times[:, 0]).sum())
         change = (q[1, 1] / q[1, 0] - 1) * 100
