@@ -68,7 +68,7 @@ def load_side(checkout: Path, name: str):
     return importlib.import_module(f"{name}.decoder"), importlib.import_module(f"{name}.fitting"), package / "specs"
 
 
-def bind(side, spec_name: str, dtype, batch: int = 1):
+def bind(side, spec_name: str, dtype, batch: int):
     """A workspace of `side` bound for `_loss_and_grad` on `spec_name` for
     `batch` samples, without the batch axis for one, at init_params(seed 1)
     with each sample's gammas and betas moved off 1 and 0, random targets,
