@@ -392,17 +392,16 @@ def _tile(m, block) -> tuple:
     fewer than _TILE_MIN_ROWS rows, or in a stack of fewer than twice as
     many rows in all, gives (m, None), as does any odd row count.
     """
-    n, k = m.shape[-2:]
+    lead, (n, k) = m.shape[:-2], m.shape[-2:]
     if n * k > _ROW_PRODUCT_ENTRIES:
         height = _TILE_ROWS
-    elif n >= _TILE_MIN_ROWS and prod(m.shape[:-2]) * n >= 2 * _TILE_MIN_ROWS:
+    elif n >= _TILE_MIN_ROWS and prod(lead) * n >= 2 * _TILE_MIN_ROWS:
         height = 1 << (n.bit_length() - 1) // 2
     else:
         height = 1
     rep = min(n & -n, height)
     if rep == 1:
         return m, None
-    lead = m.shape[:-2]
     part = block[..., : rep * k]
     return m.reshape(lead + (n // rep, rep * k)), (part.reshape(lead + (rep, k)), part[..., None, :])
 
